@@ -38,10 +38,12 @@ let floyd_warshall_kernel =
   let w = Etx_graph.Digraph.adjacency_matrix topology.Etx_graph.Topology.graph in
   fun () -> ignore (Etx_graph.Floyd_warshall.run w)
 
-let ear_recompute_kernel =
-  let topology = Etx_graph.Topology.square_mesh ~size:8 () in
+(* [~size:12] is the 144-node mesh that dominates the fig7 sweep's
+   routing time. *)
+let ear_recompute_kernel ~size =
+  let topology = Etx_graph.Topology.square_mesh ~size () in
   let mapping = Etx_routing.Mapping.checkerboard topology in
-  let snapshot = Etx_routing.Router.full_snapshot ~node_count:64 ~levels:8 in
+  let snapshot = Etx_routing.Router.full_snapshot ~node_count:(size * size) ~levels:8 in
   (* Persistent workspace, like the controller's per-frame path: the
      scratch matrices are reused across recomputes instead of
      reallocated. *)
@@ -277,7 +279,8 @@ let entries =
     ("fig8/2-controllers-4x4-run", fig8_kernel);
     ("thm1/upper-bounds", thm1_kernel);
     ("kernel/floyd-warshall-64", floyd_warshall_kernel);
-    ("kernel/ear-recompute-64", ear_recompute_kernel);
+    ("kernel/ear-recompute-64", ear_recompute_kernel ~size:8);
+    ("kernel/ear-recompute-144", ear_recompute_kernel ~size:12);
     ("kernel/ear-incremental-64", ear_incremental_kernel);
     ("kernel/aes-block", aes_kernel);
     ("kernel/battery-100-steps", battery_kernel);

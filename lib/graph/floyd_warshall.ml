@@ -10,34 +10,50 @@ let create_result ~dim =
    keeping the incumbent successor on ties.  The controller recomputes
    this every TDMA frame, so the triple loop runs on the raw row-major
    arrays: bounds checks and index arithmetic are hoisted out of the
-   O(n^3) core. *)
+   O(n^3) core.
+
+   Pass n only reads row n through the columns where it is finite: an
+   infinite d(n, j) makes the candidate d(i, n) + inf, which never wins
+   the strict [<].  Row n itself is fixed during pass n (a relaxation
+   of d(n, j) through n would need d(n, n) + d(n, j) < d(n, j), and
+   d(n, n) >= 0), so the span of finite columns found before the i-loop
+   stays exact for the whole pass, and skipping the columns outside it
+   leaves every distance and successor bit-identical. *)
 let run_into result w =
   let dim = Matrix.dim w in
   if Matrix.dim result.distances <> dim || Matrix.Int.dim result.successors <> dim then
     invalid_arg "Floyd_warshall.run_into: scratch dimension differs from the input";
-  Matrix.iteri w ~f:(fun i j v ->
-      if v < 0. then
-        invalid_arg
-          (Printf.sprintf "Floyd_warshall.run: negative weight at (%d, %d)" i j));
+  let src = Matrix.data w in
   let d = Matrix.data result.distances in
   let s = Matrix.Int.data result.successors in
-  Array.blit (Matrix.data w) 0 d 0 (dim * dim);
-  Array.fill s 0 (dim * dim) (-1);
   for i = 0 to dim - 1 do
     let row = i * dim in
     for j = 0 to dim - 1 do
-      if i <> j && Array.unsafe_get d (row + j) < infinity then
-        Array.unsafe_set s (row + j) j
+      let v = Array.unsafe_get src (row + j) in
+      if v < 0. then
+        invalid_arg
+          (Printf.sprintf "Floyd_warshall.run: negative weight at (%d, %d)" i j);
+      Array.unsafe_set d (row + j) v;
+      Array.unsafe_set s (row + j) (if i <> j && v < infinity then j else -1)
     done
   done;
   for n = 0 to dim - 1 do
     let n_row = n * dim in
+    let first = ref 0 in
+    while !first < dim && not (Array.unsafe_get d (n_row + !first) < infinity) do
+      incr first
+    done;
+    let last = ref (dim - 1) in
+    while !last > !first && not (Array.unsafe_get d (n_row + !last) < infinity) do
+      decr last
+    done;
+    let first = !first and last = !last in
     for i = 0 to dim - 1 do
       let i_row = i * dim in
       let d_in = Array.unsafe_get d (i_row + n) in
       if d_in < infinity then begin
         let s_in = Array.unsafe_get s (i_row + n) in
-        for j = 0 to dim - 1 do
+        for j = first to last do
           let via = d_in +. Array.unsafe_get d (n_row + j) in
           if via < Array.unsafe_get d (i_row + j) then begin
             Array.unsafe_set d (i_row + j) via;

@@ -30,7 +30,8 @@ val run_into : result -> Etx_util.Matrix.t -> result
     of allocating two fresh [dim x dim] matrices, and returns [scratch].
     The controller recomputes routes every TDMA frame; reusing one
     scratch result across recomputes keeps the per-frame hot path
-    allocation-free.  Any previous contents of [scratch] are overwritten.
+    allocation-free.  Any previous contents of [scratch] are overwritten
+    (partially so when a negative weight is found mid-copy).
     @raise Invalid_argument if the dimensions differ or a weight is
     negative. *)
 

@@ -53,11 +53,7 @@ type workspace = {
   succ : Scratch.Ints.t;
   failed_set : (int * int, unit) Hashtbl.t;
   locked_set : (int * int, unit) Hashtbl.t;
-  mutable candidates : int array array;
-  (* cache key for [candidates]: the mapping (physical identity) and
-     module count they were extracted from *)
-  mutable candidates_mapping : Mapping.t option;
-  mutable candidates_module_count : int;
+  candidates : Router.candidates;
   mutable tables : Routing_table.t array;
   mutable table_flip : int;
   mutable basis : basis option;
@@ -70,9 +66,7 @@ let create_workspace () =
     succ = Scratch.Ints.create ();
     failed_set = Hashtbl.create 16;
     locked_set = Hashtbl.create 16;
-    candidates = [||];
-    candidates_mapping = None;
-    candidates_module_count = 0;
+    candidates = Router.create_candidates ();
     tables = [||];
     table_flip = 0;
     basis = None;
@@ -100,10 +94,11 @@ let widest_paths_into ws ~graph ~(snapshot : Router.snapshot) =
   Router.fill_set failed_set snapshot.Router.failed_links;
   let alive = snapshot.Router.alive in
   let battery_level = snapshot.Router.battery_level in
+  let no_failed = Hashtbl.length failed_set = 0 in
   Etx_graph.Digraph.iter_edges graph ~f:(fun ~src ~dst ~length ->
       if
         alive.(src) && alive.(dst)
-        && not (Hashtbl.mem failed_set (src, dst))
+        && (no_failed || not (Hashtbl.mem failed_set (src, dst)))
       then begin
         let w = battery_level.(dst) in
         let idx = (src * n) + dst in
@@ -116,9 +111,25 @@ let widest_paths_into ws ~graph ~(snapshot : Router.snapshot) =
   (* The (max width, min distance) lexicographic Floyd-Warshall, with
      [join]/[better] folded into branch logic on the flat arrays: the
      joined width is the narrower side, and the joined distance is only
-     summed when the width test alone cannot decide. *)
+     summed when the width test alone cannot decide.  As in
+     [Floyd_warshall.run_into], pass [via] only visits the span of
+     columns where the via row is reachable (rw >= 0): the via row is
+     fixed during its own pass (its diagonal width is max_int and its
+     diagonal distance 0, so no candidate through it beats the
+     incumbent), and an unreachable column is skipped by the loop body
+     anyway. *)
   for via = 0 to n - 1 do
     let via_row = via * n in
+    (* the diagonal is max_int, so the span is never empty *)
+    let first = ref 0 in
+    while Array.unsafe_get width (via_row + !first) < 0 do
+      incr first
+    done;
+    let last = ref (n - 1) in
+    while Array.unsafe_get width (via_row + !last) < 0 do
+      decr last
+    done;
+    let first = !first and last = !last in
     for i = 0 to n - 1 do
       let i_row = i * n in
       let lw = Array.unsafe_get width (i_row + via) in
@@ -128,7 +139,7 @@ let widest_paths_into ws ~graph ~(snapshot : Router.snapshot) =
            intermediate (the candidate through the empty (via, via)
            path never improves), so the read can be hoisted *)
         let s_via = Array.unsafe_get succ (i_row + via) in
-        for j = 0 to n - 1 do
+        for j = first to last do
           if i <> j then begin
             let rw = Array.unsafe_get width (via_row + j) in
             if rw >= 0 then begin
@@ -165,24 +176,6 @@ let widest_paths ?workspace ~graph ~(snapshot : Router.snapshot) () =
     widest_paths_into ws ~graph ~snapshot
   | None -> widest_paths_into (create_workspace ()) ~graph ~snapshot
 
-(* Candidate node lists per module, as arrays so phase three iterates
-   without list-cell chasing; cached on the workspace keyed by the
-   mapping's identity. *)
-let candidate_arrays ws ~mapping ~module_count =
-  let fresh () =
-    Array.init module_count (fun i ->
-        Array.of_list (Mapping.nodes_of_module mapping ~module_index:i))
-  in
-  match ws.candidates_mapping with
-  | Some cached when cached == mapping && ws.candidates_module_count = module_count ->
-    ws.candidates
-  | Some _ | None ->
-    let candidates = fresh () in
-    ws.candidates <- candidates;
-    ws.candidates_mapping <- Some mapping;
-    ws.candidates_module_count <- module_count;
-    candidates
-
 let scratch_table ws ~node_count ~module_count =
   let tables, table =
     Router.scratch_table_of ~tables:ws.tables ~flip:ws.table_flip ~node_count
@@ -198,7 +191,7 @@ let fill_table ws ~paths ~mapping ~module_count ~(snapshot : Router.snapshot) ta
   let n = paths.dim in
   let width = paths.widths and dist = paths.distances and succ = paths.succ in
   let locked_set = ws.locked_set in
-  let candidates = candidate_arrays ws ~mapping ~module_count in
+  let candidates = Router.candidate_arrays ws.candidates ~mapping ~module_count in
   let alive = snapshot.Router.alive in
   let no_locks = Hashtbl.length locked_set = 0 in
   (* Phase three with the (width, distance) incumbent tracked in

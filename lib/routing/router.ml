@@ -107,6 +107,32 @@ type basis = {
   mutable b_table : Routing_table.t;
 }
 
+(* Per-module candidate nodes as arrays, so phase three iterates
+   without list-cell chasing; cached keyed on the mapping's identity and
+   the module count they were extracted from.  Both workspaces (this
+   one and [Maximin]'s) hold one. *)
+type candidates = {
+  mutable arrays : int array array;
+  mutable of_mapping : Mapping.t option;
+  mutable of_module_count : int;
+}
+
+let create_candidates () = { arrays = [||]; of_mapping = None; of_module_count = 0 }
+
+let candidate_arrays cache ~mapping ~module_count =
+  match cache.of_mapping with
+  | Some cached when cached == mapping && cache.of_module_count = module_count ->
+    cache.arrays
+  | Some _ | None ->
+    let arrays =
+      Array.init module_count (fun i ->
+          Array.of_list (Mapping.nodes_of_module mapping ~module_index:i))
+    in
+    cache.arrays <- arrays;
+    cache.of_mapping <- Some mapping;
+    cache.of_module_count <- module_count;
+    arrays
+
 (* Scratch state reused across recomputes: the controller calls
    [compute] every TDMA frame, so the weight matrix, the Floyd-Warshall
    result, the membership sets for failed links / locked ports, and the
@@ -123,10 +149,7 @@ type workspace = {
      a single buffer would be overwritten under its feet *)
   mutable tables : Routing_table.t array;
   mutable table_flip : int;
-  (* per-module candidate lists, cached keyed on the mapping's identity *)
-  mutable candidates : int list array;
-  mutable candidates_mapping : Mapping.t option;
-  mutable candidates_module_count : int;
+  candidates : candidates;
   mutable basis : basis option;
 }
 
@@ -138,9 +161,7 @@ let create_workspace () =
     locked_set = Hashtbl.create 16;
     tables = [||];
     table_flip = 0;
-    candidates = [||];
-    candidates_mapping = None;
-    candidates_module_count = 0;
+    candidates = create_candidates ();
     basis = None;
   }
 
@@ -208,15 +229,17 @@ let scratch_paths workspace ~dim =
 
 let fill_weight_matrix w ~graph ~weight ~failed_set snapshot =
   let n = Etx_graph.Digraph.node_count graph in
+  let data = Matrix.data w in
+  Array.fill data 0 (n * n) infinity;
   for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Matrix.set w i j (if i = j then 0. else infinity)
-    done
+    data.((i * n) + i) <- 0.
   done;
+  (* no failed links (the common case): skip the tuple-keyed lookup *)
+  let no_failed = Hashtbl.length failed_set = 0 in
   Etx_graph.Digraph.iter_edges graph ~f:(fun ~src ~dst ~length ->
       if
         snapshot.alive.(src) && snapshot.alive.(dst)
-        && not (Hashtbl.mem failed_set (src, dst))
+        && (no_failed || not (Hashtbl.mem failed_set (src, dst)))
       then
         Matrix.set w src dst
           (Weight.edge_weight weight ~length_cm:length
@@ -233,74 +256,78 @@ let weight_matrix ~graph ~weight snapshot =
 let shortest_paths ~graph ~weight snapshot =
   Etx_graph.Floyd_warshall.run (weight_matrix ~graph ~weight snapshot)
 
-(* Phase three (Fig 6): for node [n] and module [i], choose among the
-   living duplicates the one at minimum weighted distance, skipping
-   candidates whose first hop is a locked port when possible. *)
-let choose_entry ~paths ~snapshot ~locked_set ~node ~candidates =
-  let open Etx_graph in
-  let consider ~respect_locks =
-    let best = ref None in
-    let try_candidate j =
-      if snapshot.alive.(j) then begin
-        let dist = Floyd_warshall.distance paths ~src:node ~dst:j in
-        if dist < infinity then begin
+(* Phase three (Fig 6) over every living node; entries of dead nodes
+   stay at the table's cleared [Unreachable] default.  For node [n] and
+   module [i], choose among the living duplicates the one at minimum
+   weighted distance (the first minimum in candidate order), skipping
+   candidates whose first hop is a locked port when possible.  Runs on
+   the flat Floyd-Warshall arrays with the incumbent in hoisted mutable
+   state, the shape of [Maximin.fill_table]: kind 0 = none yet, 1 =
+   deliver here, 2 = forward; the incumbent distance lives in a
+   one-cell float array so comparisons never box. *)
+let fill_table table ~(paths : Etx_graph.Floyd_warshall.result) ~snapshot ~locked_set
+    ~candidates ~node_count ~module_count =
+  let dist = Matrix.data paths.distances in
+  let succ = Matrix.Int.data paths.successors in
+  let alive = snapshot.alive in
+  let no_locks = Hashtbl.length locked_set = 0 in
+  let best_kind = ref 0 in
+  let best_hop = ref (-1) in
+  let best_dst = ref (-1) in
+  let best_d = [| 0. |] in
+  let consider ~node ~node_row ~pool ~respect_locks =
+    best_kind := 0;
+    for c = 0 to Array.length pool - 1 do
+      let j = Array.unsafe_get pool c in
+      if alive.(j) then begin
+        let d = Array.unsafe_get dist (node_row + j) in
+        if d < infinity then
           if j = node then begin
             (* the node itself hosts the module: always optimal (dist 0) *)
-            match !best with
-            | Some (0., _) -> ()
-            | _ -> best := Some (0., Routing_table.Deliver_here)
+            if !best_kind = 0 || best_d.(0) <> 0. then begin
+              best_kind := 1;
+              best_d.(0) <- 0.
+            end
           end
-          else
-            match Floyd_warshall.successor paths ~src:node ~dst:j with
-            | None -> ()
-            | Some hop ->
-              if (not respect_locks) || not (Hashtbl.mem locked_set (node, hop)) then begin
-                let better =
-                  match !best with Some (d, _) -> dist < d | None -> true
-                in
-                if better then
-                  best :=
-                    Some (dist, Routing_table.Forward { next_hop = hop; destination = j })
-              end
-        end
+          else begin
+            let hop = Array.unsafe_get succ (node_row + j) in
+            if
+              hop >= 0
+              && ((not respect_locks) || no_locks
+                 || not (Hashtbl.mem locked_set (node, hop)))
+              && (!best_kind = 0 || d < best_d.(0))
+            then begin
+              best_kind := 2;
+              best_d.(0) <- d;
+              best_hop := hop;
+              best_dst := j
+            end
+          end
       end
-    in
-    List.iter try_candidate candidates;
-    !best
+    done
   in
-  match consider ~respect_locks:true with
-  | Some (_, entry) -> entry
-  | None -> begin
-    (* every viable path starts on a locked port: deadlock recovery
-       prefers a detour, but a locked path beats declaring the module
-       unreachable (locks are transient congestion, not death) *)
-    match consider ~respect_locks:false with
-    | Some (_, entry) -> entry
-    | None -> Routing_table.Unreachable
-  end
-
-let candidate_lists ws ~mapping ~module_count =
-  match ws.candidates_mapping with
-  | Some cached when cached == mapping && ws.candidates_module_count = module_count ->
-    ws.candidates
-  | Some _ | None ->
-    let candidates =
-      Array.init module_count (fun i -> Mapping.nodes_of_module mapping ~module_index:i)
-    in
-    ws.candidates <- candidates;
-    ws.candidates_mapping <- Some mapping;
-    ws.candidates_module_count <- module_count;
-    candidates
-
-(* Phase three over every living node (entries of dead nodes stay at the
-   table's cleared [Unreachable] default). *)
-let fill_table table ~paths ~snapshot ~locked_set ~candidates ~node_count ~module_count =
   for node = 0 to node_count - 1 do
-    if snapshot.alive.(node) then
-      for i = 0 to module_count - 1 do
-        Routing_table.set table ~node ~module_index:i
-          (choose_entry ~paths ~snapshot ~locked_set ~node ~candidates:candidates.(i))
+    if alive.(node) then begin
+      let node_row = node * node_count in
+      for module_index = 0 to module_count - 1 do
+        let pool = candidates.(module_index) in
+        consider ~node ~node_row ~pool ~respect_locks:true;
+        (* every viable path starts on a locked port: deadlock recovery
+           prefers a detour, but a locked path beats declaring the
+           module unreachable (locks are transient congestion, not
+           death).  Without locks the second pass would repeat the
+           first. *)
+        if !best_kind = 0 && not no_locks then
+          consider ~node ~node_row ~pool ~respect_locks:false;
+        let entry =
+          match !best_kind with
+          | 1 -> Routing_table.Deliver_here
+          | 2 -> Routing_table.Forward { next_hop = !best_hop; destination = !best_dst }
+          | _ -> Routing_table.Unreachable
+        in
+        Routing_table.set table ~node ~module_index entry
       done
+    end
   done
 
 let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
@@ -325,7 +352,7 @@ let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
     | Some _ -> scratch_table ws ~node_count ~module_count
     | None -> Routing_table.create ~node_count ~module_count
   in
-  let candidates = candidate_lists ws ~mapping ~module_count in
+  let candidates = candidate_arrays ws.candidates ~mapping ~module_count in
   fill_table table ~paths ~snapshot ~locked_set:ws.locked_set ~candidates ~node_count
     ~module_count;
   ws.basis <-
@@ -383,7 +410,7 @@ let compute_incremental ?workspace ~graph ~mapping ~module_count ~weight
               fill_set ws.locked_set snapshot.locked_ports;
               let paths = scratch_paths ws ~dim:node_count in
               let table = scratch_table ws ~node_count ~module_count in
-              let candidates = candidate_lists ws ~mapping ~module_count in
+              let candidates = candidate_arrays ws.candidates ~mapping ~module_count in
               fill_table table ~paths ~snapshot ~locked_set:ws.locked_set ~candidates
                 ~node_count ~module_count;
               basis.b_table <- table;
@@ -447,7 +474,7 @@ let compute_incremental ?workspace ~graph ~mapping ~module_count ~weight
               Etx_graph.Floyd_warshall.run_into (scratch_paths ws ~dim:node_count) w
             in
             let table = scratch_table ws ~node_count ~module_count in
-            let candidates = candidate_lists ws ~mapping ~module_count in
+            let candidates = candidate_arrays ws.candidates ~mapping ~module_count in
             fill_table table ~paths ~snapshot ~locked_set:ws.locked_set ~candidates
               ~node_count ~module_count;
             ws.basis <-

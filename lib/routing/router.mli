@@ -91,6 +91,18 @@ val fill_set : (int * int, unit) Hashtbl.t -> (int * int) list -> unit
 (** Reset [set] to contain exactly the given pairs (hash-set membership,
     unit values).  The workspace fast path shared with {!Maximin}. *)
 
+type candidates
+(** A cache of per-module candidate node arrays (the nodes hosting each
+    module, ascending), keyed on the mapping's physical identity and the
+    module count.  Phase three walks these arrays for every node and
+    module; both routing workspaces hold one. *)
+
+val create_candidates : unit -> candidates
+
+val candidate_arrays : candidates -> mapping:Mapping.t -> module_count:int -> int array array
+(** The cached arrays when [mapping] and [module_count] match the last
+    call, otherwise freshly extracted (and cached). *)
+
 val scratch_table_of :
   tables:Routing_table.t array ->
   flip:int ->

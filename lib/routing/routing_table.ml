@@ -29,7 +29,22 @@ let destination t ~node ~module_index =
   | Forward { destination; _ } -> Some destination
   | Deliver_here | Unreachable -> None
 
-let equal a b = a.entries = b.entries
+(* monomorphic: [Controller.on_frame] diffs two tables per recompute,
+   and the polymorphic compare would walk each entry through
+   [caml_compare] *)
+let entry_equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Deliver_here, Deliver_here | Unreachable, Unreachable -> true
+  | Forward a, Forward b ->
+    Int.equal a.next_hop b.next_hop && Int.equal a.destination b.destination
+  | (Deliver_here | Forward _ | Unreachable), _ -> false
+
+let equal a b =
+  node_count a = node_count b
+  && module_count a = module_count b
+  && Array.for_all2 (fun ra rb -> Array.for_all2 entry_equal ra rb) a.entries b.entries
 
 let copy t = { entries = Array.map Array.copy t.entries }
 
@@ -46,7 +61,8 @@ let diff_count a b =
   let count = ref 0 in
   Array.iteri
     (fun node row ->
-      Array.iteri (fun i entry -> if entry <> b.entries.(node).(i) then incr count) row)
+      let row_b = b.entries.(node) in
+      Array.iteri (fun i entry -> if not (entry_equal entry row_b.(i)) then incr count) row)
     a.entries;
   !count
 

@@ -35,6 +35,7 @@ val next_hop : t -> node:int -> module_index:int -> int option
 val destination : t -> node:int -> module_index:int -> int option
 
 val equal : t -> t -> bool
+(** Same dimensions and equal entries. *)
 
 val copy : t -> t
 (** Deep copy: mutations of either table never show through the other. *)

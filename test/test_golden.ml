@@ -1,0 +1,58 @@
+(* Golden test for the paper outputs: Fig 7 (sizes 4-8), Table 2 and
+   Theorem 1 rendered with every float in exact hexadecimal ([%h]), so
+   any change to a routing table, a battery step or an average shows up
+   as a diff against [golden_paper.txt].  The other bit-identity tests
+   compare modes of one build (domains, supervision, incremental
+   routing); this one pins the numbers across commits.
+
+   On a mismatch the fresh rendering is written to [golden_paper.actual]
+   next to the fixture in the build tree; a change that is meant to move
+   the paper numbers replaces the fixture with it. *)
+
+module Experiments = Etextile.Experiments
+
+let fixture = "golden_paper.txt"
+
+let render () =
+  let buf = Buffer.create 4096 in
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  let floats a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  line "fig7 mesh ear_jobs sdr_jobs gain ear_overhead paper_ear_jobs paper_overhead";
+  List.iter
+    (fun (r : Experiments.fig7_row) ->
+      line "fig7 %d %h %h %h %h %h %h" r.mesh_size r.ear_jobs r.sdr_jobs r.gain
+        r.ear_overhead r.paper_ear_jobs r.paper_overhead)
+    (Experiments.fig7 ~sizes:[ 4; 5; 6; 7; 8 ] ());
+  line "table2 mesh ear_jobs j_star ratio paper_ear_jobs paper_j_star paper_ratio";
+  List.iter
+    (fun (r : Experiments.table2_row) ->
+      line "table2 %d %h %h %h %h %h %h" r.mesh_size r.ear_jobs r.j_star r.ratio
+        r.paper_ear_jobs r.paper_j_star r.paper_ratio)
+    (Experiments.table2 ());
+  line "thm1 mesh j_star optimal_duplicates checkerboard_duplicates checkerboard_bound";
+  List.iter
+    (fun (r : Experiments.thm1_row) ->
+      line "thm1 %d %h %s %s %h" r.mesh_size r.j_star (floats r.optimal_duplicates)
+        (ints r.checkerboard_duplicates) r.checkerboard_bound)
+    (Experiments.thm1 ());
+  Buffer.contents buf
+
+let test_paper_outputs_match_fixture () =
+  let expected = In_channel.with_open_bin fixture In_channel.input_all in
+  let actual = render () in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "golden_paper.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+    Alcotest.(check string) "paper outputs (fresh rendering in golden_paper.actual)"
+      expected actual
+  end
+
+let suite =
+  [
+    ( "golden",
+      [
+        Alcotest.test_case "fig7/table2/thm1 bit-identical to fixture" `Quick
+          test_paper_outputs_match_fixture;
+      ] );
+  ]

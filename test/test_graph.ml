@@ -361,6 +361,107 @@ let prop_mesh_distance_is_manhattan =
         t.coords;
       !ok)
 
+(* The textbook Fig 5 recurrence, kept here as the oracle for the
+   span-bounded kernel: every pass scans every row and every column. *)
+let reference_fw w =
+  let n = Matrix.dim w in
+  let d = Array.init n (fun i -> Array.init n (fun j -> Matrix.get w i j)) in
+  let s =
+    Array.init n (fun i ->
+        Array.init n (fun j -> if i <> j && d.(i).(j) < infinity then j else -1))
+  in
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let via = d.(i).(k) +. d.(k).(j) in
+        if via < d.(i).(j) then begin
+          d.(i).(j) <- via;
+          s.(i).(j) <- s.(i).(k)
+        end
+      done
+    done
+  done;
+  (d, s)
+
+(* Weight matrices whose finite spans have gaps: weights drawn from
+   non-dyadic values (0.1 + 0.2 <> 0.3, so ties hinge on rounding) mixed
+   with arbitrary floats; dead or isolated nodes (infinite row and
+   column); occasional non-zero or infinite diagonals; and meshes whose
+   node ids are shuffled, so a node's neighbours are scattered across
+   its row instead of sitting next to it. *)
+let gappy_weight_matrix (shape, seed) =
+  let prng = Etx_util.Prng.create ~seed in
+  let pick a = a.(Etx_util.Prng.int prng ~bound:(Array.length a)) in
+  let weight () =
+    if Etx_util.Prng.bool prng then pick [| 0.1; 0.2; 0.3; 0.7; 1.1; 1. /. 3. |]
+    else 1e-3 +. Etx_util.Prng.float prng ~bound:10.
+  in
+  let w =
+    match shape with
+    | 0 ->
+      let n = 1 + Etx_util.Prng.int prng ~bound:14 in
+      let density = pick [| 0.05; 0.15; 0.3; 0.6 |] in
+      Matrix.init ~dim:n ~f:(fun i j ->
+          if i = j then 0.
+          else if Etx_util.Prng.float prng ~bound:1. < density then weight ()
+          else infinity)
+    | _ ->
+      let size = 2 + Etx_util.Prng.int prng ~bound:5 in
+      let t = Topology.square_mesh ~size () in
+      let n = size * size in
+      let ids = Array.init n Fun.id in
+      Etx_util.Prng.shuffle prng ids;
+      let w = Matrix.create ~dim:n ~init:infinity in
+      for i = 0 to n - 1 do
+        Matrix.set w i i 0.
+      done;
+      Digraph.iter_edges t.Topology.graph ~f:(fun ~src ~dst ~length ->
+          Matrix.set w ids.(src) ids.(dst) (length *. weight ()));
+      w
+  in
+  let n = Matrix.dim w in
+  for v = 0 to n - 1 do
+    if Etx_util.Prng.float prng ~bound:1. < 0.15 then
+      for u = 0 to n - 1 do
+        if u <> v then begin
+          Matrix.set w u v infinity;
+          Matrix.set w v u infinity
+        end
+      done
+  done;
+  for v = 0 to n - 1 do
+    match Etx_util.Prng.int prng ~bound:20 with
+    | 0 -> Matrix.set w v v (weight ())
+    | 1 -> Matrix.set w v v infinity
+    | _ -> ()
+  done;
+  w
+
+let prop_fw_bounded_matches_reference =
+  QCheck.Test.make ~name:"floyd-warshall: span-bounded run_into = textbook, bit for bit"
+    ~count:300
+    QCheck.(pair (int_range 0 1) (int_range 0 1_000_000))
+    (fun case ->
+      let w = gappy_weight_matrix case in
+      let n = Matrix.dim w in
+      let d, s = reference_fw w in
+      (* a dirty scratch: run_into must overwrite every cell *)
+      let scratch = Fw.create_result ~dim:n in
+      Array.fill (Matrix.data scratch.Fw.distances) 0 (n * n) (-1.);
+      Array.fill (Matrix.Int.data scratch.Fw.successors) 0 (n * n) 42;
+      let got = Fw.run_into scratch w in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if
+            Int64.bits_of_float (Fw.distance got ~src:i ~dst:j)
+            <> Int64.bits_of_float d.(i).(j)
+            || Matrix.Int.get got.Fw.successors i j <> s.(i).(j)
+          then ok := false
+        done
+      done;
+      !ok)
+
 let suite =
   [
     ( "graph/digraph",
@@ -403,6 +504,7 @@ let suite =
         Alcotest.test_case "run_into dim mismatch" `Quick
           test_fw_run_into_rejects_dim_mismatch;
         QCheck_alcotest.to_alcotest prop_mesh_distance_is_manhattan;
+        QCheck_alcotest.to_alcotest prop_fw_bounded_matches_reference;
       ] );
     ( "graph/dijkstra",
       [

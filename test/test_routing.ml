@@ -277,7 +277,19 @@ let test_routing_table_diff () =
   Alcotest.(check int) "identical" 0 (Routing_table.diff_count a b);
   Routing_table.set b ~node:1 ~module_index:0 Routing_table.Deliver_here;
   Alcotest.(check int) "one change" 1 (Routing_table.diff_count a b);
-  Alcotest.(check bool) "equal" false (Routing_table.equal a b)
+  Alcotest.(check bool) "equal" false (Routing_table.equal a b);
+  (* Forward entries compare by field, not by physical identity *)
+  let forward next_hop destination = Routing_table.Forward { next_hop; destination } in
+  Routing_table.set a ~node:1 ~module_index:0 Routing_table.Deliver_here;
+  Routing_table.set a ~node:0 ~module_index:1 (forward 1 3);
+  Routing_table.set b ~node:0 ~module_index:1 (forward 1 3);
+  Alcotest.(check bool) "equal forwards" true (Routing_table.equal a b);
+  Routing_table.set b ~node:0 ~module_index:1 (forward 1 2);
+  Alcotest.(check int) "destination differs" 1 (Routing_table.diff_count a b);
+  Routing_table.set b ~node:0 ~module_index:1 (forward 0 3);
+  Alcotest.(check int) "next hop differs" 1 (Routing_table.diff_count a b);
+  Alcotest.(check bool) "dimensions differ" false
+    (Routing_table.equal a (Routing_table.create ~node_count:2 ~module_count:3))
 
 (* - Router (phases 1-3) - *)
 
@@ -523,6 +535,121 @@ let prop_router_tables_terminate =
       done;
       !ok)
 
+(* Phase three (Fig 6) as a plain list walk through the public
+   Floyd_warshall accessors, the oracle for the router's flat kernel:
+   for node [n] and module [i], the living duplicate at minimum weighted
+   distance, skipping candidates whose first hop is a locked port when
+   possible, else the locked path, else [Unreachable]. *)
+let choose_entry ~paths ~(snapshot : Router.snapshot) ~locked_set ~node ~candidates =
+  let open Etx_graph in
+  let consider ~respect_locks =
+    let best = ref None in
+    let try_candidate j =
+      if snapshot.alive.(j) then begin
+        let dist = Floyd_warshall.distance paths ~src:node ~dst:j in
+        if dist < infinity then begin
+          if j = node then begin
+            match !best with
+            | Some (0., _) -> ()
+            | _ -> best := Some (0., Routing_table.Deliver_here)
+          end
+          else
+            match Floyd_warshall.successor paths ~src:node ~dst:j with
+            | None -> ()
+            | Some hop ->
+              if (not respect_locks) || not (Hashtbl.mem locked_set (node, hop)) then begin
+                let better =
+                  match !best with Some (d, _) -> dist < d | None -> true
+                in
+                if better then
+                  best :=
+                    Some (dist, Routing_table.Forward { next_hop = hop; destination = j })
+              end
+        end
+      end
+    in
+    List.iter try_candidate candidates;
+    !best
+  in
+  match consider ~respect_locks:true with
+  | Some (_, entry) -> entry
+  | None -> begin
+    match consider ~respect_locks:false with
+    | Some (_, entry) -> entry
+    | None -> Routing_table.Unreachable
+  end
+
+let oracle_table ~graph ~mapping ~module_count ~weight (snapshot : Router.snapshot) =
+  let node_count = Digraph.node_count graph in
+  let paths = Router.shortest_paths ~graph ~weight snapshot in
+  let locked_set = Hashtbl.create 16 in
+  List.iter (fun pair -> Hashtbl.replace locked_set pair ()) snapshot.locked_ports;
+  let table = Routing_table.create ~node_count ~module_count in
+  for node = 0 to node_count - 1 do
+    if snapshot.alive.(node) then
+      for module_index = 0 to module_count - 1 do
+        Routing_table.set table ~node ~module_index
+          (choose_entry ~paths ~snapshot ~locked_set ~node
+             ~candidates:(Mapping.nodes_of_module mapping ~module_index))
+      done
+  done;
+  table
+
+(* A random degraded snapshot of a square mesh: random levels, dead
+   nodes, failed links, locked ports, and sometimes every port of a node
+   locked so phase three must fall back to a locked path. *)
+let random_snapshot prng ~graph ~levels =
+  let n = Digraph.node_count graph in
+  let chance p = Etx_util.Prng.float prng ~bound:1. < p in
+  let snapshot = Router.full_snapshot ~node_count:n ~levels in
+  for i = 0 to n - 1 do
+    snapshot.Router.battery_level.(i) <- Etx_util.Prng.int prng ~bound:levels;
+    if chance 0.1 then snapshot.Router.alive.(i) <- false
+  done;
+  let edges = Digraph.fold_edges graph ~init:[] ~f:(fun acc ~src ~dst ~length:_ -> (src, dst) :: acc) in
+  snapshot.Router.failed_links <- List.filter (fun _ -> chance 0.08) edges;
+  let fully_locked = List.filter (fun _ -> chance 0.1) (List.init n Fun.id) in
+  snapshot.Router.locked_ports <-
+    List.filter (fun (src, _) -> List.mem src fully_locked || chance 0.15) edges;
+  snapshot
+
+let prop_router_phase_three_matches_oracle =
+  QCheck.Test.make ~name:"router: flat phase three = list-walking choose_entry" ~count:200
+    QCheck.(pair (int_range 2 7) (int_range 0 1_000_000))
+    (fun (size, seed) ->
+      let prng = Etx_util.Prng.create ~seed in
+      let t = Topology.square_mesh ~size () in
+      let graph = t.Topology.graph in
+      let n = size * size in
+      let module_count = 3 in
+      let mapping =
+        if Etx_util.Prng.bool prng then Mapping.checkerboard t
+        else
+          (* every module keeps a host; the rest are random, ids shuffled *)
+          let assignment =
+            Array.init n (fun i ->
+                if i < module_count then i else Etx_util.Prng.int prng ~bound:module_count)
+          in
+          Etx_util.Prng.shuffle prng assignment;
+          Mapping.custom ~module_count ~assignment
+      in
+      let weight =
+        if Etx_util.Prng.bool prng then Weight.Exponential { q = 2. }
+        else Weight.Shortest_distance
+      in
+      let workspace = Router.create_workspace () in
+      (* two snapshots through one workspace: the second reuses every
+         cached buffer, the candidate arrays included *)
+      List.for_all
+        (fun () ->
+          let snapshot = random_snapshot prng ~graph ~levels:8 in
+          let expected = oracle_table ~graph ~mapping ~module_count ~weight snapshot in
+          Routing_table.equal expected
+            (Router.compute ~graph ~mapping ~module_count ~weight snapshot)
+          && Routing_table.equal expected
+               (Router.compute ~workspace ~graph ~mapping ~module_count ~weight snapshot))
+        [ (); () ])
+
 (* - Policy - *)
 
 let test_policy_constructors () =
@@ -602,6 +729,7 @@ let suite =
           test_router_workspace_matches_fresh_compute;
         Alcotest.test_case "snapshot validation" `Quick test_router_snapshot_validation;
         QCheck_alcotest.to_alcotest prop_router_tables_terminate;
+        QCheck_alcotest.to_alcotest prop_router_phase_three_matches_oracle;
       ] );
     ( "routing/policy",
       [
