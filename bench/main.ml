@@ -84,84 +84,6 @@ let maximin_kernel =
       (Etx_routing.Maximin.compute ~workspace ~graph:topology.Etx_graph.Topology.graph
          ~mapping ~module_count:3 snapshot)
 
-(* the delta fast path: the workspace is primed with one full compute,
-   then every run toggles a single locked port and repairs through the
-   lock-only class (shortest-path matrices reused, only phase three
-   reruns) - exactly the single-edge change-set the controller feeds
-   [compute_incremental] in steady state *)
-let ear_incremental_kernel =
-  let topology = Etx_graph.Topology.square_mesh ~size:8 () in
-  let graph = topology.Etx_graph.Topology.graph in
-  let mapping = Etx_routing.Mapping.checkerboard topology in
-  let snapshot = Etx_routing.Router.full_snapshot ~node_count:64 ~levels:8 in
-  let weight = Etx_routing.Weight.Exponential { q = 2. } in
-  let workspace = Etx_routing.Router.create_workspace () in
-  ignore
-    (Etx_routing.Router.compute ~workspace ~graph ~mapping ~module_count:3 ~weight
-       snapshot);
-  let delta = Etx_routing.Router.Delta.make ~locks_changed:true () in
-  fun () ->
-    snapshot.Etx_routing.Router.locked_ports <-
-      (match snapshot.Etx_routing.Router.locked_ports with [] -> [ (0, 1) ] | _ -> []);
-    ignore
-      (Etx_routing.Router.compute_incremental ~workspace ~graph ~mapping ~module_count:3
-         ~weight ~delta snapshot)
-
-let maximin_incremental_kernel =
-  let topology = Etx_graph.Topology.square_mesh ~size:8 () in
-  let graph = topology.Etx_graph.Topology.graph in
-  let mapping = Etx_routing.Mapping.checkerboard topology in
-  let snapshot = Etx_routing.Router.full_snapshot ~node_count:64 ~levels:8 in
-  let workspace = Etx_routing.Maximin.create_workspace () in
-  ignore (Etx_routing.Maximin.compute ~workspace ~graph ~mapping ~module_count:3 snapshot);
-  let delta = Etx_routing.Router.Delta.make ~locks_changed:true () in
-  fun () ->
-    snapshot.Etx_routing.Router.locked_ports <-
-      (match snapshot.Etx_routing.Router.locked_ports with [] -> [ (0, 1) ] | _ -> []);
-    ignore
-      (Etx_routing.Maximin.compute_incremental ~workspace ~graph ~mapping ~module_count:3
-         ~delta snapshot)
-
-(* the event-driven frame engine on an idle platform: an 8x8 Ideal-cell
-   mesh with near-infinite batteries where the single in-flight job
-   computes a billion-cycle act, so every control frame for the whole
-   benchmark is quiet.  One long-lived engine advances a ~1007-frame
-   window per run (windows keep moving forward, so every run does real
-   frame work); it is primed past frame 0 at setup so the shared full
-   recompute and the job injection stay out of the measurement, and
-   rebuilt in the unlikely event the platform dies.  The [-stepped]
-   twin traverses the exact same (bit-identical) windows with the fast
-   path off; the pair's ratio is the advertised speedup. *)
-let idle_mesh_config ~event_driven =
-  let config =
-    Etextile.Calibration.config ~battery_kind:Etx_battery.Battery.Ideal ~event_driven
-      ~mesh_size:8 ~seed:1 ()
-  in
-  {
-    config with
-    Etx_etsim.Config.battery_capacity_pj = 1e9;
-    computation_cycles = [| 1_000_000_000; 1_000_000_000; 1_000_000_000 |];
-    max_cycles = 1_000_000_000_000;
-  }
-
-let idle_mesh_kernel ~event_driven =
-  let window = 805_600 (* 1007 frame periods *) in
-  let prime () =
-    let engine = Etx_etsim.Engine.create (idle_mesh_config ~event_driven) in
-    (match Etx_etsim.Engine.run_until engine ~cycle:2_400 with
-    | Etx_etsim.Engine.Paused -> ()
-    | Etx_etsim.Engine.Finished _ -> failwith "idle-mesh bench died while priming");
-    engine
-  in
-  let engine = ref (prime ()) in
-  let stop = ref (2_400 + window) in
-  fun () ->
-    match Etx_etsim.Engine.run_until !engine ~cycle:!stop with
-    | Etx_etsim.Engine.Paused -> stop := !stop + window
-    | Etx_etsim.Engine.Finished _ ->
-      engine := prime ();
-      stop := 2_400 + window
-
 (* the hardened frame loop under a lossy fault environment: per-packet
    CRC draws, retransmissions, and upload loss on an 8x8 fabric *)
 let fault_frame_kernel =
@@ -281,11 +203,9 @@ let entries =
     ("kernel/floyd-warshall-64", floyd_warshall_kernel);
     ("kernel/ear-recompute-64", ear_recompute_kernel ~size:8);
     ("kernel/ear-recompute-144", ear_recompute_kernel ~size:12);
-    ("kernel/ear-incremental-64", ear_incremental_kernel);
     ("kernel/aes-block", aes_kernel);
     ("kernel/battery-100-steps", battery_kernel);
     ("kernel/maximin-recompute-64", maximin_kernel);
-    ("kernel/maximin-incremental-64", maximin_incremental_kernel);
     ("kernel/lifetime-prediction-64", analysis_kernel);
     ("kernel/fault-frame-64", fault_frame_kernel);
     ("kernel/frame-loop-64", frame_loop_kernel);
@@ -294,8 +214,6 @@ let entries =
     ("kernel/service-roundtrip-hit", service_roundtrip_kernel);
     ("kernel/cluster-roundtrip-hit", cluster_roundtrip_kernel);
     ("kernel/store-read", store_read_kernel);
-    ("kernel/idle-mesh-1k-frames-stepped", idle_mesh_kernel ~event_driven:false);
-    ("kernel/idle-mesh-1k-frames", idle_mesh_kernel ~event_driven:true);
   ]
 
 let tests_of entries =

@@ -338,25 +338,8 @@ let simulate_cmd =
     let doc = "Run the invariant auditor every control frame and report violations." in
     Arg.(value & flag & info [ "audit" ] ~doc)
   in
-  let event_driven_arg =
-    let doc =
-      "Advance directly across quiet control frames with the event wheel instead of \
-       stepping every frame.  Results are bit-identical; idle stretches run much \
-       faster."
-    in
-    Arg.(value & flag & info [ "event-driven" ] ~doc)
-  in
-  let incremental_routing_arg =
-    let doc =
-      "Repair routing tables from the per-frame change-set instead of recomputing \
-       from scratch (falls back to the full kernel past a damage threshold).  \
-       Results are bit-identical."
-    in
-    Arg.(value & flag & info [ "incremental-routing" ] ~doc)
-  in
   let run size policy battery seed controllers jobs trace workload_kind fail_links
-      timeline_file heatmap fault retries checkpoint_every checkpoint_file resume audit
-      event_driven incremental_routing =
+      timeline_file heatmap fault retries checkpoint_every checkpoint_file resume audit =
     let policy =
       match String.lowercase_ascii policy with
       | "ear" -> Ok (Etx_routing.Policy.ear ())
@@ -417,8 +400,7 @@ let simulate_cmd =
         in
         Etextile.Calibration.config ~policy ~battery_kind ~controllers ~seed
           ~concurrent_jobs:jobs ?workloads:workload ~link_failure_schedule ?fault
-          ~max_retransmissions:retries ~incremental_routing ~event_driven
-          ~mesh_size:size ()
+          ~max_retransmissions:retries ~mesh_size:size ()
       with
       | exception Invalid_argument message -> `Error (false, message)
       | config ->
@@ -502,8 +484,7 @@ let simulate_cmd =
         (const run $ size_arg $ policy_arg $ battery_arg $ seed_arg $ controllers_arg
        $ jobs_arg $ trace_arg $ workload_arg $ fail_links_arg $ timeline_arg
        $ heatmap_arg $ fault_args $ retries_arg $ checkpoint_every_arg
-       $ checkpoint_file_arg $ resume_arg $ audit_arg $ event_driven_arg
-       $ incremental_routing_arg))
+       $ checkpoint_file_arg $ resume_arg $ audit_arg))
   in
   Cmd.v
     (cmd_info "simulate" ~doc:"Run one simulation with custom knobs and print metrics.")

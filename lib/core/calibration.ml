@@ -14,7 +14,7 @@ let problem ~mesh_size =
 
 let config ?policy ?battery_kind ?controllers ?(seed = 1) ?(concurrent_jobs = 1)
     ?mapping ?levels_override ?workloads ?link_failure_schedule ?fault
-    ?max_retransmissions ?incremental_routing ?event_driven ~mesh_size () =
+    ?max_retransmissions ~mesh_size () =
   let policy =
     match (policy, levels_override) with
     | Some p, None -> p
@@ -25,7 +25,6 @@ let config ?policy ?battery_kind ?controllers ?(seed = 1) ?(concurrent_jobs = 1)
   let topology = Etx_graph.Topology.square_mesh ~size:mesh_size () in
   Etx_etsim.Config.make ~topology ~policy ?battery_kind ?controllers ?mapping
     ?workloads ?link_failure_schedule ?fault ?max_retransmissions
-    ?incremental_routing ?event_driven
     ~battery_capacity_pj:battery_budget_pj
     ~battery_capacity_variation ~frame_period_cycles ~reception_energy_fraction
     ~control_line_length_cm:(control_line_length_cm ~mesh_size)

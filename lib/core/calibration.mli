@@ -41,13 +41,9 @@ val config :
   ?link_failure_schedule:(int * int * int) list ->
   ?fault:Etx_fault.Spec.t ->
   ?max_retransmissions:int ->
-  ?incremental_routing:bool ->
-  ?event_driven:bool ->
   mesh_size:int ->
   unit ->
   Etx_etsim.Config.t
 (** The calibrated configuration for a square mesh.  Defaults: EAR,
     thin-film batteries, infinite controller, seed 1, one job in
-    flight.  [incremental_routing] and [event_driven] select the
-    bit-identical fast paths (delta-driven table repair, quiet-frame
-    fast-forwarding); both default to off. *)
+    flight. *)

@@ -41,8 +41,6 @@ type t = {
   seed : int;
   max_cycles : int;
   max_jobs : int option;
-  incremental_routing : bool;
-  event_driven : bool;
 }
 
 let default_key_hex = "000102030405060708090a0b0c0d0e0f"
@@ -67,8 +65,7 @@ let make ?policy ?mapping ?(packet = Etx_energy.Packet.aes_default)
     ?(controller_leakage_exponent = 0.) ?(controller_dynamic_exponent = 0.)
     ?workloads ?(concurrent_jobs = 1)
     ?(job_source = Fixed_entry 0) ?(buffer_capacity = 2) ?(key_hex = default_key_hex)
-    ?(seed = 42) ?(max_cycles = 50_000_000) ?(max_jobs = None)
-    ?(incremental_routing = false) ?(event_driven = false) ~topology () =
+    ?(seed = 42) ?(max_cycles = 50_000_000) ?(max_jobs = None) ~topology () =
   let policy = match policy with Some p -> p | None -> Etx_routing.Policy.ear () in
   let mapping =
     match mapping with
@@ -198,8 +195,6 @@ let make ?policy ?mapping ?(packet = Etx_energy.Packet.aes_default)
     seed;
     max_cycles;
     max_jobs;
-    incremental_routing;
-    event_driven;
   }
 
 let node_count t = Etx_graph.Topology.node_count t.topology

@@ -99,18 +99,6 @@ type t = {
   (* safety stops *)
   max_cycles : int;
   max_jobs : int option;
-  (* execution strategy.  Both flags are semantic no-ops: they select
-     bit-identical fast paths (delta-driven routing repair, quiet-frame
-     fast-forwarding), never different results.  For that reason neither
-     enters the checkpoint fingerprint - a checkpoint taken in one mode
-     restores in the other, and cached simulation results are shared
-     across modes. *)
-  incremental_routing : bool;
-      (** repair routing tables from the per-frame change-set instead of
-          recomputing from scratch (falls back past a damage threshold) *)
-  event_driven : bool;
-      (** advance [Engine.run_until] directly across quiet frames using
-          the event wheel instead of stepping every frame *)
 }
 
 val make :
@@ -150,8 +138,6 @@ val make :
   ?seed:int ->
   ?max_cycles:int ->
   ?max_jobs:int option ->
-  ?incremental_routing:bool ->
-  ?event_driven:bool ->
   topology:Etx_graph.Topology.t ->
   unit ->
   t

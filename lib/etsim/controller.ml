@@ -3,15 +3,9 @@ module Router = Etx_routing.Router
 module Routing_table = Etx_routing.Routing_table
 module Obs = Etx_obs.Obs
 
-(* which recompute path actually ran: the incremental kernels fall back
-   to a full pass when the delta says nothing can be reused *)
-let obs_recompute_incremental =
-  Obs.counter ~help:"Routing recomputations served by the incremental kernels"
-    ~labels:[ ("mode", "incremental") ] "etx_engine_recompute_total"
-
-let obs_recompute_full =
-  Obs.counter ~help:"Routing recomputations that ran the full kernels"
-    ~labels:[ ("mode", "full") ] "etx_engine_recompute_total"
+let obs_recompute =
+  Obs.counter ~help:"Routing recomputations charged by the controller"
+    "etx_engine_recompute_total"
 
 type outcome =
   | Table_updated of Routing_table.t
@@ -88,15 +82,42 @@ let rec bank_draw t ~energy =
       bank_draw t ~energy
     end
 
-(* Engine.build_snapshot delivers locked_ports and failed_links sorted,
-   so [Router.Delta.diff]'s structural comparisons suffice - no
-   per-frame re-sort.  The same single pass that detects "unchanged"
-   also yields the change-set the incremental kernels repair from,
-   replacing the previous equality walk + would-be second diff pass. *)
-let snapshot_delta t (snapshot : Router.snapshot) =
+(* What moved since the snapshot last recomputed for.  [Levels_only]
+   means only quantized battery levels differ: alive flags, locked ports
+   and failed links are all unchanged. *)
+type change = Unchanged | Levels_only | Structural
+
+(* One pass over the arrays.  Engine.build_snapshot delivers
+   locked_ports and failed_links sorted, so structural list equality
+   suffices (physical identity first: the engine shares unchanged lists
+   frame to frame). *)
+let snapshot_change t (snapshot : Router.snapshot) =
   match t.previous_snapshot with
-  | Some previous -> Router.Delta.diff ~previous snapshot
-  | None -> Router.Delta.full
+  | None -> Structural
+  | Some previous ->
+    let n = Array.length snapshot.alive in
+    if
+      Array.length previous.alive <> n
+      || Array.length previous.battery_level <> Array.length snapshot.battery_level
+      || previous.levels <> snapshot.levels
+      || not
+           (previous.locked_ports == snapshot.locked_ports
+           || previous.locked_ports = snapshot.locked_ports)
+      || not
+           (previous.failed_links == snapshot.failed_links
+           || previous.failed_links = snapshot.failed_links)
+    then Structural
+    else begin
+      let alive_changed = ref false and levels_changed = ref false in
+      for id = 0 to n - 1 do
+        if previous.alive.(id) <> snapshot.alive.(id) then alive_changed := true;
+        if previous.battery_level.(id) <> snapshot.battery_level.(id) then
+          levels_changed := true
+      done;
+      if !alive_changed then Structural
+      else if !levels_changed then Levels_only
+      else Unchanged
+    end
 
 (* Remember the snapshot just recomputed for.  The arrays are blitted
    into a controller-owned buffer (the caller's buffer is refilled next
@@ -119,8 +140,28 @@ let remember t (snapshot : Router.snapshot) =
           battery_level = Array.copy snapshot.battery_level;
         }
 
-let on_frame t ~cycle ~elapsed_cycles ~snapshot =
-  ignore cycle;
+(* A policy whose weights ignore battery levels (SDR) recomputes the
+   very table it already holds when only levels moved: Floyd-Warshall
+   and phase three read nothing else that changed.  The paper's cost
+   model still charges that recompute, so it is counted and billed, but
+   the current table is reused and downloads nothing. *)
+let compute_table t ~change ~snapshot =
+  match (change, t.table) with
+  | Levels_only, Some table
+    when not (Etx_routing.Policy.is_battery_aware t.config.policy) ->
+    table
+  | _ -> (
+    let graph = t.config.topology.Etx_graph.Topology.graph in
+    let mapping = t.config.mapping and module_count = t.config.module_count in
+    match t.config.policy.Etx_routing.Policy.algorithm with
+    | Etx_routing.Policy.Weighted weight ->
+      Router.compute ~workspace:t.workspace ~graph ~mapping ~module_count ~weight
+        snapshot
+    | Etx_routing.Policy.Maximin_residual ->
+      Etx_routing.Maximin.compute ~workspace:t.maximin_workspace ~graph ~mapping
+        ~module_count snapshot)
+
+let on_frame t ~elapsed_cycles ~snapshot =
   begin
     match t.bank with
     | Finite f when f.active < Array.length f.batteries ->
@@ -131,39 +172,16 @@ let on_frame t ~cycle ~elapsed_cycles ~snapshot =
   t.compute_energy <- t.compute_energy +. leakage;
   if not (bank_draw t ~energy:leakage) then Exhausted
   else begin
-    let delta = snapshot_delta t snapshot in
-    if Router.Delta.is_empty delta then No_change
+    let change = snapshot_change t snapshot in
+    if change = Unchanged then No_change
     else begin
       let dynamic = t.dynamic_per_recompute in
       t.compute_energy <- t.compute_energy +. dynamic;
       if not (bank_draw t ~energy:dynamic) then Exhausted
       else begin
-        let graph = t.config.topology.Etx_graph.Topology.graph in
-        let incremental = t.config.Config.incremental_routing in
-        let table =
-          match t.config.policy.Etx_routing.Policy.algorithm with
-          | Etx_routing.Policy.Weighted weight ->
-            if incremental then
-              Router.compute_incremental ~workspace:t.workspace ~graph
-                ~mapping:t.config.mapping ~module_count:t.config.module_count ~weight
-                ~delta snapshot
-            else
-              Router.compute ~workspace:t.workspace ~graph ~mapping:t.config.mapping
-                ~module_count:t.config.module_count ~weight snapshot
-          | Etx_routing.Policy.Maximin_residual ->
-            if incremental then
-              Etx_routing.Maximin.compute_incremental ~workspace:t.maximin_workspace
-                ~graph ~mapping:t.config.mapping ~module_count:t.config.module_count
-                ~delta snapshot
-            else
-              Etx_routing.Maximin.compute ~workspace:t.maximin_workspace ~graph
-                ~mapping:t.config.mapping ~module_count:t.config.module_count snapshot
-        in
+        let table = compute_table t ~change ~snapshot in
         t.recomputations <- t.recomputations + 1;
-        Obs.inc
-          (if incremental && not delta.Router.Delta.full then
-             obs_recompute_incremental
-           else obs_recompute_full);
+        Obs.inc obs_recompute;
         let changed =
           match t.table with
           | Some old -> Routing_table.diff_count old table
@@ -186,30 +204,6 @@ let recomputations t = t.recomputations
 let download_energy_pj t = t.download_energy
 let compute_energy_pj t = t.compute_energy
 let deaths t = t.deaths
-let last_snapshot t = t.previous_snapshot
-
-let bank_infinite t = match t.bank with Infinite -> true | Finite _ -> false
-
-(* The event-driven engine's ledger for a stretch of frames it proved
-   quiet (snapshot unchanged, so [on_frame] would have returned
-   [No_change] on each): the per-frame leakage accrual, replayed with
-   the same one-add-per-frame float arithmetic.  Only the infinite bank
-   qualifies - a finite bank ticks and draws real batteries per frame,
-   which the fast-forward must not skip. *)
-let absorb_quiet_frames t ~elapsed_cycles ~count =
-  (match t.bank with
-  | Infinite -> ()
-  | Finite _ -> invalid_arg "Controller.absorb_quiet_frames: finite controller bank");
-  let leakage = t.leakage_per_cycle *. float_of_int elapsed_cycles in
-  (* accumulate in an unboxed float array cell: storing into the mutable
-     record field each iteration would box a fresh float per frame.  The
-     addition sequence is unchanged, so the result stays bit-identical
-     with the stepped path. *)
-  let acc = [| t.compute_energy |] in
-  for _ = 1 to count do
-    acc.(0) <- acc.(0) +. leakage
-  done;
-  t.compute_energy <- acc.(0)
 
 let survivors t =
   match t.bank with
@@ -289,10 +283,6 @@ let restore t (s : state) =
     f.active <- s.bank_active);
   t.previous_snapshot <- Option.map copy_snapshot s.previous_snapshot;
   t.table <- Option.map Routing_table.copy s.table;
-  (* the workspaces may hold matrices for a state unrelated to the one
-     being restored: force the next incremental compute to start over *)
-  Router.invalidate_workspace t.workspace;
-  Etx_routing.Maximin.invalidate_workspace t.maximin_workspace;
   t.recomputations <- s.recomputations;
   t.download_energy <- s.download_energy;
   t.compute_energy <- s.compute_energy;

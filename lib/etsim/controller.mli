@@ -22,9 +22,14 @@ type t
 val create : Config.t -> t
 
 val on_frame :
-  t -> cycle:int -> elapsed_cycles:int -> snapshot:Etx_routing.Router.snapshot -> outcome
+  t -> elapsed_cycles:int -> snapshot:Etx_routing.Router.snapshot -> outcome
 (** Run one control frame.  [elapsed_cycles] is the time since the
-    previous frame (leakage accounting). *)
+    previous frame (leakage accounting).  A snapshot that differs from
+    the last one recomputed for costs a recompute (counted, and billed
+    its dynamic energy) plus a download of the changed entries.  When
+    only battery levels moved under a policy that ignores them (SDR),
+    the recompute is still billed but the current table is reused: it
+    is exactly what Floyd-Warshall would return, so nothing downloads. *)
 
 val recomputations : t -> int
 val download_energy_pj : t -> float
@@ -41,25 +46,6 @@ val residual_energy_pj : t -> float
 (** Energy left in live (active + standby) controller batteries. *)
 
 val current_table : t -> Etx_routing.Routing_table.t option
-
-val last_snapshot : t -> Etx_routing.Router.snapshot option
-(** The controller-owned copy of the snapshot last recomputed for (the
-    baseline {!on_frame} diffs against).  The event-driven engine reads
-    it to prove a frame would be quiet before skipping it. *)
-
-val bank_infinite : t -> bool
-(** True for {!Config.Infinite_controller} banks.  Quiet-frame
-    fast-forwarding only applies then: a finite bank ticks and draws a
-    real battery every frame. *)
-
-val absorb_quiet_frames : t -> elapsed_cycles:int -> count:int -> unit
-(** Account for [count] consecutive control frames, each [elapsed_cycles]
-    apart, that the caller has proven quiet: the snapshot is unchanged,
-    so {!on_frame} would have paid only leakage and returned [No_change]
-    each time.  Replays the same one-addition-per-frame float arithmetic
-    as [count] individual frames, so the energy ledger stays
-    bit-identical.  Trusted contract - the caller is responsible for the
-    quietness proof.  @raise Invalid_argument on a finite bank. *)
 
 type state = {
   bank_active : int;  (** index of the active controller (0 for infinite) *)

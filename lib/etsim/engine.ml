@@ -13,12 +13,8 @@ module Obs = Etx_obs.Obs
 
 (* hot-path hooks: one atomic load each while the registry is disarmed *)
 let obs_frames =
-  Obs.counter ~help:"Engine frames executed, fast-forwarded ones included"
+  Obs.counter ~help:"Engine frames executed"
     "etx_engine_frames_total"
-
-let obs_fast_forwarded =
-  Obs.counter ~help:"Quiet frames committed via the fast-forward path"
-    "etx_engine_frames_fast_forwarded_total"
 
 let obs_audit_violations =
   Obs.counter ~help:"Invariant violations recorded by the frame auditor"
@@ -168,19 +164,6 @@ type t = {
   mutable audit : Audit.t option;
   trace : Trace.t option;
   timeline : Timeline.t option;
-  (* event-driven fast path.  [wheel] holds the cycle of every pending
-     non-frame event (scheduled link failures, tag 0) so the quiet-frame
-     fast-forward can clamp its horizon below the next one; it is
-     derived state, rebuilt from [pending_failures] on restore.
-     [ff_scratch] are per-node throwaway batteries the dry pass replays
-     report draws on; [ff_floor] memoizes per-node level-boundary
-     charges for ideal cells (a pure function of capacity, level count
-     and level, so caching across windows is exact); [fast_ok] caches
-     the static preconditions. *)
-  wheel : Event_wheel.t;
-  ff_scratch : Battery.t option array;
-  ff_floor : float array array;
-  fast_ok : bool;
 }
 
 let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
@@ -225,16 +208,8 @@ let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
       (fun (a, _, _) (b, _, _) -> compare a b)
       config.Config.link_failure_schedule
   in
-  let wheel = Event_wheel.create () in
-  List.iter (fun (c, _, _) -> Event_wheel.schedule wheel ~cycle:c ~tag:0) pending_failures;
   let trace = Option.map (fun capacity -> Trace.create ~capacity) trace_capacity in
   let timeline = if record_timeline then Some (Timeline.create ()) else None in
-  (* the fast path only proves frames quiet when nothing stochastic or
-     observational runs per frame: fault plans draw the PRNG every frame,
-     traces and timelines record every frame *)
-  let fast_ok =
-    config.Config.event_driven && plan = None && trace = None && timeline = None
-  in
   {
     config;
     graph = config.topology.Etx_graph.Topology.graph;
@@ -305,10 +280,6 @@ let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
     audit = None;
     trace;
     timeline;
-    wheel;
-    ff_scratch = Array.make node_count None;
-    ff_floor = Array.make node_count [||];
-    fast_ok;
   }
 
 let emit t event =
@@ -447,9 +418,7 @@ let apply_link_failures t =
           landed := true
         end)
       due;
-    if !landed then rebuild_failed_links t;
-    (* keep the wheel in sync: those events are handled *)
-    Event_wheel.drop_until t.wheel ~cycle:t.cycle
+    if !landed then rebuild_failed_links t
 
 let link_busy_until t ~src ~dst = t.link_busy.((src * Array.length t.nodes) + dst)
 
@@ -731,7 +700,7 @@ let process_job t cell =
 (* Refill the engine's snapshot buffer in place: no array, list or
    record allocation in the steady state (locked ports are usually
    absent, and the failed-link list is maintained incrementally).  Both
-   lists are delivered sorted so Controller.snapshot_equal can compare
+   lists are delivered sorted so the controller's change check can compare
    them with plain (=); the descending id walk below conses locked
    ports in ascending (id, hop) order, each node holding at most one
    locked hop. *)
@@ -1043,7 +1012,7 @@ let run_frame t =
     let snapshot = build_snapshot t in
     let elapsed = t.cycle - t.last_frame in
     t.last_frame <- t.cycle;
-    match Controller.on_frame t.controller ~cycle:t.cycle ~elapsed_cycles:elapsed ~snapshot with
+    match Controller.on_frame t.controller ~elapsed_cycles:elapsed ~snapshot with
     | Controller.Exhausted ->
       emit t (Trace.Controller_failover { survivors = 0; cycle = t.cycle });
       die t Metrics.Controllers_exhausted
@@ -1167,325 +1136,6 @@ let start t =
     drain_ready t
   end
 
-(* ------------------------------------------------------------------ *)
-(* Event-driven quiet-frame fast-forward.                             *)
-(*                                                                    *)
-(* When the fabric is idle (every job busy computing for a long       *)
-(* stretch), consecutive control frames change nothing: every node    *)
-(* pays its report draw, the snapshot comes out equal to the last     *)
-(* recomputed-for one, and the controller answers No_change.  The     *)
-(* fast path proves a prefix of upcoming frames quiet by replaying    *)
-(* each node's exact per-frame battery operations on a scratch cell,  *)
-(* then commits the identical operations to the real state in one     *)
-(* pass - no snapshot rebuilds, no controller diffs, no per-frame     *)
-(* scheduler iterations.  Every committed arithmetic operation is the *)
-(* same operation, in the same order per mutable location, as the     *)
-(* stepped engine performs, so the result is bit-identical.           *)
-(* ------------------------------------------------------------------ *)
-
-let ff_scratch t id =
-  match t.ff_scratch.(id) with
-  | Some b -> b
-  | None ->
-    let real = t.nodes.(id).Node.battery in
-    let b =
-      Battery.create ~kind:(Battery.kind real) ~capacity_pj:(Battery.capacity_pj real)
-    in
-    t.ff_scratch.(id) <- Some b;
-    b
-
-(* The frame-independent part of quietness: liveness, reboot state and
-   deadlock locks must already agree with the controller's baseline
-   snapshot (allocation-free walk; the per-frame battery levels are the
-   dry pass's job). *)
-let quiet_baseline t ~prev ~c1 =
-  let n = Array.length t.nodes in
-  let alive = prev.Router.alive in
-  Array.length alive = n
-  && begin
-       let ok = ref true in
-       let id = ref 0 in
-       while !ok && !id < n do
-         let node = t.nodes.(!id) in
-         if node.Node.offline_until > c1 then ok := false
-         else if alive.(!id) <> not (Node.is_dead node) then ok := false;
-         incr id
-       done;
-       !ok
-     end
-  && begin
-       (* the locked-port list build_snapshot would emit, compared
-          in-place against the baseline's *)
-       let rec walk id expected =
-         if id >= n then expected = []
-         else begin
-           let node = t.nodes.(id) in
-           if Node.is_dead node then walk (id + 1) expected
-           else
-             match node.Node.locked_hop with
-             | None -> walk (id + 1) expected
-             | Some hop -> (
-               match expected with
-               | (eid, ehop) :: rest when eid = id && ehop = hop ->
-                 walk (id + 1) rest
-               | _ -> false)
-         end
-       in
-       walk 0 prev.Router.locked_ports
-     end
-
-(* The quantized level of a charge [c], exactly as the open-coded
-   expression in [Battery.level] computes it for a live cell. *)
-let ideal_level_of ~cap ~levels ~levelsf c =
-  let raw = int_of_float (c /. cap *. levelsf) in
-  if raw >= levels then levels - 1 else if raw < 0 then 0 else raw
-
-(* Smallest positive double whose quantized level is >= [expected]
-   (precondition: [expected >= 1] and [level_of hi >= expected]).  The
-   level expression is monotone in the charge - division by a positive
-   constant, multiplication by a positive constant and truncation all
-   are - so bisection over the bit patterns of positive doubles (whose
-   integer order matches their value order) pins the exact boundary in
-   <= 63 probes. *)
-let ideal_level_floor ~cap ~levels ~levelsf ~expected ~hi =
-  let lo = ref 0L in
-  let hi_bits = ref (Int64.bits_of_float hi) in
-  while Int64.sub !hi_bits !lo > 1L do
-    let mid = Int64.shift_right_logical (Int64.add !lo !hi_bits) 1 in
-    if ideal_level_of ~cap ~levels ~levelsf (Int64.float_of_bits mid) >= expected
-    then hi_bits := mid
-    else lo := mid
-  done;
-  Int64.float_of_bits !hi_bits
-
-(* Quiet-prefix length for one live ideal cell, <= [k_lim].  An ideal
-   draw is one compare-and-subtract and its sync is a no-op, so the
-   frame sequence from charge [c0] is the fixed iteration
-   [c := c -. e], dying at [<= 0.].  Frame 1 is checked exactly; after
-   that the iterate decreases monotonically, so the level stays at
-   [expected] precisely while the iterate stays at or above the level
-   floor.  The closed form below certifies a run of frames wholesale:
-   after [k] replayed subtractions the iterate differs from the real
-   value [c0 - k*e] by at most [k] half-ulps, so demanding
-   [c0 - k*e >= floor + slack] with a generous slack keeps every
-   certified iterate provably above the floor (and above [e], so every
-   draw succeeds) without touching it.  Only when the boundary falls
-   inside the window does the tail step frame by frame. *)
-let ideal_quiet_prefix ~c0 ~e ~cap ~levels ~levelsf ~expected ~k_lim ~floors =
-  if k_lim = 0 || c0 < e then 0
-  else begin
-    let c1 = c0 -. e in
-    if c1 <= 0. || ideal_level_of ~cap ~levels ~levelsf c1 <> expected then 0
-    else begin
-      let floor_lvl =
-        if expected = 0 then 0.
-        else begin
-          (* the boundary is the unique smallest positive double whose
-             quantized level reaches [expected] - independent of the
-             bisection's upper bound - so the memo is exact across
-             windows *)
-          let cached = floors.(expected) in
-          if Float.is_nan cached then begin
-            let f = ideal_level_floor ~cap ~levels ~levelsf ~expected ~hi:c1 in
-            floors.(expected) <- f;
-            f
-          end
-          else cached
-        end
-      in
-      let floor_ = Float.max floor_lvl e in
-      let certified k =
-        let slack = 8. *. float_of_int k *. epsilon_float *. c0 in
-        c0 -. (float_of_int k *. e) >= floor_ +. slack
-      in
-      let k_approx = int_of_float ((c0 -. floor_) /. e) in
-      let rec settle k = if k <= 1 || certified k then k else settle (k - max 1 (k / 8)) in
-      let k_safe = settle (min k_lim (max 1 k_approx)) in
-      if k_safe >= k_lim then k_lim
-      else begin
-        (* boundary inside the window: replay to the certified frontier,
-           then extend with the exact per-frame check *)
-        let c = ref c1 in
-        for _ = 2 to k_safe do
-          c := !c -. e
-        done;
-        let k = ref k_safe in
-        let quiet = ref true in
-        while !quiet && !k < k_lim do
-          if !c >= e then begin
-            let c' = !c -. e in
-            if
-              c' > 0. && ideal_level_of ~cap ~levels ~levelsf c' = expected
-            then begin
-              c := c';
-              incr k
-            end
-            else quiet := false
-          end
-          else quiet := false
-        done;
-        !k
-      end
-    end
-  end
-
-(* How many of the next [max_k] frames stay quiet?  Per node, replay the
-   exact report-draw sequence (sync to the frame cycle, draw, read the
-   level) and find where it first fails a draw, dies, or moves the
-   quantized level; the answer is the minimum prefix over live nodes.
-   Ideal cells go through the closed form above; thin-film cells replay
-   on a scratch battery - their per-frame diffusion tick is real work
-   that cannot be elided. *)
-let dry_pass t ~prev ~c1 ~p ~max_k =
-  let n = Array.length t.nodes in
-  let levels = t.snapshot.Router.levels in
-  let levelsf = float_of_int levels in
-  let e = t.report_energy in
-  let k_min = ref max_k in
-  let id = ref 0 in
-  while !k_min > 0 && !id < n do
-    let node = t.nodes.(!id) in
-    if not (Node.is_dead node) then begin
-      let battery = node.Node.battery in
-      let expected = prev.Router.battery_level.(!id) in
-      let k = ref 0 in
-      let quiet = ref true in
-      (match Battery.kind battery with
-      | Battery.Ideal ->
-        (* a live ideal cell has charge > 0 (death latches at <= 0) *)
-        let floors =
-          let f = t.ff_floor.(!id) in
-          if Array.length f = levels then f
-          else begin
-            let f = Array.make levels nan in
-            t.ff_floor.(!id) <- f;
-            f
-          end
-        in
-        k :=
-          ideal_quiet_prefix ~c0:(Battery.remaining_pj battery) ~e
-            ~cap:(Battery.capacity_pj battery) ~levels ~levelsf ~expected
-            ~k_lim:!k_min ~floors
-      | Battery.Thin_film _ ->
-        let scratch = ff_scratch t !id in
-        Battery.restore scratch (Battery.dump battery);
-        let synced = ref node.Node.synced_to in
-        while !quiet && !k < !k_min do
-          let cy = c1 + (!k * p) in
-          if cy > !synced then begin
-            Battery.tick scratch ~cycles:(cy - !synced);
-            synced := cy
-          end;
-          if
-            Battery.draw scratch ~energy_pj:e
-            && (not (Battery.is_dead scratch))
-            && Battery.level scratch ~levels = expected
-          then incr k
-          else quiet := false
-        done);
-      if !k < !k_min then k_min := !k
-    end;
-    incr id
-  done;
-  !k_min
-
-(* Commit [k] proven-quiet frames at cycles c1, c1+p, ...: replay the
-   per-node draw sequences on the real batteries, accrue the upload and
-   controller-leakage ledgers with the same one-addition-per-frame
-   arithmetic, and advance the clocks.  The snapshot buffer, reported
-   levels and staleness counters need no touch - a quiet frame rewrites
-   them with the values they already hold. *)
-let commit_fast t ~c1 ~p ~k =
-  let c_k = c1 + ((k - 1) * p) in
-  let e = t.report_energy in
-  let paid = ref 0 in
-  (* flat float array: stores stay unboxed, unlike float refs or mutable
-     record fields, which would allocate on every iteration below *)
-  let scratch = Array.create_float 2 in
-  for id = 0 to Array.length t.nodes - 1 do
-    let node = t.nodes.(id) in
-    if not (Node.is_dead node) then begin
-      incr paid;
-      match Battery.kind node.Node.battery with
-      | Battery.Ideal ->
-        (* the dry pass proved every draw succeeds without dying, so the
-           k ideal draws collapse to the same k subtractions/additions on
-           locals, one [restore], and the final sync point *)
-        let battery = node.Node.battery in
-        scratch.(0) <- Battery.remaining_pj battery;
-        scratch.(1) <- Battery.delivered_pj battery;
-        for _ = 1 to k do
-          scratch.(0) <- scratch.(0) -. e;
-          scratch.(1) <- scratch.(1) +. e
-        done;
-        Battery.restore battery
-          {
-            Battery.dead = false;
-            delivered_pj = scratch.(1);
-            available_pj = scratch.(0);
-            bound_pj = 0.;
-            load_power = 0.;
-          };
-        node.Node.synced_to <- c_k
-      | Battery.Thin_film _ ->
-        for i = 0 to k - 1 do
-          ignore (Node.draw node ~cycle:(c1 + (i * p)) ~energy_pj:e)
-        done
-    end
-  done;
-  if !paid > 0 then begin
-    let add = float_of_int !paid *. t.report_energy in
-    scratch.(0) <- t.upload_energy;
-    for _ = 1 to k do
-      scratch.(0) <- scratch.(0) +. add
-    done;
-    t.upload_energy <- scratch.(0)
-  end;
-  Controller.absorb_quiet_frames t.controller ~elapsed_cycles:p ~count:k;
-  t.frames <- t.frames + k;
-  Obs.add obs_frames k;
-  Obs.add obs_fast_forwarded k;
-  t.cycle <- c_k;
-  t.last_frame <- c_k;
-  t.next_frame <- c_k + p
-
-(* Skip ahead over quiet frames.  The horizon is the first cycle at
-   which something other than a routine frame can happen: a job
-   finishing its act, the cycle limit, the caller's stop, or the next
-   wheel event (scheduled link failure); frames strictly below it are
-   candidates.  Runs only under [fast_ok] with no auditor attached. *)
-let try_fast_forward t ~stop ~job_next =
-  let p = t.config.Config.frame_period_cycles in
-  let c1 = t.next_frame in
-  if
-    c1 > t.cycle
-    && c1 - t.last_frame = p
-    && job_next > c1
-    && Controller.bank_infinite t.controller
-  then
-    match Controller.last_snapshot t.controller with
-    | None -> ()
-    | Some prev ->
-      let horizon =
-        let h = min job_next t.config.Config.max_cycles in
-        let h = if stop = max_int then h else min h (stop + 1) in
-        match Event_wheel.next_due t.wheel with
-        | None -> h
-        | Some due -> min h due
-      in
-      if horizon > c1 then begin
-        let max_k = ((horizon - 1 - c1) / p) + 1 in
-        if
-          max_k >= 2
-          && (prev.Router.failed_links == t.failed_links_sorted
-             || prev.Router.failed_links = t.failed_links_sorted)
-          && quiet_baseline t ~prev ~c1
-        then begin
-          let k = dry_pass t ~prev ~c1 ~p ~max_k in
-          if k >= 1 then commit_fast t ~c1 ~p ~k
-        end
-      end
-
 type run_outcome = Paused | Finished of Metrics.t
 
 let run_until t ~cycle:stop =
@@ -1500,7 +1150,6 @@ let run_until t ~cycle:stop =
       let job_next =
         Jobs.fold t.jobs ~init:max_int ~f:(fun acc job -> min acc (Job.ready_at job))
       in
-      if t.fast_ok && t.audit = None then try_fast_forward t ~stop ~job_next;
       let next = min job_next t.next_frame in
       if next >= t.config.max_cycles then begin
         t.cycle <- t.config.max_cycles;
@@ -1921,13 +1570,6 @@ let restore ?trace_capacity ?record_timeline config payload =
         let a = R.int r in
         let b = R.int r in
         (c, a, b));
-  (* [create] pre-scheduled the config's full failure list; rebuild the
-     wheel from the restored pending set so already-applied failures do
-     not linger as phantom horizon clamps *)
-  Event_wheel.clear t.wheel;
-  List.iter
-    (fun (c, _, _) -> Event_wheel.schedule t.wheel ~cycle:c ~tag:0)
-    t.pending_failures;
   t.links_failed <- R.int r;
   Prng.set_state t.prng (R.int64 r);
   t.entry_rotation <- R.int r;

@@ -42,18 +42,6 @@ val run_until : t -> cycle:int -> run_outcome
     bit-identically to an uninterrupted one.  May be called repeatedly;
     [run_until ~cycle:max_int] always finishes.
 
-    With [Config.event_driven] set (and no fault plan, trace, timeline
-    or auditor attached), idle stretches are fast-forwarded: a prefix of
-    upcoming control frames is proven quiet by replaying each node's
-    report draws on scratch batteries, then committed in one pass
-    without per-frame snapshot rebuilds or controller diffs.  An event
-    wheel of scheduled link failures bounds the skip so no frame at
-    which the world changes is ever crossed; the wheel is derived state,
-    rebuilt deterministically on {!restore}, so checkpoints are
-    byte-identical across modes and a checkpoint taken in either mode
-    restores in the other.  Results are bit-identical to the stepped
-    engine by construction (every committed operation is the same
-    operation, in the same per-location order).
     @raise Invalid_argument once the engine has finished. *)
 
 val cycle : t -> int

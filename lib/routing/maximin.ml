@@ -32,17 +32,6 @@ let path_value paths ~src ~dst =
 let successor paths ~src ~dst =
   match paths.succ.((src * paths.dim) + dst) with -1 -> None | hop -> Some hop
 
-(* What the cached widest-path buffers were computed from, mirroring
-   [Router.basis]: identity guards plus the cached table.  The delta fed
-   to [compute_incremental] is trusted for the snapshot contents. *)
-type basis = {
-  b_graph : Etx_graph.Digraph.t;
-  b_mapping : Mapping.t;
-  b_module_count : int;
-  b_levels : int;
-  mutable b_table : Routing_table.t;
-}
-
 (* Scratch state reused across recomputes, mirroring [Router.workspace]:
    the flat value/successor buffers, the membership hash sets, the
    per-module candidate arrays, and the rotating routing-table pair.
@@ -56,7 +45,6 @@ type workspace = {
   candidates : Router.candidates;
   mutable tables : Routing_table.t array;
   mutable table_flip : int;
-  mutable basis : basis option;
 }
 
 let create_workspace () =
@@ -69,10 +57,7 @@ let create_workspace () =
     candidates = Router.create_candidates ();
     tables = [||];
     table_flip = 0;
-    basis = None;
   }
-
-let invalidate_workspace ws = ws.basis <- None
 
 let widest_paths_into ws ~graph ~(snapshot : Router.snapshot) =
   let n = Etx_graph.Digraph.node_count graph in
@@ -167,14 +152,8 @@ let widest_paths_into ws ~graph ~(snapshot : Router.snapshot) =
   { dim = n; widths = width; distances = dist; succ }
 
 let widest_paths ?workspace ~graph ~(snapshot : Router.snapshot) () =
-  match workspace with
-  | Some ws ->
-    (* the flat buffers are about to be overwritten out from under any
-       cached result: the incremental fast path must not repair against
-       them afterwards *)
-    ws.basis <- None;
-    widest_paths_into ws ~graph ~snapshot
-  | None -> widest_paths_into (create_workspace ()) ~graph ~snapshot
+  let ws = match workspace with Some ws -> ws | None -> create_workspace () in
+  widest_paths_into ws ~graph ~snapshot
 
 let scratch_table ws ~node_count ~module_count =
   let tables, table =
@@ -259,7 +238,6 @@ let compute ?workspace ~graph ~mapping ~module_count (snapshot : Router.snapshot
   if Mapping.node_count mapping <> n then
     invalid_arg "Maximin.compute: mapping arity differs from the graph";
   let ws = match workspace with Some ws -> ws | None -> create_workspace () in
-  ws.basis <- None;
   let paths = widest_paths_into ws ~graph ~snapshot in
   Router.fill_set ws.locked_set snapshot.Router.locked_ports;
   let table =
@@ -268,65 +246,4 @@ let compute ?workspace ~graph ~mapping ~module_count (snapshot : Router.snapshot
     | None -> Routing_table.create ~node_count:n ~module_count
   in
   fill_table ws ~paths ~mapping ~module_count ~snapshot table;
-  ws.basis <-
-    Some
-      {
-        b_graph = graph;
-        b_mapping = mapping;
-        b_module_count = module_count;
-        b_levels = snapshot.Router.levels;
-        b_table = table;
-      };
   table
-
-let compute_incremental ?workspace ~graph ~mapping ~module_count
-    ~(delta : Router.Delta.t) (snapshot : Router.snapshot) =
-  match workspace with
-  | None -> compute ~graph ~mapping ~module_count snapshot
-  | Some ws -> (
-    let basis_valid =
-      match ws.basis with
-      | Some b ->
-        b.b_graph == graph && b.b_mapping == mapping
-        && b.b_module_count = module_count
-        && b.b_levels = snapshot.Router.levels
-      | None -> false
-    in
-    if not basis_valid then compute ~workspace:ws ~graph ~mapping ~module_count snapshot
-    else
-      match ws.basis with
-      | None -> assert false
-      | Some basis ->
-        if Router.Delta.is_empty delta then basis.b_table
-        else begin
-          (* any level move reshapes the widest-path values themselves
-             (path width is the bottleneck level), so only a lock-only
-             delta can reuse the DP: there is no battery-blind class and
-             no cheap W-patch as in [Router] - the seed matrix is
-             consumed in place by the DP *)
-          let dp_dirty =
-            delta.Router.Delta.full || delta.Router.Delta.alive_changed
-            || delta.Router.Delta.links_changed
-            || delta.Router.Delta.dirty_levels <> []
-          in
-          if not dp_dirty then begin
-            (* lock-only: the flat buffers still hold this snapshot's
-               widest paths; redo phase three *)
-            let n = Etx_graph.Digraph.node_count graph in
-            let cells = n * n in
-            let paths =
-              {
-                dim = n;
-                widths = Scratch.Ints.get ws.widths ~len:cells;
-                distances = Scratch.Floats.get ws.distances ~len:cells;
-                succ = Scratch.Ints.get ws.succ ~len:cells;
-              }
-            in
-            Router.fill_set ws.locked_set snapshot.Router.locked_ports;
-            let table = scratch_table ws ~node_count:n ~module_count in
-            fill_table ws ~paths ~mapping ~module_count ~snapshot table;
-            basis.b_table <- table;
-            table
-          end
-          else compute ~workspace:ws ~graph ~mapping ~module_count snapshot
-        end)

@@ -61,10 +61,6 @@ val create_workspace : unit -> workspace
 (** An empty workspace; buffers are sized lazily on first use and
     resized if the graph dimension changes. *)
 
-val invalidate_workspace : workspace -> unit
-(** Forget the cached previous result: the next {!compute_incremental}
-    falls back to a full recompute (see {!Router.invalidate_workspace}). *)
-
 val widest_paths :
   ?workspace:workspace ->
   graph:Etx_graph.Digraph.t ->
@@ -88,19 +84,3 @@ val compute :
     The result is identical with and without [?workspace]; with one,
     the returned table belongs to the workspace's rotating pair (valid
     across exactly one further [compute], as in {!Router.compute}). *)
-
-val compute_incremental :
-  ?workspace:workspace ->
-  graph:Etx_graph.Digraph.t ->
-  mapping:Mapping.t ->
-  module_count:int ->
-  delta:Router.Delta.t ->
-  Router.snapshot ->
-  Routing_table.t
-(** Delta-driven recompute, bit-identical to {!compute} by construction
-    (see {!Router.compute_incremental} for the trust contract on
-    [delta]).  Maximin path widths are themselves battery levels, so
-    only two repair classes exist: an empty delta returns the cached
-    table, and a lock-only delta reuses the widest-path buffers and
-    reruns phase three; anything touching levels, liveness or links
-    falls back to the full SoA kernel. *)

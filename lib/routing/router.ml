@@ -11,102 +11,6 @@ type snapshot = {
   mutable failed_links : (int * int) list;
 }
 
-(* The change-set between two snapshots, produced by one pass over the
-   arrays (the pass the controller already paid for its unchanged
-   check).  [compute_incremental] trusts the delta: callers must derive
-   it against the snapshot of the previous compute on the same
-   workspace. *)
-module Delta = struct
-  type t = {
-    full : bool;  (** shapes differ or no previous snapshot: repair impossible *)
-    alive_changed : bool;
-    dirty_levels : int list;  (** ascending node ids whose quantized level moved *)
-    locks_changed : bool;
-    links_changed : bool;
-  }
-
-  (* preallocated constant: the steady-state diff result allocates nothing *)
-  let empty =
-    {
-      full = false;
-      alive_changed = false;
-      dirty_levels = [];
-      locks_changed = false;
-      links_changed = false;
-    }
-
-  let full =
-    {
-      full = true;
-      alive_changed = true;
-      dirty_levels = [];
-      locks_changed = true;
-      links_changed = true;
-    }
-
-  let is_empty t =
-    (not t.full) && (not t.alive_changed) && t.dirty_levels = []
-    && (not t.locks_changed)
-    && not t.links_changed
-
-  let make ?(alive_changed = false) ?(dirty_levels = []) ?(locks_changed = false)
-      ?(links_changed = false) () =
-    { full = false; alive_changed; dirty_levels; locks_changed; links_changed }
-
-  let diff ~(previous : snapshot) (current : snapshot) =
-    let n = Array.length current.alive in
-    if
-      Array.length previous.alive <> n
-      || Array.length previous.battery_level <> Array.length current.battery_level
-      || previous.levels <> current.levels
-    then full
-    else begin
-      let alive_changed = ref false in
-      let dirty = ref [] in
-      (* descending walk conses the dirty list in ascending id order *)
-      for id = n - 1 downto 0 do
-        if previous.alive.(id) <> current.alive.(id) then alive_changed := true;
-        if previous.battery_level.(id) <> current.battery_level.(id) then
-          dirty := id :: !dirty
-      done;
-      let locks_changed =
-        not
-          (previous.locked_ports == current.locked_ports
-          || previous.locked_ports = current.locked_ports)
-      in
-      let links_changed =
-        not
-          (previous.failed_links == current.failed_links
-          || previous.failed_links = current.failed_links)
-      in
-      if
-        (not !alive_changed) && !dirty = [] && (not locks_changed)
-        && not links_changed
-      then empty
-      else
-        {
-          full = false;
-          alive_changed = !alive_changed;
-          dirty_levels = !dirty;
-          locks_changed;
-          links_changed;
-        }
-    end
-end
-
-(* What the cached weight matrix / Floyd-Warshall result in a workspace
-   were computed from.  Identity (or cheap structural) guards only: the
-   snapshot contents themselves are not copied - the delta fed to
-   [compute_incremental] is the authority on what changed. *)
-type basis = {
-  b_graph : Etx_graph.Digraph.t;
-  b_weight : Weight.t;
-  b_mapping : Mapping.t;
-  b_module_count : int;
-  b_levels : int;
-  mutable b_table : Routing_table.t;
-}
-
 (* Per-module candidate nodes as arrays, so phase three iterates
    without list-cell chasing; cached keyed on the mapping's identity and
    the module count they were extracted from.  Both workspaces (this
@@ -150,7 +54,6 @@ type workspace = {
   mutable tables : Routing_table.t array;
   mutable table_flip : int;
   candidates : candidates;
-  mutable basis : basis option;
 }
 
 let create_workspace () =
@@ -162,10 +65,7 @@ let create_workspace () =
     tables = [||];
     table_flip = 0;
     candidates = create_candidates ();
-    basis = None;
   }
-
-let invalidate_workspace ws = ws.basis <- None
 
 (* The next table of the rotating pair, cleared.  Shared with Maximin's
    workspace via this helper so both policies reuse rows identically. *)
@@ -336,9 +236,6 @@ let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
   if Mapping.node_count mapping <> node_count then
     invalid_arg "Router.compute: mapping arity differs from the graph";
   let ws = match workspace with Some ws -> ws | None -> create_workspace () in
-  (* the basis is void while the scratch matrices are in flux; it is
-     re-established only once the repair below lands completely *)
-  ws.basis <- None;
   fill_set ws.failed_set snapshot.failed_links;
   fill_set ws.locked_set snapshot.locked_ports;
   let w =
@@ -355,138 +252,4 @@ let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
   let candidates = candidate_arrays ws.candidates ~mapping ~module_count in
   fill_table table ~paths ~snapshot ~locked_set:ws.locked_set ~candidates ~node_count
     ~module_count;
-  ws.basis <-
-    Some
-      {
-        b_graph = graph;
-        b_weight = weight;
-        b_mapping = mapping;
-        b_module_count = module_count;
-        b_levels = snapshot.levels;
-        b_table = table;
-      };
   table
-
-(* how much of the weight matrix a level-only delta touches: the dirty
-   nodes' in-edges, against the 15% damage threshold of the full edge
-   set.  Past it, patching saves too little over a full refill to be
-   worth the column walks. *)
-let damage_threshold_pct = 15
-
-let compute_incremental ?workspace ~graph ~mapping ~module_count ~weight
-    ~(delta : Delta.t) snapshot =
-  match workspace with
-  | None -> compute ~graph ~mapping ~module_count ~weight snapshot
-  | Some ws -> (
-    let basis_valid =
-      match ws.basis with
-      | Some b ->
-        b.b_graph == graph && b.b_weight = weight && b.b_mapping == mapping
-        && b.b_module_count = module_count
-        && b.b_levels = snapshot.levels
-      | None -> false
-    in
-    if not basis_valid then
-      compute ~workspace:ws ~graph ~mapping ~module_count ~weight snapshot
-    else
-      match ws.basis with
-      | None -> assert false
-      | Some basis ->
-        if Delta.is_empty delta then
-          (* nothing moved: the cached table is the answer (and, being
-             the same object, diffs as zero downloads) *)
-          basis.b_table
-        else begin
-          check_snapshot ~graph snapshot;
-          let node_count = Etx_graph.Digraph.node_count graph in
-          let w_dirty =
-            delta.Delta.full || delta.Delta.alive_changed
-            || delta.Delta.links_changed
-            || (delta.Delta.dirty_levels <> [] && Weight.is_battery_aware weight)
-          in
-          if not w_dirty then
-            if delta.Delta.locks_changed then begin
-              (* paths are untouched: redo phase three only *)
-              fill_set ws.locked_set snapshot.locked_ports;
-              let paths = scratch_paths ws ~dim:node_count in
-              let table = scratch_table ws ~node_count ~module_count in
-              let candidates = candidate_arrays ws.candidates ~mapping ~module_count in
-              fill_table table ~paths ~snapshot ~locked_set:ws.locked_set ~candidates
-                ~node_count ~module_count;
-              basis.b_table <- table;
-              table
-            end
-            else
-              (* level moves invisible to this weight (SDR): no-op *)
-              basis.b_table
-          else begin
-            ws.basis <- None;
-            fill_set ws.failed_set snapshot.failed_links;
-            fill_set ws.locked_set snapshot.locked_ports;
-            let w = scratch_matrix ws ~dim:node_count in
-            (* level-only damage patches the dirty in-edge columns of the
-               cached W; anything structural (deaths, link failures)
-               refills it, as does damage past the threshold *)
-            let patched =
-              (not delta.Delta.full)
-              && (not delta.Delta.alive_changed)
-              && (not delta.Delta.links_changed)
-              &&
-              let dirty_columns =
-                List.map
-                  (fun d -> (d, Etx_graph.Digraph.predecessors graph d))
-                  delta.Delta.dirty_levels
-              in
-              let dirty_in =
-                List.fold_left
-                  (fun acc (_, preds) -> acc + List.length preds)
-                  0 dirty_columns
-              in
-              if
-                dirty_in * 100
-                > damage_threshold_pct * Etx_graph.Digraph.edge_count graph
-              then false
-              else begin
-                List.iter
-                  (fun (d, preds) ->
-                    let dst_level = snapshot.battery_level.(d) in
-                    let alive_dst = snapshot.alive.(d) in
-                    List.iter
-                      (fun (src, length) ->
-                        Matrix.set w src d
-                          (if
-                             snapshot.alive.(src) && alive_dst
-                             && not (Hashtbl.mem ws.failed_set (src, d))
-                           then
-                             Weight.edge_weight weight ~length_cm:length ~dst_level
-                               ~levels:snapshot.levels
-                           else infinity))
-                      preds)
-                  dirty_columns;
-                true
-              end
-            in
-            let w =
-              if patched then w
-              else fill_weight_matrix w ~graph ~weight ~failed_set:ws.failed_set snapshot
-            in
-            let paths =
-              Etx_graph.Floyd_warshall.run_into (scratch_paths ws ~dim:node_count) w
-            in
-            let table = scratch_table ws ~node_count ~module_count in
-            let candidates = candidate_arrays ws.candidates ~mapping ~module_count in
-            fill_table table ~paths ~snapshot ~locked_set:ws.locked_set ~candidates
-              ~node_count ~module_count;
-            ws.basis <-
-              Some
-                {
-                  b_graph = graph;
-                  b_weight = weight;
-                  b_mapping = mapping;
-                  b_module_count = module_count;
-                  b_levels = snapshot.levels;
-                  b_table = table;
-                };
-            table
-          end
-        end)

@@ -135,11 +135,14 @@ let finish engine =
   | Engine.Paused -> Alcotest.fail "run_until max_int paused"
 
 (* run [config] uninterrupted, then again with a checkpoint/restore break
-   at [stop], and insist the metrics are structurally identical *)
-let check_bit_identity ?(name = "metrics") config ~stop =
+   at [stop], and insist the metrics are structurally identical.  With
+   [must_pause] the run has to still be alive at [stop], so the restore
+   is really exercised. *)
+let check_bit_identity ?(name = "metrics") ?(must_pause = false) config ~stop =
   let reference = Engine.simulate config in
   let engine = Engine.create config in
   (match Engine.run_until engine ~cycle:stop with
+  | Engine.Finished _ when must_pause -> Alcotest.fail (name ^ ": died before the pause")
   | Engine.Finished metrics ->
     (* the run ended before the checkpoint cycle: still must agree *)
     Alcotest.(check bool) (name ^ " (no pause)") true (metrics = reference)
@@ -195,6 +198,29 @@ let test_bit_identity_sdr_and_controllers () =
       ()
   in
   ignore (check_bit_identity ~name:"sdr/finite controllers" config ~stop:40_000)
+
+let test_bit_identity_ideal_batteries () =
+  let config =
+    Calibration.config ~battery_kind:Etx_battery.Battery.Ideal ~seed:1 ~mesh_size:4 ()
+  in
+  let lifetime = (Engine.simulate config).Metrics.lifetime_cycles in
+  List.iter
+    (fun stop ->
+      ignore
+        (check_bit_identity ~name:(Printf.sprintf "ideal stop at %d" stop) ~must_pause:true
+           config ~stop))
+    [ lifetime / 5; lifetime / 2 ]
+
+let test_bit_identity_pending_link_failures () =
+  (* paused before every scheduled failure has fired: the restored
+     engine must still apply the pending ones *)
+  let topology = Topology.square_mesh ~size:5 () in
+  let schedule =
+    Etextile.Experiments.random_failure_schedule ~topology ~count:4 ~before_cycle:40_000
+      ~seed:93
+  in
+  let config = Calibration.config ~seed:2 ~link_failure_schedule:schedule ~mesh_size:5 () in
+  ignore (check_bit_identity ~name:"pending failures" ~must_pause:true config ~stop:20_000)
 
 let test_checkpoint_guards () =
   let config = Calibration.config ~mesh_size:4 ~seed:1 () in
@@ -309,6 +335,10 @@ let suite =
           `Slow,
           test_bit_identity_through_file_and_double_resume );
         ("sdr + finite controllers", `Slow, test_bit_identity_sdr_and_controllers);
+        ("ideal batteries bit-identity", `Slow, test_bit_identity_ideal_batteries);
+        ( "pending link failures bit-identity",
+          `Slow,
+          test_bit_identity_pending_link_failures );
         ("checkpoint guards", `Quick, test_checkpoint_guards);
         ("fingerprint mismatch", `Quick, test_fingerprint_mismatch);
         QCheck_alcotest.to_alcotest invariant_restore_bit_identical;

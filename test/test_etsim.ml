@@ -168,7 +168,7 @@ let full_snapshot n = Router.full_snapshot ~node_count:n ~levels:8
 let test_controller_first_frame_computes () =
   let c = base_config 4 in
   let controller = Controller.create c in
-  match Controller.on_frame controller ~cycle:0 ~elapsed_cycles:0 ~snapshot:(full_snapshot 16) with
+  match Controller.on_frame controller ~elapsed_cycles:0 ~snapshot:(full_snapshot 16) with
   | Controller.Table_updated _ ->
     Alcotest.(check int) "one recompute" 1 (Controller.recomputations controller);
     Alcotest.(check bool) "download metered" true
@@ -179,9 +179,9 @@ let test_controller_skips_unchanged () =
   let c = base_config 4 in
   let controller = Controller.create c in
   let snapshot = full_snapshot 16 in
-  ignore (Controller.on_frame controller ~cycle:0 ~elapsed_cycles:0 ~snapshot);
+  ignore (Controller.on_frame controller ~elapsed_cycles:0 ~snapshot);
   begin
-    match Controller.on_frame controller ~cycle:500 ~elapsed_cycles:500 ~snapshot with
+    match Controller.on_frame controller ~elapsed_cycles:500 ~snapshot with
     | Controller.No_change -> ()
     | Controller.Table_updated _ | Controller.Exhausted ->
       Alcotest.fail "expected no change"
@@ -192,15 +192,44 @@ let test_controller_recomputes_on_level_change () =
   let c = base_config 4 in
   let controller = Controller.create c in
   ignore
-    (Controller.on_frame controller ~cycle:0 ~elapsed_cycles:0 ~snapshot:(full_snapshot 16));
+    (Controller.on_frame controller ~elapsed_cycles:0 ~snapshot:(full_snapshot 16));
   let snapshot = full_snapshot 16 in
   snapshot.Router.battery_level.(3) <- 2;
   begin
-    match Controller.on_frame controller ~cycle:500 ~elapsed_cycles:500 ~snapshot with
+    match Controller.on_frame controller ~elapsed_cycles:500 ~snapshot with
     | Controller.Table_updated _ -> ()
     | Controller.No_change | Controller.Exhausted -> Alcotest.fail "expected recompute"
   end;
   Alcotest.(check int) "two recomputes" 2 (Controller.recomputations controller)
+
+let test_controller_sdr_levels_only_reuses_table () =
+  (* SDR weights ignore battery levels, so a frame that moves only
+     levels is still billed as a recompute but keeps the current table *)
+  let c = base_config ~policy:(Policy.sdr ()) 4 in
+  let controller = Controller.create c in
+  let first =
+    match Controller.on_frame controller ~elapsed_cycles:0 ~snapshot:(full_snapshot 16) with
+    | Controller.Table_updated table -> table
+    | Controller.No_change | Controller.Exhausted -> Alcotest.fail "expected a table"
+  in
+  let download_before = Controller.download_energy_pj controller in
+  let compute_before = Controller.compute_energy_pj controller in
+  let snapshot = full_snapshot 16 in
+  snapshot.Router.battery_level.(3) <- 2;
+  snapshot.Router.battery_level.(9) <- 0;
+  begin
+    match Controller.on_frame controller ~elapsed_cycles:0 ~snapshot with
+    | Controller.Table_updated table ->
+      Alcotest.(check bool) "current table reused" true (table == first)
+    | Controller.No_change | Controller.Exhausted -> Alcotest.fail "expected Table_updated"
+  end;
+  Alcotest.(check int) "recompute counted" 2 (Controller.recomputations controller);
+  Alcotest.(check (float 0.)) "zero entries downloaded" download_before
+    (Controller.download_energy_pj controller);
+  Alcotest.(check (float 0.)) "dynamic energy charged"
+    (compute_before
+    +. (Config.dynamic_pj_per_cycle c *. float_of_int (Config.recompute_cycles c)))
+    (Controller.compute_energy_pj controller)
 
 let test_controller_failover_and_exhaustion () =
   (* tiny controller batteries so leakage kills them frame by frame *)
@@ -218,8 +247,8 @@ let test_controller_failover_and_exhaustion () =
       Alcotest.fail "controllers never exhausted"
     else
       match
-        Controller.on_frame controller ~cycle
-          ~elapsed_cycles:c.Config.frame_period_cycles ~snapshot
+        Controller.on_frame controller ~elapsed_cycles:c.Config.frame_period_cycles
+          ~snapshot
       with
       | Controller.Exhausted ->
         Alcotest.(check int) "both died" 2 (Controller.deaths controller);
@@ -236,10 +265,8 @@ let test_controller_infinite_never_dies () =
   let c = base_config 4 in
   let controller = Controller.create c in
   let snapshot = full_snapshot 16 in
-  for i = 0 to 100 do
-    match
-      Controller.on_frame controller ~cycle:(i * 500) ~elapsed_cycles:500 ~snapshot
-    with
+  for _ = 0 to 100 do
+    match Controller.on_frame controller ~elapsed_cycles:500 ~snapshot with
     | Controller.Exhausted -> Alcotest.fail "infinite controller died"
     | Controller.Table_updated _ | Controller.No_change -> ()
   done;
@@ -489,6 +516,8 @@ let suite =
         Alcotest.test_case "skips unchanged reports" `Quick test_controller_skips_unchanged;
         Alcotest.test_case "recomputes on level change" `Quick
           test_controller_recomputes_on_level_change;
+        Alcotest.test_case "SDR levels-only reuses table" `Quick
+          test_controller_sdr_levels_only_reuses_table;
         Alcotest.test_case "failover and exhaustion" `Quick
           test_controller_failover_and_exhaustion;
         Alcotest.test_case "infinite never dies" `Quick test_controller_infinite_never_dies;

@@ -2,8 +2,8 @@
    Theorem 1 rendered with every float in exact hexadecimal ([%h]), so
    any change to a routing table, a battery step or an average shows up
    as a diff against [golden_paper.txt].  The other bit-identity tests
-   compare modes of one build (domains, supervision, incremental
-   routing); this one pins the numbers across commits.
+   compare modes of one build (domains, supervision, checkpoint
+   resume); this one pins the numbers across commits.
 
    On a mismatch the fresh rendering is written to [golden_paper.actual]
    next to the fixture in the build tree; a change that is meant to move

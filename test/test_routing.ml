@@ -535,6 +535,44 @@ let prop_router_tables_terminate =
       done;
       !ok)
 
+let prop_sdr_ignores_level_moves =
+  (* the invariant the controller's SDR table reuse rests on: with alive
+     flags, locked ports and failed links fixed, no change of reported
+     levels moves a single SDR table entry *)
+  QCheck.Test.make ~name:"router: SDR table unmoved by levels-only changes" ~count:100
+    QCheck.(pair (int_range 3 6) (int_range 0 1000))
+    (fun (size, seed) ->
+      let t = Topology.square_mesh ~size () in
+      let graph = t.Topology.graph in
+      let mapping = Mapping.checkerboard t in
+      let n = size * size in
+      let prng = Etx_util.Prng.create ~seed in
+      let pick () = Etx_util.Prng.int prng ~bound:n in
+      let snapshot = Router.full_snapshot ~node_count:n ~levels:8 in
+      for i = 0 to n - 1 do
+        snapshot.Router.battery_level.(i) <- Etx_util.Prng.int prng ~bound:8;
+        if Etx_util.Prng.int prng ~bound:8 = 0 then snapshot.Router.alive.(i) <- false
+      done;
+      let edge () =
+        let src = pick () in
+        match Digraph.successors graph src with
+        | [] -> (src, src)
+        | succs ->
+          (src, fst (List.nth succs (Etx_util.Prng.int prng ~bound:(List.length succs))))
+      in
+      snapshot.Router.locked_ports <- List.sort_uniq compare [ edge (); edge () ];
+      snapshot.Router.failed_links <- List.sort_uniq compare [ edge () ];
+      let workspace = Router.create_workspace () in
+      let compute () =
+        Router.compute ~workspace ~graph ~mapping ~module_count:3
+          ~weight:Weight.Shortest_distance snapshot
+      in
+      let before = compute () in
+      for _ = 1 to 1 + Etx_util.Prng.int prng ~bound:n do
+        snapshot.Router.battery_level.(pick ()) <- Etx_util.Prng.int prng ~bound:8
+      done;
+      Routing_table.equal before (compute ()))
+
 (* Phase three (Fig 6) as a plain list walk through the public
    Floyd_warshall accessors, the oracle for the router's flat kernel:
    for node [n] and module [i], the living duplicate at minimum weighted
@@ -729,6 +767,7 @@ let suite =
           test_router_workspace_matches_fresh_compute;
         Alcotest.test_case "snapshot validation" `Quick test_router_snapshot_validation;
         QCheck_alcotest.to_alcotest prop_router_tables_terminate;
+        QCheck_alcotest.to_alcotest prop_sdr_ignores_level_moves;
         QCheck_alcotest.to_alcotest prop_router_phase_three_matches_oracle;
       ] );
     ( "routing/policy",
