@@ -770,6 +770,25 @@ let metrics_every_arg =
   let doc = "Seconds between metrics snapshots (with --metrics-file)." in
   Arg.(value & opt float 5. & info [ "metrics-every" ] ~docv:"SECONDS" ~doc)
 
+(* the serving set-up shared by serve, route and cluster: a peer
+   vanishing mid-response tears down its connection (EPIPE), not the
+   daemon; SIGTERM drains (finish the batch in flight, exit 0 — the
+   supervisor's contract); --metrics-file snapshots *)
+let run_daemon ~stdio ~socket ~metrics_file ~metrics_every ?idle ~stopped
+    handle_batch =
+  let daemon =
+    Etx_service.Daemon.create ?metrics_file ~metrics_every_s:metrics_every
+      ?idle ~stopped handle_batch
+  in
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  (try
+     Sys.set_signal Sys.sigterm
+       (Sys.Signal_handle (fun _ -> Etx_service.Daemon.request_stop daemon))
+   with Invalid_argument _ -> ());
+  if stdio then Etx_service.Daemon.run_stdio daemon stdin stdout
+  else Etx_service.Daemon.run_unix daemon ~socket_path:socket
+
 let serve_cmd =
   let stdio_arg =
     let doc =
@@ -788,10 +807,6 @@ let serve_cmd =
   let cache_capacity_arg =
     let doc = "Result cache entries (LRU beyond this; 0 disables caching)." in
     Arg.(value & opt int 128 & info [ "cache-capacity" ] ~docv:"N" ~doc)
-  in
-  let latency_window_arg =
-    let doc = "Recent samples kept per scenario for the latency percentiles." in
-    Arg.(value & opt int 512 & info [ "latency-window" ] ~docv:"N" ~doc)
   in
   let store_arg =
     let doc =
@@ -812,18 +827,10 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "failpoints" ] ~docv:"SPEC" ~doc)
   in
-  let run stdio socket queue_depth cache_capacity jobs latency_window store_dir
-      failpoints metrics_file metrics_every =
+  let run stdio socket queue_depth cache_capacity jobs store_dir failpoints
+      metrics_file metrics_every =
     let cfg =
-      {
-        Etx_service.Server.queue_depth;
-        cache_capacity;
-        domains = jobs;
-        latency_window;
-        store_dir;
-        metrics_file;
-        metrics_every_s = metrics_every;
-      }
+      { Etx_service.Server.queue_depth; cache_capacity; domains = jobs; store_dir }
     in
     Etx_obs.Obs.arm ();
     match
@@ -838,29 +845,19 @@ let serve_cmd =
       | exception Invalid_argument message -> `Error (false, message)
       | exception Sys_error message -> `Error (false, message)
       | server ->
-        (* a client vanishing mid-response must tear down that one
-           connection (EPIPE), not the daemon *)
-        (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-         with Invalid_argument _ -> ());
-        (* SIGTERM = graceful drain: stop accepting, finish in-flight
-           batches, then exit 0 (the supervisor's drain contract) *)
-        (try
-           Sys.set_signal Sys.sigterm
-             (Sys.Signal_handle
-                (fun _ -> Etx_service.Server.request_stop server))
-         with Invalid_argument _ -> ());
         Fun.protect
           ~finally:(fun () -> Etx_service.Server.shutdown server)
           (fun () ->
-            if stdio then Etx_service.Server.run_stdio server stdin stdout
-            else Etx_service.Server.run_unix server ~socket_path:socket);
+            run_daemon ~stdio ~socket ~metrics_file ~metrics_every
+              ~stopped:(fun () -> Etx_service.Server.stopped server)
+              (Etx_service.Server.handle_batch server));
         `Ok ())
   in
   let term =
     Term.(
       ret
         (const run $ stdio_arg $ socket_arg $ queue_depth_arg $ cache_capacity_arg
-       $ jobs_arg $ latency_window_arg $ store_arg $ failpoints_arg
+       $ jobs_arg $ store_arg $ failpoints_arg
        $ metrics_file_arg $ metrics_every_arg))
   in
   Cmd.v
@@ -1093,20 +1090,16 @@ let health_period_arg =
   in
   Arg.(value & opt float 2. & info [ "health-period" ] ~docv:"SECONDS" ~doc)
 
-let run_router cfg stdio socket =
+(* idle, the router health-checks its backends: each is pinged once
+   per health period of quiet *)
+let run_router cfg ~stdio ~socket ~metrics_file ~metrics_every =
   match Etx_service.Cluster.create cfg with
   | exception Invalid_argument message -> `Error (false, message)
   | cluster ->
-    (* backend or client sockets closing mid-write must stay a
-       per-connection error, never a daemon-killing SIGPIPE *)
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ -> ());
-    (try
-       Sys.set_signal Sys.sigterm
-         (Sys.Signal_handle (fun _ -> Etx_service.Cluster.request_stop cluster))
-     with Invalid_argument _ -> ());
-    if stdio then Etx_service.Cluster.run_stdio cluster stdin stdout
-    else Etx_service.Cluster.run_unix cluster ~socket_path:socket;
+    run_daemon ~stdio ~socket ~metrics_file ~metrics_every
+      ~idle:(fun () -> Etx_service.Cluster.probe cluster)
+      ~stopped:(fun () -> Etx_service.Cluster.stopped cluster)
+      (Etx_service.Cluster.handle_batch cluster);
     `Ok ()
 
 let route_cmd =
@@ -1130,11 +1123,9 @@ let route_cmd =
           request_timeout_s = request_timeout;
           health_period_s = health_period;
           queue_depth;
-          metrics_file;
-          metrics_every_s = metrics_every;
         }
       in
-      run_router cfg stdio socket
+      run_router cfg ~stdio ~socket ~metrics_file ~metrics_every
     end
   in
   let term =
@@ -1237,11 +1228,9 @@ let cluster_cmd =
             (* supervised: shutdown drains via the supervisor instead of
                forwarding a kill the supervisor would just undo *)
             forward_shutdown = not supervise;
-            metrics_file;
-            metrics_every_s = metrics_every;
           }
         in
-        run_router cfg stdio socket
+        run_router cfg ~stdio ~socket ~metrics_file ~metrics_every
       in
       if supervise then begin
         let sup =

@@ -12,6 +12,7 @@ type t = {
   mutable opened_at : float;
   mutable probe_inflight : bool;
   mutable opened_total : int;
+  mutable health_transitions : int;  (* leaving or re-entering Closed *)
 }
 
 let create ?(failure_threshold = 3) ?(cooldown_s = 5.) ?obs_label ~now () =
@@ -47,6 +48,7 @@ let create ?(failure_threshold = 3) ?(cooldown_s = 5.) ?obs_label ~now () =
     opened_at = 0.;
     probe_inflight = false;
     opened_total = 0;
+    health_transitions = 0;
   }
 
 (* lazily move Open -> Half_open once the cooldown has elapsed; state is
@@ -77,8 +79,11 @@ let allow t =
 let record_success t =
   t.failures <- 0;
   t.probe_inflight <- false;
-  if t.current <> Closed then t.transition Closed;
-  t.current <- Closed
+  if t.current <> Closed then begin
+    t.current <- Closed;
+    t.health_transitions <- t.health_transitions + 1;
+    t.transition Closed
+  end
 
 let trip t =
   t.current <- Open;
@@ -92,7 +97,14 @@ let record_failure t =
   t.failures <- t.failures + 1;
   match t.current with
   | Half_open -> trip t
-  | Closed -> if t.failures >= t.failure_threshold then trip t
+  | Closed ->
+    if t.failures >= t.failure_threshold then begin
+      t.health_transitions <- t.health_transitions + 1;
+      trip t
+    end
   | Open -> ()
 
 let opened_total t = t.opened_total
+let consecutive_failures t = t.failures
+let health_name t = if t.current = Closed then "up" else "down"
+let health_transitions t = t.health_transitions

@@ -8,6 +8,11 @@
     e.g. an out-of-band health ping) closes the breaker; a failure
     re-opens it and restarts the cooldown.
 
+    The breaker is also the backend's liveness view: a backend is
+    {e up} exactly while its breaker is closed.  With a success
+    threshold of one, that is the same as "fewer than
+    [failure_threshold] failures since the last success".
+
     The clock is injected at creation so tests drive time explicitly. *)
 
 type state = Closed | Open | Half_open
@@ -45,6 +50,16 @@ val record_failure : t -> unit
 
 val opened_total : t -> int
 (** Times the breaker tripped open — flakiness visible in stats. *)
+
+val consecutive_failures : t -> int
+(** Current failure streak, in any state (0 after any success). *)
+
+val health_name : t -> string
+(** ["up"] while [Closed], ["down"] otherwise. *)
+
+val health_transitions : t -> int
+(** Up/down flips: trips out of [Closed] plus returns to it (a
+    half-open probe failing re-opens without a flip). *)
 
 val state_name : state -> string
 (** ["closed"], ["open"] or ["half_open"]. *)

@@ -20,8 +20,6 @@ type config = {
   queue_depth : int;
   retry_after_ms : int;
   forward_shutdown : bool;
-  metrics_file : string option;
-  metrics_every_s : float;
 }
 
 let default_config ~backends =
@@ -41,8 +39,6 @@ let default_config ~backends =
     queue_depth = 64;
     retry_after_ms = 250;
     forward_shutdown = false;
-    metrics_file = None;
-    metrics_every_s = 5.;
   }
 
 let obs_requests =
@@ -83,15 +79,10 @@ let obs_probe result =
 let obs_probe_ok = obs_probe "ok"
 let obs_probe_fail = obs_probe "fail"
 
-let obs_snapshots =
-  Obs.counter ~help:"Metrics snapshot files committed"
-    "etx_obs_snapshots_written_total"
-
 type rpc = path:string -> timeout_s:float -> string -> (string, string) result
 
 type backend = {
   name : string;
-  health : Health.t;
   breaker : Breaker.t;
   obs_dispatched : Obs.counter;
   obs_failures : Obs.counter;
@@ -117,7 +108,6 @@ type t = {
   mutable errors_total : int;
   mutable probe_total : int;
   mutable probe_failures : int;
-  mutable last_metrics_write : float;
   mutable stopping : bool;
 }
 
@@ -174,9 +164,6 @@ let create ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?rpc cfg =
       Hashtbl.replace table name
         {
           name;
-          health =
-            Health.create ~failure_threshold:cfg.failure_threshold
-              ~obs_label:name ();
           breaker =
             Breaker.create ~failure_threshold:cfg.failure_threshold
               ~cooldown_s:cfg.breaker_cooldown_s ~obs_label:name ~now ();
@@ -213,19 +200,16 @@ let create ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?rpc cfg =
     errors_total = 0;
     probe_total = 0;
     probe_failures = 0;
-    last_metrics_write = 0.;
     stopping = false;
   }
 
 let backend t name = Hashtbl.find t.table name
 
 let record_success t b =
-  Health.record_success b.health;
   Breaker.record_success b.breaker;
   b.last_heard <- t.now ()
 
 let record_failure t b =
-  Health.record_failure b.health;
   Breaker.record_failure b.breaker;
   b.transport_failures <- b.transport_failures + 1;
   Obs.inc b.obs_failures;
@@ -290,14 +274,14 @@ let backend_stats t =
          ( name,
            Json.Obj
              [
-               ("health", Json.String (Health.state_name (Health.state b.health)));
+               ("health", Json.String (Breaker.health_name b.breaker));
                ("breaker", Json.String (Breaker.state_name (Breaker.state b.breaker)));
                ( "consecutive_failures",
-                 Json.Int (Health.consecutive_failures b.health) );
+                 Json.Int (Breaker.consecutive_failures b.breaker) );
                ("dispatched", Json.Int b.dispatched);
                ("transport_failures", Json.Int b.transport_failures);
                ("breaker_opened_total", Json.Int (Breaker.opened_total b.breaker));
-               ("health_transitions", Json.Int (Health.transitions b.health));
+               ("health_transitions", Json.Int (Breaker.health_transitions b.breaker));
              ] ))
        t.order)
 
@@ -574,85 +558,3 @@ let handle_batch t lines =
     (Array.map (function Raw line -> line | Tree j -> Json.to_string j) responses)
 
 let stopped t = t.stopping
-let request_stop t = t.stopping <- true
-
-(* periodic observability snapshot, same contract as [Server]'s *)
-let write_metrics_snapshot t =
-  match t.cfg.metrics_file with
-  | None -> ()
-  | Some path -> (
-    t.last_metrics_write <- t.now ();
-    match Expo.write_snapshot ~path () with
-    | () -> Obs.inc obs_snapshots
-    | exception Sys_error _ -> ())
-
-let maybe_write_metrics t =
-  match t.cfg.metrics_file with
-  | None -> ()
-  | Some _ ->
-    if t.now () -. t.last_metrics_write >= t.cfg.metrics_every_s then
-      write_metrics_snapshot t
-
-let flush_batch t batch oc =
-  match List.rev batch with
-  | [] -> ()
-  | lines ->
-    List.iter
-      (fun line ->
-        output_string oc line;
-        output_char oc '\n')
-      (handle_batch t lines);
-    flush oc
-
-let run_stdio t ic oc =
-  let batch = ref [] in
-  let continue = ref true in
-  while !continue do
-    match input_line ic with
-    | line ->
-      if String.trim line = "" then begin
-        flush_batch t !batch oc;
-        batch := [];
-        maybe_write_metrics t;
-        if t.stopping then continue := false
-      end
-      else batch := line :: !batch
-    | exception End_of_file ->
-      flush_batch t !batch oc;
-      batch := [];
-      maybe_write_metrics t;
-      continue := false
-  done
-
-let run_unix t ~socket_path =
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-   with Invalid_argument _ -> ());
-  let sock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      try Unix.unlink socket_path with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.bind sock (Unix.ADDR_UNIX socket_path);
-      Unix.listen sock 16;
-      while not t.stopping do
-        (* wake at least once per health period so probes run while
-           idle; an EINTR'd wait re-checks the stop flag (SIGTERM) *)
-        match Netio.accept ~timeout_s:t.cfg.health_period_s sock with
-        | `Timeout ->
-          probe t;
-          maybe_write_metrics t
-        | `Interrupted -> ()
-        | `Conn fd ->
-          let ic = Unix.in_channel_of_descr fd in
-          let oc = Unix.out_channel_of_descr fd in
-          (* a client that vanished mid-batch (EPIPE/ECONNRESET with
-             SIGPIPE ignored) tears down this connection, nothing else *)
-          (try run_stdio t ic oc
-           with Sys_error _ | End_of_file | Unix.Unix_error _ -> ());
-          (try flush oc with Sys_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ())
-      done;
-      (* final snapshot: capture the run's last state for post-mortems *)
-      write_metrics_snapshot t)

@@ -11,8 +11,8 @@
 
     - {b health checking}: each backend is pinged when [health_period_s]
       has elapsed since it was last heard from; probe outcomes feed the
-      same {!Health} / {!Breaker} state as real requests, so a restarted
-      backend is re-admitted within one period.
+      same {!Breaker} as real requests, so a restarted backend is
+      re-admitted within one period.
     - {b retries with backoff}: a failed dispatch (connect error,
       timeout, torn connection) is retried against the next backend in
       ring-preference order, up to [attempts] total, sleeping a
@@ -43,7 +43,7 @@ type config = {
   request_timeout_s : float;  (** per-response read deadline *)
   probe_timeout_s : float;  (** health-check ping deadline *)
   health_period_s : float;  (** quiet time before a backend is probed *)
-  failure_threshold : int;  (** consecutive failures to mark Down / trip open *)
+  failure_threshold : int;  (** consecutive failures to trip the breaker open *)
   breaker_cooldown_s : float;
   backoff_base_ms : float;
   backoff_cap_ms : float;
@@ -54,20 +54,13 @@ type config = {
       (** broadcast a [shutdown] control to every backend too (the
           all-in-one [cluster] subcommand owns its backends; a [route]
           front-end over foreign daemons does not) *)
-  metrics_file : string option;
-      (** when set, the serving loops periodically commit an
-          [Etx_obs.Expo] JSON snapshot to this path (atomic), plus a
-          final one as [run_unix] exits. *)
-  metrics_every_s : float;  (** snapshot pacing; only read when
-          [metrics_file] is set *)
 }
 
 val default_config : backends:string list -> config
 (** 64 ring replicas, 4 attempts, 1 s connect / 30 s request / 1 s
     probe timeouts, 2 s health period, threshold 3, 5 s cooldown,
     25–1000 ms backoff, queue depth 64, retry-after 250 ms, no
-    shutdown forwarding, no metrics file (5 s pacing when one is
-    configured). *)
+    shutdown forwarding. *)
 
 type rpc = path:string -> timeout_s:float -> string -> (string, string) result
 (** One request line in, one response line out, within [timeout_s]
@@ -92,20 +85,13 @@ val handle_batch : t -> string list -> string list
 
 val probe : t -> unit
 (** Health-check every backend whose [health_period_s] has elapsed.
-    Called automatically at batch start and while {!run_unix} idles. *)
+    Called at batch start; the [route] daemon also runs it as the
+    {!Daemon} idle hook. *)
 
 val stats_json : t -> Etx_util.Json.t
-(** Cluster-level stats: per-backend health/breaker state and counters
-    (routed, failovers, shed, degraded, deadline-exceeded, probes). *)
+(** Cluster-level stats: per-backend breaker state and counters
+    (routed, failovers, shed, degraded, deadline-exceeded, probes).  A
+    backend's [health] is ["up"] exactly while its breaker is closed. *)
 
 val stopped : t -> bool
-
-val request_stop : t -> unit
-(** Ask the serving loops to exit after the batch in flight: the
-    graceful-drain hook for a SIGTERM handler.  Safe from a signal
-    handler or another domain. *)
-
-val run_stdio : t -> in_channel -> out_channel -> unit
-val run_unix : t -> socket_path:string -> unit
-(** Same transports as {!Server}; {!run_unix} interleaves health probes
-    while idle (it wakes at least once per [health_period_s]). *)
+(** A [shutdown] request has been served. *)

@@ -9,22 +9,11 @@ type config = {
   queue_depth : int;
   cache_capacity : int;
   domains : int;
-  latency_window : int;
   store_dir : string option;
-  metrics_file : string option;
-  metrics_every_s : float;
 }
 
 let default_config =
-  {
-    queue_depth = 64;
-    cache_capacity = 128;
-    domains = 1;
-    latency_window = 512;
-    store_dir = None;
-    metrics_file = None;
-    metrics_every_s = 5.;
-  }
+  { queue_depth = 64; cache_capacity = 128; domains = 1; store_dir = None }
 
 let obs_requests =
   Obs.counter ~help:"Request lines received (malformed ones included)"
@@ -66,13 +55,11 @@ let obs_queue_depth =
   Obs.gauge ~help:"Scenario requests admitted in the latest batch"
     "etx_server_queue_depth"
 
-let obs_snapshots =
-  Obs.counter ~help:"Metrics snapshot files committed"
-    "etx_obs_snapshots_written_total"
-
 (* Per-scenario latency: an all-time Welford summary plus a bounded ring
    of recent samples for percentiles, so a server up for weeks still
    reports the current tail, not its whole history averaged flat. *)
+let latency_window = 512
+
 type latency = {
   summary : Stats.t;
   window : float array;
@@ -92,7 +79,6 @@ type t = {
   mutable served_total : int;
   mutable errors_total : int;
   mutable deadline_exceeded_total : int;
-  mutable last_metrics_write : float;
   mutable stopping : bool;
 }
 
@@ -101,8 +87,6 @@ let create ?(now = Unix.gettimeofday) cfg =
   if cfg.cache_capacity < 0 then
     invalid_arg "Server.create: cache_capacity must be >= 0";
   if cfg.domains < 1 then invalid_arg "Server.create: domains must be >= 1";
-  if cfg.latency_window < 1 then
-    invalid_arg "Server.create: latency_window must be >= 1";
   (* open the durable store before the pool so a bad --store path fails
      fast without leaking worker domains *)
   let store = Option.map Store.open_dir cfg.store_dir in
@@ -118,31 +102,10 @@ let create ?(now = Unix.gettimeofday) cfg =
     served_total = 0;
     errors_total = 0;
     deadline_exceeded_total = 0;
-    last_metrics_write = 0.;
     stopping = false;
   }
 
-(* periodic observability snapshot: best-effort (the registry is live in
-   memory; the file is for post-mortems), paced by [metrics_every_s],
-   atomic so a crash mid-write never leaves a torn file *)
-let write_metrics_snapshot t =
-  match t.cfg.metrics_file with
-  | None -> ()
-  | Some path -> (
-    t.last_metrics_write <- t.now ();
-    match Expo.write_snapshot ~path () with
-    | () -> Obs.inc obs_snapshots
-    | exception Sys_error _ -> ())
-
-let maybe_write_metrics t =
-  match t.cfg.metrics_file with
-  | None -> ()
-  | Some _ ->
-    if t.now () -. t.last_metrics_write >= t.cfg.metrics_every_s then
-      write_metrics_snapshot t
-
 let stopped t = t.stopping
-let request_stop t = t.stopping <- true
 let shutdown t = Pool.shutdown t.pool
 
 let record_latency t name ms =
@@ -153,7 +116,7 @@ let record_latency t name ms =
       let l =
         {
           summary = Stats.create ();
-          window = Array.make t.cfg.latency_window 0.;
+          window = Array.make latency_window 0.;
           filled = 0;
           next = 0;
         }
@@ -430,68 +393,3 @@ let handle_batch t lines =
   Obs.set obs_queue_depth (float_of_int !admitted);
   Obs.add obs_responses (Array.length responses);
   Array.to_list (Array.map Json.to_string responses)
-
-let flush_batch t batch oc =
-  match List.rev batch with
-  | [] -> ()
-  | lines ->
-    List.iter
-      (fun line ->
-        output_string oc line;
-        output_char oc '\n')
-      (handle_batch t lines);
-    flush oc
-
-let run_stdio t ic oc =
-  let batch = ref [] in
-  let continue = ref true in
-  while !continue do
-    match input_line ic with
-    | line ->
-      if String.trim line = "" then begin
-        flush_batch t !batch oc;
-        batch := [];
-        maybe_write_metrics t;
-        if t.stopping then continue := false
-      end
-      else batch := line :: !batch
-    | exception End_of_file ->
-      flush_batch t !batch oc;
-      batch := [];
-      maybe_write_metrics t;
-      continue := false
-  done
-
-let run_unix t ~socket_path =
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  (* A client that disconnects mid-response must not kill the server. *)
-  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-   with Invalid_argument _ -> ());
-  let sock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-      shutdown t)
-    (fun () ->
-      Unix.bind sock (Unix.ADDR_UNIX socket_path);
-      Unix.listen sock 16;
-      while not t.stopping do
-        (* bounded accept waits so a SIGTERM drain (request_stop from
-           the handler) is observed within a beat, not at the next
-           connection; EINTR re-checks the flag immediately *)
-        match Netio.accept ~timeout_s:0.25 sock with
-        | `Timeout | `Interrupted -> maybe_write_metrics t
-        | `Conn fd ->
-          (* in and out channels share the fd: flush, then close once.
-             A peer that vanished mid-response (EPIPE/ECONNRESET with
-             SIGPIPE ignored) costs this connection, not the process. *)
-          let ic = Unix.in_channel_of_descr fd in
-          let oc = Unix.out_channel_of_descr fd in
-          (try run_stdio t ic oc
-           with Sys_error _ | End_of_file | Unix.Unix_error _ -> ());
-          (try flush oc with Sys_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ())
-      done;
-      (* final snapshot: capture the run's last state for post-mortems *)
-      write_metrics_snapshot t)

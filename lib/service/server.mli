@@ -23,32 +23,28 @@
       computed once even with caching disabled).
 
     All simulation work fans out over one shared persistent
-    {!Etx_util.Pool} owned by the server for its whole life. *)
+    {!Etx_util.Pool} owned by the server for its whole life.  The
+    transports around {!handle_batch} live in {!Daemon}.
+
+    The [stats] control request reports per-scenario latency as an
+    all-time count, mean and max plus p50/p90/p99 over the newest 512
+    samples, so a long-lived server reports its current tail. *)
 
 type config = {
   queue_depth : int;  (** admission bound per batch; at least 1 *)
   cache_capacity : int;  (** LRU entries; 0 disables caching *)
   domains : int;  (** worker domains of the shared pool *)
-  latency_window : int;  (** recent samples kept per scenario for percentiles *)
   store_dir : string option;
       (** durable {!Store} directory beneath the LRU: misses consult it
           before computing ([cache:"store"] in the response) and
           computed results are persisted to it, so restarts — and every
           other backend sharing the directory — keep the cache.  [None]
           disables durability. *)
-  metrics_file : string option;
-      (** when set, the serving loops periodically commit an
-          [Etx_obs.Expo] JSON snapshot to this path (atomic temp +
-          fsync + rename), plus a final one as [run_unix] exits — the
-          post-mortem record for chaos runs.  [None] disables it. *)
-  metrics_every_s : float;  (** snapshot pacing; only read when
-          [metrics_file] is set *)
 }
 
 val default_config : config
-(** queue depth 64, cache capacity 128, one worker domain, 512-sample
-    latency windows, no durable store, no metrics file (5 s pacing when
-    one is configured). *)
+(** queue depth 64, cache capacity 128, one worker domain, no durable
+    store. *)
 
 type t
 
@@ -57,8 +53,8 @@ val create : ?now:(unit -> float) -> config -> t
     the worker pool.  [now] injects the clock used for latency
     measurement and deadline accounting (seconds; defaults to
     [Unix.gettimeofday]) so tests can be deterministic.
-    @raise Invalid_argument on non-positive [queue_depth],
-    [latency_window] or [domains], or negative [cache_capacity].
+    @raise Invalid_argument on non-positive [queue_depth] or [domains],
+    or negative [cache_capacity].
     @raise Sys_error if [store_dir] cannot be created. *)
 
 val handle_batch : t -> string list -> string list
@@ -70,26 +66,8 @@ val handle_batch : t -> string list -> string list
     or compute. *)
 
 val stopped : t -> bool
-(** A [shutdown] request has been served; transports should stop
-    reading and call {!shutdown}. *)
-
-val request_stop : t -> unit
-(** Ask the serving loops to exit after the batch in flight completes —
-    the graceful-drain hook for a SIGTERM handler: accepted work is
-    finished and answered, nothing new is read.  Safe from a signal
-    handler or another domain. *)
+(** A [shutdown] request has been served; the serving loop
+    ({!Daemon}) stops reading and the caller calls {!shutdown}. *)
 
 val shutdown : t -> unit
 (** Release the worker pool.  Idempotent. *)
-
-val run_stdio : t -> in_channel -> out_channel -> unit
-(** Serve batches from a stream until end of input or a [shutdown]
-    request.  Blank line = batch boundary.  Does not call {!shutdown}
-    (the caller owns the server). *)
-
-val run_unix : t -> socket_path:string -> unit
-(** Bind a Unix domain socket (an existing file at that path is
-    replaced), then accept connections one at a time, serving each with
-    the stream protocol until a [shutdown] request arrives.  The socket
-    file is removed and the pool released before returning.
-    @raise Unix.Unix_error if the socket cannot be bound. *)

@@ -299,6 +299,103 @@ echo "server exit ok"
       Alcotest.(check bool) "clean server exit" true (contains output "server exit ok");
       Alcotest.(check bool) "socket removed" false (Sys.file_exists socket))
 
+(* stdio mode ends at end of input: the final snapshot must count every
+   request, not just those seen by the last paced write *)
+let test_serve_stdio_final_metrics () =
+  let input = Filename.temp_file "etx_cli_serve" ".in" in
+  let metrics = Filename.temp_file "etx_cli_serve" ".metrics.json" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ input; metrics ])
+    (fun () ->
+      write_lines input
+        [
+          {|{"scenario":"ping","id":1}|};
+          "";
+          {|{"scenario":"ping","id":2}|};
+          {|{"scenario":"ping","id":3}|};
+          "";
+        ];
+      ignore
+        (check_ok "serve --stdio --metrics-file"
+           (Printf.sprintf "serve --stdio --jobs 1 --metrics-file %s < %s"
+              (Filename.quote metrics) (Filename.quote input)));
+      let snapshot = In_channel.with_open_bin metrics In_channel.input_all in
+      Alcotest.(check bool) "final snapshot counts all 3 requests" true
+        (contains snapshot
+           {|"name":"etx_server_requests_total","type":"counter","labels":{},"value":3}|}))
+
+(* a serve backend for the route tests; the trap reaps it on any exit *)
+let backend_prelude ~backend =
+  Printf.sprintf
+    {|set -e
+%s serve --socket %s --jobs 1 &
+backend=$!
+trap 'kill $backend 2>/dev/null || true' EXIT
+for _ in $(seq 100); do [ -S %s ] && break; sleep 0.1; done
+[ -S %s ]
+|}
+    exe backend backend backend
+
+let with_sockets names f =
+  let paths =
+    List.map
+      (fun name ->
+        let path = Filename.temp_file ("etx_cli_" ^ name) ".sock" in
+        Sys.remove path;
+        path)
+      names
+  in
+  let script = Filename.temp_file "etx_cli_route" ".sh" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) (script :: paths))
+    (fun () -> f script paths)
+
+let test_route_stdio_answers_locally () =
+  with_sockets [ "backend" ] (fun script paths ->
+      let backend = List.hd paths in
+      let oc = open_out script in
+      output_string oc (backend_prelude ~backend);
+      Printf.fprintf oc
+        {|printf '%%s\n%%s\n\n' '{"scenario":"ping","id":1}' '{"scenario":"stats","id":2}' \
+  | %s route --stdio --backends %s
+|}
+        exe backend;
+      close_out oc;
+      let code, output = run_script script in
+      if code <> 0 then Alcotest.failf "route --stdio script: exit %d\n%s" code output;
+      Alcotest.(check bool) "ping answered" true (contains output {|"result":"pong"|});
+      Alcotest.(check bool) "stats from the router itself" true
+        (contains output {|"role":"cluster-router"|});
+      Alcotest.(check bool) "backend reported up" true
+        (contains output {|"health":"up"|}))
+
+let test_route_sigterm_drain () =
+  with_sockets [ "backend"; "router" ] (fun script paths ->
+      let backend = List.nth paths 0 and router = List.nth paths 1 in
+      let oc = open_out script in
+      output_string oc (backend_prelude ~backend);
+      Printf.fprintf oc
+        {|%s route --socket %s --backends %s &
+router=$!
+for _ in $(seq 100); do [ -S %s ] && break; sleep 0.1; done
+[ -S %s ]
+%s client --socket %s '{"scenario":"simulate","params":{"mesh_size":4},"id":1}'
+kill -TERM $router
+wait $router
+echo "router drained exit ok"
+|}
+        exe router backend router router exe router;
+      close_out oc;
+      let code, output = run_script script in
+      if code <> 0 then Alcotest.failf "route drain script: exit %d\n%s" code output;
+      Alcotest.(check bool) "routed request served" true
+        (contains output {|"cache":"miss"|});
+      Alcotest.(check bool) "clean exit after SIGTERM" true
+        (contains output "router drained exit ok");
+      Alcotest.(check bool) "router socket removed" false (Sys.file_exists router))
+
 let test_resilience_manifest_resume () =
   let file = Filename.temp_file "etx_cli_manifest" ".bin" in
   Fun.protect
@@ -344,6 +441,11 @@ let suite =
         Alcotest.test_case "serve drains on SIGTERM" `Slow test_serve_sigterm_drain;
         Alcotest.test_case "client socket round trip" `Slow
           test_client_socket_round_trip;
+        Alcotest.test_case "serve --stdio final metrics snapshot" `Quick
+          test_serve_stdio_final_metrics;
+        Alcotest.test_case "route --stdio answers locally" `Slow
+          test_route_stdio_answers_locally;
+        Alcotest.test_case "route drains on SIGTERM" `Slow test_route_sigterm_drain;
       ] );
   ]
 

@@ -1,5 +1,5 @@
 (* Unit tests for the cluster layer: backoff pacing, the consistent-hash
-   ring, health/breaker state machines, the durable result store (every
+   ring, the breaker state machine and the liveness view derived from it, the durable result store (every
    corruption mode must be a miss, never an error), deadline and client
    fields on the wire, and the router's failover/shedding logic driven
    through an injected rpc and clock — no sockets, no real time. *)
@@ -7,7 +7,6 @@
 module Json = Etx_util.Json
 module Backoff = Etx_util.Backoff
 module Ring = Etx_service.Ring
-module Health = Etx_service.Health
 module Breaker = Etx_service.Breaker
 module Store = Etx_service.Store
 module Request = Etx_service.Request
@@ -125,23 +124,74 @@ let test_ring_affinity_across_membership () =
         (owner k))
     before
 
-(* - health state machine - *)
+(* - liveness, derived from the breaker - *)
 
-let test_health_transitions () =
-  let h = Health.create ~failure_threshold:3 () in
-  Alcotest.(check bool) "starts up" true (Health.state h = Health.Up);
-  Health.record_failure h;
-  Health.record_failure h;
-  Alcotest.(check bool) "below threshold stays up" true (Health.state h = Health.Up);
-  Health.record_success h;
-  Alcotest.(check int) "success clears the streak" 0 (Health.consecutive_failures h);
-  Health.record_failure h;
-  Health.record_failure h;
-  Health.record_failure h;
-  Alcotest.(check bool) "threshold marks down" true (Health.state h = Health.Down);
-  Health.record_success h;
-  Alcotest.(check bool) "one success recovers" true (Health.state h = Health.Up);
-  Alcotest.(check int) "two flips counted" 2 (Health.transitions h)
+(* The retired per-backend Health tracker, kept here as the reference:
+   up until [threshold] consecutive failures, back up on one success. *)
+type health_model = { mutable up : bool; mutable streak : int; mutable flips : int }
+
+let health_model_step threshold m = function
+  | `Success ->
+    m.streak <- 0;
+    if not m.up then begin
+      m.up <- true;
+      m.flips <- m.flips + 1
+    end
+  | `Failure ->
+    m.streak <- m.streak + 1;
+    if m.up && m.streak >= threshold then begin
+      m.up <- false;
+      m.flips <- m.flips + 1
+    end
+  | `Allow | `Advance _ -> ()
+
+let print_health_op = function
+  | `Success -> "success"
+  | `Failure -> "failure"
+  | `Allow -> "allow"
+  | `Advance dt -> Printf.sprintf "advance %.2f" dt
+
+(* random outcomes, half-open probe grants and clock steps across the
+   cooldown: the breaker's health, streak and flips match the model
+   after every step *)
+let prop_health_transitions =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, return `Success);
+          (4, return `Failure);
+          (2, return `Allow);
+          (2, map (fun dt -> `Advance dt) (float_range 0. 4.));
+        ])
+  in
+  let ops =
+    QCheck.make
+      ~print:(fun (threshold, ops) ->
+        Printf.sprintf "threshold %d: %s" threshold
+          (String.concat ", " (List.map print_health_op ops)))
+      QCheck.Gen.(pair (int_range 1 4) (list_size (int_range 0 60) op))
+  in
+  QCheck.Test.make ~name:"health transitions" ~count:300 ops
+    (fun (threshold, ops) ->
+      let time = ref 0. in
+      let b =
+        Breaker.create ~failure_threshold:threshold ~cooldown_s:2.
+          ~now:(fun () -> !time) ()
+      in
+      let m = { up = true; streak = 0; flips = 0 } in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Success -> Breaker.record_success b
+          | `Failure -> Breaker.record_failure b
+          | `Allow -> ignore (Breaker.allow b)
+          | `Advance dt -> time := !time +. dt);
+          health_model_step threshold m op;
+          Breaker.health_name b = (if m.up then "up" else "down")
+          && Breaker.consecutive_failures b = m.streak
+          && Breaker.health_transitions b = m.flips)
+        ops)
 
 (* - circuit breaker - *)
 
@@ -291,7 +341,6 @@ let test_server_sheds_expired_deadlines () =
         Server.default_config with
         Server.queue_depth = 8;
         cache_capacity = 16;
-        latency_window = 32;
       }
   in
   Fun.protect
@@ -322,7 +371,6 @@ let test_server_store_tier () =
       Server.default_config with
       Server.queue_depth = 8;
       cache_capacity = 16;
-      latency_window = 32;
       store_dir;
     }
   in
@@ -653,7 +701,7 @@ let suite =
         Alcotest.test_case "ring lookup" `Quick test_ring_lookup;
         Alcotest.test_case "ring affinity across membership" `Quick
           test_ring_affinity_across_membership;
-        Alcotest.test_case "health transitions" `Quick test_health_transitions;
+        QCheck_alcotest.to_alcotest prop_health_transitions;
         Alcotest.test_case "breaker state machine" `Quick test_breaker_state_machine;
         Alcotest.test_case "store roundtrip" `Quick test_store_roundtrip;
         Alcotest.test_case "store corruption is a miss" `Quick

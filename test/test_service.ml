@@ -111,7 +111,6 @@ let config ?(queue_depth = 8) ?(cache_capacity = 16) ?store_dir () =
     Server.default_config with
     Server.queue_depth;
     cache_capacity;
-    latency_window = 32;
     store_dir;
   }
 
@@ -322,6 +321,45 @@ let test_stats_shape () =
             [ "count"; "mean_ms"; "p50_ms"; "p90_ms"; "p99_ms"; "max_ms" ])
       | _ -> Alcotest.fail "stats response expected")
 
+(* Percentiles cover the newest 512 samples only.  On an injected clock
+   that advances [step] per reading, a one-request batch takes exactly
+   [step]: 600 requests of 1 s fill and wrap the ring, then 512 more of
+   1..512 ms must push every slow sample out. *)
+let test_latency_window_recency () =
+  let time = ref 0. and step = ref 1. in
+  let now () =
+    let t = !time in
+    time := t +. !step;
+    t
+  in
+  with_server ~now (fun server ->
+      let serve () = ignore (Server.handle_batch server [ simulate_line ]) in
+      for _ = 1 to 600 do
+        serve ()
+      done;
+      for ms = 1 to 512 do
+        step := float_of_int ms /. 1000.;
+        serve ()
+      done;
+      match Server.handle_batch server [ {|{"scenario":"stats"}|} ] with
+      | [ r ] ->
+        let bucket =
+          Option.bind (Json.member "result" (parse_response r)) (fun result ->
+              Option.bind (Json.member "scenarios" result) (Json.member "simulate"))
+          |> Option.get
+        in
+        let field key = Option.get (Option.bind (Json.member key bucket) Json.to_float) in
+        let recent = List.init 512 (fun i -> float_of_int (i + 1)) in
+        List.iter
+          (fun (key, p) ->
+            Alcotest.(check (float 1e-6)) key (Etx_util.Stats.percentile recent ~p)
+              (field key))
+          [ ("p50_ms", 0.5); ("p90_ms", 0.9); ("p99_ms", 0.99) ];
+        Alcotest.(check (float 1e-6)) "max_ms stays all-time" 1000. (field "max_ms");
+        Alcotest.(check (option int)) "count stays all-time" (Some 1112)
+          (Option.bind (Json.member "count" bucket) Json.to_int)
+      | _ -> Alcotest.fail "stats response expected")
+
 let test_shutdown_request () =
   with_server (fun server ->
       Alcotest.(check bool) "running" false (Server.stopped server);
@@ -344,7 +382,6 @@ let test_create_validation () =
       ("zero queue depth", { Server.default_config with queue_depth = 0 });
       ("negative cache", { Server.default_config with cache_capacity = -1 });
       ("zero domains", { Server.default_config with domains = 0 });
-      ("zero window", { Server.default_config with latency_window = 0 });
     ]
 
 let suite =
@@ -372,6 +409,8 @@ let suite =
         Alcotest.test_case "error responses" `Quick test_error_responses;
         Alcotest.test_case "lru bound end to end" `Quick test_lru_bound_end_to_end;
         Alcotest.test_case "stats shape" `Quick test_stats_shape;
+        Alcotest.test_case "latency window keeps the newest 512" `Quick
+          test_latency_window_recency;
         Alcotest.test_case "shutdown request" `Quick test_shutdown_request;
         Alcotest.test_case "create validation" `Quick test_create_validation;
       ] );
