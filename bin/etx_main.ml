@@ -62,7 +62,7 @@ let sweep_retries_arg =
 
 (* render the completed rows, print each failed cell to stderr, and fail
    the invocation if any cell failed *)
-let render_supervised ~report results =
+let render_sweep ~report results =
   let rows = List.filter_map (function Ok row -> Some row | Error _ -> None) results in
   let failures =
     List.filter_map (function Ok _ -> None | Error f -> Some f) results
@@ -71,7 +71,8 @@ let render_supervised ~report results =
   List.iter
     (fun (f : Etextile.Experiments.sweep_failure) ->
       Printf.eprintf "sweep cell %d failed after %d attempt(s): %s\n%s%!"
-        f.unit_index f.attempts f.message f.backtrace)
+        f.unit_index f.attempts (Printexc.to_string f.exn)
+        (Printexc.raw_backtrace_to_string f.backtrace))
     failures;
   if failures = [] then `Ok ()
   else
@@ -84,16 +85,10 @@ let fig7_cmd =
     | `Error _ as e -> e
     | `Ok () when retries < 0 -> `Error (false, "--sweep-retries must be non-negative")
     | `Ok () ->
-      if manifest = None && retries = 0 then begin
-        Etextile.Report.print
-          (Etextile.Report.fig7
-             (Etextile.Experiments.fig7 ~sizes ~seeds ~domains:jobs ()));
-        `Ok ()
-      end
-      else
-        render_supervised ~report:Etextile.Report.fig7
-          (Etextile.Experiments.fig7_supervised ~sizes ~seeds ~domains:jobs ~retries
-             ?manifest ())
+      render_sweep ~report:Etextile.Report.fig7
+        (Etextile.Experiments.run_units ~domains:jobs ~retries ?manifest
+           ~fingerprint:(Etextile.Experiments.fig7_fingerprint ~sizes ~seeds)
+           (Etextile.Experiments.fig7_units ~sizes ~seeds))
   in
   let term =
     Term.(ret (const run $ sizes_arg $ seeds_arg $ jobs_arg $ manifest_arg
@@ -340,23 +335,8 @@ let simulate_cmd =
   in
   let run size policy battery seed controllers jobs trace workload_kind fail_links
       timeline_file heatmap fault retries checkpoint_every checkpoint_file resume audit =
-    let policy =
-      match String.lowercase_ascii policy with
-      | "ear" -> Ok (Etx_routing.Policy.ear ())
-      | "sdr" -> Ok (Etx_routing.Policy.sdr ())
-      | "ear2" -> Ok (Etx_routing.Policy.ear_squared ())
-      | "inverse" -> Ok (Etx_routing.Policy.inverse_level ())
-      | "linear" -> Ok (Etx_routing.Policy.linear_drain ())
-      | "maximin" -> Ok (Etx_routing.Policy.maximin ())
-      | other -> Error (Printf.sprintf "unknown policy %S" other)
-    in
-    let battery =
-      match String.lowercase_ascii battery with
-      | "thin-film" | "thin_film" | "thinfilm" ->
-        Ok (Etx_battery.Battery.Thin_film Etx_battery.Battery.default_thin_film)
-      | "ideal" -> Ok Etx_battery.Battery.Ideal
-      | other -> Error (Printf.sprintf "unknown battery model %S" other)
-    in
+    let policy = Etx_service.Handlers.policy_of_string policy in
+    let battery = Etx_service.Handlers.battery_of_string battery in
     let key_hex = "000102030405060708090a0b0c0d0e0f" in
     let workload =
       match String.lowercase_ascii workload_kind with
@@ -604,21 +584,18 @@ let resilience_cmd =
     else if retries < 0 then `Error (false, "--sweep-retries must be non-negative")
     else if List.exists (fun r -> r < 0.) (bit_error_rates @ wearout_rates) then
       `Error (false, "fault rates must be non-negative")
-    else if manifest = None && retries = 0 then
-      match
-        Etextile.Experiments.resilience ~mesh_size ~bit_error_rates ~wearout_rates
-          ~fault_seed ~seeds ~domains:jobs ()
-      with
-      | rows ->
-        Etextile.Report.print (Etextile.Report.resilience rows);
-        `Ok ()
-      | exception Invalid_argument message -> `Error (false, message)
     else
       match
-        Etextile.Experiments.resilience_supervised ~mesh_size ~bit_error_rates
-          ~wearout_rates ~fault_seed ~seeds ~domains:jobs ~retries ?manifest ()
+        Etextile.Experiments.resilience_units ~mesh_size ~bit_error_rates
+          ~wearout_rates ~fault_seed ~seeds
       with
-      | results -> render_supervised ~report:Etextile.Report.resilience results
+      | units ->
+        render_sweep ~report:Etextile.Report.resilience
+          (Etextile.Experiments.run_units ~domains:jobs ~retries ?manifest
+             ~fingerprint:
+               (Etextile.Experiments.resilience_fingerprint ~mesh_size
+                  ~bit_error_rates ~wearout_rates ~fault_seed ~seeds)
+             units)
       | exception Invalid_argument message -> `Error (false, message)
   in
   let term =

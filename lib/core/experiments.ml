@@ -6,23 +6,10 @@ let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 let jobs_of (m : Etx_etsim.Metrics.t) = float_of_int m.jobs_completed
 let simulate config = Etx_etsim.Engine.simulate config
 
-(* Fan a batch over either a caller-owned persistent pool (the serving
-   layer reuses one across requests) or a per-call spawn; both preserve
-   input order, so the choice never changes results. *)
-let fan ?pool ~domains f xs =
-  match pool with Some p -> Pool.run p f xs | None -> Pool.map ~domains f xs
-
-let mean_jobs ?pool ?(domains = 1) configs =
-  mean (List.map jobs_of (fan ?pool ~domains simulate configs))
-
-(* - parallel fan-out - *)
+(* - the sweep runner - *)
 
 (* A sweep is assembled as a list of units, each owning the configs it
-   needs and a [finish] from their metrics (in config order) to a row.
-   All configs across all units are flattened into one batch for the
-   domain pool, so parallelism is never limited by row boundaries; the
-   pool preserves order, so results are bit-identical to a sequential
-   run regardless of [domains]. *)
+   needs and a [finish] from their metrics (in config order) to a row. *)
 type 'row sweep_unit = {
   configs : Etx_etsim.Config.t list;
   finish : Etx_etsim.Metrics.t list -> 'row;
@@ -32,29 +19,15 @@ let rec take n xs =
   if n = 0 then ([], xs)
   else
     match xs with
-    | [] -> invalid_arg "Experiments.take: batch shorter than its units"
+    | [] -> invalid_arg "Experiments.take: list too short"
     | x :: rest ->
       let mine, others = take (n - 1) rest in
       (x :: mine, others)
 
-let run_units ?pool ~domains units =
-  let flat = List.concat_map (fun unit -> unit.configs) units in
-  let metrics = fan ?pool ~domains simulate flat in
-  let rec finish units metrics =
-    match units with
-    | [] -> []
-    | unit :: rest ->
-      let mine, remaining = take (List.length unit.configs) metrics in
-      unit.finish mine :: finish rest remaining
-  in
-  finish units metrics
-
-(* - supervised fan-out with manifest resume - *)
-
 type sweep_failure = {
   unit_index : int;
-  message : string;
-  backtrace : string;
+  exn : exn;
+  backtrace : Printexc.raw_backtrace;
   attempts : int;
 }
 
@@ -98,72 +71,108 @@ let save_manifest ~fingerprint path completed =
     entries;
   Checkpoint.write_file ~fp_prefix:"manifest" path (Checkpoint.Writer.contents w)
 
-let run_units_supervised ?(domains = 1) ?(retries = 0) ?manifest ?(fingerprint = "")
+(* Every unfinished unit's configs are flattened into one batch for the
+   pool, so parallelism is never limited by unit boundaries, and the
+   pool preserves order, so results are bit-identical to a sequential
+   run for every [domains].  Each config runs under [Pool.attempt], so a
+   crash only fails its own unit.  The worker that finishes a unit's
+   last config records it in the manifest, under [lock]. *)
+let run_units ?pool ?(domains = 1) ?(retries = 0) ?manifest ?(fingerprint = "")
     ?(simulate = simulate) units =
+  let units = Array.of_list units in
   let completed =
     match manifest with
     | Some path -> load_manifest ~fingerprint path
     | None -> Hashtbl.create 16
   in
-  let save () =
+  let resumed =
+    Array.mapi
+      (fun i unit ->
+        match Hashtbl.find_opt completed i with
+        | Some metrics when List.length metrics = List.length unit.configs ->
+          Some metrics
+        | _ -> None)
+      units
+  in
+  let outcomes = Array.map (fun unit -> Array.make (List.length unit.configs) None) units in
+  let left = Array.map Array.length outcomes in
+  let metrics i =
+    Array.to_list
+      (Array.map
+         (function Some (Pool.Completed m) -> m | Some (Pool.Crashed _) | None -> assert false)
+         outcomes.(i))
+  in
+  let crash i =
+    Array.find_map
+      (function Some (Pool.Crashed e) -> Some e | Some (Pool.Completed _) | None -> None)
+      outcomes.(i)
+  in
+  let lock = Mutex.create () in
+  let record i =
     match manifest with
-    | Some path -> (
+    | Some path when Option.is_none (crash i) -> (
+      Hashtbl.replace completed i (metrics i);
       (* the manifest is resume optimization, not the result: a full
          disk or failed fsync must not kill a sweep that is computing
          fine — the next save (or run) retries *)
       try save_manifest ~fingerprint path completed with Sys_error _ -> ())
-    | None -> ()
+    | _ -> ()
   in
+  let simulate = Pool.attempt ~retries simulate in
+  let task (i, j, config) =
+    let outcome = simulate config in
+    Mutex.protect lock (fun () ->
+        outcomes.(i).(j) <- Some outcome;
+        left.(i) <- left.(i) - 1;
+        if left.(i) = 0 then record i)
+  in
+  let batch =
+    List.concat
+      (List.mapi
+         (fun i unit ->
+           if resumed.(i) <> None then []
+           else List.mapi (fun j config -> (i, j, config)) unit.configs)
+         (Array.to_list units))
+  in
+  ignore
+    (match pool with
+    | Some p -> Pool.run p task batch
+    | None -> Pool.map ~domains task batch);
   List.mapi
-    (fun index unit ->
+    (fun i unit ->
       let finish metrics =
         match unit.finish metrics with
         | row -> Ok row
         | exception exn ->
-          Error
-            {
-              unit_index = index;
-              message = Printexc.to_string exn;
-              backtrace = Printexc.get_backtrace ();
-              attempts = 1;
-            }
+          let backtrace = Printexc.get_raw_backtrace () in
+          Error { unit_index = i; exn; backtrace; attempts = 1 }
       in
-      match Hashtbl.find_opt completed index with
-      | Some metrics when List.length metrics = List.length unit.configs ->
-        finish metrics
-      | _ -> (
-        let outcomes = Pool.map_result ~domains ~retries simulate unit.configs in
-        let crash =
-          List.find_map
-            (function Pool.Crashed e -> Some e | Pool.Completed _ -> None)
-            outcomes
-        in
-        match crash with
-        | Some { Pool.exn; backtrace; attempts } ->
-          Error
-            {
-              unit_index = index;
-              message = Printexc.to_string exn;
-              backtrace = Printexc.raw_backtrace_to_string backtrace;
-              attempts;
-            }
-        | None ->
-          let metrics =
-            List.map
-              (function Pool.Completed m -> m | Pool.Crashed _ -> assert false)
-              outcomes
-          in
-          Hashtbl.replace completed index metrics;
-          save ();
-          finish metrics))
-    units
+      match (resumed.(i), crash i) with
+      | Some stored, _ -> finish stored
+      | None, Some { Pool.exn; backtrace; attempts } ->
+        Error { unit_index = i; exn; backtrace; attempts }
+      | None, None -> finish (metrics i))
+    (Array.to_list units)
+
+(* The row-returning sweeps: a failed unit re-raises its original
+   exception, the first in unit order. *)
+let rows results =
+  List.map
+    (function
+      | Ok row -> row | Error f -> Printexc.raise_with_backtrace f.exn f.backtrace)
+    results
+
+let mean_runs runs = mean (List.map jobs_of runs)
+
+let mean_jobs ?pool ?domains configs =
+  List.hd (rows (run_units ?pool ?domains [ { configs; finish = mean_runs } ]))
 
 let configs_of ~seeds ~make = List.map (fun seed -> make ~seed) seeds
 
 let mean_jobs_unit ~seeds ~make finish =
   {
     configs = configs_of ~seeds ~make;
-    finish = (fun runs -> finish (mean (List.map jobs_of runs)));
+    finish = (fun runs -> finish (mean_runs runs));
   }
 
 (* Fig 7 *)
@@ -214,17 +223,11 @@ let fig7_units ~sizes ~seeds =
 
 let fig7 ?(sizes = default_sizes) ?(seeds = Calibration.default_seeds) ?pool
     ?(domains = 1) () =
-  run_units ?pool ~domains (fig7_units ~sizes ~seeds)
+  rows (run_units ?pool ~domains (fig7_units ~sizes ~seeds))
 
 let fig7_fingerprint ~sizes ~seeds =
   Printf.sprintf "fig7;sizes=%s;seeds=%s" (fingerprint_ints sizes)
     (fingerprint_ints seeds)
-
-let fig7_supervised ?(sizes = default_sizes) ?(seeds = Calibration.default_seeds)
-    ?(domains = 1) ?retries ?manifest () =
-  run_units_supervised ~domains ?retries ?manifest
-    ~fingerprint:(fig7_fingerprint ~sizes ~seeds)
-    (fig7_units ~sizes ~seeds)
 
 (* Table 2 *)
 
@@ -270,7 +273,7 @@ let table2 ?(sizes = default_sizes) ?(seeds = Calibration.default_seeds) ?(domai
           paper_ratio = paper_r;
         })
   in
-  run_units ~domains (List.map unit sizes)
+  rows (run_units ~domains (List.map unit sizes))
 
 (* Fig 8 *)
 
@@ -286,10 +289,11 @@ let fig8 ?(sizes = default_sizes) ?(controller_counts = [ 1; 2; 4; 7; 10 ])
     in
     mean_jobs_unit ~seeds ~make (fun jobs -> { mesh_size; controllers; jobs })
   in
-  run_units ~domains
-    (List.concat_map
-       (fun controllers -> List.map (fun size -> unit size controllers) sizes)
-       controller_counts)
+  rows
+    (run_units ~domains
+       (List.concat_map
+          (fun controllers -> List.map (fun size -> unit size controllers) sizes)
+          controller_counts))
 
 (* Theorem 1 *)
 
@@ -329,19 +333,20 @@ let policy_unit ~mesh_size ~seeds (label, policy) =
 
 let ablation_weights ?(mesh_size = 6) ?(seeds = Calibration.default_seeds)
     ?(domains = 1) () =
-  run_units ~domains
-    (List.map
-       (policy_unit ~mesh_size ~seeds)
-       [
-         ("SDR (no battery term)", Etx_routing.Policy.sdr ());
-         ("EAR q=1.5", Etx_routing.Policy.ear ~q:1.5 ());
-         ("EAR q=2 (paper)", Etx_routing.Policy.ear ());
-         ("EAR q=4", Etx_routing.Policy.ear ~q:4. ());
-         ("EAR squared exponent", Etx_routing.Policy.ear_squared ());
-         ("inverse-level", Etx_routing.Policy.inverse_level ());
-         ("linear drain", Etx_routing.Policy.linear_drain ());
-         ("max-min residual [13]", Etx_routing.Policy.maximin ());
-       ])
+  rows
+    (run_units ~domains
+       (List.map
+          (policy_unit ~mesh_size ~seeds)
+          [
+            ("SDR (no battery term)", Etx_routing.Policy.sdr ());
+            ("EAR q=1.5", Etx_routing.Policy.ear ~q:1.5 ());
+            ("EAR q=2 (paper)", Etx_routing.Policy.ear ());
+            ("EAR q=4", Etx_routing.Policy.ear ~q:4. ());
+            ("EAR squared exponent", Etx_routing.Policy.ear_squared ());
+            ("inverse-level", Etx_routing.Policy.inverse_level ());
+            ("linear drain", Etx_routing.Policy.linear_drain ());
+            ("max-min residual [13]", Etx_routing.Policy.maximin ());
+          ]))
 
 let ablation_quantization ?(mesh_size = 6) ?(seeds = Calibration.default_seeds)
     ?(domains = 1) () =
@@ -349,7 +354,7 @@ let ablation_quantization ?(mesh_size = 6) ?(seeds = Calibration.default_seeds)
     policy_unit ~mesh_size ~seeds
       (Printf.sprintf "EAR, N_B = %d" levels, Etx_routing.Policy.ear ~levels ())
   in
-  run_units ~domains (List.map unit [ 2; 4; 8; 16; 32 ])
+  rows (run_units ~domains (List.map unit [ 2; 4; 8; 16; 32 ]))
 
 let aes_module_sequence =
   List.map Etx_aes.Partition.module_index Etx_aes.Partition.module_sequence
@@ -375,7 +380,7 @@ let ablation_mapping ?(mesh_size = 6) ?(seeds = Calibration.default_seeds)
     let make ~seed = Calibration.config ~mapping ~mesh_size ~seed () in
     mean_jobs_unit ~seeds ~make (fun jobs -> { label; mesh_size; jobs })
   in
-  run_units ~domains (List.map unit mappings)
+  rows (run_units ~domains (List.map unit mappings))
 
 let ablation_battery ?(mesh_size = 6) ?(seeds = Calibration.default_seeds)
     ?(domains = 1) () =
@@ -391,7 +396,7 @@ let ablation_battery ?(mesh_size = 6) ?(seeds = Calibration.default_seeds)
     let make ~seed = Calibration.config ~policy ?battery_kind ~mesh_size ~seed () in
     mean_jobs_unit ~seeds ~make (fun jobs -> { label; mesh_size; jobs })
   in
-  run_units ~domains (List.map unit cases)
+  rows (run_units ~domains (List.map unit cases))
 
 (* Concurrency / deadlock recovery *)
 
@@ -426,7 +431,7 @@ let concurrency ?(mesh_size = 6) ?(depths = [ 1; 2; 4; 8 ])
           });
     }
   in
-  run_units ~domains (List.map unit depths)
+  rows (run_units ~domains (List.map unit depths))
 
 (* Workload generality *)
 
@@ -452,7 +457,7 @@ let workloads ?(mesh_size = 6) ?(seeds = Calibration.default_seeds) ?(domains = 
     let make ~seed = Calibration.config ~workloads ~mesh_size ~seed () in
     mean_jobs_unit ~seeds ~make (fun jobs -> { label; mesh_size; jobs })
   in
-  run_units ~domains (List.map unit cases)
+  rows (run_units ~domains (List.map unit cases))
 
 let generality ?(module_counts = [ 2; 3; 4; 5; 6 ]) ?(seeds = Calibration.default_seeds)
     ?(domains = 1) () =
@@ -502,7 +507,7 @@ let generality ?(module_counts = [ 2; 3; 4; 5; 6 ]) ?(seeds = Calibration.defaul
           });
     }
   in
-  run_units ~domains (List.map unit module_counts)
+  rows (run_units ~domains (List.map unit module_counts))
 
 (* Link failures *)
 
@@ -537,7 +542,7 @@ let link_failures ?(mesh_size = 6) ?(failure_counts = [ 0; 4; 8; 16; 24 ])
     mean_jobs_unit ~seeds ~make (fun jobs ->
         { label = Printf.sprintf "%d broken interconnects" count; mesh_size; jobs })
   in
-  run_units ~domains (List.map unit failure_counts)
+  rows (run_units ~domains (List.map unit failure_counts))
 
 (* Resilience sweep: jobs completed under injected faults, EAR vs SDR *)
 
@@ -605,8 +610,9 @@ let resilience_units ~mesh_size ~bit_error_rates ~wearout_rates ~fault_seed ~see
 let resilience ?(mesh_size = 5) ?(bit_error_rates = [ 0.; 1e-4; 3e-4; 1e-3 ])
     ?(wearout_rates = [ 0.; 3e-6; 1e-5; 3e-5 ]) ?(fault_seed = 1009)
     ?(seeds = Calibration.default_seeds) ?pool ?(domains = 1) () =
-  run_units ?pool ~domains
-    (resilience_units ~mesh_size ~bit_error_rates ~wearout_rates ~fault_seed ~seeds)
+  rows
+    (run_units ?pool ~domains
+       (resilience_units ~mesh_size ~bit_error_rates ~wearout_rates ~fault_seed ~seeds))
 
 let resilience_fingerprint ~mesh_size ~bit_error_rates ~wearout_rates ~fault_seed ~seeds
     =
@@ -614,15 +620,6 @@ let resilience_fingerprint ~mesh_size ~bit_error_rates ~wearout_rates ~fault_see
     (fingerprint_floats bit_error_rates)
     (fingerprint_floats wearout_rates)
     fault_seed (fingerprint_ints seeds)
-
-let resilience_supervised ?(mesh_size = 5) ?(bit_error_rates = [ 0.; 1e-4; 3e-4; 1e-3 ])
-    ?(wearout_rates = [ 0.; 3e-6; 1e-5; 3e-5 ]) ?(fault_seed = 1009)
-    ?(seeds = Calibration.default_seeds) ?(domains = 1) ?retries ?manifest () =
-  run_units_supervised ~domains ?retries ?manifest
-    ~fingerprint:
-      (resilience_fingerprint ~mesh_size ~bit_error_rates ~wearout_rates ~fault_seed
-         ~seeds)
-    (resilience_units ~mesh_size ~bit_error_rates ~wearout_rates ~fault_seed ~seeds)
 
 (* Static prediction vs simulation *)
 
@@ -646,7 +643,7 @@ let predictions ?(sizes = default_sizes) ?(seeds = Calibration.default_seeds)
           simulated;
         })
   in
-  run_units ~domains (List.map unit sizes)
+  rows (run_units ~domains (List.map unit sizes))
 
 (* Garment scenarios *)
 
@@ -683,7 +680,7 @@ let scenarios ?(seeds = Calibration.default_seeds) ?(domains = 1) () =
           });
     }
   in
-  run_units ~domains (List.map unit (Scenario.all ()))
+  rows (run_units ~domains (List.map unit (Scenario.all ())))
 
 (* Algorithm comparison *)
 
@@ -713,7 +710,7 @@ let algorithms ?(sizes = default_sizes) ?(seeds = Calibration.default_seeds)
           });
     }
   in
-  run_units ~domains (List.map unit sizes)
+  rows (run_units ~domains (List.map unit sizes))
 
 (* Runtime invariant audit as a structured sweep (the CLI and the
    serving layer render or serialize the rows; nothing prints here). *)
@@ -758,4 +755,4 @@ let audit_runs ?(sizes = default_sizes) ?(seeds = Calibration.default_seeds)
       audit_violations_total = Etx_etsim.Audit.violation_count recorder;
     }
   in
-  fan ?pool ~domains run cells
+  match pool with Some p -> Pool.run p run cells | None -> Pool.map ~domains run cells

@@ -15,32 +15,31 @@
 (** {1 Sweep machinery}
 
     A sweep is a list of units; each owns the configs it needs and folds
-    their metrics (in config order) into one row.  {!run_units} flattens
-    all configs into one batch for the domain pool — bit-identical to a
-    sequential run for every [domains] value.  {!run_units_supervised}
-    trades that for crash-tolerance: units run one after another (each
-    fanned over the pool), a crashing simulation only loses its own unit,
-    and an optional manifest file checkpoints each completed unit so an
-    interrupted sweep resumes without recomputing. *)
+    their metrics (in config order) into one row.  {!run_units} is the
+    one runner behind every sweep: it flattens the configs of every unit
+    not yet finished into one batch for the domain pool, so parallelism
+    is never limited by unit boundaries, and the pool preserves order, so
+    results are bit-identical to a sequential run for every [domains]
+    value.  A crashing simulation only loses its own unit, and an
+    optional manifest file records each completed unit so an interrupted
+    sweep resumes without recomputing it.  The row-returning sweeps below
+    ({!fig7}, {!table2}, ...) re-raise a failed unit's original
+    exception. *)
 
 type 'row sweep_unit = {
   configs : Etx_etsim.Config.t list;
   finish : Etx_etsim.Metrics.t list -> 'row;
 }
 
-val run_units : ?pool:Etx_util.Pool.t -> domains:int -> 'row sweep_unit list -> 'row list
-(** [?pool] fans the batch over a caller-owned persistent pool instead
-    of spawning [domains] fresh domains — the serving layer shares one
-    pool across requests.  Results are bit-identical either way. *)
-
 type sweep_failure = {
   unit_index : int;  (** position of the failed unit in the sweep *)
-  message : string;  (** [Printexc.to_string] of the exception *)
-  backtrace : string;
+  exn : exn;  (** the exception of the unit's first crashing simulation *)
+  backtrace : Printexc.raw_backtrace;
   attempts : int;  (** how many times the failing simulation was tried *)
 }
 
-val run_units_supervised :
+val run_units :
+  ?pool:Etx_util.Pool.t ->
   ?domains:int ->
   ?retries:int ->
   ?manifest:string ->
@@ -48,15 +47,20 @@ val run_units_supervised :
   ?simulate:(Etx_etsim.Config.t -> Etx_etsim.Metrics.t) ->
   'row sweep_unit list ->
   ('row, sweep_failure) result list
-(** Each unit's simulations are attempted up to [1 + retries] times
-    ({!Etx_util.Pool.map_result}); a unit with any simulation still
-    crashing yields [Error] and the sweep moves on.  [?manifest] names a
-    checkpoint file (re)written atomically after every completed unit and
-    consulted on startup: units already present under the same
+(** Runs every simulation on [?pool] (a caller-owned persistent pool;
+    the serving layer shares one across requests) or else on [domains]
+    workers (default [1]: sequential).  Each simulation is attempted up
+    to [1 + retries] times ({!Etx_util.Pool.attempt}); a unit with any
+    simulation still crashing, or whose [finish] raises, yields [Error]
+    and the others are unaffected.  [?manifest] names a checkpoint file
+    (re)written atomically each time a unit's last simulation completes,
+    and consulted on startup: units already present under the same
     [fingerprint] are finished from their stored metrics without
     simulating.  A missing, corrupted or mismatching manifest starts
-    fresh.  [?simulate] overrides the simulation function (test hook).
-    Output order matches unit order. *)
+    fresh, and a failed save never fails the sweep.  [?simulate]
+    overrides the simulation function (test hook).  Output order matches
+    unit order.
+    @raise Invalid_argument on a negative [retries]. *)
 
 type fig7_row = {
   mesh_size : int;
@@ -79,17 +83,8 @@ val fig7_fingerprint : sizes:int list -> seeds:int list -> string
     manifest machinery and the server's content-addressed result cache:
     equal fingerprints guarantee bit-identical rows. *)
 
-val fig7_supervised :
-  ?sizes:int list ->
-  ?seeds:int list ->
-  ?domains:int ->
-  ?retries:int ->
-  ?manifest:string ->
-  unit ->
-  (fig7_row, sweep_failure) result list
-(** {!fig7} through {!run_units_supervised}: one mesh size crashing never
-    loses the others, and with [?manifest] an interrupted sweep resumes
-    from the completed sizes. *)
+val fig7_units : sizes:int list -> seeds:int list -> fig7_row sweep_unit list
+(** The units behind {!fig7}, one per mesh size, for {!run_units}. *)
 
 type table2_row = {
   mesh_size : int;
@@ -215,19 +210,15 @@ val resilience :
     the policy and the rate), so the comparison isolates the routing
     policy and degradation is monotone along the wear-out axis. *)
 
-val resilience_supervised :
-  ?mesh_size:int ->
-  ?bit_error_rates:float list ->
-  ?wearout_rates:float list ->
-  ?fault_seed:int ->
-  ?seeds:int list ->
-  ?domains:int ->
-  ?retries:int ->
-  ?manifest:string ->
-  unit ->
-  (resilience_row, sweep_failure) result list
-(** {!resilience} through {!run_units_supervised}: each (axis, rate)
-    cell survives the others' crashes and resumes from a manifest. *)
+val resilience_units :
+  mesh_size:int ->
+  bit_error_rates:float list ->
+  wearout_rates:float list ->
+  fault_seed:int ->
+  seeds:int list ->
+  resilience_row sweep_unit list
+(** The units behind {!resilience}, one per (axis, rate) cell, for
+    {!run_units}. *)
 
 val resilience_fingerprint :
   mesh_size:int ->

@@ -300,12 +300,10 @@ let die t reason =
     emit t
       (Trace.System_death { cycle = t.cycle; reason = Metrics.death_reason_string reason })
 
-(* A node's battery just hit the cutoff.  Any job resident at (or flying
-   towards) the node dies with it; losing a job kills the platform, since
-   the launcher of Sec 7.1 waits forever for it. *)
-let kill_node t id =
-  t.node_deaths <- t.node_deaths + 1;
-  emit t (Trace.Node_death { node = id; cycle = t.cycle });
+(* Every job resident at (or flying towards) node [id] is lost; losing
+   one kills the platform, since the launcher of Sec 7.1 waits forever
+   for it.  [reason] names the first victim in the death record. *)
+let lose_jobs_at t id reason =
   let victims = ref [] in
   Jobs.iter_cells t.jobs ~f:(fun cell ->
       if Job.current_node cell.Jobs.job = id then begin
@@ -319,7 +317,13 @@ let kill_node t id =
     List.iter
       (fun j -> emit t (Trace.Job_lost { job = j.Job.id; node = id; cycle = t.cycle }))
       lost;
-    die t (Metrics.Job_lost_to_node_death { node = id; job = job.Job.id })
+    die t (reason ~node:id ~job:job.Job.id)
+
+(* A node's battery just hit the cutoff: its jobs die with it. *)
+let kill_node t id =
+  t.node_deaths <- t.node_deaths + 1;
+  emit t (Trace.Node_death { node = id; cycle = t.cycle });
+  lose_jobs_at t id (fun ~node ~job -> Metrics.Job_lost_to_node_death { node; job })
 
 let clear_lock t id =
   if t.nodes.(id).Node.locked_hop <> None then begin
@@ -400,6 +404,19 @@ let rebuild_failed_links t =
   done;
   t.failed_links_sorted <- !acc
 
+(* Break the living link a<->b in both directions; false when it was
+   already broken.  The caller rebuilds [failed_links_sorted] once per
+   batch of breaks. *)
+let break_link t a b =
+  if link_alive t ~src:a ~dst:b then begin
+    let n = Array.length t.nodes in
+    t.link_dead.((a * n) + b) <- true;
+    t.link_dead.((b * n) + a) <- true;
+    t.links_failed <- t.links_failed + 1;
+    true
+  end
+  else false
+
 (* break interconnects whose scheduled failure cycle has arrived *)
 let apply_link_failures t =
   match t.pending_failures with
@@ -407,17 +424,8 @@ let apply_link_failures t =
   | pending ->
     let due, later = List.partition (fun (cycle, _, _) -> cycle <= t.cycle) pending in
     t.pending_failures <- later;
-    let n = Array.length t.nodes in
     let landed = ref false in
-    List.iter
-      (fun (_, a, b) ->
-        if link_alive t ~src:a ~dst:b then begin
-          t.link_dead.((a * n) + b) <- true;
-          t.link_dead.((b * n) + a) <- true;
-          t.links_failed <- t.links_failed + 1;
-          landed := true
-        end)
-      due;
+    List.iter (fun (_, a, b) -> if break_link t a b then landed := true) due;
     if !landed then rebuild_failed_links t
 
 let link_busy_until t ~src ~dst = t.link_busy.((src * Array.length t.nodes) + dst)
@@ -440,20 +448,7 @@ let set_waiting job ~node ~since ~retry_at =
    resident at (or in flight towards) the node, which kills the platform
    just like a node death would - the launcher waits forever. *)
 let drop_jobs_for_brownout t id =
-  let victims = ref [] in
-  Jobs.iter_cells t.jobs ~f:(fun cell ->
-      if Job.current_node cell.Jobs.job = id then begin
-        Jobs.remove t.jobs cell;
-        victims := cell.Jobs.job :: !victims
-      end);
-  match List.rev !victims with
-  | [] -> ()
-  | job :: _ as lost ->
-    t.jobs_lost <- t.jobs_lost + List.length lost;
-    List.iter
-      (fun j -> emit t (Trace.Job_lost { job = j.Job.id; node = id; cycle = t.cycle }))
-      lost;
-    die t (Metrics.Job_lost_to_brownout { node = id; job = job.Job.id })
+  lose_jobs_at t id (fun ~node ~job -> Metrics.Job_lost_to_brownout { node; job })
 
 (* The [Preserve] policy keeps buffered jobs across the reboot: waiting
    jobs retry once the node is back, a paused act resumes with its
@@ -480,16 +475,12 @@ let apply_fault_events t =
   | None -> ()
   | Some plan ->
     if Fault_plan.next_cycle plan <= t.cycle then begin
-      let n = Array.length t.nodes in
       let landed = ref false in
       Fault_plan.iter_due plan ~cycle:t.cycle ~f:(fun event ->
           if t.status = Running then
             match event with
             | Fault_plan.Link_wearout { a; b } ->
-              if link_alive t ~src:a ~dst:b then begin
-                t.link_dead.((a * n) + b) <- true;
-                t.link_dead.((b * n) + a) <- true;
-                t.links_failed <- t.links_failed + 1;
+              if break_link t a b then begin
                 t.link_wearouts <- t.link_wearouts + 1;
                 landed := true;
                 emit t (Trace.Link_wearout { a; b; cycle = t.cycle })

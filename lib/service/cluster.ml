@@ -247,11 +247,16 @@ let error_response ?(extra = []) id code message =
      ]
     @ extra)
 
+(* every error response counts once in the stats and once in the
+   registry, so the two never drift apart *)
+let count_error t =
+  t.errors_total <- t.errors_total + 1;
+  Obs.inc obs_errors
+
 let degraded_response t id message =
   t.degraded_total <- t.degraded_total + 1;
-  t.errors_total <- t.errors_total + 1;
+  count_error t;
   Obs.inc obs_degraded;
-  Obs.inc obs_errors;
   error_response
     ~extra:[ ("retry_after_ms", Json.Int t.cfg.retry_after_ms) ]
     id "degraded" message
@@ -444,8 +449,7 @@ let handle_batch t lines =
     (fun idx item ->
       match item with
       | Malformed err ->
-        t.errors_total <- t.errors_total + 1;
-        Obs.inc obs_errors;
+        count_error t;
         responses.(idx) <- Tree (error_response err.error_id err.error_code err.reason)
       | Parsed (req : Request.t) -> (
         runnable := (idx, req) :: !runnable;
@@ -512,7 +516,7 @@ let handle_batch t lines =
             with exn -> Error (Printexc.to_string exn)
           with
           | Error message ->
-            t.errors_total <- t.errors_total + 1;
+            count_error t;
             responses.(idx) <- Tree (error_response req.id "invalid_request" message)
           | Ok fp -> (
             t.routed_total <- t.routed_total + 1;
@@ -543,9 +547,8 @@ let handle_batch t lines =
               responses.(idx) <- Tree (degraded_response t req.id message)
             | Expired ->
               t.deadline_exceeded_total <- t.deadline_exceeded_total + 1;
-              t.errors_total <- t.errors_total + 1;
+              count_error t;
               Obs.inc obs_deadline;
-              Obs.inc obs_errors;
               responses.(idx) <-
                 Tree
                   (error_response req.id "deadline_exceeded"

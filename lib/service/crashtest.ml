@@ -393,7 +393,7 @@ let manifest ?(seed = 1) ~dir () =
         })
   in
   let resume ?(units = units) () =
-    Etextile.Experiments.run_units_supervised ~domains:1 ~manifest:path ~fingerprint
+    Etextile.Experiments.run_units ~domains:1 ~manifest:path ~fingerprint
       ~simulate units
   in
   let partial = resume ~units:(List.filteri (fun i _ -> i < 2) units) () in

@@ -45,7 +45,7 @@ val checkpoint : ?seed:int -> dir:string -> unit -> report
 
 val manifest : ?seed:int -> dir:string -> unit -> report
 (** Kill-point enumeration over the sweep-manifest save inside
-    {!Etextile.Experiments.run_units_supervised} (via its [?simulate]
+    {!Etextile.Experiments.run_units} (via its [?simulate]
     hook, so no real simulation runs in the children); recovery is a
     resumed sweep that must complete and leave the manifest bytes equal
     to a clean run's. *)

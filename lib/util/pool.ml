@@ -10,65 +10,13 @@ let rec map_seq f = function
 
 type 'b slot = Empty | Value of 'b | Raised of exn * Printexc.raw_backtrace
 
-let map ?domains f xs =
-  let domains = match domains with Some d -> d | None -> default_domains () in
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ when domains <= 1 -> map_seq f xs
-  | _ ->
-    let input = Array.of_list xs in
-    let n = Array.length input in
-    let results = Array.make n Empty in
-    let next = ref 0 in
-    let lock = Mutex.create () in
-    let cancelled = Atomic.make false in
-    let take () =
-      if Atomic.get cancelled then None
-      else begin
-        Mutex.lock lock;
-        let i = !next in
-        if i < n then incr next;
-        Mutex.unlock lock;
-        if i < n then Some i else None
-      end
-    in
-    let rec worker () =
-      match take () with
-      | None -> ()
-      | Some i ->
-        (match f input.(i) with
-        | y -> results.(i) <- Value y
-        | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          results.(i) <- Raised (e, bt);
-          Atomic.set cancelled true);
-        worker ()
-    in
-    (* the calling domain is one of the workers *)
-    let spawned = min domains n - 1 in
-    let workers = Array.init spawned (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join workers;
-    (* Indices are handed out in order, so everything below a failed index
-       ran to completion: the lowest-index recorded exception is exactly
-       the one a sequential run would have surfaced first. *)
-    Array.iter
-      (function
-        | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-        | Empty | Value _ -> ())
-      results;
-    Array.to_list
-      (Array.map (function Value y -> y | Empty | Raised _ -> assert false) results)
-
-(* - persistent pool - *)
-
-(* A long-lived server cannot afford (or tolerate) spawning fresh
-   domains per request: spawn latency lands on the request path and an
-   abandoned map leaks domains.  [t] owns its workers for its whole
-   lifetime; [run] feeds them index-addressed tasks through a shared
-   queue, so results keep the exact input order and the bit-identity
-   guarantees of [map]. *)
+(* The one scheduler.  [t] owns its worker domains for its whole
+   lifetime (a server must not pay spawn latency per request, nor leak
+   domains from an abandoned call); [run] feeds them tasks through a
+   shared queue, each writing its result at its input index, so results
+   keep the exact input order and stay bit-identical to a sequential
+   run.  [map] is a short-lived
+   [t] around one [run]. *)
 type t = {
   lock : Mutex.t;
   work_ready : Condition.t;  (* a task was enqueued, or the pool is stopping *)
@@ -141,10 +89,19 @@ let run t f xs =
     let n = Array.length input in
     let results = Array.make n Empty in
     let remaining = ref n in
-    let task i () =
-      (match f input.(i) with
-      | y -> results.(i) <- Value y
-      | exception e -> results.(i) <- Raised (e, Printexc.get_raw_backtrace ()));
+    (* Each queued task claims the next index, so indices start in input
+       order.  Once one raises, later tasks claim nothing: no element
+       that has not started yet will start. *)
+    let next = Atomic.make 0 in
+    let cancelled = Atomic.make false in
+    let task () =
+      (if not (Atomic.get cancelled) then
+         let i = Atomic.fetch_and_add next 1 in
+         match f input.(i) with
+         | y -> results.(i) <- Value y
+         | exception e ->
+           results.(i) <- Raised (e, Printexc.get_raw_backtrace ());
+           Atomic.set cancelled true);
       Mutex.lock t.lock;
       decr remaining;
       if !remaining = 0 then Condition.broadcast t.task_done;
@@ -156,16 +113,17 @@ let run t f xs =
     | exception e ->
       Mutex.unlock t.lock;
       raise e);
-    for i = 0 to n - 1 do
-      Queue.add (task i) t.pending
+    for _ = 1 to n do
+      Queue.add task t.pending
     done;
     Condition.broadcast t.work_ready;
     while !remaining > 0 do
       Condition.wait t.task_done t.lock
     done;
     Mutex.unlock t.lock;
-    (* every task ran; surface the lowest-index exception, as a
-       sequential map would *)
+    (* Every index below a failed one was claimed before it and ran to
+       completion, so the lowest-index exception is exactly the one a
+       sequential map would have surfaced first. *)
     Array.iter
       (function
         | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
@@ -178,6 +136,12 @@ let with_pool ?domains f =
   let t = create ?domains () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
+let map ?domains f xs =
+  let domains = match domains with Some d -> d | None -> default_domains () in
+  let n = List.length xs in
+  if domains <= 1 || n <= 1 then map_seq f xs
+  else with_pool ~domains:(min domains n) (fun t -> run t f xs)
+
 type error = {
   exn : exn;
   backtrace : Printexc.raw_backtrace;
@@ -186,47 +150,15 @@ type error = {
 
 type 'a outcome = Completed of 'a | Crashed of error
 
-let attempt ~retries f x =
-  let rec go attempts =
-    match f x with
-    | y -> Completed y
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      if attempts <= retries then go (attempts + 1)
-      else Crashed { exn = e; backtrace = bt; attempts }
-  in
-  go 1
-
-let map_result ?domains ?(retries = 0) f xs =
-  if retries < 0 then invalid_arg "Pool.map_result: negative retry budget";
-  let domains = match domains with Some d -> d | None -> default_domains () in
-  match xs with
-  | [] -> []
-  | [ x ] -> [ attempt ~retries f x ]
-  | _ when domains <= 1 -> map_seq (attempt ~retries f) xs
-  | _ ->
-    let input = Array.of_list xs in
-    let n = Array.length input in
-    let results = Array.make n Empty in
-    let next = ref 0 in
-    let lock = Mutex.create () in
-    let take () =
-      Mutex.lock lock;
-      let i = !next in
-      if i < n then incr next;
-      Mutex.unlock lock;
-      if i < n then Some i else None
+let attempt ~retries f =
+  if retries < 0 then invalid_arg "Pool.attempt: negative retry budget";
+  fun x ->
+    let rec go attempts =
+      match f x with
+      | y -> Completed y
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        if attempts <= retries then go (attempts + 1)
+        else Crashed { exn = e; backtrace = bt; attempts }
     in
-    let rec worker () =
-      match take () with
-      | None -> ()
-      | Some i ->
-        results.(i) <- Value (attempt ~retries f input.(i));
-        worker ()
-    in
-    let spawned = min domains n - 1 in
-    let workers = Array.init spawned (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join workers;
-    Array.to_list
-      (Array.map (function Value y -> y | Empty | Raised _ -> assert false) results)
+    go 1

@@ -6,37 +6,16 @@
     index-addressed buffer, so scheduling order never leaks into the
     result, and the lowest-index exception is the one re-raised.
 
+    There is one scheduler, the persistent pool {!t}: a long-lived
+    server keeps one across requests, and {!map} wraps a short-lived one
+    around a single {!run}.
+
     Built on stdlib [Domain]/[Mutex]/[Atomic] only — no external
     dependencies. *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()]: the hardware parallelism the
     runtime suggests for this machine. *)
-
-val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~domains f xs] is [List.map f xs], computed by a pool of
-    [domains] workers (the calling domain included) that pull indices
-    from a shared counter.  Input order is preserved exactly.
-
-    With [domains <= 1] (or a singleton/empty list) no domain is
-    spawned and [f] is applied sequentially, left to right.
-
-    If an application raises, remaining work is cancelled promptly:
-    elements already in flight finish, but no new element starts.  The
-    exception of the {e lowest} input index is then re-raised {e with its
-    original backtrace} — the same exception a sequential [List.map]
-    would have surfaced first (indices are handed out in order, so every
-    element below a failed one has run to completion).  [domains]
-    defaults to {!default_domains}. *)
-
-(** {1 Persistent pools}
-
-    {!map} spawns (and joins) its workers per call — right for one-shot
-    sweeps, wrong for a long-lived server where spawn latency would land
-    on every request and an abandoned call would leak domains.  A {!t}
-    owns a fixed set of worker domains for its whole lifetime; {!run}
-    feeds them work through a shared queue and keeps {!map}'s ordering
-    and exception guarantees. *)
 
 type t
 (** A persistent pool of worker domains. *)
@@ -50,13 +29,20 @@ val size : t -> int
 (** Number of worker domains the pool owns. *)
 
 val run : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [run t f xs] is [List.map f xs] computed on [t]'s workers.  Output
-    order is exactly input order, so results are bit-identical to a
-    sequential run for every pool size.  Unlike {!map} there is no early
-    cancellation: every element runs, then the {e lowest}-index exception
-    (if any) is re-raised with its original backtrace.  Must not be
-    called from inside one of [t]'s own tasks (the pool would deadlock),
-    and calls must not race {!shutdown}.
+(** [run t f xs] is [List.map f xs] computed on [t]'s workers, which
+    start the elements in input order.  Output order is exactly input
+    order, so results are bit-identical to a sequential run for every
+    pool size.
+
+    If an application raises, the rest of the call is cancelled
+    promptly: elements already in flight finish, but no element that has
+    not started yet will start.  The exception of the {e lowest} input
+    index is then re-raised {e with its original backtrace} — the one a
+    sequential [List.map] would have surfaced first, since every element
+    below a failed one started before it and ran to completion.
+
+    Must not be called from inside one of [t]'s own tasks (the pool
+    would deadlock), and calls must not race {!shutdown}.
     @raise Invalid_argument if the pool has been shut down. *)
 
 val shutdown : t -> unit
@@ -69,6 +55,16 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with a fresh pool and guarantees {!shutdown}
     on every exit path, exceptional or not. *)
 
+val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~domains f xs] is {!run} on a pool of [min domains n] workers
+    created for this call and shut down after it, with {!run}'s ordering,
+    cancellation and exception guarantees.  With [domains <= 1] (or a
+    singleton/empty list) no domain is spawned and [f] is applied
+    sequentially, left to right.  [domains] defaults to
+    {!default_domains}. *)
+
+(** {1 Supervised elements} *)
+
 type error = {
   exn : exn;
   backtrace : Printexc.raw_backtrace;  (** backtrace of the last attempt *)
@@ -77,11 +73,11 @@ type error = {
 
 type 'a outcome = Completed of 'a | Crashed of error
 
-val map_result : ?domains:int -> ?retries:int -> ('a -> 'b) -> 'a list -> 'b outcome list
-(** Supervised variant of {!map}: one element crashing never aborts the
-    rest.  Each element is attempted up to [1 + retries] times (in the
-    same worker, immediately); if every attempt raises, its slot becomes
-    [Crashed] carrying the last exception, its backtrace and the attempt
-    count, and the remaining elements still run.  Output order matches
-    input order exactly.  [retries] defaults to [0].
-    @raise Invalid_argument on a negative [retries]. *)
+val attempt : retries:int -> ('a -> 'b) -> 'a -> 'b outcome
+(** [attempt ~retries f] never raises from [f]: it tries [f x] up to
+    [1 + retries] times, immediately, and yields [Crashed] with the last
+    exception, its backtrace and the attempt count if every try raised.
+    Mapped over {!run} or {!map}, one element crashing never cancels the
+    rest.
+    @raise Invalid_argument on a negative [retries] (at partial
+    application, before any element runs). *)

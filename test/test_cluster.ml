@@ -12,6 +12,7 @@ module Store = Etx_service.Store
 module Request = Etx_service.Request
 module Server = Etx_service.Server
 module Cluster = Etx_service.Cluster
+module Obs = Etx_obs.Obs
 
 (* - helpers - *)
 
@@ -594,6 +595,53 @@ let test_cluster_deadline_and_controls () =
       (str_member "role" (Option.get (Json.member "result" (parse stats))))
   | _ -> Alcotest.fail "two responses expected"
 
+let test_cluster_error_counter_matches_stats () =
+  (* every error path (malformed, invalid, shed) must bump the registry
+     counter exactly as it bumps stats.errors_total *)
+  Obs.disarm ();
+  Obs.reset ();
+  Obs.arm ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disarm ();
+      Obs.reset ())
+    (fun () ->
+      let cluster =
+        Cluster.create
+          ~now:(fun () -> 0.)
+          ~sleep:(fun _ -> ())
+          ~rpc:(fake_rpc (ref []) (fun ~path:_ ~line:_ -> Ok "served"))
+          { (cluster_cfg [ "a.sock" ]) with Cluster.queue_depth = 2 }
+      in
+      let req id client params =
+        Printf.sprintf {|{"id":%d,"client":%S,"scenario":"simulate","params":%s}|} id
+          client params
+      in
+      (match
+         Cluster.handle_batch cluster
+           [
+             "not json";
+             req 2 "B" {|{"mesh_size":4,"policy":"bogus"}|};
+             req 3 "A" {|{"mesh_size":4,"seed":3}|};
+             req 4 "A" {|{"mesh_size":4,"seed":4}|};
+           ]
+       with
+      | [ malformed; invalid; ok; shed ] ->
+        Alcotest.(check string) "malformed" "error" (str_member "status" (parse malformed));
+        Alcotest.(check string) "invalid" "invalid_request" (str_member "error" (parse invalid));
+        Alcotest.(check string) "ok" "served" ok;
+        Alcotest.(check string) "shed" "degraded" (str_member "error" (parse shed))
+      | other -> Alcotest.failf "expected 4 responses, got %d" (List.length other));
+      let stats =
+        match Cluster.handle_batch cluster [ {|{"scenario":"stats"}|} ] with
+        | [ r ] -> Option.get (Json.member "result" (parse r))
+        | _ -> Alcotest.fail "one response expected"
+      in
+      Alcotest.(check int) "three errors in stats" 3 (int_member "errors_total" stats);
+      Alcotest.(check int) "registry counter equals stats.errors_total"
+        (int_member "errors_total" stats)
+        (Obs.counter_value (Obs.counter "etx_cluster_errors_total")))
+
 let test_cluster_rejects_bad_config () =
   let check name cfg =
     match Cluster.create ~rpc:(fun ~path:_ ~timeout_s:_ _ -> Ok "") cfg with
@@ -722,6 +770,8 @@ let suite =
         Alcotest.test_case "fair shedding" `Quick test_cluster_fair_shedding;
         Alcotest.test_case "deadlines and controls" `Quick
           test_cluster_deadline_and_controls;
+        Alcotest.test_case "error counter matches stats" `Quick
+          test_cluster_error_counter_matches_stats;
         Alcotest.test_case "config validation" `Quick test_cluster_rejects_bad_config;
         Alcotest.test_case "empty ring" `Quick test_ring_empty;
         Alcotest.test_case "single-backend failover order" `Quick

@@ -192,7 +192,7 @@ let test_supervised_survives_crash () =
   (* the 4x4 unit always raises; 3x3 and 5x5 must still complete *)
   let calls = ref 0 in
   let results =
-    Experiments.run_units_supervised ~retries:1
+    Experiments.run_units ~retries:1
       ~simulate:(counting_simulate ~crash_on_nodes:16 calls)
       (supervised_units ())
   in
@@ -202,7 +202,7 @@ let test_supervised_survives_crash () =
     Alcotest.(check bool) "5x5 ran" true (b > 0);
     Alcotest.(check int) "failed unit index" 1 failure.Experiments.unit_index;
     Alcotest.(check bool) "message carries the exception" true
-      (contains failure.message "injected sweep crash");
+      (contains (Printexc.to_string failure.exn) "injected sweep crash");
     Alcotest.(check int) "both attempts used" 2 failure.attempts
   | _ -> Alcotest.fail "unexpected supervised sweep shape"
 
@@ -212,7 +212,7 @@ let test_supervised_manifest_resume () =
       (* first pass: unit 1 crashes, units 0 and 2 land in the manifest *)
       let calls = ref 0 in
       let first =
-        Experiments.run_units_supervised ~manifest ~fingerprint
+        Experiments.run_units ~manifest ~fingerprint
           ~simulate:(counting_simulate ~crash_on_nodes:16 calls)
           (supervised_units ())
       in
@@ -221,7 +221,7 @@ let test_supervised_manifest_resume () =
       (* second pass: nothing crashes; only the failed cell is recomputed *)
       let calls = ref 0 in
       let second =
-        Experiments.run_units_supervised ~manifest ~fingerprint
+        Experiments.run_units ~manifest ~fingerprint
           ~simulate:(counting_simulate calls) (supervised_units ())
       in
       Alcotest.(check int) "resume recomputed only the failed cell" 1 !calls;
@@ -234,7 +234,7 @@ let test_supervised_manifest_resume () =
       (* a different fingerprint ignores the file and recomputes *)
       let calls = ref 0 in
       ignore
-        (Experiments.run_units_supervised ~manifest ~fingerprint:"other-sweep"
+        (Experiments.run_units ~manifest ~fingerprint:"other-sweep"
            ~simulate:(counting_simulate calls) (supervised_units ()));
       Alcotest.(check int) "fingerprint mismatch starts fresh" 3 !calls;
       (* a truncated manifest is treated as absent, not fatal *)
@@ -243,34 +243,138 @@ let test_supervised_manifest_resume () =
       close_out oc;
       let calls = ref 0 in
       ignore
-        (Experiments.run_units_supervised ~manifest ~fingerprint
+        (Experiments.run_units ~manifest ~fingerprint
            ~simulate:(counting_simulate calls) (supervised_units ()));
       Alcotest.(check int) "corrupt manifest starts fresh" 3 !calls)
 
 let test_supervised_matches_plain_fig7 () =
   with_temp_manifest (fun manifest ->
       let plain = Experiments.fig7 ~sizes:[ 4 ] ~seeds () in
-      let supervised =
-        Experiments.fig7_supervised ~sizes:[ 4 ] ~seeds ~manifest ()
+      let supervised () =
+        Experiments.run_units ~manifest
+          ~fingerprint:(Experiments.fig7_fingerprint ~sizes:[ 4 ] ~seeds)
+          (Experiments.fig7_units ~sizes:[ 4 ] ~seeds)
       in
-      (match supervised with
+      (match supervised () with
       | [ Ok row ] ->
         Alcotest.(check bool) "same row" true (row = List.hd plain)
       | _ -> Alcotest.fail "expected one Ok row");
       (* resuming from the manifest must reproduce the identical row *)
-      match Experiments.fig7_supervised ~sizes:[ 4 ] ~seeds ~manifest () with
+      match supervised () with
       | [ Ok row ] ->
         Alcotest.(check bool) "resumed row identical" true (row = List.hd plain)
       | _ -> Alcotest.fail "expected one Ok row on resume")
 
 let test_supervised_resilience_shape () =
   let results =
-    Experiments.resilience_supervised ~mesh_size:4 ~bit_error_rates:[ 0.; 1e-4 ]
-      ~wearout_rates:[ 0. ] ~seeds ()
+    Experiments.run_units
+      (Experiments.resilience_units ~mesh_size:4 ~bit_error_rates:[ 0.; 1e-4 ]
+         ~wearout_rates:[ 0. ] ~fault_seed:1009 ~seeds)
   in
   Alcotest.(check int) "three cells" 3 (List.length results);
   Alcotest.(check bool) "all completed" true
     (List.for_all (function Ok _ -> true | Error _ -> false) results)
+
+(* The one runner against a sequential reference: random unit shapes,
+   simulations that always crash or crash only on their first attempt,
+   any retry budget, domain count and pool, with or without a manifest.
+   A config's seed is its flat index; the fake simulation stamps it into
+   [jobs_completed], so a row shows exactly which runs it was given. *)
+let prop_runner_matches_reference =
+  let base_config = lazy (Calibration.config ~mesh_size:3 ~seed:0 ()) in
+  let base_metrics = lazy (Etx_etsim.Engine.simulate (Lazy.force base_config)) in
+  QCheck.Test.make ~count:60
+    ~name:"run_units = sequential reference (crashes, retries, domains, pool, manifest)"
+    QCheck.(
+      quad
+        (small_list (int_range 0 3))
+        (pair (small_list small_nat) (small_list small_nat))
+        (pair bool (int_range 1 3))
+        (pair bool bool))
+    (fun (shape, (crash, flaky), (retry, domains), (use_pool, use_manifest)) ->
+      let base_config = Lazy.force base_config in
+      let base_metrics = Lazy.force base_metrics in
+      let retries = if retry then 1 else 0 in
+      let total = List.fold_left ( + ) 0 shape in
+      let keys =
+        snd
+          (List.fold_left_map
+             (fun offset size -> (offset + size, List.init size (fun j -> offset + j)))
+             0 shape)
+      in
+      let units =
+        List.mapi
+          (fun i ks ->
+            {
+              Experiments.configs =
+                List.map (fun k -> { base_config with Etx_etsim.Config.seed = k }) ks;
+              finish =
+                (fun runs ->
+                  (i, List.map (fun (m : Etx_etsim.Metrics.t) -> m.jobs_completed) runs));
+            })
+          keys
+      in
+      let crashes ~crash ~flaky ~attempt k =
+        List.mem k crash || (List.mem k flaky && attempt = 1)
+      in
+      let simulate ~crash ~flaky calls =
+        let tries = Array.init (max 1 total) (fun _ -> Atomic.make 0) in
+        fun (config : Etx_etsim.Config.t) ->
+          let k = config.seed in
+          Atomic.incr calls;
+          let attempt = 1 + Atomic.fetch_and_add tries.(k) 1 in
+          if crashes ~crash ~flaky ~attempt k then failwith (Printf.sprintf "crash %d" k);
+          { base_metrics with jobs_completed = k }
+      in
+      let reference ~crash ~flaky =
+        List.mapi
+          (fun i ks ->
+            match
+              List.find_opt (crashes ~crash ~flaky ~attempt:(1 + retries)) ks
+            with
+            | Some k ->
+              Error (i, Printexc.to_string (Failure (Printf.sprintf "crash %d" k)), retries + 1)
+            | None -> Ok (i, ks))
+          keys
+      in
+      let observe results =
+        List.map
+          (function
+            | Ok row -> Ok row
+            | Error (f : Experiments.sweep_failure) ->
+              Error (f.unit_index, Printexc.to_string f.exn, f.attempts))
+          results
+      in
+      let run ?manifest ~crash ~flaky calls =
+        let simulate = simulate ~crash ~flaky calls in
+        observe
+          (if use_pool then
+             Etx_util.Pool.with_pool ~domains (fun pool ->
+                 Experiments.run_units ~pool ~retries ?manifest ~fingerprint:"prop"
+                   ~simulate units)
+           else
+             Experiments.run_units ~domains ~retries ?manifest ~fingerprint:"prop"
+               ~simulate units)
+      in
+      let crash = List.map (fun k -> k mod max 1 total) crash in
+      let flaky = List.map (fun k -> k mod max 1 total) flaky in
+      let expected = reference ~crash ~flaky in
+      if not use_manifest then run ~crash ~flaky (Atomic.make 0) = expected
+      else
+        with_temp_manifest (fun manifest ->
+            let first = run ~manifest ~crash ~flaky (Atomic.make 0) in
+            (* the resumed run simulates exactly the units that failed *)
+            let failed_configs =
+              List.fold_left2
+                (fun acc result ks ->
+                  match result with Error _ -> acc + List.length ks | Ok _ -> acc)
+                0 first keys
+            in
+            let calls = Atomic.make 0 in
+            let second = run ~manifest ~crash:[] ~flaky:[] calls in
+            first = expected
+            && second = reference ~crash:[] ~flaky:[]
+            && Atomic.get calls = failed_configs))
 
 let test_metrics_serialization_roundtrip () =
   let m = Etx_etsim.Engine.simulate (Calibration.config ~mesh_size:4 ~seed:1 ()) in
@@ -318,6 +422,7 @@ let suite =
           test_supervised_resilience_shape;
         Alcotest.test_case "metrics serialization round-trip" `Quick
           test_metrics_serialization_roundtrip;
+        QCheck_alcotest.to_alcotest prop_runner_matches_reference;
       ] );
     ( "etextile/report",
       [

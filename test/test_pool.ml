@@ -1,7 +1,7 @@
 (* Tests for Etx_util.Pool, the domain pool behind every experiment
-   sweep.  The contract: [map] preserves input order for any domain
-   count, re-raises the lowest-index exception, and degrades to a plain
-   sequential map when [domains <= 1]. *)
+   sweep.  The contract: [map] and [run] preserve input order for any
+   domain count, cancel promptly and re-raise the lowest-index exception,
+   and [map] degrades to a plain sequential map when [domains <= 1]. *)
 
 module Pool = Etx_util.Pool
 
@@ -86,15 +86,16 @@ let test_map_result_all_complete () =
       Alcotest.(check (list outcome_testable))
         (Printf.sprintf "domains=%d" domains)
         (List.map (fun x -> Pool.Completed (x * 3)) xs)
-        (Pool.map_result ~domains (fun x -> x * 3) xs))
+        (Pool.map ~domains (Pool.attempt ~retries:0 (fun x -> x * 3)) xs))
     [ 1; 4 ]
 
 let test_map_result_survives_crashes () =
   List.iter
     (fun domains ->
       let outcomes =
-        Pool.map_result ~domains
-          (fun x -> if x mod 3 = 0 then failwith (string_of_int x) else x * 10)
+        Pool.map ~domains
+          (Pool.attempt ~retries:0 (fun x ->
+               if x mod 3 = 0 then failwith (string_of_int x) else x * 10))
           [ 0; 1; 2; 3; 4 ]
       in
       let describe = function
@@ -118,20 +119,20 @@ let test_map_result_retries () =
     x
   in
   Array.fill table 0 5 0;
-  let outcomes = Pool.map_result ~domains:1 ~retries:2 flaky [ 0; 1; 2; 3; 4 ] in
+  let outcomes = Pool.map ~domains:1 (Pool.attempt ~retries:2 flaky) [ 0; 1; 2; 3; 4 ] in
   Alcotest.(check (list outcome_testable)) "all recovered"
     (List.init 5 (fun i -> Pool.Completed i))
     outcomes;
   Alcotest.(check (array int)) "three attempts each" [| 3; 3; 3; 3; 3 |] table;
   (* one retry is not enough: crashes carry the full attempt count *)
   Array.fill table 0 5 0;
-  (match Pool.map_result ~domains:1 ~retries:1 flaky [ 0 ] with
+  (match Pool.map ~domains:1 (Pool.attempt ~retries:1 flaky) [ 0 ] with
   | [ Pool.Crashed { attempts; exn = Failure payload; backtrace } ] ->
     Alcotest.(check string) "payload" "flaky" payload;
     Alcotest.(check int) "attempts" 2 attempts;
     ignore (Printexc.raw_backtrace_to_string backtrace)
   | _ -> Alcotest.fail "expected a crash with attempts=2");
-  match Pool.map_result ~retries:(-1) (fun x -> x) [ 1 ] with
+  match Pool.map (Pool.attempt ~retries:(-1) (fun x -> x)) [ 1 ] with
   | _ -> Alcotest.fail "negative retries accepted"
   | exception Invalid_argument _ -> ()
 
@@ -178,6 +179,26 @@ let test_run_exception_lowest_index () =
       with
       | _ -> Alcotest.fail "expected an exception"
       | exception Failure payload -> Alcotest.(check string) "lowest index" "25" payload)
+
+let test_run_cancellation_prompt () =
+  (* the persistent pool keeps map's promise: once index 0 raises, the
+     queued remainder of 10k elements never starts *)
+  Pool.with_pool ~domains:2 (fun pool ->
+      let started = Atomic.make 0 in
+      (match
+         Pool.run pool
+           (fun x ->
+             ignore (Atomic.fetch_and_add started 1);
+             if x = 0 then failwith "boom";
+             x)
+           (List.init 10_000 (fun i -> i))
+       with
+      | _ -> Alcotest.fail "expected an exception"
+      | exception Failure payload -> Alcotest.(check string) "index 0" "boom" payload);
+      Alcotest.(check bool) "remaining work cancelled" true
+        (Atomic.get started < 10_000);
+      (* a cancelled run leaves the pool fully usable *)
+      Alcotest.(check (list int)) "next run" [ 2; 3 ] (Pool.run pool succ [ 1; 2 ]))
 
 let test_shutdown_idempotent () =
   let pool = Pool.create ~domains:2 () in
@@ -234,7 +255,8 @@ let prop_map_result_matches_map =
     QCheck.(pair (small_list small_int) (int_range 1 6))
     (fun (xs, domains) ->
       let f x = (x * 13) - 5 in
-      Pool.map_result ~domains f xs = List.map (fun x -> Pool.Completed (f x)) xs)
+      Pool.map ~domains (Pool.attempt ~retries:0 f) xs
+      = List.map (fun x -> Pool.Completed (f x)) xs)
 
 let prop_matches_list_map =
   QCheck.Test.make ~count:100 ~name:"pool: map = List.map for any domain count"
@@ -262,6 +284,8 @@ let suite =
         Alcotest.test_case "persistent run reusable" `Quick test_run_reusable;
         Alcotest.test_case "persistent run exceptions" `Quick
           test_run_exception_lowest_index;
+        Alcotest.test_case "persistent run cancels promptly" `Quick
+          test_run_cancellation_prompt;
         Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
         Alcotest.test_case "run after shutdown" `Quick test_run_after_shutdown;
         Alcotest.test_case "with_pool lifecycle" `Quick test_with_pool;
