@@ -845,6 +845,46 @@ let serve_cmd =
           cache.")
     term
 
+(* One exchange with a running daemon, shared by client and metrics:
+   connect, send [payload], half-close, then [read] the responses
+   through a function returning the next line ([None] at end of
+   stream).  [timeout] (0 = none) bounds the connect, the write and
+   each read; Netio retries EINTR'd steps with the remaining deadline,
+   so a signal mid-wait neither kills the exchange nor extends it.  A
+   write or read past the deadline becomes [timed_out], other i/o
+   failures a message naming [socket]; [Error] is a failed connect. *)
+let exchange ~socket ~timeout ~timed_out payload read =
+  (* a server tearing down mid-batch must surface as an i/o error, not
+     kill the command with an unhandled SIGPIPE *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let now = Unix.gettimeofday in
+  let deadline () = if timeout > 0. then Some (now () +. timeout) else None in
+  let io_error message =
+    `Error (false, Printf.sprintf "i/o error talking to %s: %s" socket message)
+  in
+  match Netio.connect ?deadline:(deadline ()) ~now socket with
+  | Error reason -> Error reason
+  | Ok fd ->
+    Ok
+      (Fun.protect
+         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+         (fun () ->
+           match
+             Netio.write_all ?deadline:(deadline ()) ~now fd
+               (Bytes.of_string payload);
+             Unix.shutdown fd Unix.SHUTDOWN_SEND;
+             let r = Netio.reader fd in
+             read (fun () -> Netio.read_line ?deadline:(deadline ()) ~now r)
+           with
+           | result -> result
+           | exception Failure _ when timeout > 0. -> `Error (false, timed_out)
+           | exception Sys_error message -> io_error message
+           | exception Unix.Unix_error (err, _, _) ->
+             io_error (Unix.error_message err)))
+
+let unreachable ~socket reason =
+  `Error (false, Printf.sprintf "cannot reach server at %s: %s" socket reason)
+
 let client_cmd =
   let requests_arg =
     let doc =
@@ -868,74 +908,38 @@ let client_cmd =
     else if timeout < 0. then
       `Error (false, "--timeout must be non-negative")
     else begin
-      (* a server tearing down mid-batch must surface as an i/o error,
-         not kill the client with an unhandled SIGPIPE *)
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-       with Invalid_argument _ -> ());
-      let now = Unix.gettimeofday in
-      let per_op_deadline () =
-        if timeout > 0. then Some (now () +. timeout) else None
+      let timed_out =
+        Printf.sprintf
+          "timed out: no response from %s within %gs (server hung or \
+           overloaded)"
+          socket timeout
       in
-      let timed_out () =
-        `Error
-          ( false,
-            Printf.sprintf
-              "timed out: no response from %s within %gs (server hung or \
-               overloaded)"
-              socket timeout )
+      let failures = ref 0 in
+      let rec drain next_line =
+        match next_line () with
+        | None ->
+          if !failures = 0 then `Ok ()
+          else `Error (false, Printf.sprintf "%d request(s) failed" !failures)
+        | Some line ->
+          print_endline line;
+          (match
+             Option.bind
+               (Result.to_option (Etx_util.Json.parse_result line))
+               (Etx_util.Json.member "status")
+           with
+          | Some (Etx_util.Json.String "ok") -> ()
+          | Some _ | None -> incr failures);
+          drain next_line
       in
-      (* Netio retries EINTR'd connects/reads with the remaining
-         deadline, so a signal mid-wait neither kills the batch nor
-         extends the timeout *)
-      match Netio.connect ?deadline:(per_op_deadline ()) ~now socket with
-      | Error "connect timed out" -> timed_out ()
-      | Error reason ->
-        `Error
-          (false, Printf.sprintf "cannot reach server at %s: %s" socket reason)
-      | Ok fd ->
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            let failures = ref 0 in
-            match
-              (* blank line flushes the batch; half-close signals no more *)
-              let payload = String.concat "\n" requests ^ "\n\n" in
-              Netio.write_all ?deadline:(per_op_deadline ()) ~now fd
-                (Bytes.of_string payload);
-              Unix.shutdown fd Unix.SHUTDOWN_SEND;
-              let r = Netio.reader fd in
-              let rec drain () =
-                match
-                  Netio.read_line ?deadline:(per_op_deadline ()) ~now r
-                with
-                | None -> ()
-                | Some line ->
-                  print_endline line;
-                  (match
-                     Option.bind
-                       (Result.to_option (Etx_util.Json.parse_result line))
-                       (Etx_util.Json.member "status")
-                   with
-                  | Some (Etx_util.Json.String "ok") -> ()
-                  | Some _ | None -> incr failures);
-                  drain ()
-              in
-              drain ()
-            with
-            | () ->
-              if !failures = 0 then `Ok ()
-              else
-                `Error (false, Printf.sprintf "%d request(s) failed" !failures)
-            | exception Failure _ when timeout > 0. -> timed_out ()
-            | exception Sys_error message ->
-              `Error
-                ( false,
-                  Printf.sprintf "i/o error talking to %s: %s" socket message )
-            | exception Unix.Unix_error (err, _, _) ->
-              `Error
-                ( false,
-                  Printf.sprintf "i/o error talking to %s: %s" socket
-                    (Unix.error_message err) ))
+      (* a blank line flushes the batch *)
+      match
+        exchange ~socket ~timeout ~timed_out
+          (String.concat "\n" requests ^ "\n\n")
+          drain
+      with
+      | Ok result -> result
+      | Error "connect timed out" -> `Error (false, timed_out)
+      | Error reason -> unreachable ~socket reason
     end
   in
   let term = Term.(ret (const run $ socket_arg $ timeout_arg $ requests_arg)) in
@@ -965,64 +969,38 @@ let metrics_cmd =
   let run socket format timeout =
     if timeout < 0. then `Error (false, "--timeout must be non-negative")
     else begin
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-       with Invalid_argument _ -> ());
-      let now = Unix.gettimeofday in
-      let deadline () = if timeout > 0. then Some (now () +. timeout) else None in
       let fmt = match format with `Json -> "json" | `Prometheus -> "prometheus" in
       let request =
         Printf.sprintf "{\"scenario\":\"metrics\",\"params\":{\"format\":%S}}\n\n"
           fmt
       in
-      match Netio.connect ?deadline:(deadline ()) ~now socket with
-      | Error reason ->
-        `Error
-          (false, Printf.sprintf "cannot reach server at %s: %s" socket reason)
-      | Ok fd ->
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            match
-              Netio.write_all ?deadline:(deadline ()) ~now fd
-                (Bytes.of_string request);
-              Unix.shutdown fd Unix.SHUTDOWN_SEND;
-              Netio.read_line ?deadline:(deadline ()) ~now (Netio.reader fd)
-            with
-            | None -> `Error (false, "server closed without a metrics response")
-            | Some line -> begin
-              let open Etx_util.Json in
-              match parse_result line with
-              | Error message ->
-                `Error (false, "unparseable metrics response: " ^ message)
-              | Ok json -> (
-                match (member "status" json, member "result" json) with
-                | Some (String "ok"), Some (String text) ->
-                  (* prometheus exposition travels as one JSON string *)
-                  print_string text;
-                  if text = "" || text.[String.length text - 1] <> '\n' then
-                    print_newline ();
-                  `Ok ()
-                | Some (String "ok"), Some result ->
-                  print_endline (to_string result);
-                  `Ok ()
-                | _ ->
-                  `Error
-                    (false, Printf.sprintf "metrics request failed: %s" line))
-            end
-            | exception Failure _ when timeout > 0. ->
-              `Error
-                ( false,
-                  Printf.sprintf "timed out: no metrics from %s within %gs"
-                    socket timeout )
-            | exception Sys_error message ->
-              `Error
-                ( false,
-                  Printf.sprintf "i/o error talking to %s: %s" socket message )
-            | exception Unix.Unix_error (err, _, _) ->
-              `Error
-                ( false,
-                  Printf.sprintf "i/o error talking to %s: %s" socket
-                    (Unix.error_message err) ))
+      let timed_out =
+        Printf.sprintf "timed out: no metrics from %s within %gs" socket timeout
+      in
+      let print_snapshot next_line =
+        match next_line () with
+        | None -> `Error (false, "server closed without a metrics response")
+        | Some line -> (
+          let open Etx_util.Json in
+          match parse_result line with
+          | Error message ->
+            `Error (false, "unparseable metrics response: " ^ message)
+          | Ok json -> (
+            match (member "status" json, member "result" json) with
+            | Some (String "ok"), Some (String text) ->
+              (* prometheus exposition travels as one JSON string *)
+              print_string text;
+              if text = "" || text.[String.length text - 1] <> '\n' then
+                print_newline ();
+              `Ok ()
+            | Some (String "ok"), Some result ->
+              print_endline (to_string result);
+              `Ok ()
+            | _ -> `Error (false, Printf.sprintf "metrics request failed: %s" line)))
+      in
+      match exchange ~socket ~timeout ~timed_out request print_snapshot with
+      | Ok result -> result
+      | Error reason -> unreachable ~socket reason
     end
   in
   let term = Term.(ret (const run $ socket_arg $ format_arg $ timeout_arg)) in
@@ -1133,122 +1111,44 @@ let cluster_cmd =
     in
     Arg.(value & opt string "/tmp/etx-cluster" & info [ "dir" ] ~docv:"DIR" ~doc)
   in
-  let supervise_arg =
-    let doc =
-      "Self-heal the backend fleet: a supervisor reaps dead backends and \
-       restarts them with jittered backoff while the front-end keeps routing; \
-       on shutdown every backend is drained gracefully (SIGTERM, in-flight \
-       batches finish) instead of being SIGKILLed."
-    in
-    Arg.(value & flag & info [ "supervise" ] ~doc)
-  in
   let run stdio socket backends dir jobs attempts request_timeout health_period
-      queue_depth supervise metrics_file metrics_every =
+      queue_depth metrics_file metrics_every =
     if backends < 1 then `Error (true, "--backends must be at least 1")
     else begin
       Etx_obs.Obs.arm ();
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let exe = Sys.executable_name in
-      let store = Filename.concat dir "store" in
-      let sock i = Filename.concat dir (Printf.sprintf "backend%d.sock" i) in
-      let spawn_backend i =
-        let logfile = Filename.concat dir (Printf.sprintf "backend%d.log" i) in
-        (* a dead backend's stale socket would make the fresh one fail
-           to bind *)
-        (try Sys.remove (sock i) with Sys_error _ -> ());
-        let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-        let logfd =
-          Unix.openfile logfile [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-        in
-        let argv =
-          [
-            exe; "serve"; "--socket"; sock i; "--jobs"; string_of_int jobs;
-            "--store"; store;
-          ]
-          @ (if metrics_file = None then []
-             else
-               [
-                 "--metrics-file";
-                 Filename.concat dir (Printf.sprintf "backend%d.metrics.json" i);
-                 "--metrics-every";
-                 string_of_float metrics_every;
-               ])
-        in
-        let pid =
-          Unix.create_process exe (Array.of_list argv) devnull logfd logfd
-        in
-        Unix.close devnull;
-        Unix.close logfd;
-        pid
+      let module Supervisor = Etx_service.Supervisor in
+      let sup =
+        Supervisor.create
+          (Supervisor.serve_ops ~exe:Sys.executable_name ~dir ~jobs
+             ~metrics_every_s:(Option.map (fun _ -> metrics_every) metrics_file)
+             ~log:prerr_endline)
+          (Supervisor.default_config ~children:backends)
       in
-      let all_ready () =
-        let stragglers =
-          List.init backends sock
-          |> List.filter (fun s ->
-                 not (Etx_service.Chaos.ping_until_ready ~socket:s ~timeout_s:15.))
-        in
-        if stragglers = [] then Ok ()
-        else
-          Error
-            (Printf.sprintf "%d backend(s) never became ready (see logs in %s)"
-               (List.length stragglers) dir)
-      in
-      let router () =
-        let cfg =
-          {
-            (Etx_service.Cluster.default_config ~backends:(List.init backends sock))
-            with
-            attempts;
-            request_timeout_s = request_timeout;
-            health_period_s = health_period;
-            queue_depth;
-            (* supervised: shutdown drains via the supervisor instead of
-               forwarding a kill the supervisor would just undo *)
-            forward_shutdown = not supervise;
-          }
-        in
-        run_router cfg ~stdio ~socket ~metrics_file ~metrics_every
-      in
-      if supervise then begin
-        let sup =
-          Etx_service.Supervisor.create
-            (Etx_service.Supervisor.unix_ops ~spawn:spawn_backend
-               ~ready:(fun i ->
-                 Etx_service.Chaos.ping_until_ready ~socket:(sock i) ~timeout_s:0.2)
-               ~log:prerr_endline ())
-            (Etx_service.Supervisor.default_config ~children:backends)
-        in
-        Etx_service.Supervisor.start sup;
-        let stop = Atomic.make false in
-        let healer =
-          Domain.spawn (fun () ->
-              Etx_service.Supervisor.run sup ~period_s:0.25 ~stop:(fun () ->
-                  Atomic.get stop))
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            Atomic.set stop true;
-            Domain.join healer;
-            Etx_service.Supervisor.stop_all sup)
-          (fun () ->
-            match all_ready () with
-            | Error message -> `Error (false, message)
-            | Ok () -> router ())
-      end
-      else begin
-        let pids = Array.init backends spawn_backend in
-        let reap_children () =
-          Array.iter
-            (fun pid ->
-              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-              try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-            pids
-        in
-        Fun.protect ~finally:reap_children (fun () ->
-            match all_ready () with
-            | Error message -> `Error (false, message)
-            | Ok () -> router ())
-      end
+      (* the router's shutdown only stops the router; the backends are
+         drained on the way out *)
+      Fun.protect
+        ~finally:(fun () -> Supervisor.stop_all sup)
+        (fun () ->
+          match Supervisor.start sup with
+          | _ :: _ as stragglers ->
+            `Error
+              ( false,
+                Printf.sprintf "%d backend(s) never became ready (see logs in %s)"
+                  (List.length stragglers) dir )
+          | [] ->
+            let cfg =
+              {
+                (Etx_service.Cluster.default_config
+                   ~backends:(List.init backends (Supervisor.backend_socket ~dir)))
+                with
+                attempts;
+                request_timeout_s = request_timeout;
+                health_period_s = health_period;
+                queue_depth;
+              }
+            in
+            Supervisor.while_healing sup ~period_s:0.25 (fun () ->
+                run_router cfg ~stdio ~socket ~metrics_file ~metrics_every))
     end
   in
   let term =
@@ -1256,17 +1156,16 @@ let cluster_cmd =
       ret
         (const run $ stdio_flag $ socket_arg $ backends_arg $ dir_arg $ jobs_arg
        $ attempts_arg $ request_timeout_arg $ health_period_arg
-       $ cluster_queue_depth_arg $ supervise_arg $ metrics_file_arg
-       $ metrics_every_arg))
+       $ cluster_queue_depth_arg $ metrics_file_arg $ metrics_every_arg))
   in
   Cmd.v
     (cmd_info "cluster"
        ~doc:
          "Spawn N backend daemons sharing one durable result store and run the \
-          sharding front-end over them; a shutdown request is forwarded to the \
-          backends, and they are reaped on exit.  With --supervise, dead \
-          backends are restarted with jittered backoff and shutdown drains \
-          them gracefully.")
+          sharding front-end over them.  A supervisor restarts dead backends \
+          with jittered backoff while the front-end keeps routing; on exit \
+          every backend is drained gracefully (SIGTERM, in-flight batches \
+          finish).")
     term
 
 let chaos_cmd =
@@ -1275,11 +1174,17 @@ let chaos_cmd =
     Arg.(value & opt int 3 & info [ "backends" ] ~docv:"N" ~doc)
   in
   let requests_arg =
-    let doc = "Distinct scenario requests to route during the chaos run." in
+    let doc =
+      "Distinct scenario requests per stream: one routed through the chaos \
+       schedule, a second through the rolling restart."
+    in
     Arg.(value & opt int 12 & info [ "requests" ] ~docv:"N" ~doc)
   in
   let events_arg =
-    let doc = "Chaos events (kill / hang / restart) injected mid-stream." in
+    let doc =
+      "Chaos events injected mid-stream: each kills a backend, hangs one, or \
+       leaves the fleet alone."
+    in
     Arg.(value & opt int 6 & info [ "events" ] ~docv:"N" ~doc)
   in
   let seed_arg =
@@ -1300,16 +1205,7 @@ let chaos_cmd =
     let doc = "Suppress the progress log on stderr." in
     Arg.(value & flag & info [ "quiet" ] ~doc)
   in
-  let supervise_arg =
-    let doc =
-      "Supervised mode: chaos only kills and hangs, a supervisor heals the \
-       fleet with jittered backoff, and a graceful rolling restart runs under \
-       a second request stream — asserting self-healing, drains without \
-       SIGKILL escalation, and zero lost requests."
-    in
-    Arg.(value & flag & info [ "supervise" ] ~doc)
-  in
-  let run backends requests events seed dir quiet supervise =
+  let run backends requests events seed dir quiet =
     let dir =
       match dir with
       | Some d -> d
@@ -1319,30 +1215,21 @@ let chaos_cmd =
           (Printf.sprintf "etx-chaos-%d" (Unix.getpid ()))
     in
     match
-      Etx_service.Chaos.config ~backends ~requests ~events ~seed ~supervise
+      Etx_service.Chaos.config ~backends ~requests ~events ~seed
         ~log:(if quiet then ignore else prerr_endline)
         ~exe:Sys.executable_name ~dir ()
     with
     | exception Invalid_argument message -> `Error (false, message)
     | cfg ->
       let o = Etx_service.Chaos.run cfg in
-      let total = if supervise then 2 * requests else requests in
-      if supervise then
-        Printf.printf
-          "chaos seed %d (supervised): %d/%d completed bit-identically, %d/%d \
-           during the rolling restart, %d client retries, %d kills, %d hangs, \
-           %d supervised restarts, %d/%d served from the durable store after \
-           full cold restart\n"
-          o.seed o.completed requests o.rolling_completed requests
-          o.client_retries o.kills o.hangs o.supervised_restarts
-          o.store_served_after_restart total
-      else
-        Printf.printf
-          "chaos seed %d: %d/%d completed bit-identically, %d client retries, \
-           %d kills, %d hangs, %d restarts, %d/%d served from the durable \
-           store after full cold restart\n"
-          o.seed o.completed requests o.client_retries o.kills o.hangs
-          o.restarts o.store_served_after_restart total;
+      Printf.printf
+        "chaos seed %d: %d/%d completed bit-identically, %d/%d during the \
+         rolling restart, %d client retries, %d kills, %d hangs, %d \
+         supervised restarts, %d/%d served from the durable store after full \
+         cold restart\n"
+        o.seed o.completed requests o.rolling_completed requests o.client_retries
+        o.kills o.hangs o.supervised_restarts o.store_served_after_restart
+        (2 * requests);
       if o.violations = [] then `Ok ()
       else begin
         List.iter (fun v -> Printf.eprintf "violation: %s\n" v) o.violations;
@@ -1356,19 +1243,19 @@ let chaos_cmd =
     Term.(
       ret
         (const run $ backends_arg $ requests_arg $ events_arg $ seed_arg $ dir_arg
-       $ quiet_arg $ supervise_arg))
+       $ quiet_arg))
   in
   Cmd.v
     (cmd_info "chaos"
        ~doc:
-         "Run the deterministic chaos harness: spawn a cluster, kill/hang/\
-          restart backends on a seeded schedule while routing requests, and \
-          verify no accepted request is lost, every result is bit-identical to \
-          a single-daemon run, and a fully cold-restarted cluster serves \
-          everything from the durable store without recomputation.  With \
-          --supervise, additionally verify the fleet heals itself and survives \
-          a graceful rolling restart under load.  Exits non-zero on any \
-          violation.")
+         "Run the deterministic chaos harness: spawn a supervised cluster, \
+          kill and hang backends on a seeded schedule while routing requests, \
+          then roll a graceful restart through the fleet under a second \
+          stream, and verify the fleet heals itself, no accepted request is \
+          lost, no drain escalates to SIGKILL, every result is bit-identical \
+          to a single-daemon run, and a fully cold-restarted cluster serves \
+          everything from the durable store without recomputation.  Exits \
+          non-zero on any violation.")
     term
 
 let crashtest_cmd =

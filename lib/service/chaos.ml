@@ -9,16 +9,15 @@ type config = {
   seed : int;
   dir : string;
   mesh_size : int;
-  supervise : bool;
   log : string -> unit;
 }
 
 let config ?(backends = 3) ?(requests = 12) ?(events = 6) ?(seed = 1) ?(mesh_size = 4)
-    ?(supervise = false) ?(log = ignore) ~exe ~dir () =
+    ?(log = ignore) ~exe ~dir () =
   if backends < 1 then invalid_arg "Chaos.config: backends must be at least 1";
   if requests < 1 then invalid_arg "Chaos.config: requests must be at least 1";
   if events < 0 then invalid_arg "Chaos.config: events must be non-negative";
-  { exe; backends; requests; events; seed; dir; mesh_size; supervise; log }
+  { exe; backends; requests; events; seed; dir; mesh_size; log }
 
 type outcome = {
   seed : int;
@@ -26,7 +25,6 @@ type outcome = {
   client_retries : int;
   kills : int;
   hangs : int;
-  restarts : int;
   supervised_restarts : int;
   rolling_completed : int;
   store_served_after_restart : int;
@@ -52,171 +50,73 @@ let request_line (cfg : config) i =
 
 (* - response dissection - *)
 
-type parsed = {
-  status : string;
-  code : string;  (** error code, or "" when ok *)
-  cache : string;  (** cache tier, or "" when absent *)
-  result : string;  (** serialized [result] member bytes, or "" *)
-}
+type reply =
+  | Served of { cache : string; result : string }
+  | Refused of string
+  | Garbled of string
 
-let parse_response line =
+let classify line =
   match Json.parse_result line with
-  | Error reason -> Error (Printf.sprintf "unparseable response %S: %s" line reason)
-  | Ok json ->
+  | Error reason -> Garbled (Printf.sprintf "unparseable response %S: %s" line reason)
+  | Ok json -> (
     let str key =
       match Json.member key json with Some (Json.String s) -> s | _ -> ""
     in
-    let result =
-      match Json.member "result" json with None -> "" | Some r -> Json.to_string r
-    in
-    Ok { status = str "status"; code = str "code"; cache = str "cache"; result }
-
-(* - backend process control - *)
-
-type proc = {
-  index : int;
-  socket : string;
-  logfile : string;
-  mutable pid : int;  (** -1 when dead *)
-  mutable sigstopped : bool;
-}
-
-let store_dir (cfg : config) = Filename.concat cfg.dir "store"
-
-let spawn (cfg : config) proc =
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let logfd =
-    Unix.openfile proc.logfile [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-  in
-  let args =
-    [|
-      cfg.exe; "serve"; "--socket"; proc.socket; "--jobs"; "1"; "--store";
-      store_dir cfg;
-    |]
-  in
-  let pid = Unix.create_process cfg.exe args devnull logfd logfd in
-  Unix.close devnull;
-  Unix.close logfd;
-  proc.pid <- pid;
-  proc.sigstopped <- false
-
-let reap pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-
-let kill_proc proc =
-  if proc.pid > 0 then begin
-    if proc.sigstopped then (try Unix.kill proc.pid Sys.sigcont with Unix.Unix_error _ -> ());
-    (try Unix.kill proc.pid Sys.sigkill with Unix.Unix_error _ -> ());
-    reap proc.pid;
-    proc.pid <- -1;
-    proc.sigstopped <- false
-  end
-
-(* Ping one backend directly (bypassing the router) until it answers,
-   so a phase never starts against daemons that are still binding. *)
-let ping_until_ready ~socket ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let ping_line = {|{"id":"ready","scenario":"ping"}|} in
-  let rec attempt () =
-    let ok =
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          match Unix.connect fd (Unix.ADDR_UNIX socket) with
-          | exception Unix.Unix_error _ -> false
-          | () -> (
-            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
-            let oc = Unix.out_channel_of_descr fd in
-            output_string oc (ping_line ^ "\n\n");
-            flush oc;
-            let ic = Unix.in_channel_of_descr fd in
-            match input_line ic with
-            | line -> String.length line > 0
-            | exception (End_of_file | Unix.Unix_error _ | Sys_error _) -> false))
-    in
-    if ok then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Unix.sleepf 0.05;
-      attempt ()
-    end
-  in
-  attempt ()
-
-let wait_ready proc = ping_until_ready ~socket:proc.socket ~timeout_s:15.
+    match str "status" with
+    | "ok" ->
+      let result =
+        match Json.member "result" json with None -> "" | Some r -> Json.to_string r
+      in
+      Served { cache = str "cache"; result }
+    | _ -> Refused (str "error"))
 
 (* - chaos schedule -
 
-   Runs in its own domain concurrently with the request stream.  The
-   event sequence (which backend, which failure) is a pure function of
-   the seed; only its interleaving with requests is up to the OS.  The
-   schedule always ends by resuming and restarting everything, so the
-   stream's bounded retries are guaranteed to drain. *)
+   Runs in its own domain concurrently with the request stream while
+   the supervisor heals.  The schedule only wounds: a kill is SIGKILL
+   without reaping (observing the exit and respawning is the
+   supervisor's job), a hang is SIGSTOP, a short sleep, then SIGCONT.
+   The event sequence (which backend, which failure) is a pure function
+   of the seed; only whether the chosen backend is up at that moment,
+   and the interleaving with requests, is up to the OS. *)
 
-type chaos_counts = { mutable kills : int; mutable hangs : int; mutable restarts : int }
+type chaos_counts = { mutable kills : int; mutable hangs : int }
 
-let run_chaos ?(supervised = false) (cfg : config) procs counts =
+let signal pid s = try Unix.kill pid s with Unix.Unix_error _ -> ()
+
+let run_chaos (cfg : config) sup counts =
   let rng = Prng.create ~seed:(cfg.seed * 2 + 1) in
-  let pick pred =
-    let candidates = Array.of_list (List.filter pred (Array.to_list procs)) in
-    if Array.length candidates = 0 then None
-    else Some candidates.(Prng.int rng ~bound:(Array.length candidates))
-  in
+  let pick () = Prng.int rng ~bound:cfg.backends in
   for _ = 1 to cfg.events do
     Unix.sleepf (0.03 +. Prng.float rng ~bound:0.09);
     let roll = Prng.float rng ~bound:1. in
-    if roll < 0.45 then (
-      match pick (fun p -> p.pid > 0 && not p.sigstopped) with
-      | None -> ()
-      | Some p ->
-        cfg.log (Printf.sprintf "chaos: kill backend %d (pid %d)" p.index p.pid);
-        (if supervised then begin
-           (* SIGKILL without reaping: observing the exit, reaping and
-              respawning is the supervisor's job *)
-           (try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
-           p.sigstopped <- false
-         end
-         else kill_proc p);
-        counts.kills <- counts.kills + 1)
-    else if roll < 0.72 then (
-      match pick (fun p -> p.pid > 0 && not p.sigstopped) with
-      | None -> ()
-      | Some p ->
-        cfg.log (Printf.sprintf "chaos: hang backend %d (pid %d)" p.index p.pid);
-        (try
-           Unix.kill p.pid Sys.sigstop;
-           p.sigstopped <- true;
-           Unix.sleepf (0.05 +. Prng.float rng ~bound:0.15);
-           Unix.kill p.pid Sys.sigcont;
-           p.sigstopped <- false
-         with Unix.Unix_error _ -> ());
-        counts.hangs <- counts.hangs + 1)
-    else if not supervised then (
-      (* in supervised mode healing is the supervisor's job; the
-         schedule burns the slot so kill/hang sequencing stays seeded *)
-      match pick (fun p -> p.pid <= 0) with
-      | None -> ()
-      | Some p ->
-        cfg.log (Printf.sprintf "chaos: restart backend %d" p.index);
-        spawn cfg p;
-        counts.restarts <- counts.restarts + 1)
+    if roll < 0.45 then begin
+      let index = pick () in
+      let pid = Supervisor.pid sup index in
+      if pid > 0 then begin
+        cfg.log (Printf.sprintf "chaos: kill backend %d (pid %d)" index pid);
+        signal pid Sys.sigkill;
+        counts.kills <- counts.kills + 1
+      end
+    end
+    else if roll < 0.72 then begin
+      let index = pick () in
+      let pause = 0.05 +. Prng.float rng ~bound:0.15 in
+      let pid = Supervisor.pid sup index in
+      if pid > 0 then begin
+        cfg.log (Printf.sprintf "chaos: hang backend %d (pid %d)" index pid);
+        signal pid Sys.sigstop;
+        Fun.protect
+          ~finally:(fun () -> signal pid Sys.sigcont)
+          (fun () -> Unix.sleepf pause);
+        counts.hangs <- counts.hangs + 1
+      end
+    end
+    (* the remaining rolls leave the fleet alone: healing is the
+       supervisor's job *)
   done;
-  (* leave the cluster whole: resume every hung backend, restart every
-     dead one (supervised: just wait for the supervisor to do it), and
-     wait until each answers a ping again *)
-  Array.iter
-    (fun p ->
-      if p.pid > 0 && p.sigstopped then begin
-        (try Unix.kill p.pid Sys.sigcont with Unix.Unix_error _ -> ());
-        p.sigstopped <- false
-      end;
-      if (not supervised) && p.pid <= 0 then begin
-        cfg.log (Printf.sprintf "chaos: final restart of backend %d" p.index);
-        spawn cfg p;
-        counts.restarts <- counts.restarts + 1
-      end;
-      ignore (wait_ready p))
-    procs
+  (* leave the cluster whole: wait until every backend answers a ping *)
+  ignore (Supervisor.await_ready sup)
 
 (* - the request stream with client-side retry -
 
@@ -243,15 +143,15 @@ let drive_stream (cfg : config) cluster ~indices reference violations =
     let retry_wanted = ref false in
     List.iter2
       (fun (i, budget) reply ->
-        match parse_response reply with
-        | Error what -> violations := what :: !violations
-        | Ok { status = "ok"; result; _ } ->
+        match classify reply with
+        | Garbled what -> violations := what :: !violations
+        | Served { result; _ } ->
           if String.equal result reference.(i) then incr completed
           else
             violations :=
               Printf.sprintf "request %d: result diverged from single-daemon run" i
               :: !violations
-        | Ok { code = "degraded"; _ } ->
+        | Refused "degraded" ->
           if budget <= 1 then
             violations :=
               Printf.sprintf "request %d: lost (retry budget exhausted while degraded)"
@@ -262,7 +162,7 @@ let drive_stream (cfg : config) cluster ~indices reference violations =
             retry_wanted := true;
             Queue.add (i, budget - 1) pending
           end
-        | Ok { code; _ } ->
+        | Refused code ->
           violations :=
             Printf.sprintf "request %d: unexpected error code %S in %s" i code reply
             :: !violations)
@@ -286,16 +186,16 @@ let reference_results (cfg : config) ~count =
       Array.of_list
         (List.map
            (fun reply ->
-             match parse_response reply with
-             | Ok { status = "ok"; result; _ } -> result
-             | Ok _ | Error _ ->
+             match classify reply with
+             | Served { result; _ } -> result
+             | Refused _ | Garbled _ ->
                failwith ("chaos: reference run failed on " ^ reply))
            replies))
 
-let cluster_config (cfg : config) procs =
+let cluster_config (cfg : config) =
   {
     (Cluster.default_config
-       ~backends:(Array.to_list (Array.map (fun p -> p.socket) procs)))
+       ~backends:(List.init cfg.backends (Supervisor.backend_socket ~dir:cfg.dir)))
     with
     attempts = cfg.backends + 2;
     connect_timeout_s = 0.5;
@@ -311,89 +211,121 @@ let cluster_config (cfg : config) procs =
     retry_after_ms = 40;
   }
 
-let make_procs (cfg : config) =
-  (try Unix.mkdir cfg.dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Array.init cfg.backends (fun index ->
-      {
-        index;
-        socket = Filename.concat cfg.dir (Printf.sprintf "b%d.sock" index);
-        logfile = Filename.concat cfg.dir (Printf.sprintf "b%d.log" index);
-        pid = -1;
-        sigstopped = false;
-      })
-
-(* durability phase: cold-restart the whole cluster, then demand every
-   result back from the shared store without recompute *)
-let cold_restart_durability (cfg : config) procs ~count reference violations =
+(* durability phase: SIGKILL the whole fleet (nothing may rely on a
+   graceful exit), then restart it cold and demand every result back
+   from the shared store without recompute.  Healing is off by now, so
+   nothing respawns behind the kill. *)
+let cold_restart_durability (cfg : config) sup ~count reference violations =
   let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   cfg.log "chaos: killing and cold-restarting every backend";
-  Array.iter kill_proc procs;
-  Array.iter (fun p -> spawn cfg p) procs;
-  Array.iter
-    (fun p ->
-      if not (wait_ready p) then
-        violation "backend %d never became ready after cold restart" p.index)
-    procs;
+  for index = 0 to cfg.backends - 1 do
+    let pid = Supervisor.pid sup index in
+    if pid > 0 then signal pid Sys.sigkill
+  done;
+  (* reaps the killed fleet: every drain finds its child already gone *)
+  Supervisor.stop_all sup;
+  List.iter
+    (violation "backend %d never became ready after cold restart")
+    (Supervisor.start sup);
   let store_served = ref 0 in
   if !violations = [] then begin
-    let cluster = Cluster.create (cluster_config cfg procs) in
+    let cluster = Cluster.create (cluster_config cfg) in
     let lines = List.init count (request_line cfg) in
     let replies = Cluster.handle_batch cluster lines in
     List.iteri
       (fun i reply ->
-        match parse_response reply with
-        | Error what -> violations := what :: !violations
-        | Ok { status = "ok"; cache = "store"; result; _ } ->
+        match classify reply with
+        | Garbled what -> violations := what :: !violations
+        | Served { cache = "store"; result } ->
           if String.equal result reference.(i) then incr store_served
           else violation "request %d: store bytes diverged after cold restart" i
-        | Ok { status = "ok"; cache; _ } ->
+        | Served { cache; _ } ->
           violation
             "request %d: recomputed after cold restart (cache %S, wanted \
              \"store\")"
             i cache
-        | Ok { code; _ } ->
-          violation "request %d: error %S after cold restart" i code)
+        | Refused code -> violation "request %d: error %S after cold restart" i code)
       replies
   end;
   !store_served
 
-let run_manual (cfg : config) =
+(* - the run -
+
+   A Supervisor heals the fleet (reaps exits, respawns with per-child
+   decorrelated-jitter backoff) while phase 1 routes a request stream
+   through the chaos schedule.  Phase 2 is a rolling restart — graceful
+   drain and resume of each backend in turn — concurrent with a second
+   stream over fresh fingerprints; it must lose nothing and never
+   escalate to SIGKILL.  Phase 3 is the cold-restart durability check
+   over both streams. *)
+
+let run (cfg : config) =
   let violations = ref [] in
   let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let procs = make_procs cfg in
+  let sup =
+    Supervisor.create
+      (Supervisor.serve_ops ~exe:cfg.exe ~dir:cfg.dir ~jobs:1 ~metrics_every_s:None
+         ~log:cfg.log)
+      {
+        (Supervisor.default_config ~children:cfg.backends) with
+        backoff_base_ms = 20.;
+        backoff_cap_ms = 250.;
+        seed = cfg.seed;
+        (* chaos kills land seconds apart at most: treat any uptime as
+           stable so the seeded schedule cannot escalate delays unboundedly *)
+        stable_after_s = 0.5;
+        drain_grace_s = 10.;
+        ready_timeout_s = 15.;
+      }
+  in
   Fun.protect
-    ~finally:(fun () -> Array.iter kill_proc procs)
+    ~finally:(fun () -> Supervisor.stop_all sup)
     (fun () ->
+      let total = 2 * cfg.requests in
+      let stream cluster ~first reference =
+        drive_stream cfg cluster
+          ~indices:(List.init cfg.requests (fun i -> first + i))
+          reference violations
+      in
       cfg.log "chaos: computing reference results (single daemon, no chaos)";
-      let reference = reference_results cfg ~count:cfg.requests in
-      cfg.log (Printf.sprintf "chaos: starting %d backends" cfg.backends);
-      Array.iter (fun p -> spawn cfg p) procs;
-      Array.iter
-        (fun p ->
-          if not (wait_ready p) then
-            violation "backend %d never became ready" p.index)
-        procs;
-      let counts = { kills = 0; hangs = 0; restarts = 0 } in
-      let completed, client_retries =
-        if !violations <> [] then (0, 0)
+      let reference = reference_results cfg ~count:total in
+      cfg.log (Printf.sprintf "chaos: starting %d supervised backends" cfg.backends);
+      List.iter (violation "backend %d never became ready") (Supervisor.start sup);
+      let counts = { kills = 0; hangs = 0 } in
+      let completed, rolling_completed, client_retries =
+        if !violations <> [] then (0, 0, 0)
         else begin
-          let cluster = Cluster.create (cluster_config cfg procs) in
-          let chaos = Domain.spawn (fun () -> run_chaos cfg procs counts) in
-          let stream =
-            try
-              Ok
-                (drive_stream cfg cluster
-                   ~indices:(List.init cfg.requests Fun.id)
-                   reference violations)
-            with e -> Error e
-          in
-          Domain.join chaos;
-          match stream with Ok r -> r | Error e -> raise e
+          let cluster = Cluster.create (cluster_config cfg) in
+          Supervisor.while_healing sup ~period_s:0.03 (fun () ->
+              (* phase 1: kills and hangs under supervision *)
+              let chaos = Domain.spawn (fun () -> run_chaos cfg sup counts) in
+              let first =
+                Fun.protect
+                  ~finally:(fun () -> Domain.join chaos)
+                  (fun () -> stream cluster ~first:0 reference)
+              in
+              (* phase 2: rolling restart under a fresh request stream *)
+              cfg.log "chaos: rolling restart under load";
+              let roller = Domain.spawn (fun () -> Supervisor.rolling_restart sup) in
+              let rolling_ok = ref true in
+              let second =
+                Fun.protect
+                  ~finally:(fun () -> rolling_ok := Domain.join roller)
+                  (fun () -> stream cluster ~first:cfg.requests reference)
+              in
+              if not !rolling_ok then
+                violation
+                  "rolling restart was not graceful (a drain escalated or a \
+                   backend failed to come back ready)";
+              (fst first, fst second, snd first + snd second))
         end
       in
+      if Supervisor.forced_kills_total sup > 0 then
+        violation "drain escalated to SIGKILL %d time(s)"
+          (Supervisor.forced_kills_total sup);
+      let supervised_restarts = Supervisor.restarts_total sup in
       let store_served =
-        cold_restart_durability cfg procs ~count:cfg.requests reference
-          violations
+        cold_restart_durability cfg sup ~count:total reference violations
       in
       {
         seed = cfg.seed;
@@ -401,147 +333,8 @@ let run_manual (cfg : config) =
         client_retries;
         kills = counts.kills;
         hangs = counts.hangs;
-        restarts = counts.restarts;
-        supervised_restarts = 0;
-        rolling_completed = 0;
-        store_served_after_restart = store_served;
-        violations = List.rev !violations;
-      })
-
-(* - supervised mode -
-
-   The chaos schedule only wounds (SIGKILL without reap, SIGSTOP); a
-   Supervisor domain heals: it reaps exits and respawns with per-child
-   decorrelated-jitter backoff while the stream keeps routing.  Then a
-   rolling restart — graceful drain and resume of each backend in turn
-   — runs concurrently with a second request stream over fresh
-   fingerprints, and must lose nothing and never escalate to SIGKILL. *)
-
-let run_supervised (cfg : config) =
-  let violations = ref [] in
-  let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let procs = make_procs cfg in
-  let sup_cfg =
-    {
-      (Supervisor.default_config ~children:cfg.backends) with
-      backoff_base_ms = 20.;
-      backoff_cap_ms = 250.;
-      seed = cfg.seed;
-      (* chaos kills land seconds apart at most: treat any uptime as
-         stable so the seeded schedule cannot escalate delays unboundedly *)
-      stable_after_s = 0.5;
-      drain_grace_s = 10.;
-      ready_timeout_s = 15.;
-    }
-  in
-  let sup =
-    Supervisor.create
-      (Supervisor.unix_ops
-         ~spawn:(fun i ->
-           spawn cfg procs.(i);
-           procs.(i).pid)
-         ~ready:(fun i -> ping_until_ready ~socket:procs.(i).socket ~timeout_s:0.2)
-         ~log:cfg.log ())
-      sup_cfg
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Supervisor.stop_all sup;
-      Array.iter kill_proc procs)
-    (fun () ->
-      let total = 2 * cfg.requests in
-      cfg.log "chaos: computing reference results (single daemon, no chaos)";
-      let reference = reference_results cfg ~count:total in
-      cfg.log
-        (Printf.sprintf "chaos: starting %d supervised backends" cfg.backends);
-      Supervisor.start sup;
-      Array.iter
-        (fun p ->
-          if not (wait_ready p) then
-            violation "backend %d never became ready" p.index)
-        procs;
-      let counts = { kills = 0; hangs = 0; restarts = 0 } in
-      let completed = ref 0
-      and client_retries = ref 0
-      and rolling_completed = ref 0
-      and rolling_ok = ref true in
-      if !violations = [] then begin
-        let cluster = Cluster.create (cluster_config cfg procs) in
-        let stop_sup = Atomic.make false in
-        let sup_dom =
-          Domain.spawn (fun () ->
-              Supervisor.run sup ~period_s:0.03 ~stop:(fun () ->
-                  Atomic.get stop_sup))
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            Atomic.set stop_sup true;
-            Domain.join sup_dom)
-          (fun () ->
-            (* phase 1: kills and hangs under supervision *)
-            let chaos =
-              Domain.spawn (fun () ->
-                  run_chaos ~supervised:true cfg procs counts)
-            in
-            let stream =
-              try
-                Ok
-                  (drive_stream cfg cluster
-                     ~indices:(List.init cfg.requests Fun.id)
-                     reference violations)
-              with e -> Error e
-            in
-            Domain.join chaos;
-            (match stream with
-            | Ok (c, r) ->
-              completed := c;
-              client_retries := r
-            | Error e -> raise e);
-            (* phase 2: rolling restart under a fresh request stream *)
-            cfg.log "chaos: rolling restart under load";
-            let roller = Domain.spawn (fun () -> Supervisor.rolling_restart sup) in
-            let stream2 =
-              try
-                Ok
-                  (drive_stream cfg cluster
-                     ~indices:
-                       (List.init cfg.requests (fun i -> cfg.requests + i))
-                     reference violations)
-              with e -> Error e
-            in
-            rolling_ok := Domain.join roller;
-            match stream2 with
-            | Ok (c, r) ->
-              rolling_completed := c;
-              client_retries := !client_retries + r
-            | Error e -> raise e)
-      end;
-      if not !rolling_ok then
-        violation
-          "rolling restart was not graceful (a drain escalated or a backend \
-           failed to come back ready)";
-      if Supervisor.forced_kills_total sup > 0 then
-        violation "drain escalated to SIGKILL %d time(s)"
-          (Supervisor.forced_kills_total sup);
-      let supervised_restarts = Supervisor.restarts_total sup in
-      (* stop supervision before the cold restart so it cannot heal the
-         deliberate kill *)
-      Supervisor.stop_all sup;
-      Array.iter (fun p -> p.sigstopped <- false) procs;
-      let store_served =
-        cold_restart_durability cfg procs ~count:total reference violations
-      in
-      {
-        seed = cfg.seed;
-        completed = !completed;
-        client_retries = !client_retries;
-        kills = counts.kills;
-        hangs = counts.hangs;
-        restarts = counts.restarts;
         supervised_restarts;
-        rolling_completed = !rolling_completed;
+        rolling_completed;
         store_served_after_restart = store_served;
         violations = List.rev !violations;
       })
-
-let run (cfg : config) = if cfg.supervise then run_supervised cfg else run_manual cfg

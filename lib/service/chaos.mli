@@ -1,11 +1,11 @@
 (** Deterministic chaos harness for the sharded cluster.
 
     Proves the cluster's failure handling end to end with real backend
-    processes: a supervisor spawns N [serve] daemons sharing one durable
-    {!Store} directory, routes a stream of scenario requests through a
-    {!Cluster} router, and — concurrently, on a schedule derived from a
-    seed — kills backends (SIGKILL), hangs them (SIGSTOP, later
-    SIGCONT) and restarts dead ones mid-batch.
+    processes: a {!Supervisor} runs N [serve] daemons sharing one
+    durable {!Store} directory, a {!Cluster} router carries a stream of
+    scenario requests, and — concurrently, on a schedule derived from a
+    seed — the harness kills backends (SIGKILL) and hangs them
+    (SIGSTOP, later SIGCONT) mid-batch while the supervisor heals.
 
     Properties checked, recorded as human-readable violations:
 
@@ -15,27 +15,31 @@
     - {b bit-identical results}: every [ok] response's [result] bytes
       equal the same request's result from a single in-process daemon
       computed before any chaos.
-    - {b durability}: after the run, {e every} backend is killed and
-      restarted cold, and each previously computed fingerprint must be
+    - {b self-healing}: killed backends are restarted by the supervisor
+      with jittered backoff while the stream keeps completing.
+    - {b graceful rolling restart}: every backend drained (SIGTERM,
+      in-flight batch finishes, no SIGKILL escalation) and resumed one
+      at a time under a second request stream, losing nothing.
+    - {b durability}: after the run, {e every} backend is SIGKILLed and
+      restarted cold, and each fingerprint from both streams must be
       served with [cache:"store"] — from the shared durable store,
       bit-identically, without recomputation.
 
-    The kill/hang/restart schedule is replayable from [seed] (event
-    timing interleaves with OS scheduling, but the event sequence and
-    every request's expected result are exact).  On violation the
-    outcome carries the seed so the run can be replayed. *)
+    The kill/hang schedule is replayable from [seed] (event timing
+    interleaves with OS scheduling, but the event sequence and every
+    request's expected result are exact).  On violation the outcome
+    carries the seed so the run can be replayed. *)
 
 type config = {
   exe : string;  (** path to the etx binary (spawns [exe serve ...]) *)
   backends : int;  (** cluster size; >= 1 *)
-  requests : int;  (** distinct scenario requests routed; >= 1 *)
-  events : int;  (** chaos events injected while the stream runs *)
+  requests : int;  (** distinct scenario requests per stream; >= 1 *)
+  events : int;  (** chaos events injected while the first stream runs *)
   seed : int;  (** drives the event schedule and backoff jitter *)
-  dir : string;  (** scratch directory: sockets, logs, the shared store *)
+  dir : string;
+      (** scratch directory: sockets, logs, the shared store (the
+          {!Supervisor.serve_ops} layout) *)
   mesh_size : int;  (** scenario size (4 keeps each compute cheap) *)
-  supervise : bool;
-      (** run under {!Supervisor}: chaos only kills and hangs, the
-          supervisor heals, and a rolling restart runs under load *)
   log : string -> unit;  (** progress lines (use [ignore] to silence) *)
 }
 
@@ -45,47 +49,44 @@ val config :
   ?events:int ->
   ?seed:int ->
   ?mesh_size:int ->
-  ?supervise:bool ->
   ?log:(string -> unit) ->
   exe:string ->
   dir:string ->
   unit ->
   config
 (** Defaults: 3 backends, 12 requests, 6 events, seed 1, mesh 4,
-    unsupervised, silent. *)
+    silent. *)
 
 type outcome = {
   seed : int;  (** echo of the schedule seed, for replay *)
-  completed : int;  (** requests that ended [ok] with matching bytes *)
+  completed : int;
+      (** first-stream requests that ended [ok] with matching bytes *)
   client_retries : int;  (** [degraded] responses retried by the harness *)
-  kills : int;
-  hangs : int;
-  restarts : int;
-      (** chaos-schedule restarts (unsupervised mode only) *)
+  kills : int;  (** SIGKILLs that landed on a running backend *)
+  hangs : int;  (** SIGSTOP pauses that landed on a running backend *)
   supervised_restarts : int;
       (** restarts the supervisor performed to heal kills *)
   rolling_completed : int;
-      (** requests completed during the rolling restart (supervised) *)
+      (** second-stream requests completed during the rolling restart *)
   store_served_after_restart : int;
-      (** final-phase responses with [cache:"store"] *)
+      (** final-phase responses with [cache:"store"], out of
+          [2 * requests] *)
   violations : string list;  (** empty iff every property held *)
 }
 
 val run : config -> outcome
-(** Runs every phase and always reaps every spawned process, even on
+(** Runs every phase and always drains every spawned process, even on
     exception.  Never raises on a property violation — those are
-    reported in [violations].
+    reported in [violations]. *)
 
-    With [supervise] set, the run adds two properties on top of the
-    unsupervised three: the cluster {e heals itself} (dead backends are
-    restarted by the supervisor with jittered backoff while the stream
-    keeps completing), and a {e graceful rolling restart} under load —
-    every backend drained (SIGTERM, in-flight batch finishes, no
-    SIGKILL escalation) and resumed one at a time — completes a second
-    request stream bit-identically, losing nothing. *)
+type reply =
+  | Served of { cache : string; result : string }
+      (** [status:"ok"]: the cache tier ([""] when absent) and the
+          serialized [result] member ([""] when absent) *)
+  | Refused of string
+      (** any other status, carrying the reply's ["error"] code
+          (["degraded"] is the retryable one) *)
+  | Garbled of string  (** not JSON: a description of the line *)
 
-val ping_until_ready : socket:string -> timeout_s:float -> bool
-(** Ping a single daemon at [socket] repeatedly until it answers or
-    [timeout_s] elapses.  Shared with the all-in-one [cluster]
-    subcommand, which must not route requests to backends that are
-    still binding their sockets. *)
+val classify : string -> reply
+(** How the harness reads one response line from a router or daemon. *)

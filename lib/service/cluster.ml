@@ -19,7 +19,6 @@ type config = {
   seed : int;
   queue_depth : int;
   retry_after_ms : int;
-  forward_shutdown : bool;
 }
 
 let default_config ~backends =
@@ -38,7 +37,6 @@ let default_config ~backends =
     seed = 0;
     queue_depth = 64;
     retry_after_ms = 250;
-    forward_shutdown = false;
   }
 
 let obs_requests =
@@ -493,13 +491,6 @@ let handle_batch t lines =
             Json.String (Expo.prometheus ())
           | Request.Shutdown ->
             t.stopping <- true;
-            if t.cfg.forward_shutdown then
-              List.iter
-                (fun backend_name ->
-                  ignore
-                    (t.rpc ~path:backend_name ~timeout_s:t.cfg.probe_timeout_s
-                       {|{"scenario":"shutdown"}|}))
-                t.order;
             Json.String "stopping"
         in
         let elapsed_ms = (t.now () -. t0) *. 1000. in

@@ -50,17 +50,12 @@ type config = {
   seed : int;  (** backoff-jitter PRNG seed (replayable retry pacing) *)
   queue_depth : int;  (** admitted scenario requests per batch *)
   retry_after_ms : int;  (** hint carried by degraded responses *)
-  forward_shutdown : bool;
-      (** broadcast a [shutdown] control to every backend too (the
-          all-in-one [cluster] subcommand owns its backends; a [route]
-          front-end over foreign daemons does not) *)
 }
 
 val default_config : backends:string list -> config
 (** 64 ring replicas, 4 attempts, 1 s connect / 30 s request / 1 s
     probe timeouts, 2 s health period, threshold 3, 5 s cooldown,
-    25–1000 ms backoff, queue depth 64, retry-after 250 ms, no
-    shutdown forwarding. *)
+    25–1000 ms backoff, queue depth 64, retry-after 250 ms. *)
 
 type rpc = path:string -> timeout_s:float -> string -> (string, string) result
 (** One request line in, one response line out, within [timeout_s]
@@ -94,4 +89,6 @@ val stats_json : t -> Etx_util.Json.t
     backend's [health] is ["up"] exactly while its breaker is closed. *)
 
 val stopped : t -> bool
-(** A [shutdown] request has been served. *)
+(** A [shutdown] request has been served.  It stops only the router:
+    backends belong to whoever started them (the [cluster] command
+    drains its supervised fleet once the router has stopped). *)

@@ -27,7 +27,63 @@ type ops = {
   log : string -> unit;
 }
 
-let unix_ops ~spawn ~ready ?(log = ignore) () =
+(* - the serve fleet: every backend is [exe serve] in one directory - *)
+
+let backend_file ~dir index ext =
+  Filename.concat dir (Printf.sprintf "backend%d.%s" index ext)
+
+let backend_socket ~dir index = backend_file ~dir index "sock"
+
+(* one ping, bounded end to end; any transport failure means not ready *)
+let ping ~socket ~timeout_s =
+  let now = Unix.gettimeofday in
+  let deadline = now () +. timeout_s in
+  match Netio.connect ~deadline ~now socket with
+  | Error _ -> false
+  | Ok fd ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        match
+          Netio.write_all ~deadline ~now fd
+            (Bytes.of_string ({|{"id":"ready","scenario":"ping"}|} ^ "\n\n"));
+          Netio.read_line ~deadline ~now (Netio.reader fd)
+        with
+        | Some line -> line <> ""
+        | None -> false
+        | exception (Failure _ | Sys_error _ | Unix.Unix_error _) -> false)
+
+let serve_ops ~exe ~dir ~jobs ~metrics_every_s ~log =
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let spawn index =
+    let metrics =
+      match metrics_every_s with
+      | None -> []
+      | Some every ->
+        [
+          "--metrics-file"; backend_file ~dir index "metrics.json";
+          "--metrics-every"; string_of_float every;
+        ]
+    in
+    let argv =
+      [
+        exe; "serve"; "--socket"; backend_socket ~dir index; "--jobs";
+        string_of_int jobs; "--store"; Filename.concat dir "store";
+      ]
+      @ metrics
+    in
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+    let logfd =
+      Unix.openfile (backend_file ~dir index "log")
+        [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
+        0o644
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close devnull;
+        Unix.close logfd)
+      (fun () -> Unix.create_process exe (Array.of_list argv) devnull logfd logfd)
+  in
   let signal s pid = try Unix.kill pid s with Unix.Unix_error _ -> () in
   {
     spawn;
@@ -39,7 +95,7 @@ let unix_ops ~spawn ~ready ?(log = ignore) () =
         | 0, _ -> false
         | _ -> true
         | exception Unix.Unix_error _ -> true);
-    ready;
+    ready = (fun index -> ping ~socket:(backend_socket ~dir index) ~timeout_s:0.2);
     now = Unix.gettimeofday;
     sleep = Unix.sleepf;
     log;
@@ -132,9 +188,13 @@ let wait_ready t c =
   in
   go ()
 
+let await_ready t =
+  Array.to_list t.children
+  |> List.filter_map (fun c -> if wait_ready t c then None else Some c.index)
+
 let start t =
   locked t (fun () -> Array.iter (fun c -> spawn_child t c) t.children);
-  Array.iter (fun c -> ignore (wait_ready t c)) t.children
+  await_ready t
 
 let pid t index = locked t (fun () -> t.children.(index).pid)
 let restarts_total t = locked t (fun () -> t.restarts)
@@ -176,11 +236,20 @@ let tick t =
         Obs.set obs_backing_off (float_of_int !backing_off)
       end)
 
-let run t ~period_s ~stop =
-  while not (stop ()) do
-    tick t;
-    t.ops.sleep period_s
-  done
+let while_healing t ~period_s f =
+  let stop = Atomic.make false in
+  let healer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          tick t;
+          t.ops.sleep period_s
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join healer)
+    f
 
 let drain t index =
   let c = t.children.(index) in

@@ -12,16 +12,19 @@
     v}
 
     {!tick} observes exits (non-blocking reap) and restarts due
-    children; {!run} loops it.  {!drain} is the graceful stop: SIGTERM,
-    then wait up to the grace period for the child to finish its
-    in-flight batch and exit, then SIGKILL as a last resort.
+    children; {!while_healing} loops it in the background.  {!drain}
+    is the graceful stop: SIGTERM, then wait up to the grace period for
+    the child to finish its in-flight batch and exit, then SIGKILL as a
+    last resort.
     {!rolling_restart} drains and resumes one child at a time, waiting
     for readiness in between, so a cluster in front of these children
     never loses more than one shard.
 
     Process operations are injected through {!ops}, so the state machine
     is unit-testable with a scripted world and an injected clock;
-    {!unix_ops} supplies the real signals/waitpid implementation. *)
+    {!serve_ops} supplies the real ones for a fleet of [serve]
+    backends — the one way the [cluster] and [chaos] commands start
+    them. *)
 
 type ops = {
   spawn : int -> int;  (** [spawn index] starts child [index], returns its pid. *)
@@ -36,10 +39,25 @@ type ops = {
   log : string -> unit;
 }
 
-val unix_ops :
-  spawn:(int -> int) -> ready:(int -> bool) -> ?log:(string -> unit) -> unit -> ops
-(** Real-world [ops]: [Unix.kill], [waitpid \[WNOHANG\]] (ESRCH/ECHILD
-    count as exited), [Unix.gettimeofday], [Unix.sleepf]. *)
+val backend_socket : dir:string -> int -> string
+(** [DIR/backendI.sock]: where child [I] of a {!serve_ops} fleet listens. *)
+
+val serve_ops :
+  exe:string ->
+  dir:string ->
+  jobs:int ->
+  metrics_every_s:float option ->
+  log:(string -> unit) ->
+  ops
+(** Real-world [ops] for a fleet of [exe serve] backends sharing [dir]
+    (created if missing): child [I] runs [serve --socket DIR/backendI.sock
+    --jobs JOBS --store DIR/store] with stdout and stderr appended to
+    [DIR/backendI.log], plus [--metrics-file DIR/backendI.metrics.json
+    --metrics-every S] when [metrics_every_s = Some S].  Readiness is
+    one [ping] over the socket, bounded by 0.2 s through {!Netio}'s
+    deadlines.  Signals go through [Unix.kill], exits are observed with
+    [waitpid \[WNOHANG\]] (ESRCH/ECHILD count as exited), and time is
+    [Unix.gettimeofday] / [Unix.sleepf]. *)
 
 type config = {
   children : int;
@@ -58,8 +76,14 @@ val default_config : children:int -> config
 type t
 
 val create : ops -> config -> t
-val start : t -> unit
-(** Spawn every child and wait (bounded) until each answers ready. *)
+val start : t -> int list
+(** Spawn every child (a stopped fleet included), then {!await_ready}:
+    the indices of children that never answered ready, [[]] when the
+    whole fleet is up. *)
+
+val await_ready : t -> int list
+(** Wait for each child in turn, up to [ready_timeout_s] apiece, until
+    it answers ready; the indices of those that never did. *)
 
 val pid : t -> int -> int
 (** Current pid of child [index], or -1 when not running. *)
@@ -68,8 +92,10 @@ val tick : t -> unit
 (** One supervision step: reap exits, move crashed children to backoff,
     restart those whose delay has elapsed. *)
 
-val run : t -> period_s:float -> stop:(unit -> bool) -> unit
-(** Loop {!tick} every [period_s] until [stop ()]. *)
+val while_healing : t -> period_s:float -> (unit -> 'a) -> 'a
+(** [while_healing t ~period_s f] runs [f ()] while a separate domain
+    calls {!tick} every [period_s]; that domain is stopped and joined
+    when [f] returns or raises. *)
 
 val drain : t -> int -> bool
 (** Gracefully stop child [index]: SIGTERM, wait up to [drain_grace_s]

@@ -396,6 +396,59 @@ echo "router drained exit ok"
         (contains output "router drained exit ok");
       Alcotest.(check bool) "router socket removed" false (Sys.file_exists router))
 
+(* cluster always supervises: a SIGKILLed backend comes back on its
+   socket, routing keeps answering ok, and shutdown leaves no backend *)
+let test_cluster_heals_and_drains () =
+  let dir = Filename.temp_file "etx_cli_cluster" "" in
+  Sys.remove dir;
+  let script = Filename.temp_file "etx_cli_cluster" ".sh" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove script with Sys_error _ -> ());
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      let oc = open_out script in
+      Printf.fprintf oc
+        {|set -e
+DIR=%s
+%s cluster --backends 2 --jobs 1 --dir "$DIR" --socket "$DIR/router.sock" &
+router=$!
+trap 'kill $router 2>/dev/null || true' EXIT
+for _ in $(seq 150); do [ -S "$DIR/router.sock" ] && break; sleep 0.1; done
+[ -S "$DIR/router.sock" ]
+victim=$(pgrep -f "$DIR/backend0.sock")
+kill -KILL $victim
+healed=
+for _ in $(seq 100); do
+  pid=$(pgrep -f "$DIR/backend0.sock" || true)
+  if [ -n "$pid" ] && [ "$pid" != "$victim" ] \
+     && %s client --socket "$DIR/backend0.sock" --timeout 5 '{"scenario":"ping"}' >/dev/null 2>&1
+  then healed=1; break; fi
+  sleep 0.1
+done
+[ -n "$healed" ] || { echo "backend0 was not restarted"; exit 1; }
+echo "backend0 healed"
+%s client --socket "$DIR/router.sock" --timeout 30 \
+  '{"scenario":"simulate","params":{"mesh_size":4},"id":1}'
+%s client --socket "$DIR/router.sock" '{"scenario":"shutdown"}' >/dev/null
+wait $router
+echo "router exit ok"
+if pgrep -f "$DIR/backend" >/dev/null; then echo "backend left running"; exit 1; fi
+echo "no backend left"
+|}
+        (Filename.quote dir) exe exe exe exe;
+      close_out oc;
+      let code, output = run_script script in
+      if code <> 0 then Alcotest.failf "cluster script: exit %d\n%s" code output;
+      Alcotest.(check bool) "killed backend restarted" true
+        (contains output "backend0 healed");
+      Alcotest.(check bool) "routed request ok after the kill" true
+        (contains output {|"status":"ok"|});
+      Alcotest.(check bool) "router exits 0 on shutdown" true
+        (contains output "router exit ok");
+      Alcotest.(check bool) "every backend drained" true
+        (contains output "no backend left"))
+
 let test_resilience_manifest_resume () =
   let file = Filename.temp_file "etx_cli_manifest" ".bin" in
   Fun.protect
@@ -446,6 +499,8 @@ let suite =
         Alcotest.test_case "route --stdio answers locally" `Slow
           test_route_stdio_answers_locally;
         Alcotest.test_case "route drains on SIGTERM" `Slow test_route_sigterm_drain;
+        Alcotest.test_case "cluster heals a killed backend" `Slow
+          test_cluster_heals_and_drains;
       ] );
   ]
 

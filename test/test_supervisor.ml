@@ -69,14 +69,33 @@ let cfg children =
     ready_timeout_s = 2.;
   }
 
+let start_ready sup =
+  Alcotest.(check (list int)) "every child ready" [] (Supervisor.start sup)
+
 let kill_out_of_band w pid = w.alive <- List.filter (( <> ) pid) w.alive
+
+(* - start - *)
+
+let test_start_reports_unready_child () =
+  let w = make_world () in
+  let sup =
+    Supervisor.create (ops_of w ~ready:(fun index -> index <> 1) ()) (cfg 3)
+  in
+  Alcotest.(check (list int)) "the silent child is reported" [ 1 ]
+    (Supervisor.start sup);
+  Alcotest.(check bool) "it was still spawned" true (Supervisor.pid sup 1 > 0);
+  (* the wait is bounded by ready_timeout_s (2 s) of scripted time *)
+  Alcotest.(check bool) "waited out the readiness bound, no longer" true
+    (w.time >= 2. && w.time < 2.1);
+  Alcotest.(check (list int)) "await_ready reports it again" [ 1 ]
+    (Supervisor.await_ready sup)
 
 (* - healing - *)
 
 let test_restart_after_backoff_delay () =
   let w = make_world () in
   let sup = Supervisor.create (ops_of w ()) (cfg 2) in
-  Supervisor.start sup;
+  start_ready sup;
   let pid0 = Supervisor.pid sup 0 in
   Alcotest.(check bool) "both children running" true
     (pid0 > 0 && Supervisor.pid sup 1 > 0);
@@ -99,7 +118,7 @@ let test_restart_after_backoff_delay () =
 let test_backoff_escalates_and_resets () =
   let w = make_world () in
   let sup = Supervisor.create (ops_of w ()) (cfg 1) in
-  Supervisor.start sup;
+  start_ready sup;
   (* crash-loop: kill the child the instant it comes back, three times,
      and record each backoff delay from the phase-change timing *)
   let delay_of_crash () =
@@ -139,7 +158,7 @@ let test_backoff_escalates_and_resets () =
 let test_drain_graceful () =
   let w = make_world () in
   let sup = Supervisor.create (ops_of w ()) (cfg 1) in
-  Supervisor.start sup;
+  start_ready sup;
   let pid = Supervisor.pid sup 0 in
   Alcotest.(check bool) "drain reports graceful" true (Supervisor.drain sup 0);
   Alcotest.(check (list int)) "exactly one SIGTERM" [ pid ] w.termed;
@@ -157,7 +176,7 @@ let test_drain_escalates_to_sigkill () =
   let w = make_world () in
   (* term_exits:false scripts a child that ignores SIGTERM *)
   let sup = Supervisor.create (ops_of w ~term_exits:false ()) (cfg 1) in
-  Supervisor.start sup;
+  start_ready sup;
   let pid = Supervisor.pid sup 0 in
   Alcotest.(check bool) "drain reports forced" false (Supervisor.drain sup 0);
   Alcotest.(check (list int)) "SIGTERM was tried first" [ pid ] w.termed;
@@ -167,7 +186,7 @@ let test_drain_escalates_to_sigkill () =
 let test_resume_requires_stopped () =
   let w = make_world () in
   let sup = Supervisor.create (ops_of w ()) (cfg 1) in
-  Supervisor.start sup;
+  start_ready sup;
   (match Supervisor.resume sup 0 with
   | _ -> Alcotest.fail "resume of a running child accepted"
   | exception Invalid_argument _ -> ());
@@ -180,7 +199,7 @@ let test_resume_requires_stopped () =
 let test_rolling_restart_replaces_every_child_in_order () =
   let w = make_world () in
   let sup = Supervisor.create (ops_of w ()) (cfg 3) in
-  Supervisor.start sup;
+  start_ready sup;
   let before = List.init 3 (Supervisor.pid sup) in
   w.termed <- [];
   Alcotest.(check bool) "rolling restart graceful" true
@@ -209,7 +228,7 @@ let test_rolling_restart_reports_stuck_child_but_rolls_everyone () =
     end
   in
   let sup = Supervisor.create (ops_of w ~ready ()) (cfg 3) in
-  Supervisor.start sup;
+  start_ready sup;
   Alcotest.(check bool) "failure reported" false (Supervisor.rolling_restart sup);
   (* the fleet must still be on the new generation everywhere *)
   Alcotest.(check int) "every child was drained" 3 (List.length w.termed)
@@ -218,6 +237,8 @@ let suite =
   [
     ( "supervisor",
       [
+        Alcotest.test_case "start reports a never-ready child" `Quick
+          test_start_reports_unready_child;
         Alcotest.test_case "restart after backoff delay" `Quick
           test_restart_after_backoff_delay;
         Alcotest.test_case "backoff escalates and resets" `Quick
