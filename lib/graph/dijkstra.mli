@@ -1,9 +1,73 @@
-(** Single-source shortest paths (binary-heap Dijkstra).
+(** Single-source shortest paths: binary-heap Dijkstra over a flat
+    compressed-row (CSR) adjacency.
 
-    The paper's algorithms only need Floyd-Warshall; Dijkstra exists as
-    an independent oracle for property-based testing (both must agree on
-    every graph) and as the cheaper choice when a caller needs one source
-    only. *)
+    This is the kernel behind {!Etx_routing.Router}'s phase three.  A
+    search is driven one settled node at a time ({!settle_next}, with
+    {!pending} and {!labels} to look ahead), so the caller can stop as
+    soon as it has what it needs: the router stops
+    once every module has a usable replica and nothing nearer is
+    pending.  All state lives in a reusable {!t}; after {!create} a
+    search allocates nothing, and {!start} resets only the nodes the
+    previous search labelled.
+
+    {b Tie rule.}  First hops reproduce {!Floyd_warshall}'s successor
+    matrix exactly whenever every weight is positive and every sum either
+    algorithm forms is exact: Fig 5's strict [<] keeps, among the
+    shortest [src -> v] paths, the one whose largest intermediate node
+    index k* is smallest, and its first hop is the first hop towards k*
+    (or [v] itself when the direct edge is that path).  The search
+    carries k* as a label key: relaxing from settled [u] proposes [-1]
+    when [u] is the source, else [max (key u) u], and the smallest key
+    among exactly tight predecessors wins. *)
+
+type csr = private {
+  row_start : int array;
+      (** length [node_count + 1]: the out-edges of [i] are the indices
+          [row_start.(i) .. row_start.(i + 1) - 1] *)
+  targets : int array;  (** per edge: its destination, ascending within a row *)
+  lengths : float array;  (** per edge: the graph's length *)
+}
+
+val csr_of_graph : Digraph.t -> csr
+
+val edge_index : csr -> src:int -> dst:int -> int
+(** The CSR index of edge [src -> dst], or [-1] when there is none. *)
+
+type t
+(** One search's scratch: labels, settled distances and first hops, an
+    indexed min-heap with decrease-key.  Not shareable across domains. *)
+
+val create : node_count:int -> t
+(** @raise Invalid_argument if [node_count <= 0]. *)
+
+val start : t -> src:int -> unit
+(** Forget the previous search and begin one from [src]. *)
+
+val settle_next : t -> csr -> weights:float array -> int
+(** Settle the nearest pending node, fix its distance and first hop,
+    relax its out-edges with [weights.(e)] for the edge at CSR index [e]
+    ([infinity] masks an edge), and return it; [-1] once nothing is
+    pending.  Weights must be non-negative and not NaN; the tie rule
+    additionally needs them positive. *)
+
+val pending : t -> int
+(** The node {!settle_next} would settle next, [-1] once nothing is
+    pending.  Every node not yet settled is at least its label away. *)
+
+val labels : t -> float array
+(** Per node: the tentative distance (an upper bound; exact once
+    settled), [infinity] when not reached.  Same ownership as
+    {!distances}. *)
+
+val distances : t -> float array
+(** Per node: the settled distance, [infinity] when not (yet) settled.
+    The array is the search's own, valid until the next {!start}. *)
+
+val first_hops : t -> int array
+(** Per node: the first hop from the source, [-1] for the source and for
+    nodes not settled.  Same ownership as {!distances}. *)
+
+(** {2 Whole searches} *)
 
 type result = {
   distances : float array;  (** [infinity] when unreachable. *)
@@ -12,7 +76,8 @@ type result = {
 
 val run : Etx_util.Matrix.t -> src:int -> result
 (** [run w ~src] over a weight matrix in the same convention as
-    {!Floyd_warshall.run}.  Weights must be non-negative. *)
+    {!Floyd_warshall.run}: every finite off-diagonal entry is an edge.
+    @raise Invalid_argument on a negative weight. *)
 
 val run_graph : Digraph.t -> weight:(src:int -> dst:int -> float) -> src:int -> result
 (** Same over a {!Digraph.t} with a caller-supplied edge weight (e.g. the

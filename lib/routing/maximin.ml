@@ -59,6 +59,11 @@ let create_workspace () =
     table_flip = 0;
   }
 
+(* Reset [set] to contain exactly the given pairs. *)
+let fill_set set pairs =
+  Hashtbl.reset set;
+  List.iter (fun pair -> Hashtbl.replace set pair ()) pairs
+
 let widest_paths_into ws ~graph ~(snapshot : Router.snapshot) =
   let n = Etx_graph.Digraph.node_count graph in
   if Array.length snapshot.Router.alive <> n then
@@ -76,7 +81,7 @@ let widest_paths_into ws ~graph ~(snapshot : Router.snapshot) =
     dist.(ii) <- 0.
   done;
   let failed_set = ws.failed_set in
-  Router.fill_set failed_set snapshot.Router.failed_links;
+  fill_set failed_set snapshot.Router.failed_links;
   let alive = snapshot.Router.alive in
   let battery_level = snapshot.Router.battery_level in
   let no_failed = Hashtbl.length failed_set = 0 in
@@ -239,7 +244,7 @@ let compute ?workspace ~graph ~mapping ~module_count (snapshot : Router.snapshot
     invalid_arg "Maximin.compute: mapping arity differs from the graph";
   let ws = match workspace with Some ws -> ws | None -> create_workspace () in
   let paths = widest_paths_into ws ~graph ~snapshot in
-  Router.fill_set ws.locked_set snapshot.Router.locked_ports;
+  fill_set ws.locked_set snapshot.Router.locked_ports;
   let table =
     match workspace with
     | Some _ -> scratch_table ws ~node_count:n ~module_count

@@ -26,19 +26,22 @@ val full_snapshot : node_count:int -> levels:int -> snapshot
 (** Everyone alive at the top level; no deadlocks, no failed links. *)
 
 type workspace
-(** Scratch buffers (weight matrix, Floyd-Warshall matrices, membership
-    sets for failed links and locked ports, and a rotating pair of
-    routing tables) reused across recomputes so the controller's
-    per-frame hot path stops allocating.  A workspace belongs to one
-    controller; it must not be shared across domains. *)
+(** Scratch state reused across recomputes, so the controller's
+    per-frame hot path stops allocating: the graph's compressed-row
+    (CSR) adjacency with per-edge weights and failed/locked flags, the
+    search state (labels, an indexed heap, settled distances and first
+    hops), per-node and per-module marks, the battery factor of every
+    level, the Floyd-Warshall fallback's matrices, interned [Forward]
+    entries, and a rotating pair of routing tables.  After the first
+    recompute on a graph, a recompute allocates only a few words
+    whatever the mesh size.  A workspace belongs to one controller; it
+    must not be shared across domains. *)
 
 val create_workspace : unit -> workspace
 (** An empty workspace; buffers are sized lazily on first use and
-    resized if the graph dimension changes. *)
-
-val fill_set : (int * int, unit) Hashtbl.t -> (int * int) list -> unit
-(** Reset [set] to contain exactly the given pairs (hash-set membership,
-    unit values).  The workspace fast path shared with {!Maximin}. *)
+    rebuilt when a different graph is passed (graphs are recognised by
+    identity and edge count, so a graph must not be edited between
+    recomputes on one workspace). *)
 
 type candidates
 (** A cache of per-module candidate node arrays (the nodes hosting each
@@ -83,12 +86,26 @@ val compute :
     points one hop along a weighted-shortest path to the best living
     duplicate, avoiding locked ports when an unlocked alternative exists
     (the recovery branch of Fig 6).  Entries of dead nodes are
-    [Unreachable].  Passing [?workspace] reuses its scratch matrices
-    instead of allocating; the result is identical either way, but the
-    returned table then belongs to the workspace's rotating pair: it
-    stays valid across exactly one further [compute] on the same
-    workspace (so the previous table can be diffed against the new one)
-    and is overwritten by the one after that. *)
+    [Unreachable].
+
+    The table is exactly the one Fig 5's Floyd-Warshall and Fig 6 give,
+    computed one of two ways.  When every finite weight is a positive
+    multiple of one power of two [2^e] and twice their sum is below
+    [2^(53 + e)], every path sum is exact, and phases two and three run
+    as one truncated {!Etx_graph.Dijkstra} search per living node that
+    stops once each module has a usable replica and nothing nearer is
+    pending (SDR and EAR with Q = 2 always qualify).  Otherwise (a
+    non-dyadic weight family, a zero or negative weight) the recompute
+    runs the all-pairs Floyd-Warshall and counts one
+    [etx_routing_exact_fallback_total].  A negative weight raises
+    [Invalid_argument] from {!Etx_graph.Floyd_warshall}.
+
+    Passing [?workspace] reuses its scratch state instead of
+    allocating; the result is identical either way, but the returned
+    table then belongs to the workspace's rotating pair: it stays valid
+    across exactly one further [compute] on the same workspace (so the
+    previous table can be diffed against the new one) and is overwritten
+    by the one after that. *)
 
 val shortest_paths :
   graph:Etx_graph.Digraph.t -> weight:Weight.t -> snapshot -> Etx_graph.Floyd_warshall.result

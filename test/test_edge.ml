@@ -23,7 +23,8 @@ let check_float = Alcotest.(check (float 1e-9))
 (* - graph structures at their limits - *)
 
 let test_dijkstra_heap_growth () =
-  (* a dense graph forces the internal heap past its initial capacity *)
+  (* a dense graph: the source's relaxations put every other node on the
+     indexed heap at once, and later relaxations are decrease-keys *)
   let n = 40 in
   let g = Digraph.create ~node_count:n in
   for i = 0 to n - 1 do

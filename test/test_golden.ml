@@ -1,4 +1,4 @@
-(* Golden test for the paper outputs: Fig 7 (sizes 4-8), Table 2 and
+(* Golden test for the paper outputs: Fig 7 (sizes 4-12), Table 2 and
    Theorem 1 rendered with every float in exact hexadecimal ([%h]), so
    any change to a routing table, a battery step or an average shows up
    as a diff against [golden_paper.txt].  The other bit-identity tests
@@ -23,7 +23,7 @@ let render () =
     (fun (r : Experiments.fig7_row) ->
       line "fig7 %d %h %h %h %h %h %h" r.mesh_size r.ear_jobs r.sdr_jobs r.gain
         r.ear_overhead r.paper_ear_jobs r.paper_overhead)
-    (Experiments.fig7 ~sizes:[ 4; 5; 6; 7; 8 ] ());
+    (Experiments.fig7 ~sizes:[ 4; 5; 6; 7; 8; 9; 10; 11; 12 ] ());
   line "table2 mesh ear_jobs j_star ratio paper_ear_jobs paper_j_star paper_ratio";
   List.iter
     (fun (r : Experiments.table2_row) ->

@@ -239,6 +239,39 @@ let test_fw_matches_dijkstra () =
           Alcotest.failf "FW %f <> Dijkstra %f for %d -> %d" a b src dst
       done
     done
+  done;
+  (* exact weights (small multiples of a power of two, so every sum is
+     exact and ties abound): distances agree bit for bit and first hops
+     follow Fig 5's successor matrix, through one search state reused
+     across every source *)
+  for _ = 1 to 40 do
+    let nodes = 3 + Etx_util.Prng.int prng ~bound:12 in
+    let scale = Float.ldexp 1. (Etx_util.Prng.int prng ~bound:8 - 4) in
+    let g = Digraph.create ~node_count:nodes in
+    for src = 0 to nodes - 1 do
+      for dst = 0 to nodes - 1 do
+        if src <> dst && Etx_util.Prng.float prng ~bound:1. < 0.35 then
+          Digraph.add_edge g ~src ~dst
+            ~length:(scale *. float_of_int (1 + Etx_util.Prng.int prng ~bound:3))
+      done
+    done;
+    let fw = Fw.run (Digraph.adjacency_matrix g) in
+    let csr = Dijkstra.csr_of_graph g in
+    let search = Dijkstra.create ~node_count:nodes in
+    for src = 0 to nodes - 1 do
+      Dijkstra.start search ~src;
+      while Dijkstra.settle_next search csr ~weights:csr.Dijkstra.lengths >= 0 do
+        ()
+      done;
+      for dst = 0 to nodes - 1 do
+        let a = Fw.distance fw ~src ~dst and b = (Dijkstra.distances search).(dst) in
+        if a <> b then Alcotest.failf "FW %h <> Dijkstra %h for %d -> %d" a b src dst;
+        let hop = match Fw.successor fw ~src ~dst with Some hop -> hop | None -> -1 in
+        let first = (Dijkstra.first_hops search).(dst) in
+        if hop <> first then
+          Alcotest.failf "FW first hop %d <> Dijkstra %d for %d -> %d" hop first src dst
+      done
+    done
   done
 
 let test_fw_successor_paths_are_shortest () =

@@ -651,12 +651,32 @@ let random_snapshot prng ~graph ~levels =
     List.filter (fun (src, _) -> List.mem src fully_locked || chance 0.15) edges;
   snapshot
 
+(* Every weight family, with parameters whose weights are dyadic (the
+   exact Dijkstra path) and non-dyadic (the Floyd-Warshall fallback). *)
+let weight_families =
+  [|
+    Weight.Shortest_distance;
+    Weight.Exponential { q = 2. };
+    Weight.Exponential { q = 1.7 };
+    Weight.Exponential_squared { q = 2. };
+    Weight.Exponential_squared { q = 1.3 };
+    Weight.Inverse_level { floor = 0.5 };
+    Weight.Inverse_level { floor = 0.3 };
+    Weight.Linear_drain { slope = 1. };
+    Weight.Linear_drain { slope = 0.7 };
+  |]
+
 let prop_router_phase_three_matches_oracle =
   QCheck.Test.make ~name:"router: flat phase three = list-walking choose_entry" ~count:200
-    QCheck.(pair (int_range 2 7) (int_range 0 1_000_000))
+    QCheck.(pair (int_range 2 12) (int_range 0 1_000_000))
     (fun (size, seed) ->
       let prng = Etx_util.Prng.create ~seed in
-      let t = Topology.square_mesh ~size () in
+      (* tori add wrap links [size - 1] times longer than the others *)
+      let t =
+        if size >= 3 && Etx_util.Prng.int prng ~bound:4 = 0 then
+          Topology.torus ~rows:size ~cols:size ()
+        else Topology.square_mesh ~size ()
+      in
       let graph = t.Topology.graph in
       let n = size * size in
       let module_count = 3 in
@@ -672,21 +692,136 @@ let prop_router_phase_three_matches_oracle =
           Mapping.custom ~module_count ~assignment
       in
       let weight =
-        if Etx_util.Prng.bool prng then Weight.Exponential { q = 2. }
-        else Weight.Shortest_distance
+        weight_families.(Etx_util.Prng.int prng ~bound:(Array.length weight_families))
       in
+      let levels = 2 + Etx_util.Prng.int prng ~bound:15 in
       let workspace = Router.create_workspace () in
       (* two snapshots through one workspace: the second reuses every
          cached buffer, the candidate arrays included *)
       List.for_all
         (fun () ->
-          let snapshot = random_snapshot prng ~graph ~levels:8 in
+          let snapshot = random_snapshot prng ~graph ~levels in
           let expected = oracle_table ~graph ~mapping ~module_count ~weight snapshot in
           Routing_table.equal expected
             (Router.compute ~graph ~mapping ~module_count ~weight snapshot)
           && Routing_table.equal expected
                (Router.compute ~workspace ~graph ~mapping ~module_count ~weight snapshot))
         [ (); () ])
+
+(* A path whose sum depends on the grouping: 0 -> 2 -> 1 -> 3 costs
+   (0.1 + 0.2) + 0.3 = 0.6000000000000001 summed left to right, as a
+   search would, but 0.1 + (0.2 + 0.3) = 0.6 as Floyd-Warshall forms it
+   (d(2, 3) in pass 1, then d(0, 3) through node 2).  Node 4, the other
+   host of module 2, is 0.6 away on a direct link, so only the
+   Floyd-Warshall sums tie and hand node 0 the first candidate, node 3.
+   The router must agree with Fig 5. *)
+let test_router_last_bit_split_follows_floyd_warshall () =
+  let t =
+    Topology.custom ~name:"split" ~node_count:5
+      ~coords:[| (1, 1); (2, 1); (3, 1); (4, 1); (5, 1) |]
+      ~links:[ (0, 2, 0.1); (2, 1, 0.2); (1, 3, 0.3); (0, 4, 0.6) ]
+  in
+  let graph = t.Topology.graph in
+  let module_count = 3 in
+  let mapping = Mapping.custom ~module_count ~assignment:[| 0; 1; 0; 2; 2 |] in
+  let weight = Weight.Shortest_distance in
+  let snapshot = Router.full_snapshot ~node_count:5 ~levels:8 in
+  let table = Router.compute ~graph ~mapping ~module_count ~weight snapshot in
+  Alcotest.(check bool) "equals the oracle" true
+    (Routing_table.equal (oracle_table ~graph ~mapping ~module_count ~weight snapshot) table);
+  Alcotest.(check (option int)) "destination" (Some 3)
+    (Routing_table.destination table ~node:0 ~module_index:2);
+  Alcotest.(check (option int)) "first hop" (Some 2)
+    (Routing_table.next_hop table ~node:0 ~module_index:2)
+
+(* Zero weights only come from a hand-built [Exponential { q = 0. }]
+   (drained nodes cost nothing to enter); they stay on Floyd-Warshall,
+   and a negative weight still raises through it. *)
+let test_router_zero_and_negative_weights () =
+  let t, mapping = mesh4 () in
+  let graph = t.Topology.graph in
+  let prng = Etx_util.Prng.create ~seed:5 in
+  let weight = Weight.Exponential { q = 0. } in
+  for _ = 1 to 10 do
+    let snapshot = random_snapshot prng ~graph ~levels:8 in
+    Alcotest.(check bool) "zero weights equal the oracle" true
+      (Routing_table.equal
+         (oracle_table ~graph ~mapping ~module_count:3 ~weight snapshot)
+         (Router.compute ~graph ~mapping ~module_count:3 ~weight snapshot))
+  done;
+  let snapshot = Router.full_snapshot ~node_count:16 ~levels:8 in
+  snapshot.Router.battery_level.(5) <- 0;
+  match
+    Router.compute ~graph ~mapping ~module_count:3
+      ~weight:(Weight.Linear_drain { slope = -1. })
+      snapshot
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a negative weight was accepted"
+
+(* After warm-up a recompute on a workspace allocates a few words
+   whatever the mesh size, on both paths: nothing per node, edge or
+   table entry. *)
+let test_router_workspace_recompute_allocation () =
+  let t = Topology.square_mesh ~size:12 () in
+  let graph = t.Topology.graph and mapping = Mapping.checkerboard t in
+  let snapshot = random_snapshot (Etx_util.Prng.create ~seed:11) ~graph ~levels:8 in
+  List.iter
+    (fun weight ->
+      let workspace = Router.create_workspace () in
+      let compute () =
+        ignore (Router.compute ~workspace ~graph ~mapping ~module_count:3 ~weight snapshot)
+      in
+      for _ = 1 to 3 do
+        compute ()
+      done;
+      let before = Gc.minor_words () in
+      compute ();
+      let words = Gc.minor_words () -. before in
+      if words > 64. then
+        Alcotest.failf "%s recompute allocated %.0f words" (Weight.name weight) words)
+    [ Weight.Exponential { q = 2. }; Weight.Exponential { q = 1.7 } ]
+
+(* The gate is visible as a counter: calibrated EAR and SDR runs never
+   leave the exact path, the non-dyadic inverse-level policy always
+   does. *)
+let test_router_exact_fallback_counter () =
+  let module Obs = Etx_obs.Obs in
+  let fallbacks = Obs.counter "etx_routing_exact_fallback_total" in
+  let recomputes = Obs.counter "etx_engine_recompute_total" in
+  let was_armed = Obs.enabled () in
+  Obs.arm ();
+  Fun.protect
+    ~finally:(fun () -> if not was_armed then Obs.disarm ())
+    (fun () ->
+      List.iter
+        (fun policy ->
+          let before = Obs.counter_value fallbacks in
+          let recomputed = Obs.counter_value recomputes in
+          ignore
+            (Etx_etsim.Engine.simulate
+               (Etextile.Calibration.config ~policy ~mesh_size:4 ()));
+          Alcotest.(check bool) "recomputed" true
+            (Obs.counter_value recomputes > recomputed);
+          Alcotest.(check int) (policy.Policy.name ^ " fallbacks") before
+            (Obs.counter_value fallbacks))
+        [ Etextile.Calibration.ear (); Etextile.Calibration.sdr () ];
+      let t, mapping = mesh4 () in
+      let weight =
+        match (Policy.inverse_level ()).Policy.algorithm with
+        | Policy.Weighted weight -> weight
+        | Policy.Maximin_residual -> Alcotest.fail "inverse level is weighted"
+      in
+      let workspace = Router.create_workspace () in
+      let before = Obs.counter_value fallbacks in
+      for _ = 1 to 3 do
+        ignore
+          (Router.compute ~workspace ~graph:t.Topology.graph ~mapping ~module_count:3
+             ~weight
+             (Router.full_snapshot ~node_count:16 ~levels:8))
+      done;
+      Alcotest.(check int) "one fallback per inverse-level compute" (before + 3)
+        (Obs.counter_value fallbacks))
 
 (* - Policy - *)
 
@@ -769,6 +904,13 @@ let suite =
         QCheck_alcotest.to_alcotest prop_router_tables_terminate;
         QCheck_alcotest.to_alcotest prop_sdr_ignores_level_moves;
         QCheck_alcotest.to_alcotest prop_router_phase_three_matches_oracle;
+        Alcotest.test_case "last-bit split follows Floyd-Warshall" `Quick
+          test_router_last_bit_split_follows_floyd_warshall;
+        Alcotest.test_case "zero and negative weights" `Quick
+          test_router_zero_and_negative_weights;
+        Alcotest.test_case "exact-fallback counter" `Quick test_router_exact_fallback_counter;
+        Alcotest.test_case "workspace recompute allocation" `Quick
+          test_router_workspace_recompute_allocation;
       ] );
     ( "routing/policy",
       [
