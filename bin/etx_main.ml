@@ -13,22 +13,39 @@ let version = "1.1.0"
    (exit 0) anywhere in the tree, not just at the group root *)
 let cmd_info name ~doc = Cmd.info name ~version ~doc
 
-(* - shared argument definitions - *)
+(* - scenario parameters, from their one declaration in Request - *)
 
-let sizes_arg =
-  let doc = "Mesh sizes to sweep (square meshes), e.g. --sizes 4,5,6." in
-  Arg.(value & opt (list int) [ 4; 5; 6; 7; 8 ] & info [ "sizes" ] ~docv:"SIZES" ~doc)
+module Request = Etx_service.Request
+module Handlers = Etx_service.Handlers
 
-let seeds_arg =
-  let doc = "Seeds to average over." in
+let conv : type a. a Request.kind -> a Arg.conv = function
+  | Request.Int -> Arg.int
+  | Request.Float -> Arg.float
+  | Request.String -> Arg.string
+  | Request.Ints -> Arg.(list int)
+  | Request.Floats -> Arg.(list float)
+
+(* the declared bound is checked as the flag is parsed, so an
+   out-of-range value is a usage error naming the flag *)
+let param_term (p : _ Request.param) =
+  let base = conv p.kind in
+  let parse s =
+    Result.bind (Arg.conv_parser base s) (fun v ->
+        match Request.check p v with Ok () -> Ok v | Error m -> Error (`Msg m))
+  in
   Arg.(
     value
-    & opt (list int) Etextile.Calibration.default_seeds
-    & info [ "seeds" ] ~docv:"SEEDS" ~doc)
+    & opt (conv (parse, conv_printer base)) p.default
+    & info [ p.flag ] ~docv:p.docv ~doc:p.doc)
 
-let size_arg =
-  let doc = "Square mesh size." in
-  Arg.(value & opt int 6 & info [ "size" ] ~docv:"N" ~doc)
+let rec term : type a. a Request.params -> a Term.t = function
+  | Request.Param p -> param_term p
+  | Request.Map (f, p) -> Term.(const f $ term p)
+  | Request.Pair (a, b) -> Term.(const (fun x y -> (x, y)) $ term a $ term b)
+
+let sizes_term = term Request.sizes
+let seeds_term = term Request.seeds
+let size_term = term Request.mesh_size
 
 let jobs_arg =
   let doc =
@@ -40,11 +57,6 @@ let jobs_arg =
     value
     & opt int (Domain.recommended_domain_count ())
     & info [ "jobs" ] ~docv:"N" ~doc)
-
-let check_sizes sizes =
-  if List.exists (fun s -> s < 2) sizes then
-    `Error (false, "mesh sizes must be at least 2")
-  else `Ok ()
 
 (* - paper artifacts - *)
 
@@ -80,33 +92,27 @@ let render_sweep ~report results =
       (false, Printf.sprintf "%d sweep cell(s) failed; see stderr" (List.length failures))
 
 let fig7_cmd =
-  let run sizes seeds jobs manifest retries =
-    match check_sizes sizes with
-    | `Error _ as e -> e
-    | `Ok () when retries < 0 -> `Error (false, "--sweep-retries must be non-negative")
-    | `Ok () ->
+  let run ({ sizes; seeds } : Request.fig7_params) jobs manifest retries =
+    if retries < 0 then `Error (false, "--sweep-retries must be non-negative")
+    else
       render_sweep ~report:Etextile.Report.fig7
         (Etextile.Experiments.run_units ~domains:jobs ~retries ?manifest
            ~fingerprint:(Etextile.Experiments.fig7_fingerprint ~sizes ~seeds)
            (Etextile.Experiments.fig7_units ~sizes ~seeds))
   in
   let term =
-    Term.(ret (const run $ sizes_arg $ seeds_arg $ jobs_arg $ manifest_arg
+    Term.(ret (const run $ term Request.fig7 $ jobs_arg $ manifest_arg
                $ sweep_retries_arg))
   in
   Cmd.v (cmd_info "fig7" ~doc:"Reproduce Fig 7: completed jobs, EAR vs SDR.") term
 
 let table2_cmd =
   let run sizes seeds jobs =
-    match check_sizes sizes with
-    | `Error _ as e -> e
-    | `Ok () ->
-      Etextile.Report.print
-        (Etextile.Report.table2
-           (Etextile.Experiments.table2 ~sizes ~seeds ~domains:jobs ()));
-      `Ok ()
+    Etextile.Report.print
+      (Etextile.Report.table2
+         (Etextile.Experiments.table2 ~sizes ~seeds ~domains:jobs ()))
   in
-  let term = Term.(ret (const run $ sizes_arg $ seeds_arg $ jobs_arg)) in
+  let term = Term.(const run $ sizes_term $ seeds_term $ jobs_arg) in
   Cmd.v
     (cmd_info "table2" ~doc:"Reproduce Table 2: EAR vs the Theorem 1 upper bound.")
     term
@@ -118,26 +124,18 @@ let fig8_cmd =
       value & opt (list int) [ 1; 2; 4; 7; 10 ] & info [ "controllers" ] ~docv:"COUNTS" ~doc)
   in
   let run sizes controller_counts seeds jobs =
-    match check_sizes sizes with
-    | `Error _ as e -> e
-    | `Ok () ->
-      Etextile.Report.print
-        (Etextile.Report.fig8
-           (Etextile.Experiments.fig8 ~sizes ~controller_counts ~seeds ~domains:jobs ()));
-      `Ok ()
+    Etextile.Report.print
+      (Etextile.Report.fig8
+         (Etextile.Experiments.fig8 ~sizes ~controller_counts ~seeds ~domains:jobs ()))
   in
-  let term = Term.(ret (const run $ sizes_arg $ controllers_arg $ seeds_arg $ jobs_arg)) in
+  let term = Term.(const run $ sizes_term $ controllers_arg $ seeds_term $ jobs_arg) in
   Cmd.v (cmd_info "fig8" ~doc:"Reproduce Fig 8: lifetime vs number of controllers.") term
 
 let thm1_cmd =
-  let run sizes =
-    match check_sizes sizes with
-    | `Error _ as e -> e
-    | `Ok () ->
-      Etextile.Report.print (Etextile.Report.thm1 (Etextile.Experiments.thm1 ~sizes ()));
-      `Ok ()
+  let run ({ sizes } : Request.upper_bound_params) =
+    Etextile.Report.print (Etextile.Report.thm1 (Etextile.Experiments.thm1 ~sizes ()))
   in
-  let term = Term.(ret (const run $ sizes_arg)) in
+  let term = Term.(const run $ term Request.upper_bound) in
   Cmd.v
     (cmd_info "thm1" ~doc:"Evaluate Theorem 1: J* and optimal module replication.")
     term
@@ -157,7 +155,7 @@ let ablations_cmd =
       (Etextile.Report.ablation ~title:"Ablation - battery model x policy"
          (Etextile.Experiments.ablation_battery ~mesh_size ~seeds ~domains:jobs ()))
   in
-  let term = Term.(const run $ size_arg $ seeds_arg $ jobs_arg) in
+  let term = Term.(const run $ size_term $ seeds_term $ jobs_arg) in
   Cmd.v (cmd_info "ablations" ~doc:"Run the design-choice ablation sweeps.") term
 
 let concurrency_cmd =
@@ -170,7 +168,7 @@ let concurrency_cmd =
       (Etextile.Report.concurrency
          (Etextile.Experiments.concurrency ~mesh_size ~depths ~seeds ~domains:jobs ()))
   in
-  let term = Term.(const run $ size_arg $ depths_arg $ seeds_arg $ jobs_arg) in
+  let term = Term.(const run $ size_term $ depths_arg $ seeds_term $ jobs_arg) in
   Cmd.v
     (cmd_info "concurrency"
        ~doc:"Sweep concurrent jobs and exercise deadlock recovery.")
@@ -182,7 +180,7 @@ let workloads_cmd =
       (Etextile.Report.ablation ~title:"Workload generality (same f vector)"
          (Etextile.Experiments.workloads ~mesh_size ~seeds ~domains:jobs ()))
   in
-  let term = Term.(const run $ size_arg $ seeds_arg $ jobs_arg) in
+  let term = Term.(const run $ size_term $ seeds_term $ jobs_arg) in
   Cmd.v
     (cmd_info "workloads"
        ~doc:"Compare AES encrypt / decrypt / synthetic workloads under EAR.")
@@ -194,7 +192,7 @@ let generality_cmd =
       (Etextile.Report.ablation ~title:"Synthetic pipelines of 2..6 modules (6x6)"
          (Etextile.Experiments.generality ~seeds ~domains:jobs ()))
   in
-  let term = Term.(const run $ seeds_arg $ jobs_arg) in
+  let term = Term.(const run $ seeds_term $ jobs_arg) in
   Cmd.v
     (cmd_info "generality" ~doc:"EAR-vs-SDR gain across synthetic pipeline depths.")
     term
@@ -210,101 +208,19 @@ let failures_cmd =
          (Etextile.Experiments.link_failures ~mesh_size ~failure_counts ~seeds
             ~domains:jobs ()))
   in
-  let term = Term.(const run $ size_arg $ counts_arg $ seeds_arg $ jobs_arg) in
+  let term = Term.(const run $ size_term $ counts_arg $ seeds_term $ jobs_arg) in
   Cmd.v
     (cmd_info "failures" ~doc:"Sweep randomly breaking textile interconnects mid-life.")
     term
 
 (* - one-off simulation - *)
 
-(* shared fault-injection flags: [None] when every rate is zero, so the
-   default invocation exercises the bit-identical fault-free path *)
-let fault_args =
-  let ber_arg =
-    let doc = "Transient bit-error rate (per bit per cm of link)." in
-    Arg.(value & opt float 0. & info [ "ber" ] ~docv:"RATE" ~doc)
-  in
-  let wearout_arg =
-    let doc = "Permanent link wear-out rate (Weibull scale, per cm per cycle)." in
-    Arg.(value & opt float 0. & info [ "wearout" ] ~docv:"RATE" ~doc)
-  in
-  let brownout_rate_arg =
-    let doc = "Node brown-out rate (per node per cycle)." in
-    Arg.(value & opt float 0. & info [ "brownout-rate" ] ~docv:"RATE" ~doc)
-  in
-  let brownout_cycles_arg =
-    let doc = "Cycles a browned-out node stays offline." in
-    Arg.(value & opt int 2000 & info [ "brownout-cycles" ] ~docv:"N" ~doc)
-  in
-  let upload_loss_arg =
-    let doc = "Probability a status upload is lost (per node per frame)." in
-    Arg.(value & opt float 0. & info [ "upload-loss" ] ~docv:"P" ~doc)
-  in
-  let download_loss_arg =
-    let doc = "Probability an instruction download is lost (per recomputation)." in
-    Arg.(value & opt float 0. & info [ "download-loss" ] ~docv:"P" ~doc)
-  in
-  let fault_seed_arg =
-    let doc =
-      "Seed of the fault event stream (replays the exact faults of a failing run)."
-    in
-    Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"SEED" ~doc)
-  in
-  let gather ber wearout brownout_rate brownout_cycles upload_loss download_loss
-      fault_seed =
-    if
-      ber = 0. && wearout = 0. && brownout_rate = 0. && upload_loss = 0.
-      && download_loss = 0.
-    then Ok None
-    else
-      match
-        Etx_fault.Spec.make ~seed:fault_seed ~link_wearout_rate:wearout
-          ~bit_error_rate:ber ~brownout_rate ~brownout_duration_cycles:brownout_cycles
-          ~upload_loss_rate:upload_loss ~download_loss_rate:download_loss ()
-      with
-      | spec -> Ok (Some spec)
-      | exception Invalid_argument message -> Error message
-  in
-  Term.(
-    const gather $ ber_arg $ wearout_arg $ brownout_rate_arg $ brownout_cycles_arg
-    $ upload_loss_arg $ download_loss_arg $ fault_seed_arg)
-
-let retries_arg =
-  let doc = "Retransmission budget per hop after a corrupted delivery." in
-  Arg.(value & opt int 3 & info [ "retries" ] ~docv:"N" ~doc)
-
+(* the scenario itself is the service's [simulate]; the CLI adds only
+   run control: tracing, timeline, heatmap, checkpoints and the audit *)
 let simulate_cmd =
-  let policy_arg =
-    let doc = "Routing policy: ear, sdr, ear2, inverse, linear, maximin." in
-    Arg.(value & opt string "ear" & info [ "policy" ] ~docv:"POLICY" ~doc)
-  in
-  let battery_arg =
-    let doc = "Battery model: thin-film or ideal." in
-    Arg.(value & opt string "thin-film" & info [ "battery" ] ~docv:"MODEL" ~doc)
-  in
-  let seed_arg =
-    let doc = "PRNG seed." in
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let controllers_arg =
-    let doc = "Number of battery-powered controllers (0 = one infinite controller)." in
-    Arg.(value & opt int 0 & info [ "controllers" ] ~docv:"N" ~doc)
-  in
-  let jobs_arg =
-    let doc = "Concurrent jobs in flight." in
-    Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc)
-  in
   let trace_arg =
     let doc = "Print the last N trace events." in
     Arg.(value & opt int 0 & info [ "trace" ] ~docv:"N" ~doc)
-  in
-  let workload_arg =
-    let doc = "Workload: encrypt, decrypt, duplex, or synthetic." in
-    Arg.(value & opt string "encrypt" & info [ "workload" ] ~docv:"KIND" ~doc)
-  in
-  let fail_links_arg =
-    let doc = "Break N random interconnects during the first half of a nominal life." in
-    Arg.(value & opt int 0 & info [ "fail-links" ] ~docv:"N" ~doc)
   in
   let timeline_arg =
     let doc = "Write a per-frame CSV timeline to FILE." in
@@ -333,57 +249,15 @@ let simulate_cmd =
     let doc = "Run the invariant auditor every control frame and report violations." in
     Arg.(value & flag & info [ "audit" ] ~doc)
   in
-  let run size policy battery seed controllers jobs trace workload_kind fail_links
-      timeline_file heatmap fault retries checkpoint_every checkpoint_file resume audit =
-    let policy = Etx_service.Handlers.policy_of_string policy in
-    let battery = Etx_service.Handlers.battery_of_string battery in
-    let key_hex = "000102030405060708090a0b0c0d0e0f" in
-    let workload =
-      match String.lowercase_ascii workload_kind with
-      | "encrypt" -> Ok None
-      | "decrypt" -> Ok (Some [ Etx_etsim.Workload.aes_decrypt ~key_hex ])
-      | "duplex" ->
-        Ok
-          (Some
-             [
-               Etx_etsim.Workload.aes_encrypt ~key_hex;
-               Etx_etsim.Workload.aes_decrypt ~key_hex;
-             ])
-      | "synthetic" ->
-        Ok
-          (Some
-             [
-               Etx_etsim.Workload.synthetic ~name:"cli-synthetic"
-                 ~acts_per_job:[| 10; 9; 11 |] ();
-             ])
-      | other -> Error (Printf.sprintf "unknown workload %S" other)
-    in
-    match (policy, battery, workload, fault) with
-    | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e ->
-      `Error (false, e)
-    | _ when checkpoint_every <> None && checkpoint_file = None ->
+  let run (p : Request.simulate_params) trace timeline_file heatmap checkpoint_every
+      checkpoint_file resume audit =
+    match Handlers.simulate_config p with
+    | Error e -> `Error (false, e)
+    | Ok _ when checkpoint_every <> None && checkpoint_file = None ->
       `Error (false, "--checkpoint-every requires --checkpoint-file")
-    | _ when (match checkpoint_every with Some n -> n <= 0 | None -> false) ->
+    | Ok _ when (match checkpoint_every with Some n -> n <= 0 | None -> false) ->
       `Error (false, "--checkpoint-every must be positive")
-    | Ok policy, Ok battery_kind, Ok workload, Ok fault -> (
-      let controllers =
-        if controllers = 0 then Etx_etsim.Config.Infinite_controller
-        else Etx_etsim.Config.Battery_controllers { count = controllers }
-      in
-      match
-        let link_failure_schedule =
-          if fail_links = 0 then []
-          else
-            Etextile.Experiments.random_failure_schedule
-              ~topology:(Etx_graph.Topology.square_mesh ~size ())
-              ~count:fail_links ~before_cycle:40_000 ~seed:(seed * 31)
-        in
-        Etextile.Calibration.config ~policy ~battery_kind ~controllers ~seed
-          ~concurrent_jobs:jobs ?workloads:workload ~link_failure_schedule ?fault
-          ~max_retransmissions:retries ~mesh_size:size ()
-      with
-      | exception Invalid_argument message -> `Error (false, message)
-      | config ->
+    | Ok config -> (
       let trace_capacity = if trace > 0 then Some trace else None in
       let record_timeline = timeline_file <> None in
       match
@@ -443,7 +317,7 @@ let simulate_cmd =
         print_newline ();
         print_string
           (Etextile.Heatmap.render_run
-             ~topology:(Etx_graph.Topology.square_mesh ~size ())
+             ~topology:(Etx_graph.Topology.square_mesh ~size:p.mesh_size ())
              ~engine ())
       end;
       begin
@@ -461,10 +335,8 @@ let simulate_cmd =
   let term =
     Term.(
       ret
-        (const run $ size_arg $ policy_arg $ battery_arg $ seed_arg $ controllers_arg
-       $ jobs_arg $ trace_arg $ workload_arg $ fail_links_arg $ timeline_arg
-       $ heatmap_arg $ fault_args $ retries_arg $ checkpoint_every_arg
-       $ checkpoint_file_arg $ resume_arg $ audit_arg))
+        (const run $ term Request.simulate $ trace_arg $ timeline_arg $ heatmap_arg
+       $ checkpoint_every_arg $ checkpoint_file_arg $ resume_arg $ audit_arg))
   in
   Cmd.v
     (cmd_info "simulate" ~doc:"Run one simulation with custom knobs and print metrics.")
@@ -472,35 +344,31 @@ let simulate_cmd =
 
 let predict_cmd =
   let run sizes seeds jobs =
-    match check_sizes sizes with
-    | `Error _ as e -> e
-    | `Ok () ->
-      (* every result is computed before the first byte is printed *)
-      let summaries =
-        List.map
-          (fun mesh_size ->
-            let problem = Etextile.Calibration.problem ~mesh_size in
-            let topology = Etx_graph.Topology.square_mesh ~size:mesh_size () in
-            let mapping = Etx_routing.Mapping.checkerboard topology in
-            let prediction =
-              Etx_routing.Analysis.predict ~problem ~topology ~mapping
-                ~module_sequence:Etextile.Experiments.aes_module_sequence ()
-            in
-            (mesh_size, Etx_routing.Analysis.summary prediction))
-          sizes
-      in
-      let report =
-        Etextile.Report.predictions
-          (Etextile.Experiments.predictions ~sizes ~seeds ~domains:jobs ())
-      in
-      List.iter
-        (fun (mesh_size, summary) ->
-          Printf.printf "== %dx%d ==\n%s\n" mesh_size mesh_size summary)
-        summaries;
-      Etextile.Report.print report;
-      `Ok ()
+    (* every result is computed before the first byte is printed *)
+    let summaries =
+      List.map
+        (fun mesh_size ->
+          let problem = Etextile.Calibration.problem ~mesh_size in
+          let topology = Etx_graph.Topology.square_mesh ~size:mesh_size () in
+          let mapping = Etx_routing.Mapping.checkerboard topology in
+          let prediction =
+            Etx_routing.Analysis.predict ~problem ~topology ~mapping
+              ~module_sequence:Etextile.Experiments.aes_module_sequence ()
+          in
+          (mesh_size, Etx_routing.Analysis.summary prediction))
+        sizes
+    in
+    let report =
+      Etextile.Report.predictions
+        (Etextile.Experiments.predictions ~sizes ~seeds ~domains:jobs ())
+    in
+    List.iter
+      (fun (mesh_size, summary) ->
+        Printf.printf "== %dx%d ==\n%s\n" mesh_size mesh_size summary)
+      summaries;
+    Etextile.Report.print report
   in
-  let term = Term.(ret (const run $ sizes_arg $ seeds_arg $ jobs_arg)) in
+  let term = Term.(const run $ sizes_term $ seeds_term $ jobs_arg) in
   Cmd.v
     (cmd_info "predict" ~doc:"Static lifetime prediction vs simulation.")
     term
@@ -535,55 +403,27 @@ let optimize_cmd =
     Printf.printf "simulated: optimized %.1f vs checkerboard %.1f jobs\n" optimized
       checkerboard
   in
-  let term = Term.(const run $ size_arg $ iterations_arg $ seeds_arg $ jobs_arg) in
+  let term = Term.(const run $ size_term $ iterations_arg $ seeds_term $ jobs_arg) in
   Cmd.v
     (cmd_info "optimize" ~doc:"Optimize the module placement by local search.")
     term
 
 let algorithms_cmd =
   let run sizes seeds jobs =
-    match check_sizes sizes with
-    | `Error _ as e -> e
-    | `Ok () ->
-      Etextile.Report.print
-        (Etextile.Report.algorithms
-           (Etextile.Experiments.algorithms ~sizes ~seeds ~domains:jobs ()));
-      `Ok ()
+    Etextile.Report.print
+      (Etextile.Report.algorithms
+         (Etextile.Experiments.algorithms ~sizes ~seeds ~domains:jobs ()))
   in
-  let term = Term.(ret (const run $ sizes_arg $ seeds_arg $ jobs_arg)) in
+  let term = Term.(const run $ sizes_term $ seeds_term $ jobs_arg) in
   Cmd.v
     (cmd_info "algorithms" ~doc:"Three-way sweep: EAR vs max-min residual vs SDR.")
     term
 
 let resilience_cmd =
-  let mesh_arg =
-    let doc = "Square mesh size (the acceptance scenario is the 5x5 fabric)." in
-    Arg.(value & opt int 5 & info [ "size" ] ~docv:"N" ~doc)
-  in
-  let ber_rates_arg =
-    let doc = "Bit-error rates to sweep." in
-    Arg.(
-      value
-      & opt (list float) [ 0.; 1e-4; 3e-4; 1e-3 ]
-      & info [ "ber-rates" ] ~docv:"RATES" ~doc)
-  in
-  let wearout_rates_arg =
-    let doc = "Link wear-out rates to sweep." in
-    Arg.(
-      value
-      & opt (list float) [ 0.; 3e-6; 1e-5; 3e-5 ]
-      & info [ "wearout-rates" ] ~docv:"RATES" ~doc)
-  in
-  let fault_seed_arg =
-    let doc = "Base seed of the fault streams (the run's fault seed is this + seed)." in
-    Arg.(value & opt int 1009 & info [ "fault-seed" ] ~docv:"SEED" ~doc)
-  in
-  let run mesh_size bit_error_rates wearout_rates fault_seed seeds jobs manifest retries
-      =
-    if mesh_size < 2 then `Error (false, "mesh size must be at least 2")
-    else if retries < 0 then `Error (false, "--sweep-retries must be non-negative")
-    else if List.exists (fun r -> r < 0.) (bit_error_rates @ wearout_rates) then
-      `Error (false, "fault rates must be non-negative")
+  let run
+      ({ mesh_size; bit_error_rates; wearout_rates; fault_seed; seeds } :
+        Request.resilience_params) jobs manifest retries =
+    if retries < 0 then `Error (false, "--sweep-retries must be non-negative")
     else
       match
         Etextile.Experiments.resilience_units ~mesh_size ~bit_error_rates
@@ -601,8 +441,8 @@ let resilience_cmd =
   let term =
     Term.(
       ret
-        (const run $ mesh_arg $ ber_rates_arg $ wearout_rates_arg $ fault_seed_arg
-       $ seeds_arg $ jobs_arg $ manifest_arg $ sweep_retries_arg))
+        (const run $ term Request.resilience $ jobs_arg $ manifest_arg
+       $ sweep_retries_arg))
   in
   Cmd.v
     (cmd_info "resilience"
@@ -615,45 +455,22 @@ let scenarios_cmd =
       (Etextile.Report.scenarios
          (Etextile.Experiments.scenarios ~seeds ~domains:jobs ()))
   in
-  let term = Term.(const run $ seeds_arg $ jobs_arg) in
+  let term = Term.(const run $ seeds_term $ jobs_arg) in
   Cmd.v
     (cmd_info "scenarios" ~doc:"EAR vs SDR on the garment presets (shirt, jacket, ...).")
     term
 
 let audit_cmd =
-  let every_arg =
-    let doc = "Run an audit pass every N control frames." in
-    Arg.(value & opt int 1 & info [ "every" ] ~docv:"N" ~doc)
+  let run p jobs =
+    match Handlers.audit_runs ~domains:jobs p with
+    | exception Invalid_argument message -> `Error (false, message)
+    | rows ->
+      Etextile.Report.print (Etextile.Report.audit rows);
+      let total = Etextile.Experiments.audit_violations rows in
+      if total = 0 then `Ok ()
+      else `Error (false, Printf.sprintf "%d invariant violation(s) found" total)
   in
-  let run sizes seeds every fault retries jobs =
-    match (check_sizes sizes, fault) with
-    | (`Error _ as e), _ -> e
-    | _, Error e -> `Error (false, e)
-    | `Ok (), Ok fault -> (
-      if every <= 0 then `Error (false, "--every must be positive")
-      else
-        match
-          Etextile.Experiments.audit_runs ~sizes ~seeds ~every ?fault
-            ~max_retransmissions:retries ~domains:jobs ()
-        with
-        | exception Invalid_argument message -> `Error (false, message)
-        | rows ->
-          Etextile.Report.print (Etextile.Report.audit rows);
-          let total =
-            List.fold_left
-              (fun acc (r : Etextile.Experiments.audit_row) ->
-                acc + r.audit_violations_total)
-              0 rows
-          in
-          if total = 0 then `Ok ()
-          else `Error (false, Printf.sprintf "%d invariant violation(s) found" total))
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ sizes_arg $ seeds_arg $ every_arg $ fault_args $ retries_arg
-       $ jobs_arg))
-  in
+  let term = Term.(ret (const run $ term Request.audit $ jobs_arg)) in
   Cmd.v
     (cmd_info "audit"
        ~doc:
@@ -721,7 +538,7 @@ let all_cmd =
     Etextile.Report.print
       (Etextile.Report.fig8 (Etextile.Experiments.fig8 ~seeds ~domains:jobs ()))
   in
-  let term = Term.(const run $ seeds_arg $ jobs_arg) in
+  let term = Term.(const run $ seeds_term $ jobs_arg) in
   Cmd.v (cmd_info "all" ~doc:"Regenerate every paper table and figure.") term
 
 (* - persistent simulation service - *)
@@ -732,6 +549,13 @@ let socket_arg =
     value
     & opt string "/tmp/etx-service.sock"
     & info [ "socket" ] ~docv:"PATH" ~doc)
+
+let stdio_flag =
+  let doc =
+    "Serve newline-delimited JSON on stdin/stdout instead of a socket (one \
+     connection, then exit; blank line flushes a batch)."
+  in
+  Arg.(value & flag & info [ "stdio" ] ~doc)
 
 (* daemons arm the metrics registry at startup; one-shot CLI runs
    (simulate, fig7, ...) never do, keeping paper-scenario output
@@ -767,13 +591,6 @@ let run_daemon ~stdio ~socket ~metrics_file ~metrics_every ?idle ~stopped
   else Etx_service.Daemon.run_unix daemon ~socket_path:socket
 
 let serve_cmd =
-  let stdio_arg =
-    let doc =
-      "Serve newline-delimited JSON on stdin/stdout instead of a socket (one \
-       connection, then exit; blank line flushes a batch)."
-    in
-    Arg.(value & flag & info [ "stdio" ] ~doc)
-  in
   let queue_depth_arg =
     let doc =
       "Admission bound: scenario requests beyond $(docv) in one batch are \
@@ -833,7 +650,7 @@ let serve_cmd =
   let term =
     Term.(
       ret
-        (const run $ stdio_arg $ socket_arg $ queue_depth_arg $ cache_capacity_arg
+        (const run $ stdio_flag $ socket_arg $ queue_depth_arg $ cache_capacity_arg
        $ jobs_arg $ store_arg $ failpoints_arg
        $ metrics_file_arg $ metrics_every_arg))
   in
@@ -1014,36 +831,45 @@ let metrics_cmd =
 
 (* - sharded cluster - *)
 
-let stdio_flag =
-  let doc =
-    "Serve newline-delimited JSON on stdin/stdout instead of a socket (one \
-     connection, then exit; blank line flushes a batch)."
+(* the router flags shared by route and cluster: a config for the
+   backends each of them finds *)
+let router_config =
+  let queue_depth_arg =
+    let doc =
+      "Admission bound: scenario requests beyond $(docv) in one batch are shed \
+       with a degraded/retry_after response, shared fairly across clients."
+    in
+    Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N" ~doc)
   in
-  Arg.(value & flag & info [ "stdio" ] ~doc)
-
-let cluster_queue_depth_arg =
-  let doc =
-    "Admission bound: scenario requests beyond $(docv) in one batch are shed \
-     with a degraded/retry_after response, shared fairly across clients."
+  let attempts_arg =
+    let doc =
+      "Total dispatch attempts per request before it is answered degraded \
+       (failovers walk the consistent-hash ring with jittered backoff)."
+    in
+    Arg.(value & opt int 4 & info [ "attempts" ] ~docv:"N" ~doc)
   in
-  Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N" ~doc)
-
-let attempts_arg =
-  let doc =
-    "Total dispatch attempts per request before it is answered degraded \
-     (failovers walk the consistent-hash ring with jittered backoff)."
+  let request_timeout_arg =
+    let doc = "Per-response read deadline against a backend, in seconds." in
+    Arg.(value & opt float 30. & info [ "request-timeout" ] ~docv:"SECONDS" ~doc)
   in
-  Arg.(value & opt int 4 & info [ "attempts" ] ~docv:"N" ~doc)
-
-let request_timeout_arg =
-  let doc = "Per-response read deadline against a backend, in seconds." in
-  Arg.(value & opt float 30. & info [ "request-timeout" ] ~docv:"SECONDS" ~doc)
-
-let health_period_arg =
-  let doc =
-    "Quiet time in seconds before a backend is health-checked with a ping."
+  let health_period_arg =
+    let doc =
+      "Quiet time in seconds before a backend is health-checked with a ping."
+    in
+    Arg.(value & opt float 2. & info [ "health-period" ] ~docv:"SECONDS" ~doc)
   in
-  Arg.(value & opt float 2. & info [ "health-period" ] ~docv:"SECONDS" ~doc)
+  let make attempts request_timeout_s health_period_s queue_depth ~backends =
+    {
+      (Etx_service.Cluster.default_config ~backends) with
+      attempts;
+      request_timeout_s;
+      health_period_s;
+      queue_depth;
+    }
+  in
+  Term.(
+    const make $ attempts_arg $ request_timeout_arg $ health_period_arg
+    $ queue_depth_arg)
 
 (* idle, the router health-checks its backends: each is pinged once
    per health period of quiet *)
@@ -1065,29 +891,18 @@ let route_cmd =
     in
     Arg.(value & opt (list string) [] & info [ "backends" ] ~docv:"SOCKETS" ~doc)
   in
-  let run stdio socket backends attempts request_timeout health_period queue_depth
-      metrics_file metrics_every =
+  let run stdio socket backends config metrics_file metrics_every =
     if backends = [] then
       `Error (true, "provide --backends with at least one backend socket path")
     else begin
       Etx_obs.Obs.arm ();
-      let cfg =
-        {
-          (Etx_service.Cluster.default_config ~backends) with
-          attempts;
-          request_timeout_s = request_timeout;
-          health_period_s = health_period;
-          queue_depth;
-        }
-      in
-      run_router cfg ~stdio ~socket ~metrics_file ~metrics_every
+      run_router (config ~backends) ~stdio ~socket ~metrics_file ~metrics_every
     end
   in
   let term =
     Term.(
       ret
-        (const run $ stdio_flag $ socket_arg $ backends_arg $ attempts_arg
-       $ request_timeout_arg $ health_period_arg $ cluster_queue_depth_arg
+        (const run $ stdio_flag $ socket_arg $ backends_arg $ router_config
        $ metrics_file_arg $ metrics_every_arg))
   in
   Cmd.v
@@ -1111,8 +926,7 @@ let cluster_cmd =
     in
     Arg.(value & opt string "/tmp/etx-cluster" & info [ "dir" ] ~docv:"DIR" ~doc)
   in
-  let run stdio socket backends dir jobs attempts request_timeout health_period
-      queue_depth metrics_file metrics_every =
+  let run stdio socket backends dir jobs config metrics_file metrics_every =
     if backends < 1 then `Error (true, "--backends must be at least 1")
     else begin
       Etx_obs.Obs.arm ();
@@ -1137,15 +951,7 @@ let cluster_cmd =
                   (List.length stragglers) dir )
           | [] ->
             let cfg =
-              {
-                (Etx_service.Cluster.default_config
-                   ~backends:(List.init backends (Supervisor.backend_socket ~dir)))
-                with
-                attempts;
-                request_timeout_s = request_timeout;
-                health_period_s = health_period;
-                queue_depth;
-              }
+              config ~backends:(List.init backends (Supervisor.backend_socket ~dir))
             in
             Supervisor.while_healing sup ~period_s:0.25 (fun () ->
                 run_router cfg ~stdio ~socket ~metrics_file ~metrics_every))
@@ -1155,8 +961,7 @@ let cluster_cmd =
     Term.(
       ret
         (const run $ stdio_flag $ socket_arg $ backends_arg $ dir_arg $ jobs_arg
-       $ attempts_arg $ request_timeout_arg $ health_period_arg
-       $ cluster_queue_depth_arg $ metrics_file_arg $ metrics_every_arg))
+       $ router_config $ metrics_file_arg $ metrics_every_arg))
   in
   Cmd.v
     (cmd_info "cluster"

@@ -607,9 +607,15 @@ let resilience_units ~mesh_size ~bit_error_rates ~wearout_rates ~fault_seed ~see
   in
   ber_units @ wear_units
 
-let resilience ?(mesh_size = 5) ?(bit_error_rates = [ 0.; 1e-4; 3e-4; 1e-3 ])
-    ?(wearout_rates = [ 0.; 3e-6; 1e-5; 3e-5 ]) ?(fault_seed = 1009)
-    ?(seeds = Calibration.default_seeds) ?pool ?(domains = 1) () =
+let default_resilience_size = 5
+let default_bit_error_rates = [ 0.; 1e-4; 3e-4; 1e-3 ]
+let default_wearout_rates = [ 0.; 3e-6; 1e-5; 3e-5 ]
+let default_resilience_fault_seed = 1009
+
+let resilience ?(mesh_size = default_resilience_size)
+    ?(bit_error_rates = default_bit_error_rates) ?(wearout_rates = default_wearout_rates)
+    ?(fault_seed = default_resilience_fault_seed) ?(seeds = Calibration.default_seeds) ?pool
+    ?(domains = 1) () =
   rows
     (run_units ?pool ~domains
        (resilience_units ~mesh_size ~bit_error_rates ~wearout_rates ~fault_seed ~seeds))
@@ -723,12 +729,20 @@ type audit_row = {
   audit_violations_total : int;
 }
 
-let audit_fingerprint ~sizes ~seeds ~every =
-  Printf.sprintf "audit;sizes=%s;seeds=%s;every=%d" (fingerprint_ints sizes)
-    (fingerprint_ints seeds) every
+let audit_retransmissions = 3
 
-let audit_runs ?(sizes = default_sizes) ?(seeds = Calibration.default_seeds)
-    ?(every = 1) ?fault ?(max_retransmissions = 3) ?pool ?(domains = 1) () =
+(* the fault spec and retry budget are appended only off their defaults,
+   so a default audit keeps the fingerprint it had before they existed *)
+let audit_fingerprint ~sizes ~seeds ~every ?fault
+    ?(max_retransmissions = audit_retransmissions) () =
+  Printf.sprintf "audit;sizes=%s;seeds=%s;every=%d%s%s" (fingerprint_ints sizes)
+    (fingerprint_ints seeds) every
+    (match fault with None -> "" | Some spec -> ";fault=" ^ Etx_fault.Spec.fingerprint spec)
+    (if max_retransmissions = audit_retransmissions then ""
+     else Printf.sprintf ";retx=%d" max_retransmissions)
+
+let audit_runs ~sizes ~seeds ~every ?fault ?(max_retransmissions = audit_retransmissions)
+    ?pool ?(domains = 1) () =
   if every <= 0 then invalid_arg "audit_runs: every must be positive";
   let cells =
     List.concat_map
@@ -756,3 +770,6 @@ let audit_runs ?(sizes = default_sizes) ?(seeds = Calibration.default_seeds)
     }
   in
   match pool with Some p -> Pool.run p run cells | None -> Pool.map ~domains run cells
+
+let audit_violations rows =
+  List.fold_left (fun acc r -> acc + r.audit_violations_total) 0 rows

@@ -72,6 +72,9 @@ type fig7_row = {
   paper_overhead : float;  (** Sec 7.1 reference percentages *)
 }
 
+val default_sizes : int list
+(** [4; 5; 6; 7; 8], the paper's mesh sizes: every size-sweep's default. *)
+
 val fig7 :
   ?sizes:int list -> ?seeds:int list -> ?pool:Etx_util.Pool.t -> ?domains:int -> unit ->
   fig7_row list
@@ -193,6 +196,13 @@ type resilience_row = {
   wearouts : float;
 }
 
+val default_resilience_size : int
+val default_bit_error_rates : float list
+val default_wearout_rates : float list
+val default_resilience_fault_seed : int
+(** {!resilience}'s defaults: the 5x5 acceptance fabric, the calibrated
+    rate grids and base fault seed 1009. *)
+
 val resilience :
   ?mesh_size:int ->
   ?bit_error_rates:float list ->
@@ -240,12 +250,18 @@ type audit_row = {
   audit_violations_total : int;  (** including ones beyond the recorder cap *)
 }
 
-val audit_fingerprint : sizes:int list -> seeds:int list -> every:int -> string
+val audit_fingerprint :
+  sizes:int list -> seeds:int list -> every:int -> ?fault:Etx_fault.Spec.t ->
+  ?max_retransmissions:int -> unit -> string
+(** Canonical identity of one {!audit_runs} shape.  The fault spec
+    ({!Etx_fault.Spec.fingerprint}) and the retry budget are appended
+    only when they differ from {!audit_runs}' defaults (no faults, 3
+    retransmissions), so a default audit's fingerprint never changed. *)
 
 val audit_runs :
-  ?sizes:int list ->
-  ?seeds:int list ->
-  ?every:int ->
+  sizes:int list ->
+  seeds:int list ->
+  every:int ->
   ?fault:Etx_fault.Spec.t ->
   ?max_retransmissions:int ->
   ?pool:Etx_util.Pool.t ->
@@ -287,3 +303,6 @@ val aes_module_sequence : int list
 val mean_jobs : ?pool:Etx_util.Pool.t -> ?domains:int -> Etx_etsim.Config.t list -> float
 (** Average completed jobs over a list of prepared configurations
     (exposed for custom sweeps). *)
+
+val audit_violations : audit_row list -> int
+(** Total violations over the rows. *)

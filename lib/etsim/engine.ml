@@ -1207,19 +1207,18 @@ let fingerprint (config : Config.t) =
   let fault =
     match config.Config.fault with
     | None -> "none"
-    | Some s ->
-      Printf.sprintf "seed=%d,wear=%g/%g,ber=%g,brown=%g/%d/%s,up=%g,down=%g"
-        s.Fault_spec.seed s.Fault_spec.link_wearout_rate
-        s.Fault_spec.link_wearout_shape s.Fault_spec.bit_error_rate
-        s.Fault_spec.brownout_rate s.Fault_spec.brownout_duration_cycles
-        (match s.Fault_spec.brownout_job_policy with
-        | Fault_spec.Preserve -> "preserve"
-        | Fault_spec.Drop -> "drop")
-        s.Fault_spec.upload_loss_rate s.Fault_spec.download_loss_rate
+    | Some s -> Fault_spec.fingerprint s
+  in
+  (* only a battery-powered bank is spelled out, so every run on the
+     single infinite controller keeps the fingerprint it always had *)
+  let controllers =
+    match config.Config.controllers with
+    | Config.Infinite_controller -> ""
+    | Config.Battery_controllers { count } -> Printf.sprintf ";ctl=%d" count
   in
   Printf.sprintf
     "etsim-ckpt-v%d;n=%d;m=%d;edges=%d;policy=%s/%d;seed=%d;frame=%d;max=%d;\
-     jobs=%d;batt=%s/%g/%g;wl=%s;fault=%s;retx=%d;ack=%d;sched=%d"
+     jobs=%d;batt=%s/%g/%g;wl=%s;fault=%s;retx=%d;ack=%d;sched=%d%s"
     Checkpoint.version (Config.node_count config) config.Config.module_count
     (Digraph.edge_count config.Config.topology.Etx_graph.Topology.graph)
     config.Config.policy.Etx_routing.Policy.name
@@ -1231,6 +1230,7 @@ let fingerprint (config : Config.t) =
     (String.concat "+" (List.map Workload.name config.Config.workloads))
     fault config.Config.max_retransmissions config.Config.ack_timeout_cycles
     (List.length config.Config.link_failure_schedule)
+    controllers
 
 let config_fingerprint = fingerprint
 

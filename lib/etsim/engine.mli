@@ -87,9 +87,12 @@ val config_fingerprint : Config.t -> string
 (** The canonical configuration fingerprint embedded in checkpoint
     payloads: a short string covering everything that shapes a run
     (topology census, policy, seed, frame period, battery model,
-    workloads, fault spec, hardening knobs).  Two configs with the same
-    fingerprint produce bit-identical simulations, which is what lets
-    the serving layer content-address its result cache with it. *)
+    workloads, fault spec, hardening knobs, a battery-powered controller
+    bank).  Fault rates print in {!Etx_fault.Spec.fingerprint}'s exact
+    form, so configs differing in any bit of a rate never share a
+    fingerprint.  Two configs with the same fingerprint produce
+    bit-identical simulations, which is what lets the serving layer
+    content-address its result cache with it. *)
 
 val checkpoint : t -> bytes
 (** Serialize the engine's dynamic state as a checkpoint payload (frame

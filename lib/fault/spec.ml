@@ -52,6 +52,21 @@ let is_zero t =
   t.link_wearout_rate = 0. && t.bit_error_rate = 0. && t.brownout_rate = 0.
   && t.upload_loss_rate = 0. && t.download_loss_rate = 0.
 
+(* [%g] when its six significant digits read back as exactly [x] (so
+   every fingerprint printed before this form existed is unchanged),
+   else the exact hexadecimal [%h]: distinct rates never share a form *)
+let exact_float x =
+  let short = Printf.sprintf "%g" x in
+  if float_of_string short = x then short else Printf.sprintf "%h" x
+
+let fingerprint t =
+  Printf.sprintf "seed=%d,wear=%s/%s,ber=%s,brown=%s/%d/%s,up=%s,down=%s" t.seed
+    (exact_float t.link_wearout_rate) (exact_float t.link_wearout_shape)
+    (exact_float t.bit_error_rate) (exact_float t.brownout_rate)
+    t.brownout_duration_cycles
+    (match t.brownout_job_policy with Preserve -> "preserve" | Drop -> "drop")
+    (exact_float t.upload_loss_rate) (exact_float t.download_loss_rate)
+
 let pp fmt t =
   Format.fprintf fmt
     "@[<h>fault spec: seed %d, wearout %g/cm/cycle (k=%g), ber %g/bit/cm, brownout \

@@ -65,4 +65,10 @@ val is_zero : t -> bool
 (** Every rate is exactly zero: the plan will inject nothing and draw
     nothing. *)
 
+val fingerprint : t -> string
+(** Canonical one-line form of every field, injective: a rate prints
+    with [%g] when that reads back exactly, else in exact hexadecimal
+    ([%h]), so specs differing in any bit of any rate never share a
+    fingerprint. *)
+
 val pp : Format.formatter -> t -> unit

@@ -235,16 +235,6 @@ let probe t =
 
 (* - responses - *)
 
-let error_response ?(extra = []) id code message =
-  Json.Obj
-    ([
-       ("id", id);
-       ("status", Json.String "error");
-       ("error", Json.String code);
-       ("message", Json.String message);
-     ]
-    @ extra)
-
 (* every error response counts once in the stats and once in the
    registry, so the two never drift apart *)
 let count_error t =
@@ -255,19 +245,9 @@ let degraded_response t id message =
   t.degraded_total <- t.degraded_total + 1;
   count_error t;
   Obs.inc obs_degraded;
-  error_response
+  Request.error_response
     ~extra:[ ("retry_after_ms", Json.Int t.cfg.retry_after_ms) ]
     id "degraded" message
-
-let ok_response ~scenario ~elapsed_ms id result =
-  Json.Obj
-    [
-      ("id", id);
-      ("status", Json.String "ok");
-      ("scenario", Json.String scenario);
-      ("elapsed_ms", Json.float_lenient elapsed_ms);
-      ("result", result);
-    ]
 
 let backend_stats t =
   Json.Obj
@@ -448,7 +428,8 @@ let handle_batch t lines =
       match item with
       | Malformed err ->
         count_error t;
-        responses.(idx) <- Tree (error_response err.error_id err.error_code err.reason)
+        responses.(idx) <-
+          Tree (Request.error_response err.error_id err.error_code err.reason)
       | Parsed (req : Request.t) -> (
         runnable := (idx, req) :: !runnable;
         match req.body with
@@ -494,7 +475,8 @@ let handle_batch t lines =
             Json.String "stopping"
         in
         let elapsed_ms = (t.now () -. t0) *. 1000. in
-        responses.(idx) <- Tree (ok_response ~scenario:name ~elapsed_ms req.id result)
+        responses.(idx) <-
+          Tree (Request.ok_response ~scenario:name ~elapsed_ms req.id result)
       | Request.Scenario scenario ->
         if Hashtbl.mem admitted idx then begin
           let deadline_abs =
@@ -508,7 +490,8 @@ let handle_batch t lines =
           with
           | Error message ->
             count_error t;
-            responses.(idx) <- Tree (error_response req.id "invalid_request" message)
+            responses.(idx) <-
+              Tree (Request.error_response req.id "invalid_request" message)
           | Ok fp -> (
             t.routed_total <- t.routed_total + 1;
             Obs.inc obs_routed;
@@ -542,7 +525,7 @@ let handle_batch t lines =
               Obs.inc obs_deadline;
               responses.(idx) <-
                 Tree
-                  (error_response req.id "deadline_exceeded"
+                  (Request.error_response req.id "deadline_exceeded"
                      (Printf.sprintf "deadline of %d ms expired while routing"
                         (Option.value req.deadline_ms ~default:0))))
         end)

@@ -1,6 +1,7 @@
 module Json = Etx_util.Json
 module Experiments = Etextile.Experiments
 module Calibration = Etextile.Calibration
+module Workload = Etx_etsim.Workload
 
 let policy_of_string s =
   match String.lowercase_ascii s with
@@ -19,31 +20,61 @@ let battery_of_string s =
   | "ideal" -> Ok Etx_battery.Battery.Ideal
   | other -> Error (Printf.sprintf "unknown battery model %S" other)
 
+let workloads_of_string s =
+  let aes make = make ~key_hex:"000102030405060708090a0b0c0d0e0f" in
+  match String.lowercase_ascii s with
+  | "encrypt" -> Ok None
+  | "decrypt" -> Ok (Some [ aes Workload.aes_decrypt ])
+  | "duplex" -> Ok (Some [ aes Workload.aes_encrypt; aes Workload.aes_decrypt ])
+  | "synthetic" ->
+    Ok (Some [ Workload.synthetic ~name:"cli-synthetic" ~acts_per_job:[| 10; 9; 11 |] () ])
+  | other -> Error (Printf.sprintf "unknown workload %S" other)
+
+(* [None] when every rate is zero, so the default run takes the
+   bit-identical fault-free path *)
+let fault_spec (f : Request.fault_params) =
+  if
+    f.ber = 0. && f.wearout = 0. && f.brownout_rate = 0. && f.upload_loss = 0.
+    && f.download_loss = 0.
+  then None
+  else
+    Some
+      (Etx_fault.Spec.make ~seed:f.fault_seed ~link_wearout_rate:f.wearout
+         ~bit_error_rate:f.ber ~brownout_rate:f.brownout_rate
+         ~brownout_duration_cycles:f.brownout_cycles ~upload_loss_rate:f.upload_loss
+         ~download_loss_rate:f.download_loss ())
+
 let ( let* ) r f = Result.bind r f
 
-(* Build the calibrated config for a simulate request; every semantic
-   check lives in the constructors, surfaced as [Error]. *)
+let guard f =
+  match f () with x -> Ok x | exception Invalid_argument message -> Error message
+
+(* The one place a simulate config is built, for the CLI and the wire;
+   every semantic check lives in the constructors, surfaced as [Error]. *)
 let simulate_config (p : Request.simulate_params) =
   let* policy = policy_of_string p.policy in
   let* battery_kind = battery_of_string p.battery in
-  match
-    let fault =
-      if p.ber = 0. && p.wearout = 0. then None
-      else
-        Some
-          (Etx_fault.Spec.make ~seed:p.fault_seed ~bit_error_rate:p.ber
-             ~link_wearout_rate:p.wearout ())
-    in
-    let controllers =
-      if p.controllers = 0 then Etx_etsim.Config.Infinite_controller
-      else Etx_etsim.Config.Battery_controllers { count = p.controllers }
-    in
-    Calibration.config ~policy ~battery_kind ~controllers ~seed:p.seed
-      ~concurrent_jobs:p.concurrent_jobs ?fault ~max_retransmissions:p.retries
-      ~mesh_size:p.mesh_size ()
-  with
-  | config -> Ok config
-  | exception Invalid_argument message -> Error message
+  let* workloads = workloads_of_string p.workload in
+  guard (fun () ->
+      let controllers =
+        if p.controllers = 0 then Etx_etsim.Config.Infinite_controller
+        else Etx_etsim.Config.Battery_controllers { count = p.controllers }
+      in
+      let link_failure_schedule =
+        if p.fail_links = 0 then []
+        else
+          Experiments.random_failure_schedule
+            ~topology:(Etx_graph.Topology.square_mesh ~size:p.mesh_size ())
+            ~count:p.fail_links ~before_cycle:40_000 ~seed:(p.seed * 31)
+      in
+      Calibration.config ~policy ~battery_kind ~controllers ~seed:p.seed
+        ~concurrent_jobs:p.concurrent_jobs ?workloads ~link_failure_schedule
+        ?fault:(fault_spec p.fault) ~max_retransmissions:p.retries ~mesh_size:p.mesh_size
+        ())
+
+let audit_runs ?pool ?domains (p : Request.audit_params) =
+  Experiments.audit_runs ~sizes:p.sizes ~seeds:p.seeds ~every:p.every
+    ?fault:(fault_spec p.fault) ~max_retransmissions:p.retries ?pool ?domains ()
 
 let fingerprint (scenario : Request.scenario) =
   match scenario with
@@ -58,8 +89,10 @@ let fingerprint (scenario : Request.scenario) =
     Ok
       (Experiments.resilience_fingerprint ~mesh_size ~bit_error_rates ~wearout_rates
          ~fault_seed ~seeds)
-  | Request.Audit { sizes; seeds; every } ->
-    Ok (Experiments.audit_fingerprint ~sizes ~seeds ~every)
+  | Request.Audit p ->
+    guard (fun () ->
+        Experiments.audit_fingerprint ~sizes:p.sizes ~seeds:p.seeds ~every:p.every
+          ?fault:(fault_spec p.fault) ~max_retransmissions:p.retries ())
   | Request.Upper_bound { sizes } ->
     Ok
       (Printf.sprintf "upper-bound;sizes=%s"
@@ -124,34 +157,21 @@ let execute ~pool (scenario : Request.scenario) =
   | Request.Simulate p ->
     let* config = simulate_config p in
     Ok (Etx_etsim.Metrics.to_json (Etx_etsim.Engine.simulate config))
-  | Request.Fig7 { sizes; seeds } -> (
-    match Experiments.fig7 ~sizes ~seeds ~pool () with
-    | result -> Ok (rows fig7_row result)
-    | exception Invalid_argument message -> Error message)
+  | Request.Fig7 { sizes; seeds } ->
+    guard (fun () -> rows fig7_row (Experiments.fig7 ~sizes ~seeds ~pool ()))
   | Request.Resilience { mesh_size; bit_error_rates; wearout_rates; fault_seed; seeds }
-    -> (
-    match
-      Experiments.resilience ~mesh_size ~bit_error_rates ~wearout_rates ~fault_seed
-        ~seeds ~pool ()
-    with
-    | result -> Ok (rows resilience_row result)
-    | exception Invalid_argument message -> Error message)
-  | Request.Audit { sizes; seeds; every } -> (
-    match Experiments.audit_runs ~sizes ~seeds ~every ~pool () with
-    | result ->
-      let total =
-        List.fold_left
-          (fun acc (r : Experiments.audit_row) -> acc + r.audit_violations_total)
-          0 result
-      in
-      Ok
-        (Json.Obj
-           [
-             ("rows", Json.List (List.map audit_row result));
-             ("violations_total", i total);
-           ])
-    | exception Invalid_argument message -> Error message)
-  | Request.Upper_bound { sizes } -> (
-    match Experiments.thm1 ~sizes () with
-    | result -> Ok (rows thm1_row result)
-    | exception Invalid_argument message -> Error message)
+    ->
+    guard (fun () ->
+        rows resilience_row
+          (Experiments.resilience ~mesh_size ~bit_error_rates ~wearout_rates ~fault_seed
+             ~seeds ~pool ()))
+  | Request.Audit p ->
+    guard (fun () ->
+        let result = audit_runs ~pool p in
+        Json.Obj
+          [
+            ("rows", Json.List (List.map audit_row result));
+            ("violations_total", i (Experiments.audit_violations result));
+          ])
+  | Request.Upper_bound { sizes } ->
+    guard (fun () -> rows thm1_row (Experiments.thm1 ~sizes ()))

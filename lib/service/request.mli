@@ -9,14 +9,87 @@
 
     [id] is echoed verbatim in the response (any JSON value; defaults to
     [null]); [priority] orders execution within a batch (higher first,
-    ties by arrival; defaults to 0).  Scenario parameters mirror the
-    corresponding CLI flags and share their defaults, so a request that
-    omits [params] entirely reproduces the calibrated default run.
+    ties by arrival; defaults to 0).
 
-    This module is shape parsing only — semantic validation (mesh sizes,
-    fault rates) happens when {!Handlers} builds the configuration, so
-    the error surfaces in the response of exactly the offending
-    request. *)
+    Every scenario parameter is declared once, below: its wire key, CLI
+    flag, type, default, doc string and lower bound.  The wire decoder
+    here and the CLI's cmdliner terms are both derived from that one
+    declaration, so the two cannot drift: a request that omits [params]
+    reproduces the CLI's default run, and a value outside its declared
+    bound is an [invalid_request] at decoding, before the request is
+    fingerprinted, queued or forwarded.  Checks that need more than one
+    value or a name lookup (unknown policy, loss probability above 1,
+    more failed links than the mesh has) happen when {!Handlers} builds
+    the configuration, still before any compute. *)
+
+(** {1 Parameter schema} *)
+
+type _ kind =
+  | Int : int kind
+  | Float : float kind
+  | String : string kind
+  | Ints : int list kind  (** comma-separated on the CLI, a JSON array on the wire *)
+  | Floats : float list kind
+
+type 'a param = {
+  key : string;  (** wire key inside ["params"] *)
+  flag : string;  (** CLI long option, without the dashes *)
+  docv : string;
+  doc : string;
+  kind : 'a kind;
+  default : 'a;
+  at_least : int option;
+      (** lower bound of the value, of every element of a list; a bounded
+          float must also be finite *)
+}
+
+(** A scenario's parameters: declared params combined into its record. *)
+type _ params =
+  | Param : 'a param -> 'a params
+  | Map : ('a -> 'b) * 'a params -> 'b params
+  | Pair : 'a params * 'b params -> ('a * 'b) params
+
+type any_param = Any : 'a param -> any_param
+
+val fields : 'a params -> any_param list
+(** Every declared param, in declaration order. *)
+
+val check : 'a param -> 'a -> (unit, string) result
+(** The declared bound: [Error] names the first offending value. *)
+
+(** {1 Scenarios} *)
+
+type fault_params = {
+  ber : float;
+  wearout : float;
+  brownout_rate : float;
+  brownout_cycles : int;
+  upload_loss : float;
+  download_loss : float;
+  fault_seed : int;
+}
+(** The fault flags shared by [simulate] and [audit]; all rates zero
+    means the fault-free run. *)
+
+type fig7_params = { sizes : int list; seeds : int list }
+
+type resilience_params = {
+  mesh_size : int;
+  bit_error_rates : float list;
+  wearout_rates : float list;
+  fault_seed : int;
+  seeds : int list;
+}
+
+type audit_params = {
+  sizes : int list;
+  seeds : int list;
+  every : int;
+  fault : fault_params;
+  retries : int;
+}
+
+type upper_bound_params = { sizes : int list }
 
 type simulate_params = {
   mesh_size : int;
@@ -25,24 +98,35 @@ type simulate_params = {
   battery : string;
   controllers : int;  (** 0 = one infinite-energy controller *)
   concurrent_jobs : int;
-  ber : float;
-  wearout : float;
-  fault_seed : int;
+  workload : string;
+  fail_links : int;
+  fault : fault_params;
   retries : int;
 }
 
+val sizes : int list params
+(** [--sizes] / ["sizes"], shared by every size sweep. *)
+
+val seeds : int list params
+val mesh_size : int params
+(** [--size] / ["mesh_size"], default 6. *)
+
+val simulate : simulate_params params
+val fig7 : fig7_params params
+val resilience : resilience_params params
+val audit : audit_params params
+val upper_bound : upper_bound_params params
+(** the CLI's [thm1] *)
+
 type scenario =
   | Simulate of simulate_params
-  | Fig7 of { sizes : int list; seeds : int list }
-  | Resilience of {
-      mesh_size : int;
-      bit_error_rates : float list;
-      wearout_rates : float list;
-      fault_seed : int;
-      seeds : int list;
-    }
-  | Audit of { sizes : int list; seeds : int list; every : int }
-  | Upper_bound of { sizes : int list }
+  | Fig7 of fig7_params
+  | Resilience of resilience_params
+  | Audit of audit_params
+  | Upper_bound of upper_bound_params
+
+val scenarios : (string * scenario params) list
+(** Every wire scenario by name, with its declared params. *)
 
 type metrics_format = Metrics_json | Metrics_prometheus
 
@@ -94,3 +178,18 @@ val of_line : string -> (t, error) result
     well-formed object with an unknown scenario name or wrongly-typed
     field is an [invalid_request].  Unknown object keys are ignored
     (forward compatibility). *)
+
+(** {1 Responses} *)
+
+val ok_response :
+  ?cache:string -> scenario:string -> elapsed_ms:float -> Etx_util.Json.t ->
+  Etx_util.Json.t -> Etx_util.Json.t
+(** [{"id", "status":"ok", "scenario", "cache"?, "elapsed_ms", "result"}],
+    the one success shape of every daemon ([cache] only where a result
+    cache answered). *)
+
+val error_response :
+  ?extra:(string * Etx_util.Json.t) list -> Etx_util.Json.t -> string -> string ->
+  Etx_util.Json.t
+(** [error_response id code message]: [{"id", "status":"error", "error",
+    "message"}] followed by the [extra] fields (e.g. [retry_after_ms]). *)

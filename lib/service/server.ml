@@ -200,23 +200,6 @@ let stats_json t =
       | Some store -> [ ("store", store_stats store) ])
     @ [ ("scenarios", scenario_stats t) ])
 
-let ok_response ?cache ~scenario ~elapsed_ms id result =
-  Json.Obj
-    ([ ("id", id); ("status", Json.String "ok"); ("scenario", Json.String scenario) ]
-    @ (match cache with
-      | None -> []
-      | Some how -> [ ("cache", Json.String how) ])
-    @ [ ("elapsed_ms", Json.float_lenient elapsed_ms); ("result", result) ])
-
-let error_response id code message =
-  Json.Obj
-    [
-      ("id", id);
-      ("status", Json.String "error");
-      ("error", Json.String code);
-      ("message", Json.String message);
-    ]
-
 type item = Parsed of Request.t | Malformed of Request.error
 
 let handle_batch t lines =
@@ -247,7 +230,7 @@ let handle_batch t lines =
       | Malformed err ->
         t.errors_total <- t.errors_total + 1;
         Obs.inc obs_errors;
-        responses.(idx) <- error_response err.error_id err.error_code err.reason
+        responses.(idx) <- Request.error_response err.error_id err.error_code err.reason
       | Parsed req -> (
         match req.body with
         | Request.Control _ -> runnable := (idx, req) :: !runnable
@@ -263,7 +246,7 @@ let handle_batch t lines =
             Obs.inc obs_shed;
             Obs.inc obs_errors;
             responses.(idx) <-
-              error_response req.id "queue_full"
+              Request.error_response req.id "queue_full"
                 (Printf.sprintf
                    "queue depth %d exceeded for this batch; resubmit later"
                    t.cfg.queue_depth)
@@ -297,7 +280,7 @@ let handle_batch t lines =
             Json.String "stopping"
         in
         let elapsed_ms = (t.now () -. t0) *. 1000. in
-        responses.(idx) <- ok_response ~scenario:name ~elapsed_ms req.id result
+        responses.(idx) <- Request.ok_response ~scenario:name ~elapsed_ms req.id result
       | Request.Scenario scenario ->
         Span.with_trace req.trace_id (fun () ->
         Span.span "server.handle" (fun () ->
@@ -313,7 +296,7 @@ let handle_batch t lines =
           Obs.inc obs_deadline;
           Obs.inc obs_errors;
           responses.(idx) <-
-            error_response req.id "deadline_exceeded"
+            Request.error_response req.id "deadline_exceeded"
               (Printf.sprintf "deadline of %d ms expired before compute"
                  (Option.value req.deadline_ms ~default:0))
         end
@@ -325,7 +308,7 @@ let handle_batch t lines =
         | Error message ->
           t.errors_total <- t.errors_total + 1;
           Obs.inc obs_errors;
-          responses.(idx) <- error_response req.id "invalid_request" message
+          responses.(idx) <- Request.error_response req.id "invalid_request" message
         | Ok fp -> (
           (* result tiers: this batch, the in-memory LRU, the durable
              store, then compute (which backfills both caches) *)
@@ -384,11 +367,11 @@ let handle_batch t lines =
             Obs.observe obs_request_ms elapsed_ms;
             t.served_total <- t.served_total + 1;
             responses.(idx) <-
-              ok_response ~cache:how ~scenario:name ~elapsed_ms req.id result
+              Request.ok_response ~cache:how ~scenario:name ~elapsed_ms req.id result
           | Error message ->
             t.errors_total <- t.errors_total + 1;
             Obs.inc obs_errors;
-            responses.(idx) <- error_response req.id "failed" message))))
+            responses.(idx) <- Request.error_response req.id "failed" message))))
     order;
   Obs.set obs_queue_depth (float_of_int !admitted);
   Obs.add obs_responses (Array.length responses);

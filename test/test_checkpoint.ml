@@ -254,6 +254,30 @@ let test_fingerprint_mismatch () =
   | _ -> Alcotest.fail "truncated payload accepted"
   | exception Checkpoint.Error _ -> ()
 
+(* runs whose bit-error rates agree to six digits, or that differ only
+   in the controller bank, are different runs: neither may resume the
+   other's checkpoint *)
+let test_fingerprint_separates_near_configs () =
+  let config ?controllers ber =
+    Calibration.config ?controllers ~fault:(Spec.make ~seed:3 ~bit_error_rate:ber ())
+      ~mesh_size:4 ~seed:1 ()
+  in
+  let engine = Engine.create (config 1e-4) in
+  (match Engine.run_until engine ~cycle:10_000 with
+  | Engine.Finished _ -> Alcotest.fail "died before pause"
+  | Engine.Paused -> ());
+  let payload = Engine.checkpoint engine in
+  List.iter
+    (fun (name, other) ->
+      match Engine.restore other payload with
+      | _ -> Alcotest.failf "restore under %s accepted" name
+      | exception Checkpoint.Error (Checkpoint.Fingerprint_mismatch _) -> ())
+    [
+      ("a ber off in the ninth digit", config 1.00000001e-4);
+      ( "two battery-powered controllers",
+        config ~controllers:(Config.Battery_controllers { count = 2 }) 1e-4 );
+    ]
+
 (* - QCheck: restore-then-run is bit-identical across random configs and
    fault plans - *)
 
@@ -341,6 +365,9 @@ let suite =
           test_bit_identity_pending_link_failures );
         ("checkpoint guards", `Quick, test_checkpoint_guards);
         ("fingerprint mismatch", `Quick, test_fingerprint_mismatch);
+        ( "fingerprint separates near configs",
+          `Quick,
+          test_fingerprint_separates_near_configs );
         QCheck_alcotest.to_alcotest invariant_restore_bit_identical;
       ] );
   ]

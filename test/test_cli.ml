@@ -60,14 +60,17 @@ let test_simulate_fault_flags () =
   let second = check_ok "faulty simulate (again)" args in
   Alcotest.(check string) "deterministic replay" first second
 
+(* negative values are attached with '=': after a space cmdliner would
+   read "-2" as an unknown option and the case would pass without ever
+   reaching the validation it names *)
 let test_simulate_invalid_values () =
   List.iter
     (fun (name, args) -> ignore (check_fails name ("simulate --size 4 " ^ args)))
     [
-      ("negative ber", "--ber -1e-4");
-      ("negative retries", "--retries -2");
+      ("negative ber", "--ber=-1e-4");
+      ("negative retries", "--retries=-2");
       ("upload loss above 1", "--upload-loss 1.5");
-      ("negative brownout duration", "--brownout-rate 1e-5 --brownout-cycles -3");
+      ("negative brownout duration", "--brownout-rate 1e-5 --brownout-cycles=-3");
       ("unknown policy", "--policy quantum");
       ("checkpoint-every without file", "--checkpoint-every 100");
       ("non-positive checkpoint-every", "--checkpoint-every 0 --checkpoint-file x.bin");
@@ -124,9 +127,60 @@ let test_resilience_invalid_values () =
     (fun (name, args) -> ignore (check_fails name ("resilience " ^ args)))
     [
       ("mesh too small", "--size 1");
-      ("negative rate", "--size 4 --ber-rates -1e-4 --seeds 1");
-      ("negative sweep retries", "--size 4 --seeds 1 --sweep-retries -1");
+      ("negative rate", "--size 4 --ber-rates=-1e-4 --seeds 1");
+      ("negative sweep retries", "--size 4 --seeds 1 --sweep-retries=-1");
     ]
+
+(* - one scenario schema: the CLI and the wire build the same run - *)
+
+(* the integer right after the first [needle] in [text] *)
+let int_after text needle =
+  let hl = String.length text and nl = String.length needle in
+  let rec find i =
+    if i + nl > hl then Alcotest.failf "%S not found in:\n%s" needle text
+    else if String.sub text i nl = needle then i + nl
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < hl && text.[!stop] >= '0' && text.[!stop] <= '9' do
+    incr stop
+  done;
+  int_of_string (String.sub text start (!stop - start))
+
+let serve_one request =
+  let input = Filename.temp_file "etx_cli_parity" ".in" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove input with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out input in
+      output_string oc (request ^ "\n\n");
+      close_out oc;
+      check_ok "serve --stdio"
+        (Printf.sprintf "serve --stdio --jobs 1 < %s" (Filename.quote input)))
+
+let test_cli_wire_parity () =
+  let cli =
+    check_ok "simulate"
+      "simulate --size 4 --workload decrypt --fail-links 4 --brownout-rate 1e-5 \
+       --upload-loss 0.1"
+  in
+  let wire =
+    serve_one
+      {|{"scenario":"simulate","params":{"mesh_size":4,"workload":"decrypt","fail_links":4,"brownout_rate":1e-5,"upload_loss":0.1},"id":1}|}
+  in
+  Alcotest.(check int) "jobs_completed" (int_after cli "jobs completed: ")
+    (int_after wire {|"jobs_completed":|});
+  Alcotest.(check int) "lifetime_cycles" (int_after cli "lifetime: ")
+    (int_after wire {|"lifetime_cycles":|});
+  let cli = check_ok "audit" "audit --sizes 4 --seeds 1 --ber 2e-4" in
+  let wire =
+    serve_one {|{"scenario":"audit","params":{"sizes":[4],"seeds":[1],"ber":2e-4},"id":2}|}
+  in
+  Alcotest.(check int) "audit passes" (int_after cli "4x4 seed 1: ")
+    (int_after wire {|"passes":|});
+  Alcotest.(check int) "audit violations" (int_after cli " passes, ")
+    (int_after wire {|"violations_total":|})
 
 (* - version / help consistency - *)
 
@@ -481,6 +535,7 @@ let suite =
           test_resilience_invalid_values;
         Alcotest.test_case "resilience manifest resume" `Slow
           test_resilience_manifest_resume;
+        Alcotest.test_case "cli = wire parity" `Quick test_cli_wire_parity;
         Alcotest.test_case "--version everywhere" `Quick test_version_everywhere;
         Alcotest.test_case "--help everywhere" `Quick test_help_everywhere;
         Alcotest.test_case "serve --stdio miss then hit" `Quick

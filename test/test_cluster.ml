@@ -595,6 +595,27 @@ let test_cluster_deadline_and_controls () =
       (str_member "role" (Option.get (Json.member "result" (parse stats))))
   | _ -> Alcotest.fail "two responses expected"
 
+(* a sweep breaking a declared bound is answered invalid_request by the
+   router itself: no backend ever sees it *)
+let test_cluster_rejects_out_of_bounds_locally () =
+  let calls = ref [] in
+  let cluster =
+    Cluster.create
+      ~now:(fun () -> 0.)
+      ~sleep:(fun _ -> ())
+      ~rpc:(fake_rpc calls (fun ~path:_ ~line:_ -> Ok "served"))
+      (cluster_cfg [ "a.sock"; "b.sock" ])
+  in
+  (match
+     Cluster.handle_batch cluster [ {|{"scenario":"fig7","params":{"sizes":[1]},"id":4}|} ]
+   with
+  | [ r ] ->
+    Alcotest.(check string) "invalid_request" "invalid_request"
+      (str_member "error" (parse r))
+  | _ -> Alcotest.fail "one response expected");
+  Alcotest.(check bool) "never forwarded" true
+    (List.for_all (fun (_, line) -> line = {|{"scenario":"ping"}|}) !calls)
+
 let test_cluster_error_counter_matches_stats () =
   (* every error path (malformed, invalid, shed) must bump the registry
      counter exactly as it bumps stats.errors_total *)
@@ -770,6 +791,8 @@ let suite =
         Alcotest.test_case "fair shedding" `Quick test_cluster_fair_shedding;
         Alcotest.test_case "deadlines and controls" `Quick
           test_cluster_deadline_and_controls;
+        Alcotest.test_case "out-of-bounds params answered locally" `Quick
+          test_cluster_rejects_out_of_bounds_locally;
         Alcotest.test_case "error counter matches stats" `Quick
           test_cluster_error_counter_matches_stats;
         Alcotest.test_case "config validation" `Quick test_cluster_rejects_bad_config;

@@ -85,15 +85,15 @@ let test_request_errors () =
   | Error { Request.error_id = Json.Int 9; _ } -> ()
   | _ -> Alcotest.fail "id lost on invalid request"
 
+let fp line =
+  match Request.of_line line with
+  | Ok { body = Request.Scenario s; _ } -> (
+    match Handlers.fingerprint s with
+    | Ok fp -> fp
+    | Error m -> Alcotest.failf "fingerprint of %s failed: %s" line m)
+  | _ -> Alcotest.failf "not a scenario: %s" line
+
 let test_fingerprint_canonicalization () =
-  let fp line =
-    match Request.of_line line with
-    | Ok { body = Request.Scenario s; _ } -> (
-      match Handlers.fingerprint s with
-      | Ok fp -> fp
-      | Error m -> Alcotest.failf "fingerprint failed: %s" m)
-    | _ -> Alcotest.failf "not a scenario: %s" line
-  in
   (* spelling out the defaults, reordering fields, adding unknown keys:
      same computation, same content address *)
   let a = fp {|{"scenario":"simulate"}|} in
@@ -137,6 +137,116 @@ let elapsed_ms j =
   match Option.bind (Json.member "elapsed_ms" j) Json.to_float with
   | Some f -> f
   | None -> Alcotest.failf "missing elapsed_ms in %s" (Json.to_string j)
+
+(* a sweep whose params break a declared bound is turned away before it
+   is fingerprinted or queued, not run to an execution failure *)
+let test_sweep_bounds_at_front_door () =
+  with_server (fun server ->
+      List.iter
+        (fun line ->
+          match Server.handle_batch server [ line ] with
+          | [ r ] ->
+            Alcotest.(check string) line "invalid_request"
+              (str_member "error" (parse_response r))
+          | _ -> Alcotest.fail "one response expected")
+        [
+          {|{"scenario":"fig7","params":{"sizes":[1]},"id":4}|};
+          {|{"scenario":"resilience","params":{"bit_error_rates":[0,-1e-4]}}|};
+          {|{"scenario":"audit","params":{"sizes":[4],"every":0}}|};
+          {|{"scenario":"upper-bound","params":{"sizes":[4,1]}}|};
+        ])
+
+(* the simulate content address is injective in the fault rates: rates
+   equal to six significant digits still name different runs, while a
+   rate whose short form reads back exactly keeps the form it always had *)
+let test_fingerprint_exact_rates () =
+  Alcotest.(check bool) "rates equal to six digits differ" true
+    (fp {|{"scenario":"simulate","params":{"ber":0.0001}}|}
+    <> fp {|{"scenario":"simulate","params":{"ber":0.00010000001}}|});
+  Alcotest.(check string) "round-tripping rates keep their short form"
+    "simulate;etsim-ckpt-v1;n=25;m=3;edges=80;policy=EAR(q=2)/8;seed=1;frame=800;\
+     max=50000000;jobs=1;batt=thin-film/60000/0.1;wl=aes-128-encrypt;\
+     fault=seed=7,wear=1e-05/2,ber=0.0002,brown=0/2000/preserve,up=0,down=0;retx=3;\
+     ack=25;sched=0"
+    (fp
+       {|{"scenario":"simulate","params":{"mesh_size":5,"ber":2e-4,"fault_seed":7,"wearout":1e-5}}|});
+  Alcotest.(check string) "a default audit keeps its fingerprint"
+    "audit;sizes=4,5,6,7,8;seeds=1,2,3,4,5;every=1"
+    (fp {|{"scenario":"audit","params":{"retries":3,"ber":0}}|})
+
+(* Every declared param of every scenario, through the wire: spelling
+   out the default is omitting it, another in-bounds value is another
+   result, and a value below the bound (or an unknown name) is turned
+   away as invalid_request. *)
+let json_of (type a) (kind : a Request.kind) (v : a) =
+  match kind with
+  | Request.Int -> Json.Int v
+  | Request.Float -> Json.Float v
+  | Request.String -> Json.String v
+  | Request.Ints -> Json.List (List.map (fun n -> Json.Int n) v)
+  | Request.Floats -> Json.List (List.map (fun x -> Json.Float x) v)
+
+let other_value (type a) (p : a Request.param) : a =
+  match p.kind with
+  | Request.Int -> p.default + 1
+  | Request.Float -> p.default +. 0.05
+  | Request.Ints -> List.map succ p.default
+  | Request.Floats -> List.map (fun x -> x +. 1e-5) p.default
+  | Request.String -> (
+    match p.key with
+    | "policy" -> "sdr"
+    | "battery" -> "ideal"
+    | "workload" -> "decrypt"
+    | key -> Alcotest.failf "no alternative value for %S" key)
+
+let out_of_bounds (type a) (p : a Request.param) : a option =
+  match (p.kind, p.at_least) with
+  | Request.String, _ -> Some "no-such-name"
+  | _, None -> None
+  | Request.Int, Some lo -> Some (lo - 1)
+  | Request.Float, Some lo -> Some (float_of_int lo -. 1.)
+  | Request.Ints, Some lo -> Some [ lo - 1 ]
+  | Request.Floats, Some lo -> Some [ float_of_int lo -. 1. ]
+
+let test_schema_fingerprint_property () =
+  with_server (fun server ->
+      let line name params =
+        Json.to_string
+          (Json.Obj [ ("scenario", Json.String name); ("params", Json.Obj params) ])
+      in
+      let fp name params = fp (line name params) in
+      let checked = ref 0 in
+      List.iter
+        (fun (name, spec) ->
+          List.iter
+            (fun (Request.Any p) ->
+              let what = Printf.sprintf "%s %s" name p.key in
+              (* a fault seed or brown-out duration only shapes a run with
+                 some fault rate on, so faulted scenarios are probed with one *)
+              let base =
+                if not (List.mem name [ "simulate"; "audit" ]) then []
+                else if p.key = "ber" then [ ("wearout", Json.Float 1e-5) ]
+                else [ ("ber", Json.Float 1e-4) ]
+              in
+              let with_value v = base @ [ (p.key, json_of p.kind v) ] in
+              Alcotest.(check bool) (what ^ ": default within bound") true
+                (Request.check p p.default = Ok ());
+              Alcotest.(check string) (what ^ ": default spelled out") (fp name base)
+                (fp name (with_value p.default));
+              Alcotest.(check bool) (what ^ ": other value, other fingerprint") true
+                (fp name base <> fp name (with_value (other_value p)));
+              (match out_of_bounds p with
+              | None -> ()
+              | Some v -> (
+                match Server.handle_batch server [ line name (with_value v) ] with
+                | [ r ] ->
+                  Alcotest.(check string) (what ^ ": out of bounds")
+                    "invalid_request" (str_member "error" (parse_response r))
+                | _ -> Alcotest.fail "one response expected"));
+              incr checked)
+            (Request.fields spec))
+        Request.scenarios;
+      Alcotest.(check int) "every declared param visited" 35 !checked)
 
 let simulate_line = {|{"scenario":"simulate","params":{"mesh_size":4},"id":1}|}
 
@@ -267,10 +377,10 @@ let test_error_responses () =
       check_error "negative mesh"
         {|{"scenario":"simulate","params":{"mesh_size":-4}}|}
         "invalid_request";
-      (* audit cadence is only validated at execution time, after the
-         fingerprint: the structured failure path *)
-      check_error "execution failure" {|{"scenario":"audit","params":{"every":0}}|}
-        "failed")
+      (* the audit cadence's declared bound runs at decoding, before the
+         fingerprint and any compute *)
+      check_error "audit cadence" {|{"scenario":"audit","params":{"every":0}}|}
+        "invalid_request")
 
 let test_lru_bound_end_to_end () =
   with_server ~cache_capacity:1 (fun server ->
@@ -398,6 +508,9 @@ let suite =
         Alcotest.test_case "errors" `Quick test_request_errors;
         Alcotest.test_case "fingerprint canonicalization" `Quick
           test_fingerprint_canonicalization;
+        Alcotest.test_case "fingerprint exact rates" `Quick test_fingerprint_exact_rates;
+        Alcotest.test_case "schema fingerprint property" `Quick
+          test_schema_fingerprint_property;
       ] );
     ( "service/server",
       [
@@ -407,6 +520,8 @@ let suite =
         Alcotest.test_case "in-batch coalescing" `Quick test_in_batch_coalescing;
         Alcotest.test_case "priority ordering" `Quick test_priority_ordering;
         Alcotest.test_case "error responses" `Quick test_error_responses;
+        Alcotest.test_case "sweep bounds at the front door" `Quick
+          test_sweep_bounds_at_front_door;
         Alcotest.test_case "lru bound end to end" `Quick test_lru_bound_end_to_end;
         Alcotest.test_case "stats shape" `Quick test_stats_shape;
         Alcotest.test_case "latency window keeps the newest 512" `Quick
