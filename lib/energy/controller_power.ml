@@ -8,6 +8,8 @@ let make ~dynamic_mw ~leakage_mw ~anchor_nodes =
 
 let paper_anchor = make ~dynamic_mw:6.94 ~leakage_mw:0.57 ~anchor_nodes:16
 
+let fingerprint t = Printf.sprintf "%h/%h/%d" t.dynamic_mw t.leakage_mw t.anchor_nodes
+
 let scale t ~node_count = float_of_int node_count /. float_of_int t.anchor_nodes
 
 let dynamic_pj_per_cycle t ~node_count =

@@ -21,6 +21,9 @@ val paper_anchor : t
 val make : dynamic_mw:float -> leakage_mw:float -> anchor_nodes:int -> t
 (** @raise Invalid_argument on non-positive values. *)
 
+val fingerprint : t -> string
+(** The three parameters in exact form, [dynamic/leakage/anchor]. *)
+
 val dynamic_pj_per_cycle : t -> node_count:int -> float
 (** Energy per 100 MHz cycle while actively computing, for a mesh of
     [node_count] nodes. *)

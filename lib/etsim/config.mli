@@ -101,6 +101,9 @@ type t = {
   max_jobs : int option;
 }
 
+val default_key_hex : string
+(** The AES key {!make} gives the platform by default. *)
+
 val make :
   ?policy:Etx_routing.Policy.t ->
   ?mapping:Etx_routing.Mapping.t ->

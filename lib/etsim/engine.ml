@@ -1200,9 +1200,12 @@ let corrupt_state_for_test t =
 (* ------------------------------------------------------------------ *)
 
 let fingerprint (config : Config.t) =
+  let digest v = String.sub (Digest.to_hex (Digest.string v)) 0 16 in
   let battery_kind = function
     | Etx_battery.Battery.Ideal -> "ideal"
-    | Etx_battery.Battery.Thin_film _ -> "thin-film"
+    | Etx_battery.Battery.Thin_film p when p = Etx_battery.Battery.default_thin_film ->
+      "thin-film"
+    | Etx_battery.Battery.Thin_film p -> "thin-film#" ^ digest (Marshal.to_string p [])
   in
   let fault =
     match config.Config.fault with
@@ -1216,9 +1219,52 @@ let fingerprint (config : Config.t) =
     | Config.Infinite_controller -> ""
     | Config.Battery_controllers { count } -> Printf.sprintf ";ctl=%d" count
   in
+  (* The same for every other field that shapes a run: each is spelled
+     out only off the value every CLI and wire config has (Config.make's
+     default, and the calibrated round-robin entry), so every
+     fingerprint reachable from those keeps its form. *)
+  let c = config in
+  let mapping = Mapping.assignment c.Config.mapping in
+  let extras =
+    String.concat ""
+      [
+        (if mapping = Mapping.assignment (Mapping.checkerboard c.Config.topology) then ""
+         else
+           ";map=" ^ digest (String.concat "," (Array.to_list (Array.map string_of_int mapping))));
+        (match c.Config.job_source with
+        | Config.Round_robin_entry -> ""
+        | Config.Fixed_entry node -> Printf.sprintf ";entry=%d" node);
+        (if c.Config.buffer_capacity = 2 then ""
+         else Printf.sprintf ";buf=%d" c.Config.buffer_capacity);
+        (if c.Config.key_hex = Config.default_key_hex then "" else ";key=" ^ c.Config.key_hex);
+        (match c.Config.max_jobs with None -> "" | Some n -> Printf.sprintf ";maxjobs=%d" n);
+        (if
+           c.Config.controller_power = Etx_energy.Controller_power.paper_anchor
+           && c.Config.controller_battery_kind
+              = Etx_battery.Battery.Thin_film Etx_battery.Battery.default_thin_film
+           && c.Config.controller_battery_capacity_pj = 60000.
+           && c.Config.controller_recompute_cycles = None
+           && c.Config.controller_leakage_exponent = 0.
+           && c.Config.controller_dynamic_exponent = 0.
+         then ""
+         else
+           Printf.sprintf ";cpow=%s;cbatt=%s/%h;crc=%d;cexp=%h/%h"
+             (Etx_energy.Controller_power.fingerprint c.Config.controller_power)
+             (battery_kind c.Config.controller_battery_kind)
+             c.Config.controller_battery_capacity_pj
+             (Option.value c.Config.controller_recompute_cycles ~default:(-1))
+             c.Config.controller_leakage_exponent c.Config.controller_dynamic_exponent);
+        (* the routing kernel: maximin tables changed when its
+           lexicographic Floyd-Warshall gave way to the exact
+           shortest-widest searches *)
+        (match c.Config.policy.Etx_routing.Policy.algorithm with
+        | Etx_routing.Policy.Maximin_residual -> ";rk=2"
+        | Etx_routing.Policy.Weighted _ -> "");
+      ]
+  in
   Printf.sprintf
     "etsim-ckpt-v%d;n=%d;m=%d;edges=%d;policy=%s/%d;seed=%d;frame=%d;max=%d;\
-     jobs=%d;batt=%s/%g/%g;wl=%s;fault=%s;retx=%d;ack=%d;sched=%d%s"
+     jobs=%d;batt=%s/%g/%g;wl=%s;fault=%s;retx=%d;ack=%d;sched=%d%s%s"
     Checkpoint.version (Config.node_count config) config.Config.module_count
     (Digraph.edge_count config.Config.topology.Etx_graph.Topology.graph)
     config.Config.policy.Etx_routing.Policy.name
@@ -1230,7 +1276,7 @@ let fingerprint (config : Config.t) =
     (String.concat "+" (List.map Workload.name config.Config.workloads))
     fault config.Config.max_retransmissions config.Config.ack_timeout_cycles
     (List.length config.Config.link_failure_schedule)
-    controllers
+    controllers extras
 
 let config_fingerprint = fingerprint
 

@@ -88,9 +88,13 @@ val config_fingerprint : Config.t -> string
     payloads: a short string covering everything that shapes a run
     (topology census, policy, seed, frame period, battery model,
     workloads, fault spec, hardening knobs, a battery-powered controller
-    bank).  Fault rates print in {!Etx_fault.Spec.fingerprint}'s exact
-    form, so configs differing in any bit of a rate never share a
-    fingerprint.  Two configs with the same fingerprint produce
+    bank, and the maximin routing kernel's version).  The module mapping
+    (as a digest), a fixed entry node, the buffer capacity, the AES key,
+    a job cap and the controller power and battery knobs are spelled out
+    only off the value every CLI and wire config has, so those
+    fingerprints keep their form.  Fault rates print in
+    {!Etx_fault.Spec.fingerprint}'s exact form, so configs differing in
+    any bit of a rate never share a fingerprint.  Two configs with the same fingerprint produce
     bit-identical simulations, which is what lets the serving layer
     content-address its result cache with it. *)
 

@@ -3,19 +3,20 @@
     ([13], Chang & Tassiulas) and dismisses as ill-suited to e-textiles.
 
     Instead of summing battery-weighted lengths like EAR, a path's merit
-    is the {e minimum} reported battery level among the nodes it enters;
-    routes maximize that bottleneck level and break ties by physical
-    distance.  Implemented as a Floyd-Warshall variant over the
-    lexicographic (max width, min distance) semiring, with the same
-    successor-matrix output and phase-three duplicate selection as
-    {!Router}, so the simulator can run it unchanged.
-
-    The kernel is struct-of-arrays: path values live in parallel flat
-    [int] (width) and [float] (distance) row-major buffers rather than a
-    matrix of boxed records, so the O(n^3) DP loop allocates nothing,
-    and a {!workspace} reuses those buffers (plus the membership hash
-    sets, candidate arrays and routing-table rows) across recomputes,
-    mirroring [Router.compute ?workspace].
+    is its {e width}, the minimum reported battery level among the nodes
+    it enters; routes maximize the width first and minimize the physical
+    distance among equally wide paths second.  This is shortest-widest
+    routing (Wang & Crowcroft, IEEE JSAC 1996).  Its (max width, min
+    distance) order is not isotone, so a single lexicographic
+    Floyd-Warshall can keep a wide sub-path that a later, narrower hop
+    makes needlessly long; the exact answer is a shortest path over the
+    edges into nodes at or above the widest level that connects the
+    pair.  {!Router.compute_widest} computes it that way: per living
+    source, one truncated {!Etx_graph.Dijkstra} search per reported
+    level, highest first, stopping at the first level that reaches a
+    usable replica of every module, on {!Router}'s cached adjacency,
+    first-hop tie rule, phase three and rotating tables.  Its output is
+    a {!Routing_table.t} like EAR's, so the simulator runs it unchanged.
 
     Including it lets the repository quantify the paper's claim that
     such algorithms "do not apply to e-textile platforms" as an
@@ -30,46 +31,29 @@ val better : path_value -> path_value -> bool
 (** [better a b] when [a] is strictly preferable (wider, or as wide and
     shorter). *)
 
-type paths
-(** All-pairs widest-path matrices in struct-of-arrays layout. *)
-
-val dim : paths -> int
-
-val path_width : paths -> src:int -> dst:int -> int
-(** Bottleneck battery level of the best path; [-1] when unreachable,
-    [max_int] on the diagonal. *)
-
-val path_distance : paths -> src:int -> dst:int -> float
-(** Physical length of the best path; [infinity] when unreachable. *)
-
-val path_value : paths -> src:int -> dst:int -> path_value
-(** Both components as a record (convenience for tests/analysis; the
-    kernels read the flat buffers directly). *)
-
-val successor : paths -> src:int -> dst:int -> int option
-(** First hop from [src] towards [dst]; [None] when [src = dst] or
-    unreachable. *)
-
-type workspace
-(** Scratch buffers (flat value/successor matrices, failed-link and
-    locked-port hash sets, per-module candidate arrays, and a rotating
-    pair of routing tables) reused across recomputes so the
-    controller's per-frame maximin path stops allocating.  A workspace
-    belongs to one controller; it must not be shared across domains. *)
-
-val create_workspace : unit -> workspace
-(** An empty workspace; buffers are sized lazily on first use and
-    resized if the graph dimension changes. *)
-
-val widest_paths :
-  ?workspace:workspace ->
+val widest_path :
   graph:Etx_graph.Digraph.t ->
   snapshot:Router.snapshot ->
-  unit ->
-  paths
-(** All-pairs widest paths over living nodes and links.  With
-    [?workspace] the returned {!paths} aliases the workspace buffers
-    and is overwritten by the next call on the same workspace. *)
+  src:int ->
+  dst:int ->
+  path_value * int option
+(** The shortest-widest path from [src] to [dst] over living nodes and
+    unfailed links, and its first hop: width [-1], distance [infinity]
+    and [None] when [dst] is unreachable; width [max_int], distance [0]
+    and [None] when [src = dst].  The first hop follows the tie rule of
+    {!Etx_graph.Dijkstra}, so with lengths that pass {!Router}'s
+    exactness gate it is the hop {!compute} takes towards [dst] when it
+    picks [dst].  One whole search per level; for tests and analysis. *)
+
+type workspace
+(** {!Router}'s workspace: the cached adjacency, search state,
+    per-level weights, candidate arrays and a rotating pair of routing
+    tables, reused across recomputes so the controller's per-frame
+    maximin path stops allocating.  A workspace belongs to one
+    controller; it must not be shared across domains. *)
+
+val create_workspace : unit -> workspace
+(** An empty workspace; buffers are sized lazily on first use. *)
 
 val compute :
   ?workspace:workspace ->
@@ -78,9 +62,9 @@ val compute :
   module_count:int ->
   Router.snapshot ->
   Routing_table.t
-(** Phase three over the widest-path matrices: for each node and module,
-    forward towards the living duplicate with the best (width, distance)
-    value, avoiding locked ports when an unlocked alternative exists.
-    The result is identical with and without [?workspace]; with one,
-    the returned table belongs to the workspace's rotating pair (valid
+(** {!Router.compute_widest}: for each living node and module, forward
+    towards the living duplicate with the best (width, distance) value,
+    avoiding locked ports when an unlocked alternative exists.  The
+    result is identical with and without [?workspace]; with one, the
+    returned table belongs to the workspace's rotating pair (valid
     across exactly one further [compute], as in {!Router.compute}). *)

@@ -15,8 +15,7 @@ type snapshot = {
 
 (* Per-module candidate nodes as arrays, so phase three iterates
    without list-cell chasing; cached keyed on the mapping's identity and
-   the module count they were extracted from.  Both workspaces (this
-   one and [Maximin]'s) hold one. *)
+   the module count they were extracted from. *)
 type candidates = {
   mutable arrays : int array array;
   mutable of_mapping : Mapping.t option;
@@ -52,6 +51,11 @@ type adjacency = {
   edge_failed : bool array;
   edge_locked : bool array;
   lock_mark : int array;  (* = the workspace epoch when the port towards the node is locked *)
+  seen : int array;  (* = the workspace epoch once the routed node's search settled the node *)
+  summed : float array array;  (* [| edge_weights |]: EAR/SDR's one pass *)
+  (* the widest kernel's passes, one per reported level, highest first:
+     [edge_weights] with every edge into a node below the level cut *)
+  mutable level_weights : float array array;
 }
 
 (* Scratch state reused across recomputes: the controller calls
@@ -70,7 +74,12 @@ type workspace = {
   mutable level_factors : float array;
   mutable factors_of : (Weight.t * int) option;
   mutable weights : Matrix.t option;
+  (* the Floyd-Warshall path's results: the merged one, the current
+     pass's (the widest kernel's later passes), and per pair the first
+     pass that reached it *)
   mutable paths : Etx_graph.Floyd_warshall.result option;
+  mutable pass_paths : Etx_graph.Floyd_warshall.result option;
+  mutable reached : int array;
   candidates : candidates;
   mutable module_of : int array;  (* node -> module it is a candidate of, or -1 *)
   mutable module_of_candidates : int array array;
@@ -79,14 +88,14 @@ type workspace = {
      nearest one overall; -1 = none yet *)
   mutable usable : int array;
   mutable any : int array;
+  (* the chosen replica's first hop and the pass that settled it: a
+     later pass restarts the search, so neither can be read back *)
+  mutable usable_hop : int array;
+  mutable usable_pass : int array;
+  mutable any_hop : int array;
+  mutable any_pass : int array;
+  mutable level_live : bool array;  (* per level: whether a living node reports it *)
   mutable epoch : int;  (* bumped per routed node; never reset, so marks need no clearing *)
-  (* phase three's incumbent, hoisted so choosing an entry allocates
-     nothing: kind 0 = none yet, 1 = deliver here, 2 = forward; the
-     distance lives in a one-cell float array so it never boxes *)
-  mutable best_kind : int;
-  mutable best_hop : int;
-  mutable best_dst : int;
-  best_d : float array;
   mutable forwards : Routing_table.entry array;
   (* two tables rotated across recomputes: the caller (controller,
      engine) holds the previous result while the next one is written, so
@@ -102,43 +111,37 @@ let create_workspace () =
     factors_of = None;
     weights = None;
     paths = None;
+    pass_paths = None;
+    reached = [||];
     candidates = create_candidates ();
     module_of = [||];
     module_of_candidates = [||];
     usable = [||];
     any = [||];
+    usable_hop = [||];
+    usable_pass = [||];
+    any_hop = [||];
+    any_pass = [||];
+    level_live = [||];
     epoch = 0;
-    best_kind = 0;
-    best_hop = -1;
-    best_dst = -1;
-    best_d = [| 0. |];
     forwards = [||];
     tables = [||];
     table_flip = 0;
   }
 
-(* The next table of the rotating pair, cleared.  Shared with Maximin's
-   workspace via this helper so both policies reuse rows identically. *)
-let scratch_table_of ~tables ~flip ~node_count ~module_count =
-  let usable =
-    Array.length tables = 2
-    && Routing_table.node_count tables.(0) = node_count
-    && Routing_table.module_count tables.(0) = module_count
-  in
-  let tables =
-    if usable then tables
-    else
-      Array.init 2 (fun _ -> Routing_table.create ~node_count ~module_count)
-  in
-  let table = tables.(flip) in
-  Routing_table.clear table;
-  (tables, table)
-
+(* The next table of the rotating pair, cleared.  Two tables rotate
+   because callers hold the previous recompute's result (for
+   [Routing_table.diff_count]) while the next one is written. *)
 let scratch_table ws ~node_count ~module_count =
-  let tables, table =
-    scratch_table_of ~tables:ws.tables ~flip:ws.table_flip ~node_count ~module_count
-  in
-  ws.tables <- tables;
+  let tables = ws.tables in
+  if
+    not
+      (Array.length tables = 2
+      && Routing_table.node_count tables.(0) = node_count
+      && Routing_table.module_count tables.(0) = module_count)
+  then ws.tables <- Array.init 2 (fun _ -> Routing_table.create ~node_count ~module_count);
+  let table = ws.tables.(ws.table_flip) in
+  Routing_table.clear table;
   ws.table_flip <- 1 - ws.table_flip;
   table
 
@@ -166,16 +169,20 @@ let adjacency ws graph =
     let csr = Dijkstra.csr_of_graph graph in
     let n = Etx_graph.Digraph.node_count graph in
     let edges = Array.length csr.Dijkstra.targets in
+    let edge_weights = Array.make edges infinity in
     let adj =
       {
         graph;
         edge_count = Etx_graph.Digraph.edge_count graph;
         csr;
         search = Dijkstra.create ~node_count:n;
-        edge_weights = Array.make edges infinity;
+        edge_weights;
         edge_failed = Array.make edges false;
         edge_locked = Array.make edges false;
         lock_mark = Array.make n (-1);
+        seen = Array.make n (-1);
+        summed = [| edge_weights |];
+        level_weights = [||];
       }
     in
     ws.adjacency <- Some adj;
@@ -260,17 +267,14 @@ let scratch_matrix workspace ~dim =
     workspace.weights <- Some w;
     w
 
-let scratch_paths workspace ~dim =
-  match workspace.paths with
+let scratch_paths cached ~dim =
+  match cached with
   | Some p when Matrix.dim p.Etx_graph.Floyd_warshall.distances = dim -> p
-  | Some _ | None ->
-    let p = Etx_graph.Floyd_warshall.create_result ~dim in
-    workspace.paths <- Some p;
-    p
+  | Some _ | None -> Etx_graph.Floyd_warshall.create_result ~dim
 
-(* The W matrix of phase one from the per-edge weights: diagonal 0, the
+(* The W matrix of phase one from per-edge [weights]: diagonal 0, the
    weight on every edge, infinity elsewhere (cut edges included). *)
-let fill_weight_matrix adj w =
+let fill_weight_matrix adj ~weights w =
   let csr = adj.csr in
   let n = Matrix.dim w in
   let data = Matrix.data w in
@@ -278,7 +282,7 @@ let fill_weight_matrix adj w =
   for src = 0 to n - 1 do
     data.((src * n) + src) <- 0.;
     for e = csr.Dijkstra.row_start.(src) to csr.Dijkstra.row_start.(src + 1) - 1 do
-      data.((src * n) + csr.Dijkstra.targets.(e)) <- adj.edge_weights.(e)
+      data.((src * n) + csr.Dijkstra.targets.(e)) <- weights.(e)
     done
   done;
   w
@@ -289,7 +293,7 @@ let weight_matrix ~graph ~weight snapshot =
   let ws = create_workspace () in
   let adj = adjacency ws graph in
   ignore (fill_edge_weights ws adj ~weight snapshot);
-  fill_weight_matrix adj (Matrix.create ~dim:n ~init:0.)
+  fill_weight_matrix adj ~weights:adj.edge_weights (Matrix.create ~dim:n ~init:0.)
 
 let shortest_paths ~graph ~weight snapshot =
   Etx_graph.Floyd_warshall.run (weight_matrix ~graph ~weight snapshot)
@@ -313,42 +317,6 @@ let mark_locks ws adj ~node =
   done;
   !locked
 
-(* Phase three (Fig 6) for node [n] and module [i]: among the living
-   duplicates, the one at minimum weighted distance (the first minimum
-   in candidate order), skipping candidates whose first hop is a locked
-   port when [respect_locks].  [dist]/[hop] from [off] on are [n]'s
-   Floyd-Warshall row of distances and first hops. *)
-let consider ws adj ~alive ~dist ~hop ~off ~node ~pool ~respect_locks =
-  ws.best_kind <- 0;
-  let best_d = ws.best_d and lock_mark = adj.lock_mark and epoch = ws.epoch in
-  for c = 0 to Array.length pool - 1 do
-    let j = Array.unsafe_get pool c in
-    if alive.(j) then begin
-      let d = Array.unsafe_get dist (off + j) in
-      if d < infinity then
-        if j = node then begin
-          (* the node itself hosts the module: always optimal (dist 0) *)
-          if ws.best_kind = 0 || best_d.(0) <> 0. then begin
-            ws.best_kind <- 1;
-            best_d.(0) <- 0.
-          end
-        end
-        else begin
-          let h = Array.unsafe_get hop (off + j) in
-          if
-            h >= 0
-            && ((not respect_locks) || lock_mark.(h) <> epoch)
-            && (ws.best_kind = 0 || d < best_d.(0))
-          then begin
-            ws.best_kind <- 2;
-            best_d.(0) <- d;
-            ws.best_hop <- h;
-            ws.best_dst <- j
-          end
-        end
-    end
-  done
-
 let forward_entry ws ~slot ~next_hop ~destination =
   match ws.forwards.(slot) with
   | Routing_table.Forward f as entry when f.next_hop = next_hop && f.destination = destination
@@ -359,108 +327,217 @@ let forward_entry ws ~slot ~next_hop ~destination =
     ws.forwards.(slot) <- entry;
     entry
 
-(* Every module's entry for [node]; [mark_locks] has run for it. *)
-let fill_row ws adj table ~alive ~candidates ~dist ~hop ~off ~node ~has_locks
-    ~module_count =
-  for module_index = 0 to module_count - 1 do
-    let pool = candidates.(module_index) in
-    consider ws adj ~alive ~dist ~hop ~off ~node ~pool ~respect_locks:true;
-    (* every viable path starts on a locked port: deadlock recovery
-       prefers a detour, but a locked path beats declaring the module
-       unreachable (locks are transient congestion, not death).  Without
-       locks the second pass would repeat the first. *)
-    if ws.best_kind = 0 && has_locks then
-      consider ws adj ~alive ~dist ~hop ~off ~node ~pool ~respect_locks:false;
-    let entry =
-      match ws.best_kind with
-      | 1 -> Routing_table.Deliver_here
-      | 2 ->
-        forward_entry ws
-          ~slot:((node * module_count) + module_index)
-          ~next_hop:ws.best_hop ~destination:ws.best_dst
-      | _ -> Routing_table.Unreachable
-    in
-    Routing_table.set table ~node ~module_index entry
-  done
-
-(* Phases two and three from one truncated search per living source,
-   choosing each module's entry as nodes settle.  Settle order is
-   non-decreasing in distance, so the first usable replica of a module
-   is its nearest, and a later one at the same distance only replaces
-   it with a smaller id: the first minimum in (ascending) candidate
-   order, as Fig 6 picks on the full row.  The search stops once every
-   module has a usable replica and nothing pending is as near as the
-   farthest of them, so every candidate that could tie has settled.  A
-   module without a usable replica keeps the search going to
-   exhaustion, which makes the lock-ignoring choice ([any]) exact too.
-   With positive weights only the node itself is at distance 0, so it
-   delivers whenever it hosts the module. *)
-let route_balls ws adj table ~module_of ~(snapshot : snapshot) ~module_count =
-  let csr = adj.csr and search = adj.search and weights = adj.edge_weights in
+(* Phases two and three from truncated searches per living source,
+   choosing each module's entry as nodes settle.  A source runs the
+   searches of [passes] in turn, [weights.(0)] first, and only while
+   some module has no usable replica yet; a node counts in the first
+   pass that settles it.  EAR and SDR have one pass.  The widest kernel
+   has one per level, highest first, so a module is decided in the
+   pass of its widest usable replica, as the per-level recurrence
+   below decides it.  Within a pass, settle order is non-decreasing in
+   distance, so the first usable replica of a module is its nearest,
+   and a later one at the same distance only replaces it with a
+   smaller id: the first minimum in (ascending) candidate order, as
+   Fig 6 picks on the full row.  A pass stops once every module has a
+   usable replica and nothing pending is as near as the farthest of
+   those it chose, so every candidate that could tie has settled; only
+   the last pass can stop early.  A module without a usable replica
+   keeps every pass going to exhaustion, which makes the lock-ignoring
+   choice ([any], taken in the first pass that reaches a replica)
+   exact too.  With positive weights only the node itself is at
+   distance 0, so it delivers whenever it hosts the module. *)
+let route_balls ws adj table ~module_of ~(snapshot : snapshot) ~module_count ~weights
+    ~passes =
+  let csr = adj.csr and search = adj.search in
   let alive = snapshot.alive in
   let dist = Dijkstra.distances search and hop = Dijkstra.first_hops search in
   let labels = Dijkstra.labels search in
-  let lock_mark = adj.lock_mark and usable = ws.usable and any = ws.any in
+  let lock_mark = adj.lock_mark and seen = adj.seen in
+  let usable = ws.usable and usable_hop = ws.usable_hop and usable_pass = ws.usable_pass in
+  let any = ws.any and any_hop = ws.any_hop and any_pass = ws.any_pass in
+  let searches = ref 0 in
   for src = 0 to Array.length alive - 1 do
     if alive.(src) then begin
       ignore (mark_locks ws adj ~node:src);
       let epoch = ws.epoch in
       Array.fill usable 0 module_count (-1);
       Array.fill any 0 module_count (-1);
-      Dijkstra.start search ~src;
-      let covered = ref 0 and reach = ref 0. and searching = ref true in
-      while !searching do
-        let next = Dijkstra.pending search in
-        if next < 0 || (!covered = module_count && labels.(next) > !reach) then
-          searching := false
-        else begin
-          let u = Dijkstra.settle_next search csr ~weights in
-          let m = module_of.(u) in
-          if m >= 0 then begin
-            let d = dist.(u) in
-            let best = any.(m) in
-            if best < 0 || (d = dist.(best) && u < best) then any.(m) <- u;
-            if u = src || lock_mark.(hop.(u)) <> epoch then begin
-              let best = usable.(m) in
-              if best < 0 then begin
-                usable.(m) <- u;
-                incr covered;
-                reach := d
+      let covered = ref 0 and pass = ref 0 in
+      while !covered < module_count && !pass < passes do
+        let p = !pass in
+        let weights = weights.(p) in
+        Dijkstra.start search ~src;
+        incr searches;
+        let reach = ref 0. and searching = ref true in
+        while !searching do
+          let next = Dijkstra.pending search in
+          if next < 0 || (!covered = module_count && labels.(next) > !reach) then
+            searching := false
+          else begin
+            let u = Dijkstra.settle_next search csr ~weights in
+            if seen.(u) <> epoch then begin
+              seen.(u) <- epoch;
+              let m = module_of.(u) in
+              if m >= 0 then begin
+                let d = dist.(u) in
+                let best = any.(m) in
+                if best < 0 || (any_pass.(m) = p && d = dist.(best) && u < best) then begin
+                  any.(m) <- u;
+                  any_hop.(m) <- hop.(u);
+                  any_pass.(m) <- p
+                end;
+                if u = src || lock_mark.(hop.(u)) <> epoch then begin
+                  let best = usable.(m) in
+                  if best < 0 then begin
+                    usable.(m) <- u;
+                    usable_hop.(m) <- hop.(u);
+                    usable_pass.(m) <- p;
+                    incr covered;
+                    reach := d
+                  end
+                  else if usable_pass.(m) = p && d = dist.(best) && u < best then begin
+                    usable.(m) <- u;
+                    usable_hop.(m) <- hop.(u)
+                  end
+                end
               end
-              else if d = dist.(best) && u < best then usable.(m) <- u
             end
           end
-        end
+        done;
+        incr pass
       done;
       for module_index = 0 to module_count - 1 do
-        let j = if usable.(module_index) >= 0 then usable.(module_index) else any.(module_index) in
+        let found = usable.(module_index) >= 0 in
+        let j = if found then usable.(module_index) else any.(module_index) in
         let entry =
           if j < 0 then Routing_table.Unreachable
           else if j = src then Routing_table.Deliver_here
           else
             forward_entry ws
               ~slot:((src * module_count) + module_index)
-              ~next_hop:hop.(j) ~destination:j
+              ~next_hop:(if found then usable_hop.(module_index) else any_hop.(module_index))
+              ~destination:j
         in
         Routing_table.set table ~node:src ~module_index entry
       done
     end
-  done
+  done;
+  !searches
 
-(* The fallback when the gate fails: Fig 5's all-pairs recurrence, then
-   phase three over each living node's row. *)
-let route_floyd_warshall ws adj table ~candidates ~(snapshot : snapshot) ~module_count =
+(* The widest kernel's passes into [adj.level_weights]: one per level
+   some living node reports, highest first, each keeping the weights of
+   [adj.edge_weights] (the physical lengths, for the widest kernel) on
+   edges into nodes at or above its level and cutting the rest.  A
+   level no living node reports reaches nothing the level above it did
+   not, so it gets no pass.  Returns the pass count. *)
+let fill_level_weights ws adj (snapshot : snapshot) =
+  let levels = snapshot.levels in
+  if Array.length ws.level_live <> levels then ws.level_live <- Array.make levels false;
+  let live = ws.level_live in
+  Array.fill live 0 levels false;
+  Array.iteri
+    (fun node level ->
+      if snapshot.alive.(node) && level >= 0 && level < levels then live.(level) <- true)
+    snapshot.battery_level;
+  let edges = Array.length adj.edge_weights in
+  if Array.length adj.level_weights < levels then
+    adj.level_weights <- Array.init levels (fun _ -> Array.make edges infinity);
+  let targets = adj.csr.Dijkstra.targets and level = snapshot.battery_level in
+  let passes = ref 0 in
+  for l = levels - 1 downto 0 do
+    if live.(l) then begin
+      let w = adj.level_weights.(!passes) in
+      for e = 0 to edges - 1 do
+        w.(e) <- (if level.(targets.(e)) >= l then adj.edge_weights.(e) else infinity)
+      done;
+      incr passes
+    end
+  done;
+  !passes
+
+(* Phase three (Fig 6) for [node] over its row of the merged
+   Floyd-Warshall results (from [row] on): among the living replicas in
+   [pool], the one reached in the earliest pass, the nearest among
+   those and the first in candidate order on a tie, skipping replicas
+   whose first hop is a locked port when [respect_locks]; -1 for none.
+   The node itself is at distance 0 in the first pass, so with positive
+   weights it always wins. *)
+let choose_replica adj ~epoch ~alive ~reached ~dist ~hop ~row ~node ~pool ~respect_locks =
+  let best = ref (-1) in
+  for c = 0 to Array.length pool - 1 do
+    let j = Array.unsafe_get pool c in
+    let k = row + j in
+    if
+      alive.(j) && dist.(k) < infinity
+      && (j = node || (not respect_locks) || adj.lock_mark.(hop.(k)) <> epoch)
+      && (!best < 0
+         || reached.(k) < reached.(row + !best)
+         || (reached.(k) = reached.(row + !best) && dist.(k) < dist.(row + !best)))
+    then best := j
+  done;
+  !best
+
+(* The Floyd-Warshall path: the recurrence that defines the tables, run
+   when the gate fails (and on demand for the widest kernel).  Fig 5
+   once per pass of [weights], each pair keeping the distance and
+   successor of the first pass that reaches it, then phase three per
+   living node.  With one pass (EAR, SDR) this is Fig 5 and Fig 6 as
+   printed; with the widest kernel's per-level passes, the first pass
+   that reaches a pair is its width. *)
+let route_by_levels ws adj table ~candidates ~(snapshot : snapshot) ~module_count
+    ~weights ~passes =
   let n = Array.length snapshot.alive in
-  let w = fill_weight_matrix adj (scratch_matrix ws ~dim:n) in
-  let paths = Etx_graph.Floyd_warshall.run_into (scratch_paths ws ~dim:n) w in
-  let dist = Matrix.data paths.distances in
-  let hop = Matrix.Int.data paths.successors in
+  let w = scratch_matrix ws ~dim:n in
+  let merged = scratch_paths ws.paths ~dim:n in
+  ws.paths <- Some merged;
+  ignore (Etx_graph.Floyd_warshall.run_into merged (fill_weight_matrix adj ~weights:weights.(0) w));
+  let dist = Matrix.data merged.distances and hop = Matrix.Int.data merged.successors in
+  if Array.length ws.reached <> n * n then ws.reached <- Array.make (n * n) 0;
+  let reached = ws.reached in
+  Array.fill reached 0 (n * n) 0;
+  for p = 1 to passes - 1 do
+    let pass = scratch_paths ws.pass_paths ~dim:n in
+    ws.pass_paths <- Some pass;
+    ignore (Etx_graph.Floyd_warshall.run_into pass (fill_weight_matrix adj ~weights:weights.(p) w));
+    let d = Matrix.data pass.distances and s = Matrix.Int.data pass.successors in
+    for c = 0 to (n * n) - 1 do
+      if dist.(c) = infinity && d.(c) < infinity then begin
+        reached.(c) <- p;
+        dist.(c) <- d.(c);
+        hop.(c) <- s.(c)
+      end
+    done
+  done;
   let alive = snapshot.alive in
   for node = 0 to n - 1 do
     if alive.(node) then begin
       let has_locks = mark_locks ws adj ~node in
-      fill_row ws adj table ~alive ~candidates ~dist ~hop ~off:(node * n) ~node ~has_locks
-        ~module_count
+      let row = node * n and epoch = ws.epoch in
+      for module_index = 0 to module_count - 1 do
+        let pool = candidates.(module_index) in
+        let j =
+          choose_replica adj ~epoch ~alive ~reached ~dist ~hop ~row ~node ~pool
+            ~respect_locks:true
+        in
+        (* every viable path starts on a locked port: deadlock recovery
+           prefers a detour, but a locked path beats declaring the module
+           unreachable (locks are transient congestion, not death) *)
+        let j =
+          if j < 0 && has_locks then
+            choose_replica adj ~epoch ~alive ~reached ~dist ~hop ~row ~node ~pool
+              ~respect_locks:false
+          else j
+        in
+        let entry =
+          if j < 0 then Routing_table.Unreachable
+          else if j = node then Routing_table.Deliver_here
+          else
+            forward_entry ws
+              ~slot:((node * module_count) + module_index)
+              ~next_hop:hop.(row + j) ~destination:j
+        in
+        Routing_table.set table ~node ~module_index entry
+      done
     end
   done
 
@@ -473,12 +550,25 @@ let module_index_of ws ~candidates ~node_count =
     Array.iteri (fun m pool -> Array.iter (fun j -> module_of.(j) <- m) pool) candidates;
     ws.module_of <- module_of;
     ws.module_of_candidates <- candidates;
-    ws.usable <- Array.make (Array.length candidates) (-1);
-    ws.any <- Array.make (Array.length candidates) (-1)
+    let per_module () = Array.make (Array.length candidates) (-1) in
+    ws.usable <- per_module ();
+    ws.any <- per_module ();
+    ws.usable_hop <- per_module ();
+    ws.usable_pass <- per_module ();
+    ws.any_hop <- per_module ();
+    ws.any_pass <- per_module ()
   end;
   ws.module_of
 
-let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
+let obs_levels =
+  Obs.counter ~help:"Threshold searches run by the widest (maximin) routing kernel"
+    "etx_routing_maximin_levels_total"
+
+(* Phase one, then phases two and three: the searches when the gate
+   holds, else the Floyd-Warshall recurrence.  The widest kernel runs
+   one pass per reported level over the physical lengths, EAR and SDR
+   one pass over their weights. *)
+let route ?workspace ~graph ~mapping ~module_count ~weight ~widest ~by_levels snapshot =
   check_snapshot ~graph snapshot;
   let node_count = Etx_graph.Digraph.node_count graph in
   if Mapping.node_count mapping <> node_count then
@@ -495,12 +585,25 @@ let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
   if Array.length ws.forwards <> node_count * module_count then
     ws.forwards <- Array.make (node_count * module_count) Routing_table.Unreachable;
   let candidates = candidate_arrays ws.candidates ~mapping ~module_count in
-  if exact then
-    route_balls ws adj table
-      ~module_of:(module_index_of ws ~candidates ~node_count)
-      ~snapshot ~module_count
+  let module_of = module_index_of ws ~candidates ~node_count in
+  let passes = if widest then fill_level_weights ws adj snapshot else 1 in
+  let weights = if widest then adj.level_weights else adj.summed in
+  if exact && not by_levels then begin
+    let searches =
+      route_balls ws adj table ~module_of ~snapshot ~module_count ~weights ~passes
+    in
+    if widest then Obs.add obs_levels searches
+  end
   else begin
-    Obs.inc obs_exact_fallback;
-    route_floyd_warshall ws adj table ~candidates ~snapshot ~module_count
+    if not exact then Obs.inc obs_exact_fallback;
+    route_by_levels ws adj table ~candidates ~snapshot ~module_count ~weights ~passes
   end;
   table
+
+let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
+  route ?workspace ~graph ~mapping ~module_count ~weight ~widest:false ~by_levels:false
+    snapshot
+
+let compute_widest ?workspace ?(by_levels = false) ~graph ~mapping ~module_count snapshot =
+  route ?workspace ~graph ~mapping ~module_count ~weight:Weight.Shortest_distance
+    ~widest:true ~by_levels snapshot

@@ -31,8 +31,9 @@ type workspace
     (CSR) adjacency with per-edge weights and failed/locked flags, the
     search state (labels, an indexed heap, settled distances and first
     hops), per-node and per-module marks, the battery factor of every
-    level, the Floyd-Warshall fallback's matrices, interned [Forward]
-    entries, and a rotating pair of routing tables.  After the first
+    level, {!compute_widest}'s per-level weights, the Floyd-Warshall
+    fallback's matrices, interned [Forward] entries, and a rotating
+    pair of routing tables.  After the first
     recompute on a graph, a recompute allocates only a few words
     whatever the mesh size.  A workspace belongs to one controller; it
     must not be shared across domains. *)
@@ -42,31 +43,6 @@ val create_workspace : unit -> workspace
     rebuilt when a different graph is passed (graphs are recognised by
     identity and edge count, so a graph must not be edited between
     recomputes on one workspace). *)
-
-type candidates
-(** A cache of per-module candidate node arrays (the nodes hosting each
-    module, ascending), keyed on the mapping's physical identity and the
-    module count.  Phase three walks these arrays for every node and
-    module; both routing workspaces hold one. *)
-
-val create_candidates : unit -> candidates
-
-val candidate_arrays : candidates -> mapping:Mapping.t -> module_count:int -> int array array
-(** The cached arrays when [mapping] and [module_count] match the last
-    call, otherwise freshly extracted (and cached). *)
-
-val scratch_table_of :
-  tables:Routing_table.t array ->
-  flip:int ->
-  node_count:int ->
-  module_count:int ->
-  Routing_table.t array * Routing_table.t
-(** The rotating-table helper behind both workspaces: given the cached
-    pair (possibly empty or wrongly sized) and the rotation index,
-    return the (re)usable pair and the cleared table to write into.
-    Two tables rotate because callers hold the previous recompute's
-    result (for {!Routing_table.diff_count}) while the next one is
-    written. *)
 
 val weight_matrix :
   graph:Etx_graph.Digraph.t -> weight:Weight.t -> snapshot -> Etx_util.Matrix.t
@@ -106,6 +82,34 @@ val compute :
     across exactly one further [compute] on the same workspace (so the
     previous table can be diffed against the new one) and is overwritten
     by the one after that. *)
+
+val compute_widest :
+  ?workspace:workspace ->
+  ?by_levels:bool ->
+  graph:Etx_graph.Digraph.t ->
+  mapping:Mapping.t ->
+  module_count:int ->
+  snapshot ->
+  Routing_table.t
+(** The {!Maximin} kernel: shortest-widest routing over the physical
+    lengths.  A path's width is the lowest level among the nodes it
+    enters; each living node forwards every module towards the living
+    replica with the widest path, the shortest among equally wide ones
+    (then the smallest id), avoiding locked ports when an unlocked
+    alternative exists and delivering when it hosts the module.
+
+    The table is defined by a per-level recurrence: for each level some
+    living node reports, highest first, Fig 5 over the edges into nodes
+    at or above it, each pair taking the first level that reaches it as
+    its width, with that level's distance and successor; phase three
+    then chooses as above.  Under the exactness gate of {!compute}
+    (whole-centimetre mesh and torus lengths pass it) it runs as truncated
+    searches instead: per living source, one per level, highest first,
+    until every module has a usable replica; each search counts one
+    [etx_routing_maximin_levels_total].  Otherwise, or with
+    [~by_levels:true], the recurrence itself runs (counting one
+    [etx_routing_exact_fallback_total] only in the first case).  Both
+    give the same table; ownership as in {!compute}. *)
 
 val shortest_paths :
   graph:Etx_graph.Digraph.t -> weight:Weight.t -> snapshot -> Etx_graph.Floyd_warshall.result

@@ -431,10 +431,19 @@ let handle_batch t lines =
         responses.(idx) <-
           Tree (Request.error_response err.error_id err.error_code err.reason)
       | Parsed (req : Request.t) -> (
-        runnable := (idx, req) :: !runnable;
         match req.body with
-        | Request.Scenario _ -> scenarios := (idx, req) :: !scenarios
-        | Request.Control _ -> ()))
+        | Request.Control _ -> runnable := (idx, req, "") :: !runnable
+        | Request.Scenario scenario -> (
+          (* a request refused at fingerprinting takes no admission slot *)
+          match
+            try Handlers.fingerprint scenario with exn -> Error (Printexc.to_string exn)
+          with
+          | Error message ->
+            count_error t;
+            responses.(idx) <- Tree (Request.error_response req.id "invalid_request" message)
+          | Ok fp ->
+            runnable := (idx, req, fp) :: !runnable;
+            scenarios := (idx, req) :: !scenarios)))
     items;
   let admitted = fair_admit ~depth:t.cfg.queue_depth (List.rev !scenarios) in
   (* shed everything not admitted before doing any work *)
@@ -453,12 +462,12 @@ let handle_batch t lines =
     (List.rev !scenarios);
   let order =
     List.stable_sort
-      (fun (_, (a : Request.t)) (_, (b : Request.t)) ->
+      (fun (_, (a : Request.t), _) (_, (b : Request.t), _) ->
         compare b.priority a.priority)
       (List.rev !runnable)
   in
   List.iter
-    (fun (idx, (req : Request.t)) ->
+    (fun (idx, (req : Request.t), fp) ->
       match req.body with
       | Request.Control control ->
         let t0 = t.now () in
@@ -477,57 +486,48 @@ let handle_batch t lines =
         let elapsed_ms = (t.now () -. t0) *. 1000. in
         responses.(idx) <-
           Tree (Request.ok_response ~scenario:name ~elapsed_ms req.id result)
-      | Request.Scenario scenario ->
+      | Request.Scenario _ ->
         if Hashtbl.mem admitted idx then begin
           let deadline_abs =
             Option.map
               (fun d -> batch_start +. (float_of_int d /. 1000.))
               req.deadline_ms
           in
+          t.routed_total <- t.routed_total + 1;
+          Obs.inc obs_routed;
+          (* the front door mints the trace id: a request arriving
+             without one gets one spliced into the forwarded bytes.
+             Disarmed, the line is forwarded verbatim — the chaos
+             harness's byte-identity contract is untouched. *)
+          let line, trace =
+            if Obs.enabled () then
+              match req.trace_id with
+              | Some tid -> (raw_lines.(idx), Some tid)
+              | None ->
+                let tid = Span.new_trace_id () in
+                (inject_trace_id raw_lines.(idx) tid, Some tid)
+            else (raw_lines.(idx), None)
+          in
           match
-            try Handlers.fingerprint scenario
-            with exn -> Error (Printexc.to_string exn)
+            Span.with_trace trace (fun () ->
+              Span.span "cluster.route" (fun () ->
+                dispatch t ~fp ~deadline_abs line))
           with
-          | Error message ->
+          | Response response_line ->
+            (* forwarded verbatim: the cluster adds no bytes, so a
+               response is bit-identical to the backend's own *)
+            responses.(idx) <- Raw response_line
+          | Unavailable message ->
+            responses.(idx) <- Tree (degraded_response t req.id message)
+          | Expired ->
+            t.deadline_exceeded_total <- t.deadline_exceeded_total + 1;
             count_error t;
+            Obs.inc obs_deadline;
             responses.(idx) <-
-              Tree (Request.error_response req.id "invalid_request" message)
-          | Ok fp -> (
-            t.routed_total <- t.routed_total + 1;
-            Obs.inc obs_routed;
-            (* the front door mints the trace id: a request arriving
-               without one gets one spliced into the forwarded bytes.
-               Disarmed, the line is forwarded verbatim — the chaos
-               harness's byte-identity contract is untouched. *)
-            let line, trace =
-              if Obs.enabled () then
-                match req.trace_id with
-                | Some tid -> (raw_lines.(idx), Some tid)
-                | None ->
-                  let tid = Span.new_trace_id () in
-                  (inject_trace_id raw_lines.(idx) tid, Some tid)
-              else (raw_lines.(idx), None)
-            in
-            match
-              Span.with_trace trace (fun () ->
-                Span.span "cluster.route" (fun () ->
-                  dispatch t ~fp ~deadline_abs line))
-            with
-            | Response response_line ->
-              (* forwarded verbatim: the cluster adds no bytes, so a
-                 response is bit-identical to the backend's own *)
-              responses.(idx) <- Raw response_line
-            | Unavailable message ->
-              responses.(idx) <- Tree (degraded_response t req.id message)
-            | Expired ->
-              t.deadline_exceeded_total <- t.deadline_exceeded_total + 1;
-              count_error t;
-              Obs.inc obs_deadline;
-              responses.(idx) <-
-                Tree
-                  (Request.error_response req.id "deadline_exceeded"
-                     (Printf.sprintf "deadline of %d ms expired while routing"
-                        (Option.value req.deadline_ms ~default:0))))
+              Tree
+                (Request.error_response req.id "deadline_exceeded"
+                   (Printf.sprintf "deadline of %d ms expired while routing"
+                      (Option.value req.deadline_ms ~default:0)))
         end)
     order;
   Obs.add obs_responses (Array.length responses);

@@ -21,8 +21,10 @@
       per-backend {!Breaker}; an open breaker refuses instantly instead
       of paying the timeout again, and a half-open probe re-admits the
       backend after [breaker_cooldown_s].
-    - {b load shedding}: at most [queue_depth] scenario requests per
-      batch are admitted, shared fairly across [client] keys
+    - {b load shedding}: a scenario request that cannot be fingerprinted
+      is answered [invalid_request] locally and takes no slot; at most
+      [queue_depth] of the others per batch are admitted, shared fairly
+      across [client] keys
       (round-robin, one per client per round); the rest get an explicit
       [degraded] error carrying [retry_after_ms] instead of hanging.
     - {b deadlines}: a request's [deadline_ms] bounds the whole routed

@@ -218,10 +218,11 @@ let handle_batch t lines =
   let responses = Array.make (Array.length items) Json.Null in
   Obs.add obs_requests (Array.length items);
   Obs.observe obs_batch_size (float_of_int (Array.length items));
-  (* Admission: parse errors and over-depth scenario requests are
-     answered on the spot; everything else becomes runnable.  Control
-     requests never occupy queue slots, so stats stays observable on a
-     saturated server. *)
+  (* Admission: parse errors, scenario requests that cannot be
+     fingerprinted and over-depth scenario requests are answered on the
+     spot; everything else becomes runnable.  A refused request takes no
+     queue slot, and control requests never occupy one either, so stats
+     stays observable on a saturated server. *)
   let admitted = ref 0 in
   let runnable = ref [] in
   Array.iteri
@@ -233,14 +234,16 @@ let handle_batch t lines =
         responses.(idx) <- Request.error_response err.error_id err.error_code err.reason
       | Parsed req -> (
         match req.body with
-        | Request.Control _ -> runnable := (idx, req) :: !runnable
-        | Request.Scenario _ ->
-          if !admitted < t.cfg.queue_depth then begin
-            incr admitted;
-            t.admitted_total <- t.admitted_total + 1;
-            runnable := (idx, req) :: !runnable
-          end
-          else begin
+        | Request.Control _ -> runnable := (idx, req, "") :: !runnable
+        | Request.Scenario scenario -> (
+          match
+            try Handlers.fingerprint scenario with exn -> Error (Printexc.to_string exn)
+          with
+          | Error message ->
+            t.errors_total <- t.errors_total + 1;
+            Obs.inc obs_errors;
+            responses.(idx) <- Request.error_response req.id "invalid_request" message
+          | Ok _ when !admitted >= t.cfg.queue_depth ->
             t.rejected_total <- t.rejected_total + 1;
             t.errors_total <- t.errors_total + 1;
             Obs.inc obs_shed;
@@ -250,12 +253,15 @@ let handle_batch t lines =
                 (Printf.sprintf
                    "queue depth %d exceeded for this batch; resubmit later"
                    t.cfg.queue_depth)
-          end))
+          | Ok fp ->
+            incr admitted;
+            t.admitted_total <- t.admitted_total + 1;
+            runnable := (idx, req, fp) :: !runnable)))
     items;
   (* Higher priority first; the stable sort keeps arrival order for ties. *)
   let order =
     List.stable_sort
-      (fun (_, (a : Request.t)) (_, (b : Request.t)) ->
+      (fun (_, (a : Request.t), _) (_, (b : Request.t), _) ->
         compare b.priority a.priority)
       (List.rev !runnable)
   in
@@ -263,7 +269,7 @@ let handle_batch t lines =
      coalesced onto one execution even when the cache is disabled. *)
   let batch_results : (string, Json.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun (idx, (req : Request.t)) ->
+    (fun (idx, (req : Request.t), fp) ->
       let name = Request.scenario_name req.body in
       match req.body with
       | Request.Control control ->
@@ -300,16 +306,7 @@ let handle_batch t lines =
               (Printf.sprintf "deadline of %d ms expired before compute"
                  (Option.value req.deadline_ms ~default:0))
         end
-        else
-        match
-          try Handlers.fingerprint scenario
-          with exn -> Error (Printexc.to_string exn)
-        with
-        | Error message ->
-          t.errors_total <- t.errors_total + 1;
-          Obs.inc obs_errors;
-          responses.(idx) <- Request.error_response req.id "invalid_request" message
-        | Ok fp -> (
+        else begin
           (* result tiers: this batch, the in-memory LRU, the durable
              store, then compute (which backfills both caches) *)
           let from_store () =
@@ -371,7 +368,8 @@ let handle_batch t lines =
           | Error message ->
             t.errors_total <- t.errors_total + 1;
             Obs.inc obs_errors;
-            responses.(idx) <- Request.error_response req.id "failed" message))))
+            responses.(idx) <- Request.error_response req.id "failed" message
+        end)))
     order;
   Obs.set obs_queue_depth (float_of_int !admitted);
   Obs.add obs_responses (Array.length responses);

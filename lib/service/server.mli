@@ -8,12 +8,13 @@
 
     Inside one batch the server applies, in order:
 
-    - {b admission control}: at most [queue_depth] scenario requests are
-      admitted; the rest are answered immediately with a structured
-      [queue_full] error and the server keeps serving — the queue never
-      grows without bound.  Control requests (stats/ping/metrics/
-      shutdown) are always admitted, so operators can observe a
-      saturated server.
+    - {b admission control}: a scenario request that cannot be
+      fingerprinted is answered [invalid_request] and takes no slot; at
+      most [queue_depth] of the others are admitted, the rest answered
+      immediately with a structured [queue_full] error, and the server
+      keeps serving — the queue never grows without bound.  Control
+      requests (stats/ping/metrics/shutdown) are always admitted, so
+      operators can observe a saturated server.
     - {b priority ordering}: admitted requests execute by descending
       [priority], ties in arrival order.
     - {b deduplication and caching}: each scenario's canonical

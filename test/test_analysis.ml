@@ -31,10 +31,10 @@ let test_maximin_widest_on_line () =
   let snapshot = Router.full_snapshot ~node_count:3 ~levels:8 in
   snapshot.Router.battery_level.(1) <- 2;
   snapshot.Router.battery_level.(2) <- 5;
-  let paths = Maximin.widest_paths ~graph:line.Topology.graph ~snapshot () in
-  Alcotest.(check int) "bottleneck" 2 (Maximin.path_width paths ~src:0 ~dst:2);
-  Alcotest.(check (float 1e-9)) "distance" 2. (Maximin.path_distance paths ~src:0 ~dst:2);
-  Alcotest.(check (option int)) "successor" (Some 1) (Maximin.successor paths ~src:0 ~dst:2)
+  let value, hop = Maximin.widest_path ~graph:line.Topology.graph ~snapshot ~src:0 ~dst:2 in
+  Alcotest.(check int) "bottleneck" 2 value.Maximin.width;
+  Alcotest.(check (float 1e-9)) "distance" 2. value.Maximin.distance;
+  Alcotest.(check (option int)) "successor" (Some 1) hop
 
 let test_maximin_prefers_wide_detour () =
   (* diamond: 0 -> 3 via 1 (level 1) or via 2 (level 6): widest path goes
@@ -47,10 +47,40 @@ let test_maximin_prefers_wide_detour () =
   let snapshot = Router.full_snapshot ~node_count:4 ~levels:8 in
   snapshot.Router.battery_level.(1) <- 1;
   snapshot.Router.battery_level.(2) <- 6;
-  let paths = Maximin.widest_paths ~graph:topology.Topology.graph ~snapshot () in
-  Alcotest.(check int) "width through node 2" 6
-    (Maximin.path_value paths ~src:0 ~dst:3).Maximin.width;
-  Alcotest.(check (option int)) "detours" (Some 2) (Maximin.successor paths ~src:0 ~dst:3)
+  let value, hop = Maximin.widest_path ~graph:topology.Topology.graph ~snapshot ~src:0 ~dst:3 in
+  Alcotest.(check int) "width through node 2" 6 value.Maximin.width;
+  Alcotest.(check (option int)) "detours" (Some 2) hop
+
+(* Shortest-widest is not isotone.  Node 0 reaches node 3 through node
+   1 (level 3, 2 cm) or node 2 (level 7, 10 cm), and node 4 (level 2)
+   hangs off node 3.  Every route to node 4 is 2 wide, so the shortest,
+   through node 1, is optimal (3 cm).  A lexicographic Floyd-Warshall
+   keeps the wider 0 -> 3 sub-path through node 2 and forwards there,
+   11 cm; the per-level kernel must not. *)
+let test_maximin_drops_wider_longer_detour () =
+  let t =
+    Topology.custom ~name:"detour" ~node_count:5
+      ~coords:[| (1, 2); (2, 1); (2, 3); (3, 2); (4, 2) |]
+      ~links:[ (0, 1, 1.); (1, 3, 1.); (0, 2, 5.); (2, 3, 5.); (3, 4, 1.) ]
+  in
+  let graph = t.Topology.graph in
+  let snapshot = Router.full_snapshot ~node_count:5 ~levels:8 in
+  snapshot.Router.battery_level.(1) <- 3;
+  snapshot.Router.battery_level.(4) <- 2;
+  let mapping = Mapping.custom ~module_count:2 ~assignment:[| 0; 0; 0; 0; 1 |] in
+  let table = Maximin.compute ~graph ~mapping ~module_count:2 snapshot in
+  Alcotest.(check (option int)) "short hop" (Some 1)
+    (Routing_table.next_hop table ~node:0 ~module_index:1);
+  Alcotest.(check (option int)) "destination" (Some 4)
+    (Routing_table.destination table ~node:0 ~module_index:1);
+  let value, hop = Maximin.widest_path ~graph ~snapshot ~src:0 ~dst:4 in
+  Alcotest.(check int) "width" 2 value.Maximin.width;
+  Alcotest.(check (float 0.)) "distance" 3. value.Maximin.distance;
+  Alcotest.(check (option int)) "first hop" (Some 1) hop;
+  (* node 3 alone is still best reached through the wide detour *)
+  let value, hop = Maximin.widest_path ~graph ~snapshot ~src:0 ~dst:3 in
+  Alcotest.(check int) "sub-path width" 7 value.Maximin.width;
+  Alcotest.(check (option int)) "sub-path hop" (Some 2) hop
 
 let mesh4_with_mapping () =
   let t = Topology.square_mesh ~size:4 () in
@@ -374,6 +404,8 @@ let suite =
         Alcotest.test_case "value ordering" `Quick test_maximin_better_ordering;
         Alcotest.test_case "widest path on a line" `Quick test_maximin_widest_on_line;
         Alcotest.test_case "prefers wide detour" `Quick test_maximin_prefers_wide_detour;
+        Alcotest.test_case "drops a wider but longer detour" `Quick
+          test_maximin_drops_wider_longer_detour;
         Alcotest.test_case "tables terminate" `Quick test_maximin_tables_terminate;
         Alcotest.test_case "avoids drained duplicate" `Quick
           test_maximin_avoids_drained_duplicate;

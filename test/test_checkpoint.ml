@@ -278,6 +278,51 @@ let test_fingerprint_separates_near_configs () =
         config ~controllers:(Config.Battery_controllers { count = 2 }) 1e-4 );
     ]
 
+(* the module mapping shapes a run, so it shapes the fingerprint: a
+   proportional mapping is spelled out, the checkerboard keeps the form
+   it always had, and neither may resume the other's checkpoint *)
+let test_fingerprint_separates_mappings () =
+  let proportional =
+    Etx_routing.Mapping.proportional ~problem:(Calibration.problem ~mesh_size:5) ~node_count:25
+  in
+  let board = Calibration.config ~mesh_size:5 ~seed:1 () in
+  let other = Calibration.config ~mapping:proportional ~mesh_size:5 ~seed:1 () in
+  let fp = Engine.config_fingerprint in
+  Alcotest.(check bool) "different fingerprints" true (fp board <> fp other);
+  Alcotest.(check bool) "the checkerboard is not spelled out" false
+    (Astring_contains.contains (fp board) ";map=");
+  let engine = Engine.create other in
+  (match Engine.run_until engine ~cycle:10_000 with
+  | Engine.Finished _ -> Alcotest.fail "died before pause"
+  | Engine.Paused -> ());
+  match Engine.restore board (Engine.checkpoint engine) with
+  | _ -> Alcotest.fail "restore across mappings accepted"
+  | exception Checkpoint.Error (Checkpoint.Fingerprint_mismatch _) -> ()
+
+(* the other result-shaping fields no CLI or wire config changes are
+   spelled out only off their defaults *)
+let test_fingerprint_spells_out_code_only_fields () =
+  let topology = Topology.square_mesh ~size:4 () in
+  let fp ?job_source ?buffer_capacity ?key_hex ?max_jobs ?controller_leakage_exponent () =
+    Engine.config_fingerprint
+      (Config.make ~topology ~job_source:(Option.value job_source ~default:Config.Round_robin_entry)
+         ?buffer_capacity ?key_hex ?max_jobs ?controller_leakage_exponent ())
+  in
+  let base = fp () in
+  List.iter
+    (fun (name, other) ->
+      Alcotest.(check bool) name true (other <> base))
+    [
+      ("fixed entry", fp ~job_source:(Config.Fixed_entry 0) ());
+      ("buffer", fp ~buffer_capacity:3 ());
+      ("key", fp ~key_hex:"0f0e0d0c0b0a09080706050403020100" ());
+      ("job cap", fp ~max_jobs:(Some 5) ());
+      ("controller leakage exponent", fp ~controller_leakage_exponent:0.5 ());
+    ];
+  Alcotest.(check string) "defaults spelled out are omitted" base
+    (fp ~buffer_capacity:2 ~key_hex:Config.default_key_hex ~max_jobs:None
+       ~controller_leakage_exponent:0. ())
+
 (* - QCheck: restore-then-run is bit-identical across random configs and
    fault plans - *)
 
@@ -365,6 +410,10 @@ let suite =
           test_bit_identity_pending_link_failures );
         ("checkpoint guards", `Quick, test_checkpoint_guards);
         ("fingerprint mismatch", `Quick, test_fingerprint_mismatch);
+        ("fingerprint separates mappings", `Quick, test_fingerprint_separates_mappings);
+        ( "fingerprint spells out code-only fields",
+          `Quick,
+          test_fingerprint_spells_out_code_only_fields );
         ( "fingerprint separates near configs",
           `Quick,
           test_fingerprint_separates_near_configs );

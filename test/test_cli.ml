@@ -52,6 +52,22 @@ let test_simulate_baseline () =
   let output = check_ok "simulate" "simulate --size 4 --seed 1" in
   Alcotest.(check bool) "prints metrics" true (contains output "jobs completed:")
 
+(* One of the runs the exact shortest-widest maximin kernel changed:
+   the lexicographic Floyd-Warshall it replaced completed 87 jobs over
+   37042 cycles and 3425 hops here. *)
+let test_simulate_maximin_pinned () =
+  let output =
+    check_ok "maximin simulate" "simulate --size 5 --seed 8 --policy maximin"
+  in
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (contains output line))
+    [
+      "jobs completed: 89 (verified 89, lost 1)\n";
+      "lifetime: 37967 cycles\n";
+      "node deaths: 1; recomputations: 47 over 48 frames\n";
+      "totals: 2691 acts, 3511 hops\n";
+    ]
+
 let test_simulate_fault_flags () =
   let args = "simulate --size 4 --seed 1 --ber 2e-4 --fault-seed 7 --retries 5" in
   let first = check_ok "faulty simulate" args in
@@ -250,6 +266,31 @@ let test_serve_stdio_queue_full () =
       (* the server outlived the rejection and answered the next batch *)
       Alcotest.(check bool) "still serving" true (contains output "\"result\":\"pong\""))
 
+(* a request refused at fingerprinting is answered invalid_request and
+   takes no --queue-depth slot, so the valid request after it is served *)
+let refused_then_valid =
+  [
+    {|{"scenario":"simulate","params":{"policy":"bogus"},"id":1}|};
+    {|{"scenario":"simulate","params":{"mesh_size":4},"id":2}|};
+  ]
+
+let check_refused_takes_no_slot output =
+  Alcotest.(check bool) "bogus policy refused" true
+    (contains output {|{"id":1,"status":"error","error":"invalid_request"|});
+  Alcotest.(check bool) "valid request served" true
+    (contains output {|{"id":2,"status":"ok"|})
+
+let test_serve_refused_takes_no_slot () =
+  let input = Filename.temp_file "etx_cli_serve" ".in" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove input with Sys_error _ -> ())
+    (fun () ->
+      write_lines input (refused_then_valid @ [ "" ]);
+      check_refused_takes_no_slot
+        (check_ok "serve --stdio --queue-depth 1"
+           (Printf.sprintf "serve --stdio --queue-depth 1 --jobs 1 < %s"
+              (Filename.quote input))))
+
 let test_serve_invalid_flags () =
   ignore (check_fails "zero queue depth" "serve --stdio --queue-depth 0 < /dev/null");
   ignore (check_fails "negative cache" "serve --stdio --cache-capacity -1 < /dev/null")
@@ -425,6 +466,22 @@ let test_route_stdio_answers_locally () =
       Alcotest.(check bool) "backend reported up" true
         (contains output {|"health":"up"|}))
 
+let test_route_refused_takes_no_slot () =
+  with_sockets [ "backend" ] (fun script paths ->
+      let backend = List.hd paths in
+      let oc = open_out script in
+      output_string oc (backend_prelude ~backend);
+      Printf.fprintf oc
+        {|printf '%%s\n%%s\n\n' %s %s | %s route --stdio --queue-depth 1 --backends %s
+|}
+        (Filename.quote (List.nth refused_then_valid 0))
+        (Filename.quote (List.nth refused_then_valid 1))
+        exe backend;
+      close_out oc;
+      let code, output = run_script script in
+      if code <> 0 then Alcotest.failf "route --stdio script: exit %d\n%s" code output;
+      check_refused_takes_no_slot output)
+
 let test_route_sigterm_drain () =
   with_sockets [ "backend"; "router" ] (fun script paths ->
       let backend = List.nth paths 0 and router = List.nth paths 1 in
@@ -525,6 +582,7 @@ let suite =
     ( "cli",
       [
         Alcotest.test_case "simulate baseline" `Quick test_simulate_baseline;
+        Alcotest.test_case "simulate maximin pinned" `Quick test_simulate_maximin_pinned;
         Alcotest.test_case "simulate fault flags" `Quick test_simulate_fault_flags;
         Alcotest.test_case "simulate invalid values" `Quick test_simulate_invalid_values;
         Alcotest.test_case "checkpoint + resume" `Quick test_simulate_checkpoint_resume;
@@ -542,6 +600,8 @@ let suite =
           test_serve_stdio_miss_then_hit;
         Alcotest.test_case "serve --stdio queue_full" `Quick
           test_serve_stdio_queue_full;
+        Alcotest.test_case "serve: a refused request takes no slot" `Quick
+          test_serve_refused_takes_no_slot;
         Alcotest.test_case "serve invalid flags" `Quick test_serve_invalid_flags;
         Alcotest.test_case "serve rejects bad --failpoints" `Quick
           test_serve_bad_failpoints;
@@ -553,6 +613,8 @@ let suite =
           test_serve_stdio_final_metrics;
         Alcotest.test_case "route --stdio answers locally" `Slow
           test_route_stdio_answers_locally;
+        Alcotest.test_case "route: a refused request takes no slot" `Slow
+          test_route_refused_takes_no_slot;
         Alcotest.test_case "route drains on SIGTERM" `Slow test_route_sigterm_drain;
         Alcotest.test_case "cluster heals a killed backend" `Slow
           test_cluster_heals_and_drains;

@@ -645,14 +645,18 @@ let test_cluster_error_counter_matches_stats () =
              req 2 "B" {|{"mesh_size":4,"policy":"bogus"}|};
              req 3 "A" {|{"mesh_size":4,"seed":3}|};
              req 4 "A" {|{"mesh_size":4,"seed":4}|};
+             req 5 "A" {|{"mesh_size":4,"seed":5}|};
            ]
        with
-      | [ malformed; invalid; ok; shed ] ->
+      | [ malformed; invalid; ok; ok'; shed ] ->
+        (* the invalid request takes no admission slot: both slots go
+           to client A's first two requests *)
         Alcotest.(check string) "malformed" "error" (str_member "status" (parse malformed));
         Alcotest.(check string) "invalid" "invalid_request" (str_member "error" (parse invalid));
         Alcotest.(check string) "ok" "served" ok;
+        Alcotest.(check string) "ok'" "served" ok';
         Alcotest.(check string) "shed" "degraded" (str_member "error" (parse shed))
-      | other -> Alcotest.failf "expected 4 responses, got %d" (List.length other));
+      | other -> Alcotest.failf "expected 5 responses, got %d" (List.length other));
       let stats =
         match Cluster.handle_batch cluster [ {|{"scenario":"stats"}|} ] with
         | [ r ] -> Option.get (Json.member "result" (parse r))

@@ -140,8 +140,9 @@ let test_maximin_failed_links_respected () =
     { (Router.full_snapshot ~node_count:3 ~levels:8) with
       Router.failed_links = [ (0, 1); (1, 0) ] }
   in
-  let paths = Maximin.widest_paths ~graph:line.Topology.graph ~snapshot () in
-  Alcotest.(check int) "cut" (-1) (Maximin.path_width paths ~src:0 ~dst:2)
+  let value, hop = Maximin.widest_path ~graph:line.Topology.graph ~snapshot ~src:0 ~dst:2 in
+  Alcotest.(check int) "cut" (-1) value.Maximin.width;
+  Alcotest.(check (option int)) "no hop" None hop
 
 let test_analysis_reception_parameter_matters () =
   let problem = Etextile.Calibration.problem ~mesh_size:4 in

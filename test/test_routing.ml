@@ -10,6 +10,7 @@ module Routing_table = Etx_routing.Routing_table
 module Policy = Etx_routing.Policy
 module Topology = Etx_graph.Topology
 module Digraph = Etx_graph.Digraph
+module Maximin = Etx_routing.Maximin
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_eps eps = Alcotest.(check (float eps))
@@ -708,6 +709,188 @@ let prop_router_phase_three_matches_oracle =
                (Router.compute ~workspace ~graph ~mapping ~module_count ~weight snapshot))
         [ (); () ])
 
+(* - The shortest-widest (maximin) kernel - *)
+
+(* A random case for the widest kernel: a mesh or a torus, its node ids
+   shuffled half the time (so ties fall on other ids), a checkerboard
+   or random module assignment, and N_B in 2..16. *)
+let random_widest_case prng ~size =
+  let t =
+    if size >= 3 && Etx_util.Prng.int prng ~bound:4 = 0 then
+      Topology.torus ~rows:size ~cols:size ()
+    else Topology.square_mesh ~size ()
+  in
+  let n = size * size in
+  let module_count = 3 in
+  let perm = Array.init n Fun.id in
+  if Etx_util.Prng.bool prng then Etx_util.Prng.shuffle prng perm;
+  let graph = Digraph.create ~node_count:n in
+  Digraph.iter_edges t.Topology.graph ~f:(fun ~src ~dst ~length ->
+      Digraph.add_edge graph ~src:perm.(src) ~dst:perm.(dst) ~length);
+  let assignment =
+    if n >= 4 && Etx_util.Prng.bool prng then begin
+      let board = Mapping.assignment (Mapping.checkerboard t) in
+      let assignment = Array.make n 0 in
+      Array.iteri (fun node m -> assignment.(perm.(node)) <- m) board;
+      assignment
+    end
+    else begin
+      let assignment =
+        Array.init n (fun i ->
+            if i < module_count then i else Etx_util.Prng.int prng ~bound:module_count)
+      in
+      Etx_util.Prng.shuffle prng assignment;
+      assignment
+    end
+  in
+  let mapping = Mapping.custom ~module_count ~assignment in
+  (graph, mapping, module_count, 2 + Etx_util.Prng.int prng ~bound:15)
+
+let prop_widest_searches_match_level_recurrence =
+  QCheck.Test.make ~name:"maximin: searches = per-level Floyd-Warshall, bit for bit"
+    ~count:200
+    QCheck.(pair (int_range 2 10) (int_range 0 1_000_000))
+    (fun (size, seed) ->
+      let prng = Etx_util.Prng.create ~seed in
+      let graph, mapping, module_count, levels = random_widest_case prng ~size in
+      let workspace = Maximin.create_workspace () in
+      (* two snapshots through one workspace, as in the EAR property *)
+      List.for_all
+        (fun () ->
+          let snapshot = random_snapshot prng ~graph ~levels in
+          let expected =
+            Router.compute_widest ~by_levels:true ~graph ~mapping ~module_count snapshot
+          in
+          Routing_table.equal expected
+            (Maximin.compute ~graph ~mapping ~module_count snapshot)
+          && Routing_table.equal expected
+               (Maximin.compute ~workspace ~graph ~mapping ~module_count snapshot))
+        [ (); () ])
+
+(* Brute-force shortest-widest: for each threshold from the top level
+   down, Bellman-Ford over the living, unfailed edges into nodes at or
+   above it; the first threshold that reaches [dst] is the width. *)
+let oracle_distances ~graph ~(snapshot : Router.snapshot) ~threshold ~src =
+  let n = Digraph.node_count graph in
+  let dist = Array.make n infinity in
+  if snapshot.alive.(src) then dist.(src) <- 0.;
+  let edges =
+    Digraph.fold_edges graph ~init:[] ~f:(fun acc ~src ~dst ~length ->
+        if
+          snapshot.alive.(src) && snapshot.alive.(dst)
+          && snapshot.battery_level.(dst) >= threshold
+          && not (List.mem (src, dst) snapshot.failed_links)
+        then (src, dst, length) :: acc
+        else acc)
+  in
+  for _ = 1 to n do
+    List.iter
+      (fun (u, v, length) -> if dist.(u) +. length < dist.(v) then dist.(v) <- dist.(u) +. length)
+      edges
+  done;
+  dist
+
+let oracle_widest ~graph ~(snapshot : Router.snapshot) ~src ~dst =
+  if src = dst then Some (max_int, 0.)
+  else
+    let rec sweep threshold =
+      if threshold < 0 then None
+      else
+        let d = (oracle_distances ~graph ~snapshot ~threshold ~src).(dst) in
+        if d < infinity then Some (threshold, d) else sweep (threshold - 1)
+    in
+    sweep (snapshot.levels - 1)
+
+let prop_widest_tables_match_oracle =
+  QCheck.Test.make ~name:"maximin: every entry is shortest-widest (brute force)" ~count:150
+    QCheck.(pair (int_range 2 5) (int_range 0 1_000_000))
+    (fun (size, seed) ->
+      let prng = Etx_util.Prng.create ~seed in
+      let graph, mapping, module_count, levels = random_widest_case prng ~size in
+      let snapshot = random_snapshot prng ~graph ~levels in
+      snapshot.Router.locked_ports <- [];
+      let table = Maximin.compute ~graph ~mapping ~module_count snapshot in
+      let n = Digraph.node_count graph in
+      for node = 0 to n - 1 do
+        if snapshot.alive.(node) then
+          for module_index = 0 to module_count - 1 do
+            let expect what cond =
+              if not cond then
+                QCheck.Test.fail_reportf "%s (node %d, module %d)" what node module_index
+            in
+            (* the best replica by width, then distance, then id *)
+            let best =
+              List.fold_left
+                (fun best j ->
+                  match (oracle_widest ~graph ~snapshot ~src:node ~dst:j, best) with
+                  | None, _ -> best
+                  | Some v, None -> Some (j, v)
+                  | Some (w, d), Some (_, (bw, bd)) ->
+                    if w > bw || (w = bw && d < bd) then Some (j, (w, d)) else best)
+                None
+                (List.filter
+                   (fun j -> snapshot.alive.(j))
+                   (Mapping.nodes_of_module mapping ~module_index))
+            in
+            match (best, Routing_table.get table ~node ~module_index) with
+            | None, Routing_table.Unreachable -> ()
+            | Some (j, _), Routing_table.Deliver_here -> expect "delivers at home" (j = node)
+            | Some (j, (w, d)), Routing_table.Forward { next_hop; destination } ->
+              expect "best replica" (destination = j);
+              let value, hop = Maximin.widest_path ~graph ~snapshot ~src:node ~dst:j in
+              expect "width" (value.Maximin.width = w);
+              expect "distance" (value.Maximin.distance = d);
+              expect "first hop" (hop = Some next_hop);
+              (* the hop starts a shortest path within the width *)
+              expect "hop within the width"
+                (Digraph.mem_edge graph ~src:node ~dst:next_hop
+                && snapshot.alive.(next_hop)
+                && snapshot.battery_level.(next_hop) >= w
+                && not (List.mem (node, next_hop) snapshot.failed_links));
+              expect "hop on a shortest path"
+                (Digraph.length graph ~src:node ~dst:next_hop
+                 +. (oracle_distances ~graph ~snapshot ~threshold:w ~src:next_hop).(j)
+                = d)
+            | _ -> expect "entry kind" false
+          done
+      done;
+      true)
+
+(* The kernel's work is visible as a counter: one threshold search per
+   living source and level it needed, none for EAR; meshes never leave
+   the exact path. *)
+let test_widest_counters () =
+  let module Obs = Etx_obs.Obs in
+  let levels_run = Obs.counter "etx_routing_maximin_levels_total" in
+  let fallbacks = Obs.counter "etx_routing_exact_fallback_total" in
+  let was_armed = Obs.enabled () in
+  Obs.arm ();
+  Fun.protect
+    ~finally:(fun () -> if not was_armed then Obs.disarm ())
+    (fun () ->
+      let t, mapping = mesh4 () in
+      let graph = t.Topology.graph in
+      let snapshot = Router.full_snapshot ~node_count:16 ~levels:8 in
+      let searches () =
+        let before = Obs.counter_value levels_run in
+        ignore (Maximin.compute ~graph ~mapping ~module_count:3 snapshot);
+        Obs.counter_value levels_run - before
+      in
+      let fallen = Obs.counter_value fallbacks in
+      Alcotest.(check int) "one level: one search per node" 16 (searches ());
+      (* every host of module 2 a level down: the other 12 nodes search
+         that level too, the 4 hosts find modules 1 and 3 at the top *)
+      let hosts = Mapping.nodes_of_module mapping ~module_index:1 in
+      List.iter (fun j -> snapshot.Router.battery_level.(j) <- 6) hosts;
+      Alcotest.(check int) "four hosts" 4 (List.length hosts);
+      Alcotest.(check int) "a second level for 12 nodes" 28 (searches ());
+      Alcotest.(check int) "no fallback" fallen (Obs.counter_value fallbacks);
+      let before = Obs.counter_value levels_run in
+      ignore
+        (Router.compute ~graph ~mapping ~module_count:3 ~weight:Weight.Shortest_distance
+           snapshot);
+      Alcotest.(check int) "EAR/SDR count none" before (Obs.counter_value levels_run))
+
 (* A path whose sum depends on the grouping: 0 -> 2 -> 1 -> 3 costs
    (0.1 + 0.2) + 0.3 = 0.6000000000000001 summed left to right, as a
    search would, but 0.1 + (0.2 + 0.3) = 0.6 as Floyd-Warshall forms it
@@ -911,6 +1094,12 @@ let suite =
         Alcotest.test_case "exact-fallback counter" `Quick test_router_exact_fallback_counter;
         Alcotest.test_case "workspace recompute allocation" `Quick
           test_router_workspace_recompute_allocation;
+      ] );
+    ( "routing/widest",
+      [
+        QCheck_alcotest.to_alcotest prop_widest_searches_match_level_recurrence;
+        QCheck_alcotest.to_alcotest prop_widest_tables_match_oracle;
+        Alcotest.test_case "level and fallback counters" `Quick test_widest_counters;
       ] );
     ( "routing/policy",
       [

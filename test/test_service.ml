@@ -174,6 +174,22 @@ let test_fingerprint_exact_rates () =
     "audit;sizes=4,5,6,7,8;seeds=1,2,3,4,5;every=1"
     (fp {|{"scenario":"audit","params":{"retries":3,"ber":0}}|})
 
+(* only maximin configs carry the routing-kernel tag: its tables moved
+   to the exact shortest-widest kernel, EAR and SDR's did not *)
+let test_fingerprint_routing_kernel_tag () =
+  Alcotest.(check string) "maximin is tagged"
+    "simulate;etsim-ckpt-v1;n=16;m=3;edges=48;policy=MAXMIN/8;seed=1;frame=800;\
+     max=50000000;jobs=1;batt=thin-film/60000/0.1;wl=aes-128-encrypt;fault=none;retx=3;\
+     ack=25;sched=0;rk=2"
+    (fp {|{"scenario":"simulate","params":{"mesh_size":4,"policy":"maximin"}}|});
+  List.iter
+    (fun policy ->
+      Alcotest.(check bool) (policy ^ " is not") false
+        (Astring_contains.contains
+           (fp (Printf.sprintf {|{"scenario":"simulate","params":{"policy":%S}}|} policy))
+           "rk="))
+    [ "ear"; "sdr" ]
+
 (* Every declared param of every scenario, through the wire: spelling
    out the default is omitting it, another in-bounds value is another
    result, and a value below the bound (or an unknown name) is turned
@@ -509,6 +525,8 @@ let suite =
         Alcotest.test_case "fingerprint canonicalization" `Quick
           test_fingerprint_canonicalization;
         Alcotest.test_case "fingerprint exact rates" `Quick test_fingerprint_exact_rates;
+        Alcotest.test_case "fingerprint routing-kernel tag" `Quick
+          test_fingerprint_routing_kernel_tag;
         Alcotest.test_case "schema fingerprint property" `Quick
           test_schema_fingerprint_property;
       ] );
