@@ -38,17 +38,49 @@ let floyd_warshall_kernel =
   let w = Etx_graph.Digraph.adjacency_matrix topology.Etx_graph.Topology.graph in
   fun () -> ignore (Etx_graph.Floyd_warshall.run w)
 
+(* The router copies every row whose inputs did not move since the
+   workspace's last recompute, so a kernel replaying one snapshot would
+   time only that check.  The recompute kernels alternate two snapshots
+   that differ in every node's level, so every weight the searches read
+   changes and each call is a full recompute. *)
+let alternate first second =
+  let flip = ref false in
+  fun () ->
+    flip := not !flip;
+    if !flip then first else second
+
 (* [~size:12] is the 144-node mesh that dominates the fig7 sweep's
    routing time. *)
 let ear_recompute_kernel ~size =
   let topology = Etx_graph.Topology.square_mesh ~size () in
   let mapping = Etx_routing.Mapping.checkerboard topology in
-  let snapshot = Etx_routing.Router.full_snapshot ~node_count:(size * size) ~levels:8 in
+  let full = Etx_routing.Router.full_snapshot ~node_count:(size * size) ~levels:8 in
+  let next =
+    alternate full { full with battery_level = Array.make (size * size) 6 }
+  in
   (* Persistent workspace, like the controller's per-frame path: the
-     scratch matrices are reused across recomputes instead of
+     scratch state is reused across recomputes instead of
      reallocated. *)
   let workspace = Etx_routing.Router.create_workspace () in
   fun () ->
+    ignore
+      (Etx_routing.Router.compute ~workspace ~graph:topology.Etx_graph.Topology.graph
+         ~mapping ~module_count:3
+         ~weight:(Etx_routing.Weight.Exponential { q = 2. })
+         (next ()))
+
+(* The controller's common case: one node's level moves per recompute
+   (node after node, each flipping between two levels), so only the
+   sources whose searches labelled it search again. *)
+let ear_one_node_kernel ~size =
+  let topology = Etx_graph.Topology.square_mesh ~size () in
+  let mapping = Etx_routing.Mapping.checkerboard topology in
+  let snapshot = Etx_routing.Router.full_snapshot ~node_count:(size * size) ~levels:8 in
+  let level = snapshot.Etx_routing.Router.battery_level and node = ref 0 in
+  let workspace = Etx_routing.Router.create_workspace () in
+  fun () ->
+    level.(!node) <- 13 - level.(!node);
+    node := (!node + 1) mod (size * size);
     ignore
       (Etx_routing.Router.compute ~workspace ~graph:topology.Etx_graph.Topology.graph
          ~mapping ~module_count:3
@@ -74,15 +106,22 @@ let battery_kernel () =
 let maximin_kernel =
   let topology = Etx_graph.Topology.square_mesh ~size:8 () in
   let mapping = Etx_routing.Mapping.checkerboard topology in
-  let snapshot = Etx_routing.Router.full_snapshot ~node_count:64 ~levels:8 in
-  (* Persistent workspace, like the controller's per-frame path: flat
-     SoA matrices, hash sets, candidate arrays and the table pair are
-     all reused across recomputes. *)
+  (* The widest kernel's passes read physical lengths, cut below each
+     reported level, so uniform levels would leave them unchanged: the
+     two snapshots swap levels 7 and 6 between odd and even nodes
+     instead, which moves every node's level and every weight of the
+     first pass. *)
+  let levels parity =
+    { (Etx_routing.Router.full_snapshot ~node_count:64 ~levels:8) with
+      battery_level = Array.init 64 (fun i -> if i land 1 = parity then 7 else 6) }
+  in
+  let next = alternate (levels 0) (levels 1) in
+  (* Persistent workspace, like the controller's per-frame path. *)
   let workspace = Etx_routing.Maximin.create_workspace () in
   fun () ->
     ignore
       (Etx_routing.Maximin.compute ~workspace ~graph:topology.Etx_graph.Topology.graph
-         ~mapping ~module_count:3 snapshot)
+         ~mapping ~module_count:3 (next ()))
 
 (* the hardened frame loop under a lossy fault environment: per-packet
    CRC draws, retransmissions, and upload loss on an 8x8 fabric *)
@@ -203,6 +242,7 @@ let entries =
     ("kernel/floyd-warshall-64", floyd_warshall_kernel);
     ("kernel/ear-recompute-64", ear_recompute_kernel ~size:8);
     ("kernel/ear-recompute-144", ear_recompute_kernel ~size:12);
+    ("kernel/ear-recompute-144-one-node", ear_one_node_kernel ~size:12);
     ("kernel/aes-block", aes_kernel);
     ("kernel/battery-100-steps", battery_kernel);
     ("kernel/maximin-recompute-64", maximin_kernel);

@@ -82,41 +82,35 @@ let rec bank_draw t ~energy =
       bank_draw t ~energy
     end
 
-(* What moved since the snapshot last recomputed for.  [Levels_only]
-   means only quantized battery levels differ: alive flags, locked ports
-   and failed links are all unchanged. *)
-type change = Unchanged | Levels_only | Structural
-
-(* One pass over the arrays.  Engine.build_snapshot delivers
+(* Whether the snapshot differs from the one last recomputed for, in
+   one pass over the arrays.  Engine.build_snapshot delivers
    locked_ports and failed_links sorted, so structural list equality
    suffices (physical identity first: the engine shares unchanged lists
    frame to frame). *)
-let snapshot_change t (snapshot : Router.snapshot) =
+let snapshot_changed t (snapshot : Router.snapshot) =
   match t.previous_snapshot with
-  | None -> Structural
+  | None -> true
   | Some previous ->
     let n = Array.length snapshot.alive in
-    if
-      Array.length previous.alive <> n
-      || Array.length previous.battery_level <> Array.length snapshot.battery_level
-      || previous.levels <> snapshot.levels
-      || not
-           (previous.locked_ports == snapshot.locked_ports
-           || previous.locked_ports = snapshot.locked_ports)
-      || not
-           (previous.failed_links == snapshot.failed_links
-           || previous.failed_links = snapshot.failed_links)
-    then Structural
-    else begin
-      let alive_changed = ref false and levels_changed = ref false in
-      for id = 0 to n - 1 do
-        if previous.alive.(id) <> snapshot.alive.(id) then alive_changed := true;
-        if previous.battery_level.(id) <> snapshot.battery_level.(id) then
-          levels_changed := true
+    Array.length previous.alive <> n
+    || Array.length previous.battery_level <> Array.length snapshot.battery_level
+    || previous.levels <> snapshot.levels
+    || (not
+          (previous.locked_ports == snapshot.locked_ports
+          || previous.locked_ports = snapshot.locked_ports))
+    || (not
+          (previous.failed_links == snapshot.failed_links
+          || previous.failed_links = snapshot.failed_links))
+    || begin
+      let id = ref 0 in
+      while
+        !id < n
+        && previous.alive.(!id) = snapshot.alive.(!id)
+        && previous.battery_level.(!id) = snapshot.battery_level.(!id)
+      do
+        incr id
       done;
-      if !alive_changed then Structural
-      else if !levels_changed then Levels_only
-      else Unchanged
+      !id < n
     end
 
 (* Remember the snapshot just recomputed for.  The arrays are blitted
@@ -140,26 +134,19 @@ let remember t (snapshot : Router.snapshot) =
           battery_level = Array.copy snapshot.battery_level;
         }
 
-(* A policy whose weights ignore battery levels (SDR) recomputes the
-   very table it already holds when only levels moved: Floyd-Warshall
-   and phase three read nothing else that changed.  The paper's cost
-   model still charges that recompute, so it is counted and billed, but
-   the current table is reused and downloads nothing. *)
-let compute_table t ~change ~snapshot =
-  match (change, t.table) with
-  | Levels_only, Some table
-    when not (Etx_routing.Policy.is_battery_aware t.config.policy) ->
-    table
-  | _ -> (
-    let graph = t.config.topology.Etx_graph.Topology.graph in
-    let mapping = t.config.mapping and module_count = t.config.module_count in
-    match t.config.policy.Etx_routing.Policy.algorithm with
-    | Etx_routing.Policy.Weighted weight ->
-      Router.compute ~workspace:t.workspace ~graph ~mapping ~module_count ~weight
-        snapshot
-    | Etx_routing.Policy.Maximin_residual ->
-      Etx_routing.Maximin.compute ~workspace:t.maximin_workspace ~graph ~mapping
-        ~module_count snapshot)
+(* Phases 1-3 on the controller's workspace.  The workspace copies
+   every row whose inputs did not move, so under a policy that ignores
+   battery levels (SDR) a frame where only levels moved is billed as a
+   recompute but returns an equal table and downloads nothing. *)
+let compute_table t ~snapshot =
+  let graph = t.config.topology.Etx_graph.Topology.graph in
+  let mapping = t.config.mapping and module_count = t.config.module_count in
+  match t.config.policy.Etx_routing.Policy.algorithm with
+  | Etx_routing.Policy.Weighted weight ->
+    Router.compute ~workspace:t.workspace ~graph ~mapping ~module_count ~weight snapshot
+  | Etx_routing.Policy.Maximin_residual ->
+    Etx_routing.Maximin.compute ~workspace:t.maximin_workspace ~graph ~mapping
+      ~module_count snapshot
 
 let on_frame t ~elapsed_cycles ~snapshot =
   begin
@@ -172,14 +159,13 @@ let on_frame t ~elapsed_cycles ~snapshot =
   t.compute_energy <- t.compute_energy +. leakage;
   if not (bank_draw t ~energy:leakage) then Exhausted
   else begin
-    let change = snapshot_change t snapshot in
-    if change = Unchanged then No_change
+    if not (snapshot_changed t snapshot) then No_change
     else begin
       let dynamic = t.dynamic_per_recompute in
       t.compute_energy <- t.compute_energy +. dynamic;
       if not (bank_draw t ~energy:dynamic) then Exhausted
       else begin
-        let table = compute_table t ~change ~snapshot in
+        let table = compute_table t ~snapshot in
         t.recomputations <- t.recomputations + 1;
         Obs.inc obs_recompute;
         let changed =

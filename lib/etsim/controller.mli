@@ -28,8 +28,8 @@ val on_frame :
     the last one recomputed for costs a recompute (counted, and billed
     its dynamic energy) plus a download of the changed entries.  When
     only battery levels moved under a policy that ignores them (SDR),
-    the recompute is still billed but the current table is reused: it
-    is exactly what Floyd-Warshall would return, so nothing downloads. *)
+    the recompute is still billed, but the new table equals the current
+    one, so nothing downloads. *)
 
 val recomputations : t -> int
 val download_energy_pj : t -> float

@@ -40,8 +40,10 @@ let candidate_arrays cache ~mapping ~module_count =
 
 (* The graph in compressed rows plus everything sized by it: the search
    state, per-edge weights and failed/locked flags for the current
-   snapshot, and the per-node lock marks of the node being routed.  Built once per graph (cached on its
-   identity and edge count: graphs are built once, then only read). *)
+   snapshot, the per-node lock marks of the node being routed, and what
+   the last searches read (for row reuse, see [route_balls]).  Built
+   once per graph (cached on its identity and edge count: graphs are
+   built once, then only read). *)
 type adjacency = {
   graph : Etx_graph.Digraph.t;
   edge_count : int;
@@ -56,6 +58,28 @@ type adjacency = {
   (* the widest kernel's passes, one per reported level, highest first:
      [edge_weights] with every edge into a node below the level cut *)
   mutable level_weights : float array array;
+  (* row reuse: per pass, the weights and lock flags the last
+     [route_balls] read; per source, the nodes its searches labelled
+     (the [read_count] entries of [reads] from [read_start]; -1: no row
+     to reuse) and how many searches it ran; per node, the epoch of the
+     recompute that found a weight its searches may read changed.  Each
+     recompute writes every living source's list, copied or new, end to
+     end into [spare] and then swaps the two buffers, so a few large
+     arrays serve every source and are reused across recomputes. *)
+  mutable read_weights : float array array;
+  read_locked : bool array;
+  mutable reads : int array;
+  mutable spare : int array;
+  read_start : int array;
+  read_count : int array;
+  read_searches : int array;
+  dirty : int array;
+  (* the recompute the rows can be reused after: a [route_balls] on
+     these candidate arrays (so on this mapping and module count, hence
+     this table pair) and pass count *)
+  mutable rows_valid : bool;
+  mutable rows_candidates : int array array;
+  mutable rows_passes : int;
 }
 
 (* Scratch state reused across recomputes: the controller calls
@@ -183,6 +207,17 @@ let adjacency ws graph =
         seen = Array.make n (-1);
         summed = [| edge_weights |];
         level_weights = [||];
+        read_weights = [||];
+        read_locked = Array.make edges false;
+        reads = Array.make (16 * n) 0;
+        spare = Array.make (16 * n) 0;
+        read_start = Array.make n 0;
+        read_count = Array.make n (-1);
+        read_searches = Array.make n 0;
+        dirty = Array.make n (-1);
+        rows_valid = false;
+        rows_candidates = [||];
+        rows_passes = 0;
       }
     in
     ws.adjacency <- Some adj;
@@ -327,6 +362,80 @@ let forward_entry ws ~slot ~next_hop ~destination =
     ws.forwards.(slot) <- entry;
     entry
 
+let obs_reused =
+  Obs.counter
+    ~help:"Routing searches skipped because nothing the source's last searches read changed"
+    "etx_routing_searches_reused_total"
+
+(* Row reuse, before the searches: compare each pass's weights with the
+   ones the last searches read and keep the new ones.  A search reads
+   an edge's weight only when it settles the edge's tail, so a changed
+   edge marks, with this recompute's [round], a node every search that
+   read it has labelled: the target when the edge was finite (settling
+   the tail relaxed it, labelling the target), the tail when it was cut.
+   Without [reuse] the weights are only kept. *)
+let mark_changed adj ~round ~weights ~passes ~reuse =
+  let row_start = adj.csr.Dijkstra.row_start and targets = adj.csr.Dijkstra.targets in
+  let edges = Array.length targets in
+  let kept = adj.read_weights in
+  if Array.length kept < Array.length weights then
+    adj.read_weights <-
+      Array.init (Array.length weights) (fun p ->
+          if p < Array.length kept then kept.(p) else Array.make edges infinity);
+  for p = 0 to passes - 1 do
+    let now : float array = weights.(p) and read = adj.read_weights.(p) in
+    if reuse then
+      for u = 0 to Array.length row_start - 2 do
+        for e = row_start.(u) to row_start.(u + 1) - 1 do
+          let w = now.(e) and r = read.(e) in
+          if w <> r then begin
+            adj.dirty.(if r < infinity then targets.(e) else u) <- round;
+            read.(e) <- w
+          end
+        done
+      done
+    else Array.blit now 0 read 0 edges
+  done
+
+(* Whether [src]'s row from the last recompute still holds: it had one,
+   its own locked ports are as they were, and no node its searches
+   labelled is marked this [round]. *)
+let row_unchanged adj ~src ~round =
+  let count = adj.read_count.(src) in
+  count >= 0
+  && begin
+    let row_start = adj.csr.Dijkstra.row_start in
+    let e = ref row_start.(src) and last = row_start.(src + 1) in
+    while !e < last && adj.edge_locked.(!e) = adj.read_locked.(!e) do
+      incr e
+    done;
+    !e = last
+  end
+  && begin
+    let reads = adj.reads and dirty = adj.dirty in
+    let i = ref adj.read_start.(src) and last = adj.read_start.(src) + count in
+    while !i < last && dirty.(reads.(!i)) <> round do
+      incr i
+    done;
+    !i = last
+  end
+
+(* Append [k] nodes of [from] from [off] to the lists being written,
+   at [pos]; returns the new end.  The buffer doubles when full.  The
+   copy is a loop: [Array.blit] into an array on the major heap pays a
+   write barrier per element, which an [int array] store skips. *)
+let keep adj ~pos (from : int array) ~off k =
+  if pos + k > Array.length adj.spare then begin
+    let grown = Array.make (max (2 * Array.length adj.spare) (pos + k)) 0 in
+    Array.blit adj.spare 0 grown 0 pos;
+    adj.spare <- grown
+  end;
+  let spare = adj.spare in
+  for i = 0 to k - 1 do
+    spare.(pos + i) <- from.(off + i)
+  done;
+  pos + k
+
 (* Phases two and three from truncated searches per living source,
    choosing each module's entry as nodes settle.  A source runs the
    searches of [passes] in turn, [weights.(0)] first, and only while
@@ -345,9 +454,19 @@ let forward_entry ws ~slot ~next_hop ~destination =
    keeps every pass going to exhaustion, which makes the lock-ignoring
    choice ([any], taken in the first pass that reaches a replica)
    exact too.  With positive weights only the node itself is at
-   distance 0, so it delivers whenever it hosts the module. *)
-let route_balls ws adj table ~module_of ~(snapshot : snapshot) ~module_count ~weights
-    ~passes =
+   distance 0, so it delivers whenever it hosts the module.
+
+   A source's searches are a function of its own locked ports,
+   [module_of] and, per pass, the weights on the out-edges of the nodes
+   they settle, all of which they labelled.  With [reuse] (the last
+   recompute ran here on the same candidates and pass count, so
+   [previous] holds its rows), a source none of whose labelled
+   nodes [mark_changed] marks and whose locks are unchanged would
+   repeat its last searches step for step: its row is copied from
+   [previous] instead, and its list stays valid.  Every other living
+   source searches and records what it labelled. *)
+let route_balls ws adj table ~previous ~reuse ~module_of ~(snapshot : snapshot)
+    ~module_count ~weights ~passes =
   let csr = adj.csr and search = adj.search in
   let alive = snapshot.alive in
   let dist = Dijkstra.distances search and hop = Dijkstra.first_hops search in
@@ -355,13 +474,25 @@ let route_balls ws adj table ~module_of ~(snapshot : snapshot) ~module_count ~we
   let lock_mark = adj.lock_mark and seen = adj.seen in
   let usable = ws.usable and usable_hop = ws.usable_hop and usable_pass = ws.usable_pass in
   let any = ws.any and any_hop = ws.any_hop and any_pass = ws.any_pass in
-  let searches = ref 0 in
+  ws.epoch <- ws.epoch + 1;
+  let round = ws.epoch in
+  mark_changed adj ~round ~weights ~passes ~reuse;
+  let searches = ref 0 and reused = ref 0 and kept = ref 0 in
   for src = 0 to Array.length alive - 1 do
-    if alive.(src) then begin
+    if not alive.(src) then adj.read_count.(src) <- -1
+    else if reuse && row_unchanged adj ~src ~round then begin
+      Routing_table.blit_row ~src:previous ~dst:table ~node:src;
+      reused := !reused + adj.read_searches.(src);
+      let start = !kept in
+      kept := keep adj ~pos:start adj.reads ~off:adj.read_start.(src) adj.read_count.(src);
+      adj.read_start.(src) <- start
+    end
+    else begin
       ignore (mark_locks ws adj ~node:src);
       let epoch = ws.epoch in
       Array.fill usable 0 module_count (-1);
       Array.fill any 0 module_count (-1);
+      adj.read_start.(src) <- !kept;
       let covered = ref 0 and pass = ref 0 in
       while !covered < module_count && !pass < passes do
         let p = !pass in
@@ -404,8 +535,13 @@ let route_balls ws adj table ~module_of ~(snapshot : snapshot) ~module_count ~we
             end
           end
         done;
+        kept :=
+          keep adj ~pos:!kept (Dijkstra.labelled search) ~off:0
+            (Dijkstra.labelled_count search);
         incr pass
       done;
+      adj.read_count.(src) <- !kept - adj.read_start.(src);
+      adj.read_searches.(src) <- !pass;
       for module_index = 0 to module_count - 1 do
         let found = usable.(module_index) >= 0 in
         let j = if found then usable.(module_index) else any.(module_index) in
@@ -422,6 +558,14 @@ let route_balls ws adj table ~module_of ~(snapshot : snapshot) ~module_count ~we
       done
     end
   done;
+  let lists = adj.spare in
+  adj.spare <- adj.reads;
+  adj.reads <- lists;
+  let locked = adj.edge_locked and read_locked = adj.read_locked in
+  for e = 0 to Array.length locked - 1 do
+    read_locked.(e) <- locked.(e)
+  done;
+  if !reused > 0 then Obs.add obs_reused !reused;
   !searches
 
 (* The widest kernel's passes into [adj.level_weights]: one per level
@@ -575,6 +719,9 @@ let route ?workspace ~graph ~mapping ~module_count ~weight ~widest ~by_levels sn
     invalid_arg "Router.compute: mapping arity differs from the graph";
   let ws = match workspace with Some ws -> ws | None -> create_workspace () in
   let adj = adjacency ws graph in
+  (* off until this recompute completes on the searches *)
+  let rows_valid = adj.rows_valid in
+  adj.rows_valid <- false;
   let exact = fill_edge_weights ws adj ~weight snapshot in
   set_edge_flags adj.edge_locked adj.csr ~node_count snapshot.locked_ports;
   let table =
@@ -589,10 +736,18 @@ let route ?workspace ~graph ~mapping ~module_count ~weight ~widest ~by_levels sn
   let passes = if widest then fill_level_weights ws adj snapshot else 1 in
   let weights = if widest then adj.level_weights else adj.summed in
   if exact && not by_levels then begin
-    let searches =
-      route_balls ws adj table ~module_of ~snapshot ~module_count ~weights ~passes
+    let reuse =
+      rows_valid && adj.rows_candidates == candidates && adj.rows_passes = passes
     in
-    if widest then Obs.add obs_levels searches
+    let previous = if reuse then ws.tables.(ws.table_flip) else table in
+    let searches =
+      route_balls ws adj table ~previous ~reuse ~module_of ~snapshot ~module_count
+        ~weights ~passes
+    in
+    if widest then Obs.add obs_levels searches;
+    adj.rows_valid <- true;
+    adj.rows_candidates <- candidates;
+    adj.rows_passes <- passes
   end
   else begin
     if not exact then Obs.inc obs_exact_fallback;

@@ -36,7 +36,22 @@ type workspace
     pair of routing tables.  After the first
     recompute on a graph, a recompute allocates only a few words
     whatever the mesh size.  A workspace belongs to one controller; it
-    must not be shared across domains. *)
+    must not be shared across domains.
+
+    {b Row reuse.}  A workspace also keeps, per source, the nodes its
+    last searches labelled, and each pass's weights and the locked-port
+    flags as those searches read them.  A source's searches depend only
+    on its own lock flags, the candidate arrays and, per pass, the
+    weights on the out-edges of the nodes they settle.  So a recompute
+    first marks, for every edge whose weight changed, its target when
+    the old weight was finite and its tail when it was infinite; a
+    living source that labelled no marked node and whose lock flags are
+    unchanged copies its row from the previous table of the pair
+    instead of searching (counted by
+    [etx_routing_searches_reused_total]).  This applies only right after
+    a search-path recompute on the same graph, mapping, module count
+    and pass count; a Floyd-Warshall recompute turns it off for the next
+    one.  The tables are the same either way. *)
 
 val create_workspace : unit -> workspace
 (** An empty workspace; buffers are sized lazily on first use and

@@ -55,6 +55,11 @@ let blit ~src ~dst =
     (fun node row -> Array.blit row 0 dst.entries.(node) 0 (Array.length row))
     src.entries
 
+let blit_row ~src ~dst ~node =
+  if node_count src <> node_count dst || module_count src <> module_count dst then
+    invalid_arg "Routing_table.blit_row: dimension mismatch";
+  Array.blit src.entries.(node) 0 dst.entries.(node) 0 (module_count src)
+
 let diff_count a b =
   if node_count a <> node_count b || module_count a <> module_count b then
     invalid_arg "Routing_table.diff_count: dimension mismatch";

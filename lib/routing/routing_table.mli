@@ -44,6 +44,10 @@ val blit : src:t -> dst:t -> unit
 (** Overwrite every entry of [dst] with [src]'s.
     @raise Invalid_argument on dimension mismatch. *)
 
+val blit_row : src:t -> dst:t -> node:int -> unit
+(** Overwrite [node]'s entries in [dst] with [src]'s.
+    @raise Invalid_argument on dimension mismatch. *)
+
 val diff_count : t -> t -> int
 (** Number of (node, module) entries that differ: the volume of routing
     instructions the controller must download after a recomputation.

@@ -90,51 +90,90 @@ let write_all ?deadline ~now fd data =
       ()
   done
 
+(* Bytes read but not yet handed out live in [buf.[start, stop)]; none
+   of [buf.[start, scanned)] is a newline, so each byte is scanned once
+   however many reads a long line takes, and each line is copied out
+   once.  The live bytes move to the front only when a read needs room,
+   so they are then one unfinished line; a buffer too small for them
+   is replaced by one twice their size (plus a chunk), so the bytes a
+   line moves in all stay below twice its length. *)
 type reader = {
   fd : Unix.file_descr;
-  acc : Buffer.t;
-  chunk : bytes;
+  mutable buf : bytes;
+  mutable start : int;
+  mutable scanned : int;
+  mutable stop : int;
   mutable eof : bool;
 }
 
-let reader fd = { fd; acc = Buffer.create 256; chunk = Bytes.create 4096; eof = false }
+let chunk = 4096
+
+let reader fd =
+  { fd; buf = Bytes.create chunk; start = 0; scanned = 0; stop = 0; eof = false }
+
+(* the first newline in [buf.[i, stop)], -1 for none; [stop] never
+   exceeds the buffer's length *)
+let rec newline buf i stop =
+  if i >= stop then -1
+  else if Bytes.unsafe_get buf i = '\n' then i
+  else newline buf (i + 1) stop
+
+(* the next complete line, consumed; [None] when the live bytes end
+   inside a line *)
+let take_line r =
+  let i = newline r.buf r.scanned r.stop in
+  if i < 0 then begin
+    r.scanned <- r.stop;
+    None
+  end
+  else begin
+    let line = Bytes.sub_string r.buf r.start (i - r.start) in
+    r.start <- i + 1;
+    r.scanned <- i + 1;
+    Some line
+  end
+
+(* at least [chunk] free bytes after [stop] *)
+let make_room r =
+  if Bytes.length r.buf - r.stop < chunk then begin
+    let live = r.stop - r.start in
+    let buf =
+      if 2 * (live + chunk) <= Bytes.length r.buf then r.buf
+      else Bytes.create (2 * (live + chunk))
+    in
+    Bytes.blit r.buf r.start buf 0 live;
+    r.buf <- buf;
+    r.scanned <- r.scanned - r.start;
+    r.start <- 0;
+    r.stop <- live
+  end
 
 let read_line ?deadline ~now r =
-  let take_line () =
-    let s = Buffer.contents r.acc in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some i ->
-      Buffer.clear r.acc;
-      Buffer.add_substring r.acc s (i + 1) (String.length s - i - 1);
-      Some (String.sub s 0 i)
-  in
   let rec go () =
-    match take_line () with
+    match take_line r with
     | Some line -> Some line
     | None ->
       if r.eof then
-        if Buffer.length r.acc = 0 then None
+        if r.stop = r.start then None
         else begin
           (* unterminated trailing line: hand it over once *)
-          let s = Buffer.contents r.acc in
-          Buffer.clear r.acc;
-          Some s
+          let line = Bytes.sub_string r.buf r.start (r.stop - r.start) in
+          r.start <- r.stop;
+          Some line
         end
       else begin
         wait_ready ~what:"response timed out" ~deadline ~now ~for_write:false r.fd;
+        make_room r;
         (match
            match Failpoint.check fp_read with
-           | None -> Unix.read r.fd r.chunk 0 (Bytes.length r.chunk)
+           | None -> Unix.read r.fd r.buf r.stop chunk
            | Some (Failpoint.Errno e) -> raise (Unix.Unix_error (e, "read", fp_read))
            | Some (Failpoint.Sys_err m) -> raise (Sys_error m)
-           | Some (Failpoint.Short n) ->
-             Unix.read r.fd r.chunk 0 (max 1 (min n (Bytes.length r.chunk)))
-           | Some (Failpoint.Torn _) | Some Failpoint.Crash ->
-             Failpoint.crash fp_read
+           | Some (Failpoint.Short n) -> Unix.read r.fd r.buf r.stop (max 1 (min n chunk))
+           | Some (Failpoint.Torn _) | Some Failpoint.Crash -> Failpoint.crash fp_read
          with
         | 0 -> r.eof <- true
-        | n -> Buffer.add_subbytes r.acc r.chunk 0 n
+        | n -> r.stop <- r.stop + n
         | exception
             Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
           -> ());

@@ -68,6 +68,45 @@ let test_simulate_maximin_pinned () =
       "totals: 2691 acts, 3511 hops\n";
     ]
 
+(* 24x24 runs, past the golden fixture's 12x12, where most routing
+   rows are copied from the previous recompute instead of searched: the
+   whole report must stay what the searches gave before rows were
+   reused. *)
+let test_simulate_24_pinned () =
+  List.iter
+    (fun (args, lines) ->
+      Alcotest.(check string) args (String.concat "" lines) (check_ok args args))
+    [
+      ( "simulate --size 24",
+        [
+          "jobs completed: 576 (verified 576, lost 1)\n";
+          "lifetime: 240790 cycles\n";
+          "death: job 576 lost: node 1 depleted while serving it\n";
+          "energy (pJ): computation 2193181.3, communication 4665149.7, control 15678201.4 (69.57%)\n";
+          "controller compute: 13280371.2\n";
+          "stranded in dead nodes: 3528.6; residual in living nodes: 14091798.0\n";
+          "node deaths: 1; recomputations: 298 over 301 frames\n";
+          "deadlocks: 0 reported, 0 recovered\n";
+          "totals: 17301 acts, 22205 hops\n";
+          "faults: 0 wear-outs, 0 brownouts, 0 corrupted (0 retransmitted, 0 dropped)\n";
+          "control loss: 0 uploads, 0 downloads; stale reports: 0 (worst 0)\n";
+        ] );
+      ( "simulate --size 24 --policy maximin",
+        [
+          "jobs completed: 581 (verified 581, lost 1)\n";
+          "lifetime: 255865 cycles\n";
+          "death: job 581 lost: node 28 depleted while serving it\n";
+          "energy (pJ): computation 2212493.5, communication 5008654.3, control 16860944.3 (70.01%)\n";
+          "controller compute: 14166499.2\n";
+          "stranded in dead nodes: 3830.3; residual in living nodes: 12870956.8\n";
+          "node deaths: 1; recomputations: 318 over 320 frames\n";
+          "deadlocks: 0 reported, 0 recovered\n";
+          "totals: 17453 acts, 23840 hops\n";
+          "faults: 0 wear-outs, 0 brownouts, 0 corrupted (0 retransmitted, 0 dropped)\n";
+          "control loss: 0 uploads, 0 downloads; stale reports: 0 (worst 0)\n";
+        ] );
+    ]
+
 let test_simulate_fault_flags () =
   let args = "simulate --size 4 --seed 1 --ber 2e-4 --fault-seed 7 --retries 5" in
   let first = check_ok "faulty simulate" args in
@@ -583,6 +622,7 @@ let suite =
       [
         Alcotest.test_case "simulate baseline" `Quick test_simulate_baseline;
         Alcotest.test_case "simulate maximin pinned" `Quick test_simulate_maximin_pinned;
+        Alcotest.test_case "simulate 24x24 pinned" `Quick test_simulate_24_pinned;
         Alcotest.test_case "simulate fault flags" `Quick test_simulate_fault_flags;
         Alcotest.test_case "simulate invalid values" `Quick test_simulate_invalid_values;
         Alcotest.test_case "checkpoint + resume" `Quick test_simulate_checkpoint_resume;

@@ -212,6 +212,39 @@ let test_netio_retries_injected_eintr () =
           Alcotest.(check bool) "eof after close" true
             (Netio.read_line ~deadline:(now () +. 5.) ~now r = None)))
 
+(* A line far longer than a read, and several lines packed into one
+   write, come back intact and in order; the unterminated tail comes
+   once, at end of stream.  The writer runs in its own domain, since a
+   socket buffer holds far less than the long line. *)
+let test_netio_long_and_packed_lines () =
+  with_clean (fun () ->
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let long = String.init (1 lsl 20) (fun i -> Char.chr (97 + (i mod 26))) in
+      let now = Unix.gettimeofday in
+      let writer =
+        Domain.spawn (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Unix.close a)
+              (fun () ->
+                let deadline = now () +. 30. in
+                Netio.write_all ~deadline ~now a (Bytes.of_string (long ^ "\n"));
+                Netio.write_all ~deadline ~now a
+                  (Bytes.of_string "one\ntwo\n\nthree\ntail")))
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Domain.join writer;
+          Unix.close b)
+        (fun () ->
+          let r = Netio.reader b in
+          let next () = Netio.read_line ~deadline:(now () +. 30.) ~now r in
+          Alcotest.(check (option string)) "long line" (Some long) (next ());
+          List.iter
+            (fun line -> Alcotest.(check (option string)) line (Some line) (next ()))
+            [ "one"; "two"; ""; "three"; "tail" ];
+          Alcotest.(check (option string)) "end of stream" None (next ());
+          Alcotest.(check (option string)) "stays ended" None (next ())))
+
 let suite =
   [
     ( "failpoint",
@@ -235,5 +268,7 @@ let suite =
           test_fdio_short_read_truncates;
         Alcotest.test_case "netio retries injected EINTR" `Quick
           test_netio_retries_injected_eintr;
+        Alcotest.test_case "netio long and packed lines" `Quick
+          test_netio_long_and_packed_lines;
       ] );
   ]

@@ -767,6 +767,101 @@ let prop_widest_searches_match_level_recurrence =
                (Maximin.compute ~workspace ~graph ~mapping ~module_count snapshot))
         [ (); () ])
 
+(* - Row reuse across recomputes on one workspace - *)
+
+(* One control frame's worth of change to [s], in place: levels fall
+   and rise, nodes die and revive (a brown-out ending), links fail and
+   heal, locks come and go, sometimes on every port of a node; some
+   frames move nothing. *)
+let perturb prng ~graph (s : Router.snapshot) =
+  let n = Array.length s.alive in
+  let int bound = Etx_util.Prng.int prng ~bound in
+  let edges =
+    Digraph.fold_edges graph ~init:[] ~f:(fun acc ~src ~dst ~length:_ -> (src, dst) :: acc)
+  in
+  let toggle pairs pair =
+    if List.mem pair pairs then List.filter (fun p -> p <> pair) pairs
+    else List.sort compare (pair :: pairs)
+  in
+  let edge () = List.nth edges (int (List.length edges)) in
+  for _ = 1 to int 4 do
+    match int 8 with
+    | 0 ->
+      let i = int n in
+      s.battery_level.(i) <- max 0 (s.battery_level.(i) - 1 - int 2)
+    | 1 -> s.battery_level.(int n) <- int s.levels
+    | 2 -> s.alive.(int n) <- false
+    | 3 -> s.alive.(int n) <- true
+    | 4 -> s.failed_links <- toggle s.failed_links (edge ())
+    | 5 -> s.locked_ports <- toggle s.locked_ports (edge ())
+    | 6 ->
+      let node = int n in
+      let ports = List.filter (fun (src, _) -> src = node) edges in
+      let locked = List.filter (fun p -> not (List.mem p ports)) s.locked_ports in
+      s.locked_ports <-
+        (if List.length locked = List.length s.locked_ports then
+           List.sort compare (ports @ locked)
+         else locked)
+    | _ -> ()
+  done
+
+(* A workspace carried through a random walk of snapshots, as the
+   controller carries one frame to frame, returns every table a fresh
+   workspace returns, bit for bit: whatever rows it copies instead of
+   searching are the rows the searches would give.  The walk runs
+   SDR, EAR, EAR2 or the widest kernel (whose pass count and live-level
+   set move with the levels), and now and then the Floyd-Warshall path
+   runs on the same workspace in between, on another snapshot: a
+   non-dyadic weight or the widest recurrence on demand. *)
+let prop_row_reuse_matches_fresh =
+  QCheck.Test.make ~name:"router: reused rows = fresh workspace, bit for bit" ~count:150
+    QCheck.(pair (int_range 2 8) (int_range 0 1_000_000))
+    (fun (size, seed) ->
+      let prng = Etx_util.Prng.create ~seed in
+      let graph, mapping, module_count, levels = random_widest_case prng ~size in
+      let levels = min levels (2 + Etx_util.Prng.int prng ~bound:4) in
+      let snapshot = random_snapshot prng ~graph ~levels in
+      let workspace = Router.create_workspace () in
+      let compute ?workspace ?by_levels ~kind snapshot =
+        match kind with
+        | `Widest ->
+          Router.compute_widest ?workspace ?by_levels ~graph ~mapping ~module_count snapshot
+        | `Weighted weight ->
+          Router.compute ?workspace ~graph ~mapping ~module_count ~weight snapshot
+      in
+      let kind =
+        match Etx_util.Prng.int prng ~bound:4 with
+        | 0 -> `Weighted Weight.Shortest_distance
+        | 1 -> `Weighted (Weight.Exponential { q = 2. })
+        | 2 -> `Weighted (Weight.Exponential_squared { q = 2. })
+        | _ -> `Widest
+      in
+      let agrees ?by_levels ~kind snapshot =
+        Routing_table.equal
+          (compute ?by_levels ~kind snapshot)
+          (compute ~workspace ?by_levels ~kind snapshot)
+      in
+      let ok = ref (agrees ~kind snapshot) in
+      for _ = 1 to 16 do
+        if Etx_util.Prng.int prng ~bound:5 = 0 then begin
+          let other = random_snapshot prng ~graph ~levels in
+          if Etx_util.Prng.bool prng then
+            ok := !ok && agrees ~by_levels:true ~kind:`Widest other
+          else
+            ok :=
+              !ok
+              && agrees
+                   ~kind:
+                     (`Weighted
+                       (if Etx_util.Prng.bool prng then Weight.Exponential { q = 1.7 }
+                        else Weight.Inverse_level { floor = 0.3 }))
+                   other
+        end;
+        perturb prng ~graph snapshot;
+        ok := !ok && agrees ~kind snapshot
+      done;
+      !ok)
+
 (* Brute-force shortest-widest: for each threshold from the top level
    down, Bellman-Ford over the living, unfailed edges into nodes at or
    above it; the first threshold that reaches [dst] is the width. *)
@@ -1006,6 +1101,47 @@ let test_router_exact_fallback_counter () =
       Alcotest.(check int) "one fallback per inverse-level compute" (before + 3)
         (Obs.counter_value fallbacks))
 
+(* Row reuse is visible as a counter: a recompute on an unchanged
+   snapshot copies every living node's row, a fresh workspace copies
+   none, and a calibrated 5x5 EAR run skips 210 of its ~1,100 searches
+   while the engine still counts all 45 recomputes. *)
+let test_router_reuse_counter () =
+  let module Obs = Etx_obs.Obs in
+  let reused = Obs.counter "etx_routing_searches_reused_total" in
+  let recomputes = Obs.counter "etx_engine_recompute_total" in
+  let was_armed = Obs.enabled () in
+  Obs.arm ();
+  Fun.protect
+    ~finally:(fun () -> if not was_armed then Obs.disarm ())
+    (fun () ->
+      let t, mapping = mesh4 () in
+      let graph = t.Topology.graph in
+      let snapshot = Router.full_snapshot ~node_count:16 ~levels:8 in
+      snapshot.Router.alive.(6) <- false;
+      let weight = Weight.Exponential { q = 2. } in
+      let delta f =
+        let before = Obs.counter_value reused in
+        f ();
+        Obs.counter_value reused - before
+      in
+      let workspace = Router.create_workspace () in
+      let compute ?workspace () =
+        ignore (Router.compute ?workspace ~graph ~mapping ~module_count:3 ~weight snapshot)
+      in
+      Alcotest.(check int) "first recompute copies nothing" 0 (delta (compute ~workspace));
+      Alcotest.(check int) "unchanged: every living row copied" 15
+        (delta (compute ~workspace));
+      Alcotest.(check int) "fresh workspace copies nothing" 0 (delta compute);
+      let recomputed = Obs.counter_value recomputes in
+      Alcotest.(check int) "5x5 EAR run" 210
+        (delta (fun () ->
+             ignore
+               (Etx_etsim.Engine.simulate
+                  (Etextile.Calibration.config ~policy:(Etextile.Calibration.ear ())
+                     ~mesh_size:5 ()))));
+      Alcotest.(check int) "every recompute still counted" 45
+        (Obs.counter_value recomputes - recomputed))
+
 (* - Policy - *)
 
 let test_policy_constructors () =
@@ -1094,6 +1230,8 @@ let suite =
         Alcotest.test_case "exact-fallback counter" `Quick test_router_exact_fallback_counter;
         Alcotest.test_case "workspace recompute allocation" `Quick
           test_router_workspace_recompute_allocation;
+        QCheck_alcotest.to_alcotest prop_row_reuse_matches_fresh;
+        Alcotest.test_case "row reuse counter" `Quick test_router_reuse_counter;
       ] );
     ( "routing/widest",
       [
