@@ -71,7 +71,8 @@ let ear_recompute_kernel ~size =
 
 (* The controller's common case: one node's level moves per recompute
    (node after node, each flipping between two levels), so only the
-   sources whose searches labelled it search again. *)
+   sources whose searches settled it (or, as it refills, a neighbour)
+   search again. *)
 let ear_one_node_kernel ~size =
   let topology = Etx_graph.Topology.square_mesh ~size () in
   let mapping = Etx_routing.Mapping.checkerboard topology in

@@ -18,7 +18,6 @@ type t = {
   config : Config.t;
   bank : bank;
   workspace : Router.workspace;
-  maximin_workspace : Etx_routing.Maximin.workspace;
   (* controller-owned copy of the last recomputed-for snapshot: the
      engine refills its snapshot buffer in place every frame, so the
      comparison baseline must not alias it *)
@@ -54,7 +53,6 @@ let create (config : Config.t) =
     config;
     bank;
     workspace = Router.create_workspace ();
-    maximin_workspace = Etx_routing.Maximin.create_workspace ();
     previous_snapshot = None;
     leakage_per_cycle = Config.leakage_pj_per_cycle config;
     dynamic_per_recompute =
@@ -137,7 +135,8 @@ let remember t (snapshot : Router.snapshot) =
 (* Phases 1-3 on the controller's workspace.  The workspace copies
    every row whose inputs did not move, so under a policy that ignores
    battery levels (SDR) a frame where only levels moved is billed as a
-   recompute but returns an equal table and downloads nothing. *)
+   recompute but returns an equal table and downloads nothing; the
+   workspace counts the entries that moved while it writes them. *)
 let compute_table t ~snapshot =
   let graph = t.config.topology.Etx_graph.Topology.graph in
   let mapping = t.config.mapping and module_count = t.config.module_count in
@@ -145,7 +144,7 @@ let compute_table t ~snapshot =
   | Etx_routing.Policy.Weighted weight ->
     Router.compute ~workspace:t.workspace ~graph ~mapping ~module_count ~weight snapshot
   | Etx_routing.Policy.Maximin_residual ->
-    Etx_routing.Maximin.compute ~workspace:t.maximin_workspace ~graph ~mapping
+    Etx_routing.Maximin.compute ~workspace:t.workspace ~graph ~mapping
       ~module_count snapshot
 
 let on_frame t ~elapsed_cycles ~snapshot =
@@ -168,13 +167,9 @@ let on_frame t ~elapsed_cycles ~snapshot =
         let table = compute_table t ~snapshot in
         t.recomputations <- t.recomputations + 1;
         Obs.inc obs_recompute;
-        let changed =
-          match t.table with
-          | Some old -> Routing_table.diff_count old table
-          | None ->
-            Routing_table.node_count table * Routing_table.module_count table
+        let download =
+          float_of_int (Router.changed_entries t.workspace) *. t.instruction_energy
         in
-        let download = float_of_int changed *. t.instruction_energy in
         t.download_energy <- t.download_energy +. download;
         if not (bank_draw t ~energy:download) then Exhausted
         else begin
@@ -269,6 +264,8 @@ let restore t (s : state) =
     f.active <- s.bank_active);
   t.previous_snapshot <- Option.map copy_snapshot s.previous_snapshot;
   t.table <- Option.map Routing_table.copy s.table;
+  (* the next download is billed against the restored table *)
+  Router.set_previous_table t.workspace t.table;
   t.recomputations <- s.recomputations;
   t.download_energy <- s.download_energy;
   t.compute_energy <- s.compute_energy;

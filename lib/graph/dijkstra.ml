@@ -144,8 +144,6 @@ let start t ~src =
   t.size <- 1
 
 let labels t = t.tentative
-let labelled t = t.touched
-let labelled_count t = t.touched_count
 let pending t = if t.size = 0 then -1 else t.heap.(0)
 
 (* Pop the nearest pending node, fix its distance and first hop, relax

@@ -67,15 +67,6 @@ val first_hops : t -> int array
 (** Per node: the first hop from the source, [-1] for the source and for
     nodes not settled.  Same ownership as {!distances}. *)
 
-val labelled : t -> int array
-(** The nodes the current search has labelled so far (settled or still
-    pending), in labelling order: the first {!labelled_count} entries
-    are meaningful.  Every node whose out-edges the search relaxed is
-    among them, and so is the target of every finite-weight edge it
-    relaxed.  Same ownership as {!distances}. *)
-
-val labelled_count : t -> int
-
 (** {2 Whole searches} *)
 
 type result = {

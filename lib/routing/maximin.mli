@@ -45,12 +45,13 @@ val widest_path :
     exactness gate it is the hop {!compute} takes towards [dst] when it
     picks [dst].  One whole search per level; for tests and analysis. *)
 
-type workspace
+type workspace = Router.workspace
 (** {!Router}'s workspace: the cached adjacency, search state,
     per-level weights, candidate arrays and a rotating pair of routing
     tables, reused across recomputes so the controller's per-frame
-    maximin path stops allocating.  A workspace belongs to one
-    controller; it must not be shared across domains. *)
+    maximin path stops allocating; {!Router.changed_entries} reads its
+    download count.  A workspace belongs to one controller; it must not
+    be shared across domains. *)
 
 val create_workspace : unit -> workspace
 (** An empty workspace; buffers are sized lazily on first use. *)

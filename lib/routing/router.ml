@@ -39,9 +39,11 @@ let candidate_arrays cache ~mapping ~module_count =
     arrays
 
 (* The graph in compressed rows plus everything sized by it: the search
-   state, per-edge weights and failed/locked flags for the current
-   snapshot, the per-node lock marks of the node being routed, and what
-   the last searches read (for row reuse, see [route_balls]).  Built
+   state, each edge's tail and each node's in-edges, the level factors
+   and exactness gate of the weight in use, phase one's per-pass weights
+   with what they were written from, the failed/locked flags per edge,
+   the per-node marks of the node being routed, and what each source's
+   last searches settled (for row reuse, see [route_balls]).  Built
    once per graph (cached on its identity and edge count: graphs are
    built once, then only read). *)
 type adjacency = {
@@ -49,31 +51,48 @@ type adjacency = {
   edge_count : int;
   csr : Dijkstra.csr;
   search : Dijkstra.t;
-  edge_weights : float array;  (* this snapshot's W, per CSR edge; infinity = cut *)
+  tails : int array;  (* per CSR edge: its source *)
+  in_start : int array;  (* the edges into [v]: [in_edges] from [in_start.(v)] to [in_start.(v + 1)] *)
+  in_edges : int array;
+  (* the battery factor of every level of [factors_of], and whether
+     they pass the exactness gate on this graph (see [gate]) *)
+  mutable factors : float array;
+  mutable factors_of : (Weight.t * int) option;
+  mutable exact : bool;
+  (* phase one: per pass, each CSR edge's weight (infinity = cut) when
+     its target reports at least the pass's level cut.  EAR and SDR have
+     one pass with cut 0; the widest kernel one per reported level,
+     highest first.  While [written], the first [passes] arrays hold
+     phase one of [written_alive]/[written_level] and [failed_of]
+     under [factors_of] and [cuts]. *)
+  mutable pass_weights : float array array;
+  mutable cuts : int array;
+  mutable next_cuts : int array;
+  mutable passes : int;
+  mutable written : bool;
+  written_alive : bool array;
+  written_level : int array;
+  mutable failed_of : (int * int) list;
   edge_failed : bool array;
+  (* the flags of [locks_of]; per node, the round its own flags moved *)
+  mutable locks_of : (int * int) list;
   edge_locked : bool array;
+  lock_seen : int array;
+  lock_moved : int array;
   lock_mark : int array;  (* = the workspace epoch when the port towards the node is locked *)
   seen : int array;  (* = the workspace epoch once the routed node's search settled the node *)
-  summed : float array array;  (* [| edge_weights |]: EAR/SDR's one pass *)
-  (* the widest kernel's passes, one per reported level, highest first:
-     [edge_weights] with every edge into a node below the level cut *)
-  mutable level_weights : float array array;
-  (* row reuse: per pass, the weights and lock flags the last
-     [route_balls] read; per source, the nodes its searches labelled
-     (the [read_count] entries of [reads] from [read_start]; -1: no row
-     to reuse) and how many searches it ran; per node, the epoch of the
-     recompute that found a weight its searches may read changed.  Each
-     recompute writes every living source's list, copied or new, end to
-     end into [spare] and then swaps the two buffers, so a few large
-     arrays serve every source and are reused across recomputes. *)
-  mutable read_weights : float array array;
-  read_locked : bool array;
-  mutable reads : int array;
-  mutable spare : int array;
-  read_start : int array;
-  read_count : int array;
-  read_searches : int array;
+  (* row reuse: per node, the round a weight change marked it; per
+     source, the nodes its last searches settled (the [settled_count]
+     entries of [settled] from [settled_start]; -1: no row to reuse)
+     and how many searches it ran.  Each recompute writes every living
+     source's list, kept or new, end to end into [spare] and then swaps
+     the two buffers, so two arrays serve every source. *)
   dirty : int array;
+  mutable settled : int array;
+  mutable spare : int array;
+  settled_start : int array;
+  settled_count : int array;
+  settled_searches : int array;
   (* the recompute the rows can be reused after: a [route_balls] on
      these candidate arrays (so on this mapping and module count, hence
      this table pair) and pass count *)
@@ -92,11 +111,6 @@ type adjacency = {
    engines, so domain-parallel sweeps stay race-free. *)
 type workspace = {
   mutable adjacency : adjacency option;
-  (* the battery factor of every level, cached on the weight's identity
-     and the level count: phase one reads it per edge instead of
-     raising a power per node *)
-  mutable level_factors : float array;
-  mutable factors_of : (Weight.t * int) option;
   mutable weights : Matrix.t option;
   (* the Floyd-Warshall path's results: the merged one, the current
      pass's (the widest kernel's later passes), and per pair the first
@@ -119,20 +133,23 @@ type workspace = {
   mutable any_hop : int array;
   mutable any_pass : int array;
   mutable level_live : bool array;  (* per level: whether a living node reports it *)
-  mutable epoch : int;  (* bumped per routed node; never reset, so marks need no clearing *)
+  mutable epoch : int;  (* bumped per recompute and routed node; never reset, so marks need no clearing *)
   mutable forwards : Routing_table.entry array;
   (* two tables rotated across recomputes: the caller (controller,
      engine) holds the previous result while the next one is written, so
-     a single buffer would be overwritten under its feet *)
+     a single buffer would be overwritten under its feet.  While
+     [previous_valid], [tables.(1 - table_flip)] is the last table
+     returned (or set by [set_previous_table]); [changed] counts the
+     entries of the last one returned that differ from it. *)
   mutable tables : Routing_table.t array;
   mutable table_flip : int;
+  mutable previous_valid : bool;
+  mutable changed : int;
 }
 
 let create_workspace () =
   {
     adjacency = None;
-    level_factors = [||];
-    factors_of = None;
     weights = None;
     paths = None;
     pass_paths = None;
@@ -151,23 +168,31 @@ let create_workspace () =
     forwards = [||];
     tables = [||];
     table_flip = 0;
+    previous_valid = false;
+    changed = 0;
   }
 
-(* The next table of the rotating pair, cleared.  Two tables rotate
-   because callers hold the previous recompute's result (for
-   [Routing_table.diff_count]) while the next one is written. *)
-let scratch_table ws ~node_count ~module_count =
+let table_pair ws ~node_count ~module_count =
   let tables = ws.tables in
   if
     not
       (Array.length tables = 2
       && Routing_table.node_count tables.(0) = node_count
       && Routing_table.module_count tables.(0) = module_count)
-  then ws.tables <- Array.init 2 (fun _ -> Routing_table.create ~node_count ~module_count);
+  then begin
+    ws.tables <- Array.init 2 (fun _ -> Routing_table.create ~node_count ~module_count);
+    ws.previous_valid <- false
+  end
+
+(* The next table of the rotating pair, to be overwritten entry by
+   entry; the other one then holds the previous result. *)
+let next_table ws ~node_count ~module_count =
+  table_pair ws ~node_count ~module_count;
   let table = ws.tables.(ws.table_flip) in
-  Routing_table.clear table;
   ws.table_flip <- 1 - ws.table_flip;
   table
+
+let changed_entries ws = ws.changed
 
 let full_snapshot ~node_count ~levels =
   {
@@ -192,29 +217,56 @@ let adjacency ws graph =
   | Some _ | None ->
     let csr = Dijkstra.csr_of_graph graph in
     let n = Etx_graph.Digraph.node_count graph in
-    let edges = Array.length csr.Dijkstra.targets in
-    let edge_weights = Array.make edges infinity in
+    let row_start = csr.Dijkstra.row_start and targets = csr.Dijkstra.targets in
+    let edges = Array.length targets in
+    let tails = Array.make edges 0 in
+    for u = 0 to n - 1 do
+      Array.fill tails row_start.(u) (row_start.(u + 1) - row_start.(u)) u
+    done;
+    let in_start = Array.make (n + 1) 0 in
+    Array.iter (fun v -> in_start.(v + 1) <- in_start.(v + 1) + 1) targets;
+    for v = 1 to n do
+      in_start.(v) <- in_start.(v) + in_start.(v - 1)
+    done;
+    let fill = Array.sub in_start 0 n and in_edges = Array.make edges 0 in
+    Array.iteri
+      (fun e v ->
+        in_edges.(fill.(v)) <- e;
+        fill.(v) <- fill.(v) + 1)
+      targets;
     let adj =
       {
         graph;
         edge_count = Etx_graph.Digraph.edge_count graph;
         csr;
         search = Dijkstra.create ~node_count:n;
-        edge_weights;
+        tails;
+        in_start;
+        in_edges;
+        factors = [||];
+        factors_of = None;
+        exact = false;
+        pass_weights = [||];
+        cuts = [||];
+        next_cuts = [||];
+        passes = 0;
+        written = false;
+        written_alive = Array.make n false;
+        written_level = Array.make n 0;
+        failed_of = [];
         edge_failed = Array.make edges false;
+        locks_of = [];
         edge_locked = Array.make edges false;
+        lock_seen = Array.make edges (-1);
+        lock_moved = Array.make n (-1);
         lock_mark = Array.make n (-1);
         seen = Array.make n (-1);
-        summed = [| edge_weights |];
-        level_weights = [||];
-        read_weights = [||];
-        read_locked = Array.make edges false;
-        reads = Array.make (16 * n) 0;
-        spare = Array.make (16 * n) 0;
-        read_start = Array.make n 0;
-        read_count = Array.make n (-1);
-        read_searches = Array.make n 0;
         dirty = Array.make n (-1);
+        settled = Array.make (4 * n) 0;
+        spare = Array.make (4 * n) 0;
+        settled_start = Array.make n 0;
+        settled_count = Array.make n (-1);
+        settled_searches = Array.make n 0;
         rows_valid = false;
         rows_candidates = [||];
         rows_passes = 0;
@@ -223,76 +275,209 @@ let adjacency ws graph =
     ws.adjacency <- Some adj;
     adj
 
-(* Flag the CSR edges named by [pairs]; pairs that are not edges of the
-   graph name nothing a route could use, so they are dropped. *)
-let rec mark_edges flags csr ~node_count = function
+(* [f src e] for each pair [(src, dst)] of [pairs] that names the CSR
+   edge [e]; pairs that are not edges of the graph name nothing a route
+   could use, so they are dropped. *)
+let rec iter_pair_edges csr ~node_count f = function
   | [] -> ()
   | (src, dst) :: rest ->
     if src >= 0 && src < node_count then begin
       let e = Dijkstra.edge_index csr ~src ~dst in
-      if e >= 0 then flags.(e) <- true
+      if e >= 0 then f src e
     end;
-    mark_edges flags csr ~node_count rest
+    iter_pair_edges csr ~node_count f rest
 
-let set_edge_flags flags csr ~node_count pairs =
-  Array.fill flags 0 (Array.length flags) false;
-  mark_edges flags csr ~node_count pairs
+(* The value of [w]'s lowest set bit, from its IEEE fields. *)
+let low_bit w =
+  let bits = Int64.to_int (Int64.bits_of_float w) in
+  let biased = (bits lsr 52) land 0x7ff in
+  let m = bits land 0xf_ffff_ffff_ffff lor (if biased = 0 then 0 else 1 lsl 52) in
+  Float.ldexp (float_of_int (m land -m)) (max biased 1 - 1075)
 
-let level_factors ws ~weight ~levels =
-  match ws.factors_of with
-  | Some (w, l) when w == weight && l = levels -> ws.level_factors
+(* The exactness gate of a weight family, level count and graph: every
+   product [f_l * L_e] of a level factor and an edge length is positive
+   and finite, and with [2^e] the smallest lowest set bit among them,
+   [sum_e max_l f_l * L_e < 2^(52 + e)].  Each product is then a
+   multiple of [2^e].  Every finite phase-one weight of any snapshot is
+   one of these products, on a subset of the edges, so every sum either
+   Dijkstra or Floyd-Warshall forms (at most two path lengths, each at
+   most the sum of maxima) is a multiple of [2^e] below [2^(53 + e)],
+   hence exact, and the two algorithms agree bit for bit.  The float
+   sum itself is exact while it stays below the bound and can only end
+   above it once it has crossed, so the test is sound.  A zero,
+   negative or NaN product fails it. *)
+let gate ~factors ~lengths =
+  let exact = ref true and unit = ref infinity and sum = ref 0. in
+  Array.iter
+    (fun length ->
+      let top = ref 0. in
+      Array.iter
+        (fun f ->
+          let w = f *. length in
+          if w > 0. && w < infinity then begin
+            let low = low_bit w in
+            if low < !unit then unit := low;
+            if w > !top then top := w
+          end
+          else exact := false)
+        factors;
+      sum := !sum +. !top)
+    lengths;
+  !exact && !sum < Float.ldexp !unit 52
+
+(* The factors and gate of [weight] at [levels], recomputed (and phase
+   one marked for a full rewrite) when either changes. *)
+let level_factors adj ~weight ~levels =
+  match adj.factors_of with
+  | Some (w, l) when (w == weight || w = weight) && l = levels -> ()
   | Some _ | None ->
     let factors = Array.init levels (fun level -> Weight.battery_factor weight ~level ~levels) in
-    ws.level_factors <- factors;
-    ws.factors_of <- Some (weight, levels);
-    factors
+    adj.factors <- factors;
+    adj.factors_of <- Some (weight, levels);
+    adj.exact <- gate ~factors ~lengths:adj.csr.Dijkstra.lengths;
+    adj.written <- false
 
-(* Phase one into [adj.edge_weights]: [f(N_B(dst)) * L] for an edge
-   between living nodes that has not failed, infinity otherwise (failed
-   links are flagged per edge first).  Returns the exactness gate: every
-   finite weight is a positive multiple of one power of two [2^e] (the
-   smallest lowest set bit among them) and [2 * sum w < 2^(53 + e)].
-   Then every sum either Dijkstra or Floyd-Warshall forms (at most two
-   path lengths, each at most [sum w]) is a multiple of [2^e] below
-   [2^(53 + e)], hence exact, and the two algorithms agree bit for bit.
-   The float [sum] itself is exact while it stays below the bound and
-   can only end above it once it has crossed, so the test is sound.  A
-   zero, negative or NaN weight fails the gate. *)
-let fill_edge_weights ws adj ~weight (snapshot : snapshot) =
-  let csr = adj.csr in
-  let row_start = csr.Dijkstra.row_start and targets = csr.Dijkstra.targets in
-  let lengths = csr.Dijkstra.lengths in
-  let alive = snapshot.alive and battery_level = snapshot.battery_level in
+(* Each pass's level cut into [adj.next_cuts]; returns the pass count.
+   EAR and SDR: one pass, cutting nothing.  The widest kernel: one per
+   level some living node reports, highest first; a level no living
+   node reports reaches nothing the level above it did not, so it gets
+   no pass. *)
+let level_cuts ws adj ~widest (snapshot : snapshot) =
   let levels = snapshot.levels in
-  let factors = level_factors ws ~weight ~levels in
-  let ew = adj.edge_weights and failed = adj.edge_failed in
-  set_edge_flags failed csr ~node_count:(Array.length alive) snapshot.failed_links;
-  let exact = ref true and unit = ref infinity and sum = ref 0. in
-  for src = 0 to Array.length row_start - 2 do
-    for e = row_start.(src) to row_start.(src + 1) - 1 do
-      let dst = targets.(e) in
-      if alive.(src) && alive.(dst) && not failed.(e) then begin
-        let level = battery_level.(dst) in
-        (* out of range: let [Weight] raise its own error *)
-        if level < 0 || level >= levels then
-          ignore (Weight.battery_factor weight ~level ~levels);
-        let w = factors.(level) *. lengths.(e) in
-        ew.(e) <- w;
-        if w > 0. && w < infinity then begin
-          (* the value of [w]'s lowest set bit, from its IEEE fields *)
-          let bits = Int64.to_int (Int64.bits_of_float w) in
-          let biased = (bits lsr 52) land 0x7ff in
-          let m = bits land 0xf_ffff_ffff_ffff lor (if biased = 0 then 0 else 1 lsl 52) in
-          let low = Float.ldexp (float_of_int (m land -m)) (max biased 1 - 1075) in
-          if low < !unit then unit := low;
-          sum := !sum +. w
-        end
-        else if w <> infinity then exact := false
+  if Array.length adj.next_cuts < levels then adj.next_cuts <- Array.make levels 0;
+  let cuts = adj.next_cuts in
+  if not widest then begin
+    cuts.(0) <- 0;
+    1
+  end
+  else begin
+    if Array.length ws.level_live <> levels then ws.level_live <- Array.make levels false;
+    let live = ws.level_live in
+    Array.fill live 0 levels false;
+    Array.iteri
+      (fun node level ->
+        if snapshot.alive.(node) && level >= 0 && level < levels then live.(level) <- true)
+      snapshot.battery_level;
+    let passes = ref 0 in
+    for l = levels - 1 downto 0 do
+      if live.(l) then begin
+        cuts.(!passes) <- l;
+        incr passes
       end
-      else ew.(e) <- infinity
-    done
+    done;
+    !passes
+  end
+
+(* Phase one for edge [e] in every pass: [f(N_B(dst)) * L] for an edge
+   between living nodes that has not failed and whose target reports at
+   least the pass's cut, infinity otherwise.  A weight that moves marks,
+   with [round], the node whose sources may have to search again (see
+   [route_balls]): the target when it rose, the tail when it fell or
+   revived. *)
+let write_edge adj ~round ~weight ~(snapshot : snapshot) e =
+  let v = adj.csr.Dijkstra.targets.(e) and u = adj.tails.(e) in
+  let level = snapshot.battery_level.(v) and levels = snapshot.levels in
+  let w =
+    if snapshot.alive.(u) && snapshot.alive.(v) && not adj.edge_failed.(e) then begin
+      (* out of range: let [Weight] raise its own error *)
+      if level < 0 || level >= levels then
+        ignore (Weight.battery_factor weight ~level ~levels);
+      adj.factors.(level) *. adj.csr.Dijkstra.lengths.(e)
+    end
+    else infinity
+  in
+  for p = 0 to adj.passes - 1 do
+    let weights = adj.pass_weights.(p) in
+    let now = if level >= adj.cuts.(p) then w else infinity and old = weights.(e) in
+    if now <> old then begin
+      weights.(e) <- now;
+      adj.dirty.(if now > old then v else u) <- round
+    end
+  done
+
+(* Phase one into [adj.pass_weights], rewriting what the snapshot
+   moved: the edges at every node whose [alive] flag or level changed
+   since the arrays were written.  Every node counts as changed when
+   they were written for another weight, level count, failed-link list
+   or set of level cuts, or never (a new graph). *)
+let fill_pass_weights ws adj ~round ~weight ~widest (snapshot : snapshot) =
+  level_factors adj ~weight ~levels:snapshot.levels;
+  let passes = level_cuts ws adj ~widest snapshot in
+  let same_cuts =
+    passes = adj.passes
+    &&
+    let p = ref 0 in
+    while !p < passes && adj.cuts.(!p) = adj.next_cuts.(!p) do
+      incr p
+    done;
+    !p = passes
+  in
+  let same_failed =
+    adj.failed_of == snapshot.failed_links || adj.failed_of = snapshot.failed_links
+  in
+  let full = not (adj.written && same_cuts && same_failed) in
+  (* off until the rewrite completes: an exception leaves a full one due *)
+  adj.written <- false;
+  if not same_cuts then begin
+    let cuts = adj.cuts in
+    adj.cuts <- adj.next_cuts;
+    adj.next_cuts <- cuts;
+    adj.passes <- passes
+  end;
+  let have = Array.length adj.pass_weights in
+  if have < max 1 passes then begin
+    let edges = Array.length adj.edge_failed in
+    adj.pass_weights <-
+      Array.init (max 1 passes) (fun p ->
+          if p < have then adj.pass_weights.(p) else Array.make edges infinity)
+  end;
+  if not same_failed then begin
+    let failed = adj.edge_failed in
+    Array.fill failed 0 (Array.length failed) false;
+    iter_pair_edges adj.csr
+      ~node_count:(Array.length snapshot.alive)
+      (fun _ e -> failed.(e) <- true)
+      snapshot.failed_links;
+    adj.failed_of <- snapshot.failed_links
+  end;
+  (* every edge is the out-edge of one node: a full rewrite skips the in-edges *)
+  let alive = snapshot.alive and level = snapshot.battery_level in
+  let written_alive = adj.written_alive and written_level = adj.written_level in
+  let row_start = adj.csr.Dijkstra.row_start and in_start = adj.in_start in
+  for x = 0 to Array.length alive - 1 do
+    if full || written_alive.(x) <> alive.(x) || written_level.(x) <> level.(x) then begin
+      written_alive.(x) <- alive.(x);
+      written_level.(x) <- level.(x);
+      for e = row_start.(x) to row_start.(x + 1) - 1 do
+        write_edge adj ~round ~weight ~snapshot e
+      done;
+      if not full then
+        for i = in_start.(x) to in_start.(x + 1) - 1 do
+          write_edge adj ~round ~weight ~snapshot adj.in_edges.(i)
+        done
+    end
   done;
-  !exact && !sum < Float.ldexp !unit 52
+  adj.written <- true
+
+(* The locked-port flags of [locked_ports], moved from those of
+   [adj.locks_of]: each flag that changes marks its tail's
+   [lock_moved] with [round]. *)
+let set_locks adj ~round ~node_count locked_ports =
+  if adj.locks_of != locked_ports then begin
+    let locked = adj.edge_locked and csr = adj.csr in
+    let moved src e =
+      locked.(e) <- not locked.(e);
+      adj.lock_moved.(src) <- round
+    in
+    iter_pair_edges csr ~node_count (fun _ e -> adj.lock_seen.(e) <- round) locked_ports;
+    iter_pair_edges csr ~node_count
+      (fun src e -> if locked.(e) && adj.lock_seen.(e) <> round then moved src e)
+      adj.locks_of;
+    iter_pair_edges csr ~node_count
+      (fun src e -> if not locked.(e) then moved src e)
+      locked_ports;
+    adj.locks_of <- locked_ports
+  end
 
 let scratch_matrix workspace ~dim =
   match workspace.weights with
@@ -327,8 +512,8 @@ let weight_matrix ~graph ~weight snapshot =
   let n = Etx_graph.Digraph.node_count graph in
   let ws = create_workspace () in
   let adj = adjacency ws graph in
-  ignore (fill_edge_weights ws adj ~weight snapshot);
-  fill_weight_matrix adj ~weights:adj.edge_weights (Matrix.create ~dim:n ~init:0.)
+  fill_pass_weights ws adj ~round:0 ~weight ~widest:false snapshot;
+  fill_weight_matrix adj ~weights:adj.pass_weights.(0) (Matrix.create ~dim:n ~init:0.)
 
 let shortest_paths ~graph ~weight snapshot =
   Etx_graph.Floyd_warshall.run (weight_matrix ~graph ~weight snapshot)
@@ -362,83 +547,58 @@ let forward_entry ws ~slot ~next_hop ~destination =
     ws.forwards.(slot) <- entry;
     entry
 
+(* Write one entry of the table being built, counting it in
+   [ws.changed] when it differs from [previous]'s (with [counting]; the
+   count starts at every entry otherwise). *)
+let write_entry ws table ~previous ~counting ~node ~module_index entry =
+  if
+    counting
+    && not (Routing_table.entry_equal (Routing_table.get previous ~node ~module_index) entry)
+  then ws.changed <- ws.changed + 1;
+  Routing_table.set table ~node ~module_index entry
+
 let obs_reused =
   Obs.counter
     ~help:"Routing searches skipped because nothing the source's last searches read changed"
     "etx_routing_searches_reused_total"
 
-(* Row reuse, before the searches: compare each pass's weights with the
-   ones the last searches read and keep the new ones.  A search reads
-   an edge's weight only when it settles the edge's tail, so a changed
-   edge marks, with this recompute's [round], a node every search that
-   read it has labelled: the target when the edge was finite (settling
-   the tail relaxed it, labelling the target), the tail when it was cut.
-   Without [reuse] the weights are only kept. *)
-let mark_changed adj ~round ~weights ~passes ~reuse =
-  let row_start = adj.csr.Dijkstra.row_start and targets = adj.csr.Dijkstra.targets in
-  let edges = Array.length targets in
-  let kept = adj.read_weights in
-  if Array.length kept < Array.length weights then
-    adj.read_weights <-
-      Array.init (Array.length weights) (fun p ->
-          if p < Array.length kept then kept.(p) else Array.make edges infinity);
-  for p = 0 to passes - 1 do
-    let now : float array = weights.(p) and read = adj.read_weights.(p) in
-    if reuse then
-      for u = 0 to Array.length row_start - 2 do
-        for e = row_start.(u) to row_start.(u + 1) - 1 do
-          let w = now.(e) and r = read.(e) in
-          if w <> r then begin
-            adj.dirty.(if r < infinity then targets.(e) else u) <- round;
-            read.(e) <- w
-          end
-        done
-      done
-    else Array.blit now 0 read 0 edges
-  done
-
-(* Whether [src]'s row from the last recompute still holds: it had one,
-   its own locked ports are as they were, and no node its searches
-   labelled is marked this [round]. *)
-let row_unchanged adj ~src ~round =
-  let count = adj.read_count.(src) in
-  count >= 0
-  && begin
-    let row_start = adj.csr.Dijkstra.row_start in
-    let e = ref row_start.(src) and last = row_start.(src + 1) in
-    while !e < last && adj.edge_locked.(!e) = adj.read_locked.(!e) do
-      incr e
-    done;
-    !e = last
-  end
-  && begin
-    let reads = adj.reads and dirty = adj.dirty in
-    let i = ref adj.read_start.(src) and last = adj.read_start.(src) + count in
-    while !i < last && dirty.(reads.(!i)) <> round do
-      incr i
-    done;
-    !i = last
-  end
-
-(* Append [k] nodes of [from] from [off] to the lists being written,
-   at [pos]; returns the new end.  The buffer doubles when full.  The
-   copy is a loop: [Array.blit] into an array on the major heap pays a
-   write barrier per element, which an [int array] store skips. *)
-let keep adj ~pos (from : int array) ~off k =
+(* Room for [k] more nodes at [pos] of the lists being written; the
+   buffer doubles when full. *)
+let reserve adj ~pos k =
   if pos + k > Array.length adj.spare then begin
     let grown = Array.make (max (2 * Array.length adj.spare) (pos + k)) 0 in
     Array.blit adj.spare 0 grown 0 pos;
     adj.spare <- grown
-  end;
-  let spare = adj.spare in
-  for i = 0 to k - 1 do
-    spare.(pos + i) <- from.(off + i)
-  done;
-  pos + k
+  end
+
+(* Copy [src]'s settled list to [pos] of the lists being written unless
+   one of its nodes is marked this [round]: the new end, or -1 when the
+   row must be searched again.  The copy is a loop: [Array.blit] into an
+   array on the major heap pays a write barrier per element, which an
+   [int array] store skips. *)
+let keep_unmarked adj ~src ~round ~pos =
+  let count = adj.settled_count.(src) in
+  if count < 0 then -1
+  else begin
+    reserve adj ~pos count;
+    let from = adj.settled and into = adj.spare and dirty = adj.dirty in
+    let start = adj.settled_start.(src) in
+    let i = ref 0 in
+    while
+      !i < count
+      &&
+      let v = from.(start + !i) in
+      into.(pos + !i) <- v;
+      dirty.(v) <> round
+    do
+      incr i
+    done;
+    if !i = count then pos + count else -1
+  end
 
 (* Phases two and three from truncated searches per living source,
    choosing each module's entry as nodes settle.  A source runs the
-   searches of [passes] in turn, [weights.(0)] first, and only while
+   searches of the passes in turn, the first first, and only while
    some module has no usable replica yet; a node counts in the first
    pass that settles it.  EAR and SDR have one pass.  The widest kernel
    has one per level, highest first, so a module is decided in the
@@ -456,43 +616,59 @@ let keep adj ~pos (from : int array) ~off k =
    exact too.  With positive weights only the node itself is at
    distance 0, so it delivers whenever it hosts the module.
 
-   A source's searches are a function of its own locked ports,
-   [module_of] and, per pass, the weights on the out-edges of the nodes
-   they settle, all of which they labelled.  With [reuse] (the last
-   recompute ran here on the same candidates and pass count, so
-   [previous] holds its rows), a source none of whose labelled
-   nodes [mark_changed] marks and whose locks are unchanged would
-   repeat its last searches step for step: its row is copied from
-   [previous] instead, and its list stays valid.  Every other living
-   source searches and records what it labelled. *)
-let route_balls ws adj table ~previous ~reuse ~module_of ~(snapshot : snapshot)
-    ~module_count ~weights ~passes =
+   Row reuse.  A source's searches are a function of its own locked
+   ports, [module_of] and, per pass, the weights on the out-edges of
+   the nodes they settle; each source keeps the nodes they settled.
+   Phase one marked, for every edge u -> v whose weight moved, v when
+   it rose and u when it fell or revived.  A fall or revival matters
+   only if the search settled u, which is then marked.  A rise
+   matters only if the search settled u and so labelled v: if it also
+   settled v, v is marked; if not, the pass that read the edge stopped
+   early (a pass that runs to exhaustion settles all it labels), so v's
+   label already exceeded the stop distance, and a higher one changes
+   neither what settles before it nor where the search stops.  So with
+   [reuse] (the last recompute ran here on the same candidates and pass
+   count, so [previous] holds its rows), a source that settled no
+   marked node and whose own lock flags did not move would repeat its
+   last searches: its row is copied from [previous] instead, and its
+   list stays valid.  Every other living source searches and records
+   what it settles.  Dead sources' rows are written [Unreachable]. *)
+let route_balls ws adj table ~previous ~counting ~reuse ~round ~module_of
+    ~(snapshot : snapshot) ~module_count =
   let csr = adj.csr and search = adj.search in
+  let weights = adj.pass_weights and passes = adj.passes in
   let alive = snapshot.alive in
   let dist = Dijkstra.distances search and hop = Dijkstra.first_hops search in
   let labels = Dijkstra.labels search in
   let lock_mark = adj.lock_mark and seen = adj.seen in
   let usable = ws.usable and usable_hop = ws.usable_hop and usable_pass = ws.usable_pass in
   let any = ws.any and any_hop = ws.any_hop and any_pass = ws.any_pass in
-  ws.epoch <- ws.epoch + 1;
-  let round = ws.epoch in
-  mark_changed adj ~round ~weights ~passes ~reuse;
   let searches = ref 0 and reused = ref 0 and kept = ref 0 in
   for src = 0 to Array.length alive - 1 do
-    if not alive.(src) then adj.read_count.(src) <- -1
-    else if reuse && row_unchanged adj ~src ~round then begin
+    let kept_to =
+      if alive.(src) && reuse && adj.lock_moved.(src) <> round then
+        keep_unmarked adj ~src ~round ~pos:!kept
+      else -1
+    in
+    if not alive.(src) then begin
+      adj.settled_count.(src) <- -1;
+      for module_index = 0 to module_count - 1 do
+        write_entry ws table ~previous ~counting ~node:src ~module_index
+          Routing_table.Unreachable
+      done
+    end
+    else if kept_to >= 0 then begin
       Routing_table.blit_row ~src:previous ~dst:table ~node:src;
-      reused := !reused + adj.read_searches.(src);
-      let start = !kept in
-      kept := keep adj ~pos:start adj.reads ~off:adj.read_start.(src) adj.read_count.(src);
-      adj.read_start.(src) <- start
+      reused := !reused + adj.settled_searches.(src);
+      adj.settled_start.(src) <- !kept;
+      kept := kept_to
     end
     else begin
       ignore (mark_locks ws adj ~node:src);
       let epoch = ws.epoch in
       Array.fill usable 0 module_count (-1);
       Array.fill any 0 module_count (-1);
-      adj.read_start.(src) <- !kept;
+      adj.settled_start.(src) <- !kept;
       let covered = ref 0 and pass = ref 0 in
       while !covered < module_count && !pass < passes do
         let p = !pass in
@@ -508,6 +684,9 @@ let route_balls ws adj table ~previous ~reuse ~module_of ~(snapshot : snapshot)
             let u = Dijkstra.settle_next search csr ~weights in
             if seen.(u) <> epoch then begin
               seen.(u) <- epoch;
+              reserve adj ~pos:!kept 1;
+              adj.spare.(!kept) <- u;
+              incr kept;
               let m = module_of.(u) in
               if m >= 0 then begin
                 let d = dist.(u) in
@@ -535,13 +714,10 @@ let route_balls ws adj table ~previous ~reuse ~module_of ~(snapshot : snapshot)
             end
           end
         done;
-        kept :=
-          keep adj ~pos:!kept (Dijkstra.labelled search) ~off:0
-            (Dijkstra.labelled_count search);
         incr pass
       done;
-      adj.read_count.(src) <- !kept - adj.read_start.(src);
-      adj.read_searches.(src) <- !pass;
+      adj.settled_count.(src) <- !kept - adj.settled_start.(src);
+      adj.settled_searches.(src) <- !pass;
       for module_index = 0 to module_count - 1 do
         let found = usable.(module_index) >= 0 in
         let j = if found then usable.(module_index) else any.(module_index) in
@@ -554,50 +730,15 @@ let route_balls ws adj table ~previous ~reuse ~module_of ~(snapshot : snapshot)
               ~next_hop:(if found then usable_hop.(module_index) else any_hop.(module_index))
               ~destination:j
         in
-        Routing_table.set table ~node:src ~module_index entry
+        write_entry ws table ~previous ~counting ~node:src ~module_index entry
       done
     end
   done;
   let lists = adj.spare in
-  adj.spare <- adj.reads;
-  adj.reads <- lists;
-  let locked = adj.edge_locked and read_locked = adj.read_locked in
-  for e = 0 to Array.length locked - 1 do
-    read_locked.(e) <- locked.(e)
-  done;
+  adj.spare <- adj.settled;
+  adj.settled <- lists;
   if !reused > 0 then Obs.add obs_reused !reused;
   !searches
-
-(* The widest kernel's passes into [adj.level_weights]: one per level
-   some living node reports, highest first, each keeping the weights of
-   [adj.edge_weights] (the physical lengths, for the widest kernel) on
-   edges into nodes at or above its level and cutting the rest.  A
-   level no living node reports reaches nothing the level above it did
-   not, so it gets no pass.  Returns the pass count. *)
-let fill_level_weights ws adj (snapshot : snapshot) =
-  let levels = snapshot.levels in
-  if Array.length ws.level_live <> levels then ws.level_live <- Array.make levels false;
-  let live = ws.level_live in
-  Array.fill live 0 levels false;
-  Array.iteri
-    (fun node level ->
-      if snapshot.alive.(node) && level >= 0 && level < levels then live.(level) <- true)
-    snapshot.battery_level;
-  let edges = Array.length adj.edge_weights in
-  if Array.length adj.level_weights < levels then
-    adj.level_weights <- Array.init levels (fun _ -> Array.make edges infinity);
-  let targets = adj.csr.Dijkstra.targets and level = snapshot.battery_level in
-  let passes = ref 0 in
-  for l = levels - 1 downto 0 do
-    if live.(l) then begin
-      let w = adj.level_weights.(!passes) in
-      for e = 0 to edges - 1 do
-        w.(e) <- (if level.(targets.(e)) >= l then adj.edge_weights.(e) else infinity)
-      done;
-      incr passes
-    end
-  done;
-  !passes
 
 (* Phase three (Fig 6) for [node] over its row of the merged
    Floyd-Warshall results (from [row] on): among the living replicas in
@@ -623,13 +764,14 @@ let choose_replica adj ~epoch ~alive ~reached ~dist ~hop ~row ~node ~pool ~respe
 
 (* The Floyd-Warshall path: the recurrence that defines the tables, run
    when the gate fails (and on demand for the widest kernel).  Fig 5
-   once per pass of [weights], each pair keeping the distance and
-   successor of the first pass that reaches it, then phase three per
-   living node.  With one pass (EAR, SDR) this is Fig 5 and Fig 6 as
-   printed; with the widest kernel's per-level passes, the first pass
-   that reaches a pair is its width. *)
-let route_by_levels ws adj table ~candidates ~(snapshot : snapshot) ~module_count
-    ~weights ~passes =
+   once per pass, each pair keeping the distance and successor of the
+   first pass that reaches it, then phase three per living node.  With
+   one pass (EAR, SDR) this is Fig 5 and Fig 6 as printed; with the
+   widest kernel's per-level passes, the first pass that reaches a pair
+   is its width. *)
+let route_by_levels ws adj table ~previous ~counting ~candidates ~(snapshot : snapshot)
+    ~module_count =
+  let weights = adj.pass_weights and passes = adj.passes in
   let n = Array.length snapshot.alive in
   let w = scratch_matrix ws ~dim:n in
   let merged = scratch_paths ws.paths ~dim:n in
@@ -654,7 +796,11 @@ let route_by_levels ws adj table ~candidates ~(snapshot : snapshot) ~module_coun
   done;
   let alive = snapshot.alive in
   for node = 0 to n - 1 do
-    if alive.(node) then begin
+    if not alive.(node) then
+      for module_index = 0 to module_count - 1 do
+        write_entry ws table ~previous ~counting ~node ~module_index Routing_table.Unreachable
+      done
+    else begin
       let has_locks = mark_locks ws adj ~node in
       let row = node * n and epoch = ws.epoch in
       for module_index = 0 to module_count - 1 do
@@ -680,7 +826,7 @@ let route_by_levels ws adj table ~candidates ~(snapshot : snapshot) ~module_coun
               ~slot:((node * module_count) + module_index)
               ~next_hop:hop.(row + j) ~destination:j
         in
-        Routing_table.set table ~node ~module_index entry
+        write_entry ws table ~previous ~counting ~node ~module_index entry
       done
     end
   done
@@ -722,27 +868,31 @@ let route ?workspace ~graph ~mapping ~module_count ~weight ~widest ~by_levels sn
   (* off until this recompute completes on the searches *)
   let rows_valid = adj.rows_valid in
   adj.rows_valid <- false;
-  let exact = fill_edge_weights ws adj ~weight snapshot in
-  set_edge_flags adj.edge_locked adj.csr ~node_count snapshot.locked_ports;
+  ws.epoch <- ws.epoch + 1;
+  let round = ws.epoch in
+  fill_pass_weights ws adj ~round ~weight ~widest snapshot;
+  set_locks adj ~round ~node_count snapshot.locked_ports;
   let table =
     match workspace with
-    | Some _ -> scratch_table ws ~node_count ~module_count
+    | Some _ -> next_table ws ~node_count ~module_count
     | None -> Routing_table.create ~node_count ~module_count
   in
+  let counting = ws.previous_valid in
+  let previous = if counting then ws.tables.(ws.table_flip) else table in
+  ws.previous_valid <- false;
+  ws.changed <- (if counting then 0 else node_count * module_count);
   if Array.length ws.forwards <> node_count * module_count then
     ws.forwards <- Array.make (node_count * module_count) Routing_table.Unreachable;
   let candidates = candidate_arrays ws.candidates ~mapping ~module_count in
   let module_of = module_index_of ws ~candidates ~node_count in
-  let passes = if widest then fill_level_weights ws adj snapshot else 1 in
-  let weights = if widest then adj.level_weights else adj.summed in
-  if exact && not by_levels then begin
+  let passes = adj.passes in
+  if adj.exact && not by_levels then begin
     let reuse =
-      rows_valid && adj.rows_candidates == candidates && adj.rows_passes = passes
+      counting && rows_valid && adj.rows_candidates == candidates && adj.rows_passes = passes
     in
-    let previous = if reuse then ws.tables.(ws.table_flip) else table in
     let searches =
-      route_balls ws adj table ~previous ~reuse ~module_of ~snapshot ~module_count
-        ~weights ~passes
+      route_balls ws adj table ~previous ~counting ~reuse ~round ~module_of ~snapshot
+        ~module_count
     in
     if widest then Obs.add obs_levels searches;
     adj.rows_valid <- true;
@@ -750,10 +900,21 @@ let route ?workspace ~graph ~mapping ~module_count ~weight ~widest ~by_levels sn
     adj.rows_passes <- passes
   end
   else begin
-    if not exact then Obs.inc obs_exact_fallback;
-    route_by_levels ws adj table ~candidates ~snapshot ~module_count ~weights ~passes
+    if not adj.exact then Obs.inc obs_exact_fallback;
+    route_by_levels ws adj table ~previous ~counting ~candidates ~snapshot ~module_count
   end;
+  ws.previous_valid <- true;
   table
+
+let set_previous_table ws table =
+  (match table with
+  | None -> ws.previous_valid <- false
+  | Some table ->
+    table_pair ws ~node_count:(Routing_table.node_count table)
+      ~module_count:(Routing_table.module_count table);
+    Routing_table.blit ~src:table ~dst:ws.tables.(1 - ws.table_flip);
+    ws.previous_valid <- true);
+  match ws.adjacency with Some adj -> adj.rows_valid <- false | None -> ()
 
 let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
   route ?workspace ~graph ~mapping ~module_count ~weight ~widest:false ~by_levels:false

@@ -28,30 +28,39 @@ val full_snapshot : node_count:int -> levels:int -> snapshot
 type workspace
 (** Scratch state reused across recomputes, so the controller's
     per-frame hot path stops allocating: the graph's compressed-row
-    (CSR) adjacency with per-edge weights and failed/locked flags, the
-    search state (labels, an indexed heap, settled distances and first
-    hops), per-node and per-module marks, the battery factor of every
-    level, {!compute_widest}'s per-level weights, the Floyd-Warshall
-    fallback's matrices, interned [Forward] entries, and a rotating
-    pair of routing tables.  After the first
-    recompute on a graph, a recompute allocates only a few words
-    whatever the mesh size.  A workspace belongs to one controller; it
-    must not be shared across domains.
+    (CSR) adjacency and its reverse (each node's in-edges), phase one's
+    per-edge weights for every pass with the node states they were
+    written from, failed/locked flags, the search state (labels, an
+    indexed heap, settled distances and first hops), per-node and
+    per-module marks, the battery factor of every level and the
+    exactness gate, the Floyd-Warshall fallback's matrices, interned
+    [Forward] entries, and a rotating pair of routing tables.  After
+    the first recompute on a graph, a recompute allocates only a few
+    words whatever the mesh size.  A workspace belongs to one
+    controller; it must not be shared across domains.
+
+    {b Work in proportion to the change.}  Phase one rewrites only the
+    edges at nodes whose [alive] flag or level moved since the last
+    recompute; every edge when the weight, level count, failed-link
+    list or (for {!compute_widest}) the set of reported levels changed,
+    and on the first recompute on a graph.
 
     {b Row reuse.}  A workspace also keeps, per source, the nodes its
-    last searches labelled, and each pass's weights and the locked-port
-    flags as those searches read them.  A source's searches depend only
-    on its own lock flags, the candidate arrays and, per pass, the
-    weights on the out-edges of the nodes they settle.  So a recompute
-    first marks, for every edge whose weight changed, its target when
-    the old weight was finite and its tail when it was infinite; a
-    living source that labelled no marked node and whose lock flags are
-    unchanged copies its row from the previous table of the pair
-    instead of searching (counted by
-    [etx_routing_searches_reused_total]).  This applies only right after
-    a search-path recompute on the same graph, mapping, module count
-    and pass count; a Floyd-Warshall recompute turns it off for the next
-    one.  The tables are the same either way. *)
+    last searches settled.  A source's searches depend only on its own
+    lock flags, the candidate arrays and, per pass, the weights on the
+    out-edges of the nodes they settle.  Every edge [u -> v] whose
+    weight moved marks [v] when it rose and [u] when it fell or
+    revived; a living source that settled no marked node and whose own
+    lock flags did not move copies its row from the previous table of
+    the pair instead of searching (counted by
+    [etx_routing_searches_reused_total]).  A rise into a node the
+    search labelled but never settled cannot change the row: a search
+    that stopped early had already labelled it beyond its stop
+    distance, and one that ran to exhaustion settled everything it
+    labelled.  This applies only right after a search-path recompute
+    on the same graph, mapping, module count and pass count; a
+    Floyd-Warshall recompute turns it off for the next one.  The
+    tables are the same either way. *)
 
 val create_workspace : unit -> workspace
 (** An empty workspace; buffers are sized lazily on first use and
@@ -80,23 +89,31 @@ val compute :
     [Unreachable].
 
     The table is exactly the one Fig 5's Floyd-Warshall and Fig 6 give,
-    computed one of two ways.  When every finite weight is a positive
-    multiple of one power of two [2^e] and twice their sum is below
-    [2^(53 + e)], every path sum is exact, and phases two and three run
-    as one truncated {!Etx_graph.Dijkstra} search per living node that
-    stops once each module has a usable replica and nothing nearer is
-    pending (SDR and EAR with Q = 2 always qualify).  Otherwise (a
-    non-dyadic weight family, a zero or negative weight) the recompute
-    runs the all-pairs Floyd-Warshall and counts one
-    [etx_routing_exact_fallback_total].  A negative weight raises
-    [Invalid_argument] from {!Etx_graph.Floyd_warshall}.
+    computed one of two ways, chosen by an exactness gate that is a
+    property of the weight family, the level count and the graph, not
+    of the snapshot: every product [f_l * L_e] of a level's battery
+    factor and an edge length is positive and finite, and with [2^e]
+    the smallest lowest set bit among them, the sum over edges of each
+    edge's largest product is below [2^(52 + e)].  Then every weight of
+    every snapshot is a multiple of [2^e], every path sum is exact, and
+    phases two and three run as one truncated {!Etx_graph.Dijkstra}
+    search per living node that stops once each module has a usable
+    replica and nothing nearer is pending (SDR, EAR and EAR2 with
+    Q = 2, and linear drain, qualify on whole-centimetre meshes).
+    Otherwise (a non-dyadic weight family such as inverse-level, a
+    zero or negative weight) every recompute runs the all-pairs
+    Floyd-Warshall and counts one [etx_routing_exact_fallback_total].
+    The gate is checked once per weight, level count and graph on a
+    workspace.  A negative weight raises [Invalid_argument] from
+    {!Etx_graph.Floyd_warshall}.
 
     Passing [?workspace] reuses its scratch state instead of
     allocating; the result is identical either way, but the returned
     table then belongs to the workspace's rotating pair: it stays valid
-    across exactly one further [compute] on the same workspace (so the
-    previous table can be diffed against the new one) and is overwritten
-    by the one after that. *)
+    across exactly one further [compute] on the same workspace and is
+    overwritten by the one after that.  Searches are skipped for the
+    sources whose rows cannot have changed (row reuse, see
+    {!workspace}), and {!changed_entries} counts what moved. *)
 
 val compute_widest :
   ?workspace:workspace ->
@@ -117,14 +134,30 @@ val compute_widest :
     living node reports, highest first, Fig 5 over the edges into nodes
     at or above it, each pair taking the first level that reaches it as
     its width, with that level's distance and successor; phase three
-    then chooses as above.  Under the exactness gate of {!compute}
-    (whole-centimetre mesh and torus lengths pass it) it runs as truncated
-    searches instead: per living source, one per level, highest first,
-    until every module has a usable replica; each search counts one
+    then chooses as above.  Under the exactness gate of {!compute}, here
+    a property of the graph's lengths alone (whole-centimetre mesh and
+    torus lengths pass it), it runs as truncated searches instead: per
+    living source, one per level, highest first, until every module has
+    a usable replica; each search counts one
     [etx_routing_maximin_levels_total].  Otherwise, or with
     [~by_levels:true], the recurrence itself runs (counting one
     [etx_routing_exact_fallback_total] only in the first case).  Both
-    give the same table; ownership as in {!compute}. *)
+    give the same table; ownership, row reuse and {!changed_entries} as
+    in {!compute}. *)
+
+val changed_entries : workspace -> int
+(** The (node, module) entries of the table the last {!compute} or
+    {!compute_widest} on this workspace returned that differ from the
+    table before it ({!Routing_table.diff_count} of the two), counted
+    while the table was written: the download volume of a recompute.
+    Every entry counts when there was no table before it (the first
+    recompute, or one after {!set_previous_table}[ None]). *)
+
+val set_previous_table : workspace -> Routing_table.t option -> unit
+(** Make the next recompute's {!changed_entries} count against a copy
+    of [table] (or against nothing, counting every entry), as for a
+    controller restored from a checkpoint whose workspace never
+    produced the table it holds.  Row reuse is off for that recompute. *)
 
 val shortest_paths :
   graph:Etx_graph.Digraph.t -> weight:Weight.t -> snapshot -> Etx_graph.Floyd_warshall.result

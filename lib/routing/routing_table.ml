@@ -16,9 +16,6 @@ let module_count t = Array.length t.entries.(0)
 let get t ~node ~module_index = t.entries.(node).(module_index)
 let set t ~node ~module_index entry = t.entries.(node).(module_index) <- entry
 
-let clear t =
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) Unreachable) t.entries
-
 let next_hop t ~node ~module_index =
   match get t ~node ~module_index with
   | Forward { next_hop; _ } -> Some next_hop
@@ -29,9 +26,9 @@ let destination t ~node ~module_index =
   | Forward { destination; _ } -> Some destination
   | Deliver_here | Unreachable -> None
 
-(* monomorphic: [Controller.on_frame] diffs two tables per recompute,
-   and the polymorphic compare would walk each entry through
-   [caml_compare] *)
+(* monomorphic: the router compares every entry it writes with the
+   previous table's, and the polymorphic compare would walk each entry
+   through [caml_compare] *)
 let entry_equal a b =
   a == b
   ||

@@ -24,15 +24,13 @@ val module_count : t -> int
 val get : t -> node:int -> module_index:int -> entry
 val set : t -> node:int -> module_index:int -> entry -> unit
 
-val clear : t -> unit
-(** Reset every entry to [Unreachable].  The router workspaces rotate a
-    pair of tables across recomputes instead of allocating fresh rows;
-    [clear] restores the invariant [create] establishes. *)
-
 val next_hop : t -> node:int -> module_index:int -> int option
 (** [Some hop] for [Forward]; [None] otherwise. *)
 
 val destination : t -> node:int -> module_index:int -> int option
+
+val entry_equal : entry -> entry -> bool
+(** Same constructor and fields (physical equality short-cuts). *)
 
 val equal : t -> t -> bool
 (** Same dimensions and equal entries. *)

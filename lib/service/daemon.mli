@@ -11,6 +11,9 @@
       replaced, close-on-exec listen socket, bounded accept waits, a
       connection torn down by its peer — EPIPE/ECONNRESET — costs that
       connection only);
+    - request lines of at most 1 MiB, read in chunks: a longer line is
+      discarded through its newline and answered in its place with a
+      [parse_error] (id [null]), and the connection keeps serving;
     - the stop flag a SIGTERM handler sets through {!request_stop};
     - periodic and final [Etx_obs] metrics snapshots;
     - an idle hook, run on each bounded accept wait that finds no

@@ -330,6 +330,33 @@ let test_serve_refused_takes_no_slot () =
            (Printf.sprintf "serve --stdio --queue-depth 1 --jobs 1 < %s"
               (Filename.quote input))))
 
+(* a request line over the 1 MiB limit is answered in its place with a
+   parse_error and costs neither its neighbours nor the connection *)
+let test_serve_stdio_oversized_line () =
+  let input = Filename.temp_file "etx_cli_serve" ".in" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove input with Sys_error _ -> ())
+    (fun () ->
+      write_lines input
+        [
+          {|{"scenario":"ping","id":1}|};
+          String.make (2 lsl 20) 'x';
+          {|{"scenario":"ping","id":3}|};
+          "";
+        ];
+      let output =
+        check_ok "serve --stdio"
+          (Printf.sprintf "serve --stdio --jobs 1 < %s" (Filename.quote input))
+      in
+      match String.split_on_char '\n' (String.trim output) with
+      | [ first; oversized; last ] ->
+        Alcotest.(check bool) "first served" true
+          (contains first {|{"id":1,"status":"ok"|});
+        Alcotest.(check bool) "oversized line refused" true
+          (contains oversized {|{"id":null,"status":"error","error":"parse_error"|});
+        Alcotest.(check bool) "last served" true (contains last {|{"id":3,"status":"ok"|})
+      | lines -> Alcotest.failf "expected 3 responses, got %d:\n%s" (List.length lines) output)
+
 let test_serve_invalid_flags () =
   ignore (check_fails "zero queue depth" "serve --stdio --queue-depth 0 < /dev/null");
   ignore (check_fails "negative cache" "serve --stdio --cache-capacity -1 < /dev/null")
@@ -642,6 +669,8 @@ let suite =
           test_serve_stdio_queue_full;
         Alcotest.test_case "serve: a refused request takes no slot" `Quick
           test_serve_refused_takes_no_slot;
+        Alcotest.test_case "serve --stdio oversized line" `Quick
+          test_serve_stdio_oversized_line;
         Alcotest.test_case "serve invalid flags" `Quick test_serve_invalid_flags;
         Alcotest.test_case "serve rejects bad --failpoints" `Quick
           test_serve_bad_failpoints;

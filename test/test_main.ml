@@ -8,4 +8,4 @@ let () =
    @ Test_experiments.suite @ Test_golden.suite @ Test_checkpoint.suite @ Test_audit.suite
    @ Test_metrics_wire.suite @ Test_service.suite @ Test_cluster.suite
    @ Test_failpoint.suite @ Test_supervisor.suite
-   @ Test_obs.suite)
+   @ Test_obs.suite @ Test_docs.suite)

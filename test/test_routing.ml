@@ -806,61 +806,84 @@ let perturb prng ~graph (s : Router.snapshot) =
   done
 
 (* A workspace carried through a random walk of snapshots, as the
-   controller carries one frame to frame, returns every table a fresh
-   workspace returns, bit for bit: whatever rows it copies instead of
-   searching are the rows the searches would give.  The walk runs
-   SDR, EAR, EAR2 or the widest kernel (whose pass count and live-level
-   set move with the levels), and now and then the Floyd-Warshall path
-   runs on the same workspace in between, on another snapshot: a
-   non-dyadic weight or the widest recurrence on demand. *)
+   controller carries one frame to frame: [check fresh table ~changed]
+   sees each table the workspace returns, the table a fresh workspace
+   returns for the same snapshot, and the workspace's changed-entry
+   count.  The walk runs SDR, EAR, EAR2 or the widest kernel (whose
+   pass count and live-level set move with the levels), and now and
+   then the Floyd-Warshall path runs on the same workspace in between,
+   on another snapshot: a non-dyadic weight or the widest recurrence on
+   demand. *)
+let reuse_walk ~check (size, seed) =
+  let prng = Etx_util.Prng.create ~seed in
+  let graph, mapping, module_count, levels = random_widest_case prng ~size in
+  let levels = min levels (2 + Etx_util.Prng.int prng ~bound:4) in
+  let snapshot = random_snapshot prng ~graph ~levels in
+  let workspace = Router.create_workspace () in
+  let compute ?workspace ?by_levels ~kind snapshot =
+    match kind with
+    | `Widest ->
+      Router.compute_widest ?workspace ?by_levels ~graph ~mapping ~module_count snapshot
+    | `Weighted weight ->
+      Router.compute ?workspace ~graph ~mapping ~module_count ~weight snapshot
+  in
+  let kind =
+    match Etx_util.Prng.int prng ~bound:4 with
+    | 0 -> `Weighted Weight.Shortest_distance
+    | 1 -> `Weighted (Weight.Exponential { q = 2. })
+    | 2 -> `Weighted (Weight.Exponential_squared { q = 2. })
+    | _ -> `Widest
+  in
+  let agrees ?by_levels ~kind snapshot =
+    let fresh = compute ?by_levels ~kind snapshot in
+    let table = compute ~workspace ?by_levels ~kind snapshot in
+    check fresh table ~changed:(Router.changed_entries workspace)
+  in
+  let ok = ref (agrees ~kind snapshot) in
+  for _ = 1 to 16 do
+    if Etx_util.Prng.int prng ~bound:5 = 0 then begin
+      let other = random_snapshot prng ~graph ~levels in
+      if Etx_util.Prng.bool prng then ok := !ok && agrees ~by_levels:true ~kind:`Widest other
+      else
+        ok :=
+          !ok
+          && agrees
+               ~kind:
+                 (`Weighted
+                   (if Etx_util.Prng.bool prng then Weight.Exponential { q = 1.7 }
+                    else Weight.Inverse_level { floor = 0.3 }))
+               other
+    end;
+    perturb prng ~graph snapshot;
+    ok := !ok && agrees ~kind snapshot
+  done;
+  !ok
+
+(* Whatever rows the workspace copies instead of searching are the rows
+   the searches would give: every table equals a fresh workspace's, bit
+   for bit. *)
 let prop_row_reuse_matches_fresh =
   QCheck.Test.make ~name:"router: reused rows = fresh workspace, bit for bit" ~count:150
     QCheck.(pair (int_range 2 8) (int_range 0 1_000_000))
-    (fun (size, seed) ->
-      let prng = Etx_util.Prng.create ~seed in
-      let graph, mapping, module_count, levels = random_widest_case prng ~size in
-      let levels = min levels (2 + Etx_util.Prng.int prng ~bound:4) in
-      let snapshot = random_snapshot prng ~graph ~levels in
-      let workspace = Router.create_workspace () in
-      let compute ?workspace ?by_levels ~kind snapshot =
-        match kind with
-        | `Widest ->
-          Router.compute_widest ?workspace ?by_levels ~graph ~mapping ~module_count snapshot
-        | `Weighted weight ->
-          Router.compute ?workspace ~graph ~mapping ~module_count ~weight snapshot
-      in
-      let kind =
-        match Etx_util.Prng.int prng ~bound:4 with
-        | 0 -> `Weighted Weight.Shortest_distance
-        | 1 -> `Weighted (Weight.Exponential { q = 2. })
-        | 2 -> `Weighted (Weight.Exponential_squared { q = 2. })
-        | _ -> `Widest
-      in
-      let agrees ?by_levels ~kind snapshot =
-        Routing_table.equal
-          (compute ?by_levels ~kind snapshot)
-          (compute ~workspace ?by_levels ~kind snapshot)
-      in
-      let ok = ref (agrees ~kind snapshot) in
-      for _ = 1 to 16 do
-        if Etx_util.Prng.int prng ~bound:5 = 0 then begin
-          let other = random_snapshot prng ~graph ~levels in
-          if Etx_util.Prng.bool prng then
-            ok := !ok && agrees ~by_levels:true ~kind:`Widest other
-          else
-            ok :=
-              !ok
-              && agrees
-                   ~kind:
-                     (`Weighted
-                       (if Etx_util.Prng.bool prng then Weight.Exponential { q = 1.7 }
-                        else Weight.Inverse_level { floor = 0.3 }))
-                   other
-        end;
-        perturb prng ~graph snapshot;
-        ok := !ok && agrees ~kind snapshot
-      done;
-      !ok)
+    (reuse_walk ~check:(fun fresh table ~changed:_ -> Routing_table.equal fresh table))
+
+(* The count the router keeps while writing is the download volume the
+   controller bills: the entries that differ from the table before,
+   every entry for the first. *)
+let prop_changed_entries_match_diff_count =
+  QCheck.Test.make ~name:"router: changed entries = diff_count of consecutive tables"
+    ~count:150
+    QCheck.(pair (int_range 2 8) (int_range 0 1_000_000))
+    (fun case ->
+      let previous = ref None in
+      reuse_walk case ~check:(fun _ table ~changed ->
+          let expected =
+            match !previous with
+            | Some before -> Routing_table.diff_count before table
+            | None -> Routing_table.node_count table * Routing_table.module_count table
+          in
+          previous := Some table;
+          changed = expected))
 
 (* Brute-force shortest-widest: for each threshold from the top level
    down, Bellman-Ford over the living, unfailed edges into nodes at or
@@ -1103,7 +1126,7 @@ let test_router_exact_fallback_counter () =
 
 (* Row reuse is visible as a counter: a recompute on an unchanged
    snapshot copies every living node's row, a fresh workspace copies
-   none, and a calibrated 5x5 EAR run skips 210 of its ~1,100 searches
+   none, and a calibrated 5x5 EAR run skips 381 of its ~1,100 searches
    while the engine still counts all 45 recomputes. *)
 let test_router_reuse_counter () =
   let module Obs = Etx_obs.Obs in
@@ -1133,7 +1156,7 @@ let test_router_reuse_counter () =
         (delta (compute ~workspace));
       Alcotest.(check int) "fresh workspace copies nothing" 0 (delta compute);
       let recomputed = Obs.counter_value recomputes in
-      Alcotest.(check int) "5x5 EAR run" 210
+      Alcotest.(check int) "5x5 EAR run" 381
         (delta (fun () ->
              ignore
                (Etx_etsim.Engine.simulate
@@ -1141,6 +1164,53 @@ let test_router_reuse_counter () =
                      ~mesh_size:5 ()))));
       Alcotest.(check int) "every recompute still counted" 45
         (Obs.counter_value recomputes - recomputed))
+
+(* A rise into a node a search labelled but did not settle leaves its
+   row alone.  On a line 0-1-2-3-4-5 hosting modules 0 and 1
+   alternately, each source settles itself and the neighbours at 1 cm,
+   where it finds both modules, and stops before 2 cm: sources 1, 2 and
+   3 settle node 2, while 0 and 4 only label it (5 never reaches it).
+   Draining node 2 raises the weights into it and nothing else, so
+   exactly sources 0, 4 and 5 keep their rows, and the table equals a
+   fresh workspace's.  Refilling node 2 (a fall into it) and healing a
+   failed link 3 -> 2 (a revival) each move source 3's row back to the
+   replica at node 2, which only marking the tail, node 3, sees. *)
+let test_router_reuse_skips_unsettled_rise () =
+  let module Obs = Etx_obs.Obs in
+  let reused = Obs.counter "etx_routing_searches_reused_total" in
+  let was_armed = Obs.enabled () in
+  Obs.arm ();
+  Fun.protect
+    ~finally:(fun () -> if not was_armed then Obs.disarm ())
+    (fun () ->
+      let graph = (Topology.line ~length:6 ()).Topology.graph in
+      let mapping = Mapping.custom ~module_count:2 ~assignment:[| 0; 1; 0; 1; 0; 1 |] in
+      let weight = Weight.Exponential { q = 2. } in
+      let snapshot = Router.full_snapshot ~node_count:6 ~levels:8 in
+      let workspace = Router.create_workspace () in
+      let compute ?workspace () =
+        Router.compute ?workspace ~graph ~mapping ~module_count:2 ~weight snapshot
+      in
+      ignore (compute ~workspace ());
+      snapshot.Router.battery_level.(2) <- 3;
+      let before = Obs.counter_value reused in
+      let table = compute ~workspace () in
+      Alcotest.(check int) "sources 0, 4 and 5 reused" 3 (Obs.counter_value reused - before);
+      Alcotest.(check bool) "= fresh workspace" true
+        (Routing_table.equal (compute ()) table);
+      let check_frame name =
+        let table = compute ~workspace () in
+        Alcotest.(check (option int)) (name ^ ": source 3 forwards to 2") (Some 2)
+          (Routing_table.destination table ~node:3 ~module_index:0);
+        Alcotest.(check bool) (name ^ " = fresh workspace") true
+          (Routing_table.equal (compute ()) table)
+      in
+      snapshot.Router.battery_level.(2) <- 7;
+      check_frame "fall";
+      snapshot.Router.failed_links <- [ (3, 2) ];
+      ignore (compute ~workspace ());
+      snapshot.Router.failed_links <- [];
+      check_frame "revival")
 
 (* - Policy - *)
 
@@ -1231,7 +1301,10 @@ let suite =
         Alcotest.test_case "workspace recompute allocation" `Quick
           test_router_workspace_recompute_allocation;
         QCheck_alcotest.to_alcotest prop_row_reuse_matches_fresh;
+        QCheck_alcotest.to_alcotest prop_changed_entries_match_diff_count;
         Alcotest.test_case "row reuse counter" `Quick test_router_reuse_counter;
+        Alcotest.test_case "row reuse: rise, fall and revival" `Quick
+          test_router_reuse_skips_unsettled_rise;
       ] );
     ( "routing/widest",
       [
