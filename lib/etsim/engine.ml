@@ -1254,11 +1254,14 @@ let fingerprint (config : Config.t) =
              c.Config.controller_battery_capacity_pj
              (Option.value c.Config.controller_recompute_cycles ~default:(-1))
              c.Config.controller_leakage_exponent c.Config.controller_dynamic_exponent);
-        (* the routing kernel: maximin tables changed when its
-           lexicographic Floyd-Warshall gave way to the exact
-           shortest-widest searches *)
+        (* the routing kernel: the tables of the policies that left
+           Floyd-Warshall for the exact searches changed (maximin's
+           lexicographic Floyd-Warshall gave way to shortest-widest
+           searches; inverse-level's factors became whole numbers,
+           so its exact ties no longer split on rounding) *)
         (match c.Config.policy.Etx_routing.Policy.algorithm with
-        | Etx_routing.Policy.Maximin_residual -> ";rk=2"
+        | Etx_routing.Policy.Maximin_residual
+        | Etx_routing.Policy.Weighted Etx_routing.Weight.Inverse_level -> ";rk=2"
         | Etx_routing.Policy.Weighted _ -> "");
       ]
   in

@@ -22,19 +22,6 @@ val run : Etx_util.Matrix.t -> result
     makes the result deterministic.  Weights must be non-negative.
     @raise Invalid_argument on a negative entry. *)
 
-val create_result : dim:int -> result
-(** An uninitialized scratch result for {!run_into}. *)
-
-val run_into : result -> Etx_util.Matrix.t -> result
-(** [run_into scratch w] is [run w], but writes into [scratch] instead
-    of allocating two fresh [dim x dim] matrices, and returns [scratch].
-    The controller recomputes routes every TDMA frame; reusing one
-    scratch result across recomputes keeps the per-frame hot path
-    allocation-free.  Any previous contents of [scratch] are overwritten
-    (partially so when a negative weight is found mid-copy).
-    @raise Invalid_argument if the dimensions differ or a weight is
-    negative. *)
-
 val distance : result -> src:int -> dst:int -> float
 (** [infinity] when unreachable. *)
 

@@ -26,9 +26,7 @@ let ear_squared ?(q = 2.) ?(levels = default_levels) () =
   if q <= 0. then invalid_arg "Policy.ear_squared: Q must be positive";
   weighted (Weight.Exponential_squared { q }) levels
 
-let inverse_level ?(floor = 0.5) ?(levels = default_levels) () =
-  if floor <= 0. then invalid_arg "Policy.inverse_level: floor must be positive";
-  weighted (Weight.Inverse_level { floor }) levels
+let inverse_level ?(levels = default_levels) () = weighted Weight.Inverse_level levels
 
 let linear_drain ?(slope = 1.) ?(levels = default_levels) () =
   if slope < 0. then invalid_arg "Policy.linear_drain: negative slope";

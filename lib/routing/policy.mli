@@ -28,7 +28,7 @@ val sdr : ?levels:int -> unit -> t
 val ear_squared : ?q:float -> ?levels:int -> unit -> t
 (** EAR under the alternate exponent reading (ablation). *)
 
-val inverse_level : ?floor:float -> ?levels:int -> unit -> t
+val inverse_level : ?levels:int -> unit -> t
 (** Hyperbolic ablation policy. *)
 
 val linear_drain : ?slope:float -> ?levels:int -> unit -> t

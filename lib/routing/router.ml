@@ -1,4 +1,3 @@
-module Matrix = Etx_util.Matrix
 module Dijkstra = Etx_graph.Dijkstra
 module Obs = Etx_obs.Obs
 
@@ -103,21 +102,14 @@ type adjacency = {
 
 (* Scratch state reused across recomputes: the controller calls
    [compute] on every frame where the state changed, so the adjacency,
-   the search, the Floyd-Warshall fallback's matrices, the per-module
-   marks and the routing-table rows are filled in place instead of
-   reallocated; [forwards] interns the last [Forward] entry written to
-   each (node, module) slot, so an unchanged route allocates nothing.
+   the search, the per-module marks and the routing-table rows are
+   filled in place instead of reallocated; [forwards] interns the last
+   [Forward] entry written to each (node, module) slot, so an unchanged
+   route allocates nothing.
    One workspace serves one controller; nothing is shared between
    engines, so domain-parallel sweeps stay race-free. *)
 type workspace = {
   mutable adjacency : adjacency option;
-  mutable weights : Matrix.t option;
-  (* the Floyd-Warshall path's results: the merged one, the current
-     pass's (the widest kernel's later passes), and per pair the first
-     pass that reached it *)
-  mutable paths : Etx_graph.Floyd_warshall.result option;
-  mutable pass_paths : Etx_graph.Floyd_warshall.result option;
-  mutable reached : int array;
   candidates : candidates;
   mutable module_of : int array;  (* node -> module it is a candidate of, or -1 *)
   mutable module_of_candidates : int array array;
@@ -150,10 +142,6 @@ type workspace = {
 let create_workspace () =
   {
     adjacency = None;
-    weights = None;
-    paths = None;
-    pass_paths = None;
-    reached = [||];
     candidates = create_candidates ();
     module_of = [||];
     module_of_candidates = [||];
@@ -300,9 +288,9 @@ let low_bit w =
    [sum_e max_l f_l * L_e < 2^(52 + e)].  Each product is then a
    multiple of [2^e].  Every finite phase-one weight of any snapshot is
    one of these products, on a subset of the edges, so every sum either
-   Dijkstra or Floyd-Warshall forms (at most two path lengths, each at
-   most the sum of maxima) is a multiple of [2^e] below [2^(53 + e)],
-   hence exact, and the two algorithms agree bit for bit.  The float
+   a search or Fig 5's Floyd-Warshall forms (at most two path lengths,
+   each at most the sum of maxima) is a multiple of [2^e] below
+   [2^(53 + e)], hence exact, and the two agree bit for bit.  The float
    sum itself is exact while it stays below the bound and can only end
    above it once it has crossed, so the test is sound.  A zero,
    negative or NaN product fails it. *)
@@ -326,7 +314,8 @@ let gate ~factors ~lengths =
   !exact && !sum < Float.ldexp !unit 52
 
 (* The factors and gate of [weight] at [levels], recomputed (and phase
-   one marked for a full rewrite) when either changes. *)
+   one marked for a full rewrite) when either changes; [route] refuses
+   a weight that fails the gate. *)
 let level_factors adj ~weight ~levels =
   match adj.factors_of with
   | Some (w, l) when (w == weight || w = weight) && l = levels -> ()
@@ -401,7 +390,6 @@ let write_edge adj ~round ~weight ~(snapshot : snapshot) e =
    they were written for another weight, level count, failed-link list
    or set of level cuts, or never (a new graph). *)
 let fill_pass_weights ws adj ~round ~weight ~widest (snapshot : snapshot) =
-  level_factors adj ~weight ~levels:snapshot.levels;
   let passes = level_cuts ws adj ~widest snapshot in
   let same_cuts =
     passes = adj.passes
@@ -479,63 +467,33 @@ let set_locks adj ~round ~node_count locked_ports =
     adj.locks_of <- locked_ports
   end
 
-let scratch_matrix workspace ~dim =
-  match workspace.weights with
-  | Some w when Matrix.dim w = dim -> w
-  | Some _ | None ->
-    let w = Matrix.create ~dim ~init:0. in
-    workspace.weights <- Some w;
-    w
-
-let scratch_paths cached ~dim =
-  match cached with
-  | Some p when Matrix.dim p.Etx_graph.Floyd_warshall.distances = dim -> p
-  | Some _ | None -> Etx_graph.Floyd_warshall.create_result ~dim
-
-(* The W matrix of phase one from per-edge [weights]: diagonal 0, the
-   weight on every edge, infinity elsewhere (cut edges included). *)
-let fill_weight_matrix adj ~weights w =
-  let csr = adj.csr in
-  let n = Matrix.dim w in
-  let data = Matrix.data w in
-  Array.fill data 0 (n * n) infinity;
-  for src = 0 to n - 1 do
-    data.((src * n) + src) <- 0.;
-    for e = csr.Dijkstra.row_start.(src) to csr.Dijkstra.row_start.(src + 1) - 1 do
-      data.((src * n) + csr.Dijkstra.targets.(e)) <- weights.(e)
-    done
-  done;
-  w
-
+(* Phase one as Fig 5's W matrix: diagonal 0, each edge's weight,
+   infinity elsewhere (cut edges included). *)
 let weight_matrix ~graph ~weight snapshot =
   check_snapshot ~graph snapshot;
   let n = Etx_graph.Digraph.node_count graph in
   let ws = create_workspace () in
   let adj = adjacency ws graph in
+  level_factors adj ~weight ~levels:snapshot.levels;
   fill_pass_weights ws adj ~round:0 ~weight ~widest:false snapshot;
-  fill_weight_matrix adj ~weights:adj.pass_weights.(0) (Matrix.create ~dim:n ~init:0.)
+  let csr = adj.csr and weights = adj.pass_weights.(0) in
+  Etx_util.Matrix.init ~dim:n ~f:(fun src dst ->
+      if src = dst then 0.
+      else
+        let e = Dijkstra.edge_index csr ~src ~dst in
+        if e < 0 then infinity else weights.(e))
 
 let shortest_paths ~graph ~weight snapshot =
   Etx_graph.Floyd_warshall.run (weight_matrix ~graph ~weight snapshot)
 
-let obs_exact_fallback =
-  Obs.counter
-    ~help:"Routing recomputes run on Floyd-Warshall because a path sum could round"
-    "etx_routing_exact_fallback_total"
-
 (* Start routing [node]: a fresh epoch, with the targets of its locked
-   ports marked.  Returns whether it has any locked port. *)
+   ports marked. *)
 let mark_locks ws adj ~node =
   ws.epoch <- ws.epoch + 1;
   let csr = adj.csr in
-  let locked = ref false in
   for e = csr.Dijkstra.row_start.(node) to csr.Dijkstra.row_start.(node + 1) - 1 do
-    if adj.edge_locked.(e) then begin
-      adj.lock_mark.(csr.Dijkstra.targets.(e)) <- ws.epoch;
-      locked := true
-    end
-  done;
-  !locked
+    if adj.edge_locked.(e) then adj.lock_mark.(csr.Dijkstra.targets.(e)) <- ws.epoch
+  done
 
 let forward_entry ws ~slot ~next_hop ~destination =
   match ws.forwards.(slot) with
@@ -602,12 +560,12 @@ let keep_unmarked adj ~src ~round ~pos =
    some module has no usable replica yet; a node counts in the first
    pass that settles it.  EAR and SDR have one pass.  The widest kernel
    has one per level, highest first, so a module is decided in the
-   pass of its widest usable replica, as the per-level recurrence
-   below decides it.  Within a pass, settle order is non-decreasing in
-   distance, so the first usable replica of a module is its nearest,
-   and a later one at the same distance only replaces it with a
-   smaller id: the first minimum in (ascending) candidate order, as
-   Fig 6 picks on the full row.  A pass stops once every module has a
+   pass of its widest usable replica, as the per-level recurrence that
+   defines its table (see the interface) decides it.  Within a pass,
+   settle order is non-decreasing in distance, so the first usable
+   replica of a module is its nearest, and a later one at the same
+   distance only replaces it with a smaller id: the first minimum in
+   (ascending) candidate order, as Fig 6 picks on the full row.  A pass stops once every module has a
    usable replica and nothing pending is as near as the farthest of
    those it chose, so every candidate that could tie has settled; only
    the last pass can stop early.  A module without a usable replica
@@ -664,7 +622,7 @@ let route_balls ws adj table ~previous ~counting ~reuse ~round ~module_of
       kept := kept_to
     end
     else begin
-      ignore (mark_locks ws adj ~node:src);
+      mark_locks ws adj ~node:src;
       let epoch = ws.epoch in
       Array.fill usable 0 module_count (-1);
       Array.fill any 0 module_count (-1);
@@ -740,97 +698,6 @@ let route_balls ws adj table ~previous ~counting ~reuse ~round ~module_of
   if !reused > 0 then Obs.add obs_reused !reused;
   !searches
 
-(* Phase three (Fig 6) for [node] over its row of the merged
-   Floyd-Warshall results (from [row] on): among the living replicas in
-   [pool], the one reached in the earliest pass, the nearest among
-   those and the first in candidate order on a tie, skipping replicas
-   whose first hop is a locked port when [respect_locks]; -1 for none.
-   The node itself is at distance 0 in the first pass, so with positive
-   weights it always wins. *)
-let choose_replica adj ~epoch ~alive ~reached ~dist ~hop ~row ~node ~pool ~respect_locks =
-  let best = ref (-1) in
-  for c = 0 to Array.length pool - 1 do
-    let j = Array.unsafe_get pool c in
-    let k = row + j in
-    if
-      alive.(j) && dist.(k) < infinity
-      && (j = node || (not respect_locks) || adj.lock_mark.(hop.(k)) <> epoch)
-      && (!best < 0
-         || reached.(k) < reached.(row + !best)
-         || (reached.(k) = reached.(row + !best) && dist.(k) < dist.(row + !best)))
-    then best := j
-  done;
-  !best
-
-(* The Floyd-Warshall path: the recurrence that defines the tables, run
-   when the gate fails (and on demand for the widest kernel).  Fig 5
-   once per pass, each pair keeping the distance and successor of the
-   first pass that reaches it, then phase three per living node.  With
-   one pass (EAR, SDR) this is Fig 5 and Fig 6 as printed; with the
-   widest kernel's per-level passes, the first pass that reaches a pair
-   is its width. *)
-let route_by_levels ws adj table ~previous ~counting ~candidates ~(snapshot : snapshot)
-    ~module_count =
-  let weights = adj.pass_weights and passes = adj.passes in
-  let n = Array.length snapshot.alive in
-  let w = scratch_matrix ws ~dim:n in
-  let merged = scratch_paths ws.paths ~dim:n in
-  ws.paths <- Some merged;
-  ignore (Etx_graph.Floyd_warshall.run_into merged (fill_weight_matrix adj ~weights:weights.(0) w));
-  let dist = Matrix.data merged.distances and hop = Matrix.Int.data merged.successors in
-  if Array.length ws.reached <> n * n then ws.reached <- Array.make (n * n) 0;
-  let reached = ws.reached in
-  Array.fill reached 0 (n * n) 0;
-  for p = 1 to passes - 1 do
-    let pass = scratch_paths ws.pass_paths ~dim:n in
-    ws.pass_paths <- Some pass;
-    ignore (Etx_graph.Floyd_warshall.run_into pass (fill_weight_matrix adj ~weights:weights.(p) w));
-    let d = Matrix.data pass.distances and s = Matrix.Int.data pass.successors in
-    for c = 0 to (n * n) - 1 do
-      if dist.(c) = infinity && d.(c) < infinity then begin
-        reached.(c) <- p;
-        dist.(c) <- d.(c);
-        hop.(c) <- s.(c)
-      end
-    done
-  done;
-  let alive = snapshot.alive in
-  for node = 0 to n - 1 do
-    if not alive.(node) then
-      for module_index = 0 to module_count - 1 do
-        write_entry ws table ~previous ~counting ~node ~module_index Routing_table.Unreachable
-      done
-    else begin
-      let has_locks = mark_locks ws adj ~node in
-      let row = node * n and epoch = ws.epoch in
-      for module_index = 0 to module_count - 1 do
-        let pool = candidates.(module_index) in
-        let j =
-          choose_replica adj ~epoch ~alive ~reached ~dist ~hop ~row ~node ~pool
-            ~respect_locks:true
-        in
-        (* every viable path starts on a locked port: deadlock recovery
-           prefers a detour, but a locked path beats declaring the module
-           unreachable (locks are transient congestion, not death) *)
-        let j =
-          if j < 0 && has_locks then
-            choose_replica adj ~epoch ~alive ~reached ~dist ~hop ~row ~node ~pool
-              ~respect_locks:false
-          else j
-        in
-        let entry =
-          if j < 0 then Routing_table.Unreachable
-          else if j = node then Routing_table.Deliver_here
-          else
-            forward_entry ws
-              ~slot:((node * module_count) + module_index)
-              ~next_hop:hop.(row + j) ~destination:j
-        in
-        write_entry ws table ~previous ~counting ~node ~module_index entry
-      done
-    end
-  done
-
 (* [module_of] and the per-module incumbents, rebuilt when the cached
    candidate arrays change. *)
 let module_index_of ws ~candidates ~node_count =
@@ -854,18 +721,25 @@ let obs_levels =
   Obs.counter ~help:"Threshold searches run by the widest (maximin) routing kernel"
     "etx_routing_maximin_levels_total"
 
-(* Phase one, then phases two and three: the searches when the gate
-   holds, else the Floyd-Warshall recurrence.  The widest kernel runs
-   one pass per reported level over the physical lengths, EAR and SDR
-   one pass over their weights. *)
-let route ?workspace ~graph ~mapping ~module_count ~weight ~widest ~by_levels snapshot =
+(* Phase one, then phases two and three as searches, on a weight that
+   passes the gate; the workspace is left as it was when one fails.
+   The widest kernel runs one pass per reported level over the physical
+   lengths, EAR and SDR one pass over their weights. *)
+let route ?workspace ~graph ~mapping ~module_count ~weight ~widest snapshot =
   check_snapshot ~graph snapshot;
   let node_count = Etx_graph.Digraph.node_count graph in
   if Mapping.node_count mapping <> node_count then
     invalid_arg "Router.compute: mapping arity differs from the graph";
   let ws = match workspace with Some ws -> ws | None -> create_workspace () in
   let adj = adjacency ws graph in
-  (* off until this recompute completes on the searches *)
+  level_factors adj ~weight ~levels:snapshot.levels;
+  if not adj.exact then
+    invalid_arg
+      (Printf.sprintf
+         "Router: %s weights at %d levels fail the exactness gate on this graph (a path sum \
+          could round)"
+         (Weight.name weight) snapshot.levels);
+  (* off until this recompute completes *)
   let rows_valid = adj.rows_valid in
   adj.rows_valid <- false;
   ws.epoch <- ws.epoch + 1;
@@ -886,23 +760,17 @@ let route ?workspace ~graph ~mapping ~module_count ~weight ~widest ~by_levels sn
   let candidates = candidate_arrays ws.candidates ~mapping ~module_count in
   let module_of = module_index_of ws ~candidates ~node_count in
   let passes = adj.passes in
-  if adj.exact && not by_levels then begin
-    let reuse =
-      counting && rows_valid && adj.rows_candidates == candidates && adj.rows_passes = passes
-    in
-    let searches =
-      route_balls ws adj table ~previous ~counting ~reuse ~round ~module_of ~snapshot
-        ~module_count
-    in
-    if widest then Obs.add obs_levels searches;
-    adj.rows_valid <- true;
-    adj.rows_candidates <- candidates;
-    adj.rows_passes <- passes
-  end
-  else begin
-    if not adj.exact then Obs.inc obs_exact_fallback;
-    route_by_levels ws adj table ~previous ~counting ~candidates ~snapshot ~module_count
-  end;
+  let reuse =
+    counting && rows_valid && adj.rows_candidates == candidates && adj.rows_passes = passes
+  in
+  let searches =
+    route_balls ws adj table ~previous ~counting ~reuse ~round ~module_of ~snapshot
+      ~module_count
+  in
+  if widest then Obs.add obs_levels searches;
+  adj.rows_valid <- true;
+  adj.rows_candidates <- candidates;
+  adj.rows_passes <- passes;
   ws.previous_valid <- true;
   table
 
@@ -917,9 +785,8 @@ let set_previous_table ws table =
   match ws.adjacency with Some adj -> adj.rows_valid <- false | None -> ()
 
 let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
-  route ?workspace ~graph ~mapping ~module_count ~weight ~widest:false ~by_levels:false
-    snapshot
+  route ?workspace ~graph ~mapping ~module_count ~weight ~widest:false snapshot
 
-let compute_widest ?workspace ?(by_levels = false) ~graph ~mapping ~module_count snapshot =
+let compute_widest ?workspace ~graph ~mapping ~module_count snapshot =
   route ?workspace ~graph ~mapping ~module_count ~weight:Weight.Shortest_distance
-    ~widest:true ~by_levels snapshot
+    ~widest:true snapshot

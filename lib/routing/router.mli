@@ -33,8 +33,8 @@ type workspace
     written from, failed/locked flags, the search state (labels, an
     indexed heap, settled distances and first hops), per-node and
     per-module marks, the battery factor of every level and the
-    exactness gate, the Floyd-Warshall fallback's matrices, interned
-    [Forward] entries, and a rotating pair of routing tables.  After
+    exactness gate, interned [Forward] entries, and a rotating pair of
+    routing tables.  After
     the first recompute on a graph, a recompute allocates only a few
     words whatever the mesh size.  A workspace belongs to one
     controller; it must not be shared across domains.
@@ -57,10 +57,10 @@ type workspace
     search labelled but never settled cannot change the row: a search
     that stopped early had already labelled it beyond its stop
     distance, and one that ran to exhaustion settled everything it
-    labelled.  This applies only right after a search-path recompute
-    on the same graph, mapping, module count and pass count; a
-    Floyd-Warshall recompute turns it off for the next one.  The
-    tables are the same either way. *)
+    labelled.  This applies only right after a recompute on the same
+    graph, mapping, module count and pass count; a refused one (see
+    {!compute}) leaves the workspace as it was.  The tables are the same
+    either way. *)
 
 val create_workspace : unit -> workspace
 (** An empty workspace; buffers are sized lazily on first use and
@@ -89,23 +89,26 @@ val compute :
     [Unreachable].
 
     The table is exactly the one Fig 5's Floyd-Warshall and Fig 6 give,
-    computed one of two ways, chosen by an exactness gate that is a
-    property of the weight family, the level count and the graph, not
-    of the snapshot: every product [f_l * L_e] of a level's battery
-    factor and an edge length is positive and finite, and with [2^e]
-    the smallest lowest set bit among them, the sum over edges of each
-    edge's largest product is below [2^(52 + e)].  Then every weight of
-    every snapshot is a multiple of [2^e], every path sum is exact, and
-    phases two and three run as one truncated {!Etx_graph.Dijkstra}
-    search per living node that stops once each module has a usable
-    replica and nothing nearer is pending (SDR, EAR and EAR2 with
-    Q = 2, and linear drain, qualify on whole-centimetre meshes).
-    Otherwise (a non-dyadic weight family such as inverse-level, a
-    zero or negative weight) every recompute runs the all-pairs
-    Floyd-Warshall and counts one [etx_routing_exact_fallback_total].
-    The gate is checked once per weight, level count and graph on a
-    workspace.  A negative weight raises [Invalid_argument] from
-    {!Etx_graph.Floyd_warshall}.
+    computed as one truncated {!Etx_graph.Dijkstra} search per living
+    node that stops once each module has a usable replica and nothing
+    nearer is pending.  The two agree bit for bit only when no path sum
+    rounds, so the weight must pass an exactness gate, a property of
+    the weight family, the level count and the graph, not of the
+    snapshot: every product [f_l * L_e] of a level's battery factor and
+    an edge length is positive and finite, and with [2^e] the smallest
+    lowest set bit among them, the sum over edges of each edge's
+    largest product is below [2^(52 + e)].  Then every weight of every
+    snapshot is a multiple of [2^e] and every path sum is exact.  SDR,
+    EAR and EAR2 with dyadic Q (the policies' 2, the ablation's 1.5 and
+    4), inverse-level (whose factors are whole numbers) and linear
+    drain with slope 1 pass on whole-centimetre meshes and tori.  The
+    gate is checked once per weight, level count and graph on a
+    workspace.
+
+    @raise Invalid_argument when the weight fails the gate (a
+    non-dyadic factor such as EAR's Q = 1.7, a zero or negative one, or
+    lengths whose sums round), before anything is written: the
+    workspace and its tables are left as they were.
 
     Passing [?workspace] reuses its scratch state instead of
     allocating; the result is identical either way, but the returned
@@ -117,7 +120,6 @@ val compute :
 
 val compute_widest :
   ?workspace:workspace ->
-  ?by_levels:bool ->
   graph:Etx_graph.Digraph.t ->
   mapping:Mapping.t ->
   module_count:int ->
@@ -134,16 +136,15 @@ val compute_widest :
     living node reports, highest first, Fig 5 over the edges into nodes
     at or above it, each pair taking the first level that reaches it as
     its width, with that level's distance and successor; phase three
-    then chooses as above.  Under the exactness gate of {!compute}, here
-    a property of the graph's lengths alone (whole-centimetre mesh and
-    torus lengths pass it), it runs as truncated searches instead: per
-    living source, one per level, highest first, until every module has
-    a usable replica; each search counts one
-    [etx_routing_maximin_levels_total].  Otherwise, or with
-    [~by_levels:true], the recurrence itself runs (counting one
-    [etx_routing_exact_fallback_total] only in the first case).  Both
-    give the same table; ownership, row reuse and {!changed_entries} as
-    in {!compute}. *)
+    then chooses as above.  It runs as truncated searches: per living
+    source, one per level, highest first, until every module has a
+    usable replica; each search counts one
+    [etx_routing_maximin_levels_total].  They give the recurrence's
+    table bit for bit under the exactness gate of {!compute}, here a
+    property of the graph's lengths alone (whole-centimetre mesh and
+    torus lengths pass it); ownership, row reuse, {!changed_entries}
+    and the refusal of a graph that fails the gate as in
+    {!compute}. *)
 
 val changed_entries : workspace -> int
 (** The (node, module) entries of the table the last {!compute} or
@@ -161,4 +162,6 @@ val set_previous_table : workspace -> Routing_table.t option -> unit
 
 val shortest_paths :
   graph:Etx_graph.Digraph.t -> weight:Weight.t -> snapshot -> Etx_graph.Floyd_warshall.result
-(** Phases one and two only (exposed for tests and analysis). *)
+(** Phases one and two as Fig 5 prints them, Floyd-Warshall over
+    {!weight_matrix}: the oracle the searches are tested against.  No
+    exactness gate applies (nothing routes on the result). *)

@@ -2,8 +2,19 @@ type t =
   | Shortest_distance
   | Exponential of { q : float }
   | Exponential_squared of { q : float }
-  | Inverse_level of { floor : float }
+  | Inverse_level
   | Linear_drain of { slope : float }
+
+(* lcm(1, 3, ..., 2 levels - 1): every odd number up to it divides it,
+   so the inverse-level factors below are whole numbers *)
+let odd_lcm levels =
+  let rec gcd a b = if b = 0. then a else gcd b (Float.rem a b) in
+  let l = ref 1. in
+  for level = 1 to levels - 1 do
+    let odd = float_of_int ((2 * level) + 1) in
+    l := !l /. gcd !l odd *. odd
+  done;
+  !l
 
 let battery_factor t ~level ~levels =
   if level < 0 || level >= levels then
@@ -14,19 +25,17 @@ let battery_factor t ~level ~levels =
   | Shortest_distance -> 1.
   | Exponential { q } -> q ** drained
   | Exponential_squared { q } -> q ** (2. *. drained)
-  | Inverse_level { floor } -> float_of_int levels /. (float_of_int level +. floor)
+  | Inverse_level ->
+    float_of_int (2 * levels) *. (odd_lcm levels /. float_of_int ((2 * level) + 1))
   | Linear_drain { slope } -> 1. +. (slope *. drained)
-
-let edge_weight t ~length_cm ~dst_level ~levels =
-  battery_factor t ~level:dst_level ~levels *. length_cm
 
 let is_battery_aware = function
   | Shortest_distance -> false
-  | Exponential _ | Exponential_squared _ | Inverse_level _ | Linear_drain _ -> true
+  | Exponential _ | Exponential_squared _ | Inverse_level | Linear_drain _ -> true
 
 let name = function
   | Shortest_distance -> "SDR"
   | Exponential { q } -> Printf.sprintf "EAR(q=%g)" q
   | Exponential_squared { q } -> Printf.sprintf "EAR2(q=%g)" q
-  | Inverse_level { floor } -> Printf.sprintf "INV(floor=%g)" floor
+  | Inverse_level -> "INV(floor=0.5)"
   | Linear_drain { slope } -> Printf.sprintf "LIN(slope=%g)" slope

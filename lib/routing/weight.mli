@@ -18,8 +18,12 @@ type t =
   | Exponential of { q : float }  (** EAR: f(n) = q^(levels - 1 - n) *)
   | Exponential_squared of { q : float }
       (** alternate reading: f(n) = q^(2 * (levels - 1 - n)) *)
-  | Inverse_level of { floor : float }
-      (** ablation: f(n) = (levels) / (n + floor); hyperbolic growth *)
+  | Inverse_level
+      (** ablation: f(n) = levels / (n + 0.5), hyperbolic growth, scaled
+          by the constant lcm(1, 3, ..., 2 levels - 1) so that every
+          factor 2 levels lcm / (2n + 1) is a whole number: the order of
+          path lengths is the unscaled one, and their sums are exact (see
+          {!Router.compute}'s gate) *)
   | Linear_drain of { slope : float }
       (** ablation: f(n) = 1 + slope * (levels - 1 - n) *)
 
@@ -27,9 +31,6 @@ val battery_factor : t -> level:int -> levels:int -> float
 (** The multiplier f(N_B(j)) for a reported level in [0, levels).
     [Shortest_distance] always returns 1.
     @raise Invalid_argument if the level is outside [0, levels). *)
-
-val edge_weight : t -> length_cm:float -> dst_level:int -> levels:int -> float
-(** [battery_factor * length]. *)
 
 val is_battery_aware : t -> bool
 

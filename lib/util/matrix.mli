@@ -1,6 +1,7 @@
 (** Dense square float matrices.
 
-    The routing algorithms (Floyd-Warshall and friends) operate on
+    Fig 5's Floyd-Warshall (the definition the router is tested
+    against, and the hop counts of the static analysis) operates on
     adjacency-matrix representations, as in the paper (Sec 6).  Indices
     are 0-based. *)
 

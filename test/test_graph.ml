@@ -196,34 +196,6 @@ let random_graph prng ~nodes ~edge_probability =
   done;
   g
 
-let test_fw_run_into_matches_run () =
-  (* one scratch result reused across ten random graphs: every pass must
-     agree with a fresh [run], so no state leaks between recomputes *)
-  let prng = Etx_util.Prng.create ~seed:7 in
-  let scratch = Fw.create_result ~dim:8 in
-  for _ = 1 to 10 do
-    let g = random_graph prng ~nodes:8 ~edge_probability:0.4 in
-    let w = Digraph.adjacency_matrix g in
-    let reused = Fw.run_into scratch w in
-    let fresh = Fw.run w in
-    for src = 0 to 7 do
-      for dst = 0 to 7 do
-        if
-          Fw.distance reused ~src ~dst <> Fw.distance fresh ~src ~dst
-          || Fw.successor reused ~src ~dst <> Fw.successor fresh ~src ~dst
-        then Alcotest.failf "run_into diverges from run at %d -> %d" src dst
-      done
-    done
-  done
-
-let test_fw_run_into_rejects_dim_mismatch () =
-  let scratch = Fw.create_result ~dim:3 in
-  let w = Matrix.create ~dim:2 ~init:0. in
-  Alcotest.check_raises "dim mismatch"
-    (Invalid_argument "Floyd_warshall.run_into: scratch dimension differs from the input")
-    (fun () ->
-      ignore (Fw.run_into scratch w))
-
 let test_fw_matches_dijkstra () =
   let prng = Etx_util.Prng.create ~seed:99 in
   for _ = 1 to 25 do
@@ -394,8 +366,9 @@ let prop_mesh_distance_is_manhattan =
         t.coords;
       !ok)
 
-(* The textbook Fig 5 recurrence, kept here as the oracle for the
-   span-bounded kernel: every pass scans every row and every column. *)
+(* The textbook Fig 5 recurrence on nested arrays, the oracle for the
+   flat kernel (which skips the rows that cannot reach the pivot):
+   every pass scans every row and every column. *)
 let reference_fw w =
   let n = Matrix.dim w in
   let d = Array.init n (fun i -> Array.init n (fun j -> Matrix.get w i j)) in
@@ -470,19 +443,15 @@ let gappy_weight_matrix (shape, seed) =
   done;
   w
 
-let prop_fw_bounded_matches_reference =
-  QCheck.Test.make ~name:"floyd-warshall: span-bounded run_into = textbook, bit for bit"
+let prop_fw_matches_reference =
+  QCheck.Test.make ~name:"floyd-warshall: run = textbook, bit for bit"
     ~count:300
     QCheck.(pair (int_range 0 1) (int_range 0 1_000_000))
     (fun case ->
       let w = gappy_weight_matrix case in
       let n = Matrix.dim w in
       let d, s = reference_fw w in
-      (* a dirty scratch: run_into must overwrite every cell *)
-      let scratch = Fw.create_result ~dim:n in
-      Array.fill (Matrix.data scratch.Fw.distances) 0 (n * n) (-1.);
-      Array.fill (Matrix.Int.data scratch.Fw.successors) 0 (n * n) 42;
-      let got = Fw.run_into scratch w in
+      let got = Fw.run w in
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
@@ -533,11 +502,8 @@ let suite =
         Alcotest.test_case "matches Dijkstra on random graphs" `Quick test_fw_matches_dijkstra;
         Alcotest.test_case "successor paths are shortest" `Quick
           test_fw_successor_paths_are_shortest;
-        Alcotest.test_case "run_into matches run" `Quick test_fw_run_into_matches_run;
-        Alcotest.test_case "run_into dim mismatch" `Quick
-          test_fw_run_into_rejects_dim_mismatch;
         QCheck_alcotest.to_alcotest prop_mesh_distance_is_manhattan;
-        QCheck_alcotest.to_alcotest prop_fw_bounded_matches_reference;
+        QCheck_alcotest.to_alcotest prop_fw_matches_reference;
       ] );
     ( "graph/dijkstra",
       [

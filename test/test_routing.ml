@@ -222,9 +222,32 @@ let test_weight_sdr_constant () =
       (Weight.battery_factor Weight.Shortest_distance ~level ~levels:8)
   done
 
+(* Phase one forms each edge's weight as the target's factor times the
+   link length, here a 3 cm link into a node one level down. *)
 let test_weight_edge_weight () =
-  check_float "weight = factor * length" 6.
-    (Weight.edge_weight (Weight.Exponential { q = 2. }) ~length_cm:3. ~dst_level:6 ~levels:8)
+  let t =
+    Topology.custom ~name:"pair" ~node_count:2 ~coords:[| (1, 1); (2, 1) |]
+      ~links:[ (0, 1, 3.); (1, 0, 3.) ]
+  in
+  let snapshot = Router.full_snapshot ~node_count:2 ~levels:8 in
+  snapshot.Router.battery_level.(1) <- 6;
+  let w =
+    Router.weight_matrix ~graph:t.Topology.graph ~weight:(Weight.Exponential { q = 2. }) snapshot
+  in
+  check_float "weight = factor * length" 6. (Etx_util.Matrix.get w 0 1);
+  check_float "full target: the length" 3. (Etx_util.Matrix.get w 1 0)
+
+(* Inverse-level's factors are N_B / (level + 0.5) scaled by
+   lcm(1, 3, ..., 2 N_B - 1), 45,045 at N_B = 8: whole numbers. *)
+let test_weight_inverse_level_whole () =
+  for level = 0 to 7 do
+    let f = Weight.battery_factor Weight.Inverse_level ~level ~levels:8 in
+    check_float "scaled hyperbola" (45045. *. 8. /. (float_of_int level +. 0.5)) f;
+    Alcotest.(check bool) "whole" true (Float.is_integer f)
+  done;
+  check_float "two levels" 12. (Weight.battery_factor Weight.Inverse_level ~level:0 ~levels:2);
+  Alcotest.(check string) "printed name unchanged" "INV(floor=0.5)"
+    (Weight.name Weight.Inverse_level)
 
 let test_weight_validation () =
   Alcotest.check_raises "level range"
@@ -245,7 +268,7 @@ let prop_weight_monotone_in_drain =
         match which with
         | 0 -> Weight.Exponential { q = 2. }
         | 1 -> Weight.Exponential_squared { q = 1.5 }
-        | 2 -> Weight.Inverse_level { floor = 0.5 }
+        | 2 -> Weight.Inverse_level
         | _ -> Weight.Linear_drain { slope = 2. }
       in
       let ok = ref true in
@@ -652,20 +675,21 @@ let random_snapshot prng ~graph ~levels =
     List.filter (fun (src, _) -> List.mem src fully_locked || chance 0.15) edges;
   snapshot
 
-(* Every weight family, with parameters whose weights are dyadic (the
-   exact Dijkstra path) and non-dyadic (the Floyd-Warshall fallback). *)
+(* Every weight family, with parameters whose weights are exact (the
+   router routes them) and non-dyadic (the router refuses them). *)
 let weight_families =
   [|
-    Weight.Shortest_distance;
-    Weight.Exponential { q = 2. };
-    Weight.Exponential { q = 1.7 };
-    Weight.Exponential_squared { q = 2. };
-    Weight.Exponential_squared { q = 1.3 };
-    Weight.Inverse_level { floor = 0.5 };
-    Weight.Inverse_level { floor = 0.3 };
-    Weight.Linear_drain { slope = 1. };
-    Weight.Linear_drain { slope = 0.7 };
+    (Weight.Shortest_distance, `Exact);
+    (Weight.Exponential { q = 2. }, `Exact);
+    (Weight.Exponential { q = 1.7 }, `Refused);
+    (Weight.Exponential_squared { q = 2. }, `Exact);
+    (Weight.Exponential_squared { q = 1.3 }, `Refused);
+    (Weight.Inverse_level, `Exact);
+    (Weight.Linear_drain { slope = 1. }, `Exact);
+    (Weight.Linear_drain { slope = 0.7 }, `Refused);
   |]
+
+let refused f = match f () with exception Invalid_argument _ -> true | _ -> false
 
 let prop_router_phase_three_matches_oracle =
   QCheck.Test.make ~name:"router: flat phase three = list-walking choose_entry" ~count:200
@@ -692,21 +716,29 @@ let prop_router_phase_three_matches_oracle =
           Etx_util.Prng.shuffle prng assignment;
           Mapping.custom ~module_count ~assignment
       in
-      let weight =
+      let weight, kind =
         weight_families.(Etx_util.Prng.int prng ~bound:(Array.length weight_families))
       in
-      let levels = 2 + Etx_util.Prng.int prng ~bound:15 in
+      (* inverse-level's whole factors outgrow the gate on a 12x12 torus
+         from N_B = 16; the policies report 8 levels *)
+      let levels =
+        2 + Etx_util.Prng.int prng ~bound:(if weight = Weight.Inverse_level then 13 else 15)
+      in
       let workspace = Router.create_workspace () in
       (* two snapshots through one workspace: the second reuses every
          cached buffer, the candidate arrays included *)
       List.for_all
         (fun () ->
           let snapshot = random_snapshot prng ~graph ~levels in
-          let expected = oracle_table ~graph ~mapping ~module_count ~weight snapshot in
-          Routing_table.equal expected
-            (Router.compute ~graph ~mapping ~module_count ~weight snapshot)
-          && Routing_table.equal expected
-               (Router.compute ~workspace ~graph ~mapping ~module_count ~weight snapshot))
+          let compute ?workspace () =
+            Router.compute ?workspace ~graph ~mapping ~module_count ~weight snapshot
+          in
+          match kind with
+          | `Refused -> refused compute && refused (compute ~workspace)
+          | `Exact ->
+            let expected = oracle_table ~graph ~mapping ~module_count ~weight snapshot in
+            Routing_table.equal expected (compute ())
+            && Routing_table.equal expected (compute ~workspace ()))
         [ (); () ])
 
 (* - The shortest-widest (maximin) kernel - *)
@@ -746,6 +778,79 @@ let random_widest_case prng ~size =
   let mapping = Mapping.custom ~module_count ~assignment in
   (graph, mapping, module_count, 2 + Etx_util.Prng.int prng ~bound:15)
 
+(* The per-level recurrence that defines the widest kernel's table, as
+   printed: for each level some living node reports, highest first,
+   Fig 5's Floyd-Warshall over the edges into nodes at or above it, each
+   pair keeping the first level that reaches it with that level's
+   distance and successor; then Fig 6 per living node over the replicas
+   in candidate order, preferring the earliest level, then the nearest,
+   then the first on a tie, avoiding locked ports unless only locked
+   paths remain. *)
+let level_recurrence_table ~graph ~mapping ~module_count (snapshot : Router.snapshot) =
+  let n = Digraph.node_count graph in
+  let w = Router.weight_matrix ~graph ~weight:Weight.Shortest_distance snapshot in
+  let reported l =
+    let found = ref false in
+    Array.iteri
+      (fun node level -> if snapshot.alive.(node) && level = l then found := true)
+      snapshot.battery_level;
+    !found
+  in
+  let highest_first = List.init snapshot.levels (fun l -> snapshot.levels - 1 - l) in
+  let cuts = List.filter reported highest_first in
+  let first = Array.make_matrix n n None in
+  List.iteri
+    (fun pass cut ->
+      let paths =
+        Etx_graph.Floyd_warshall.run
+          (Etx_util.Matrix.init ~dim:n ~f:(fun i j ->
+               if i <> j && snapshot.battery_level.(j) < cut then infinity
+               else Etx_util.Matrix.get w i j))
+      in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let d = Etx_graph.Floyd_warshall.distance paths ~src:i ~dst:j in
+          if first.(i).(j) = None && d < infinity then
+            first.(i).(j) <-
+              Some (pass, d, Etx_graph.Floyd_warshall.successor paths ~src:i ~dst:j)
+        done
+      done)
+    cuts;
+  let table = Routing_table.create ~node_count:n ~module_count in
+  for node = 0 to n - 1 do
+    if snapshot.alive.(node) then
+      for module_index = 0 to module_count - 1 do
+        let choose ~respect_locks =
+          List.fold_left
+            (fun best j ->
+              match first.(node).(j) with
+              | Some (pass, d, hop)
+                when snapshot.alive.(j)
+                     && (j = node || (not respect_locks)
+                        || not (List.mem (node, Option.get hop) snapshot.locked_ports)) -> begin
+                match best with
+                | Some (_, (p, bd, _)) when p < pass || (p = pass && bd <= d) -> best
+                | Some _ | None -> Some (j, (pass, d, hop))
+              end
+              | Some _ | None -> best)
+            None
+            (Mapping.nodes_of_module mapping ~module_index)
+        in
+        let chosen =
+          match choose ~respect_locks:true with
+          | Some _ as found -> found
+          | None -> choose ~respect_locks:false
+        in
+        Routing_table.set table ~node ~module_index
+          (match chosen with
+          | None -> Routing_table.Unreachable
+          | Some (j, _) when j = node -> Routing_table.Deliver_here
+          | Some (j, (_, _, hop)) ->
+            Routing_table.Forward { next_hop = Option.get hop; destination = j })
+      done
+  done;
+  table
+
 let prop_widest_searches_match_level_recurrence =
   QCheck.Test.make ~name:"maximin: searches = per-level Floyd-Warshall, bit for bit"
     ~count:200
@@ -758,9 +863,7 @@ let prop_widest_searches_match_level_recurrence =
       List.for_all
         (fun () ->
           let snapshot = random_snapshot prng ~graph ~levels in
-          let expected =
-            Router.compute_widest ~by_levels:true ~graph ~mapping ~module_count snapshot
-          in
+          let expected = level_recurrence_table ~graph ~mapping ~module_count snapshot in
           Routing_table.equal expected
             (Maximin.compute ~graph ~mapping ~module_count snapshot)
           && Routing_table.equal expected
@@ -811,19 +914,18 @@ let perturb prng ~graph (s : Router.snapshot) =
    returns for the same snapshot, and the workspace's changed-entry
    count.  The walk runs SDR, EAR, EAR2 or the widest kernel (whose
    pass count and live-level set move with the levels), and now and
-   then the Floyd-Warshall path runs on the same workspace in between,
-   on another snapshot: a non-dyadic weight or the widest recurrence on
-   demand. *)
+   then another recompute runs on the same workspace in between, on
+   another snapshot: the widest kernel, inverse-level, or a non-dyadic
+   weight, which must be refused and leave the workspace as it was. *)
 let reuse_walk ~check (size, seed) =
   let prng = Etx_util.Prng.create ~seed in
   let graph, mapping, module_count, levels = random_widest_case prng ~size in
   let levels = min levels (2 + Etx_util.Prng.int prng ~bound:4) in
   let snapshot = random_snapshot prng ~graph ~levels in
   let workspace = Router.create_workspace () in
-  let compute ?workspace ?by_levels ~kind snapshot =
+  let compute ?workspace ~kind snapshot =
     match kind with
-    | `Widest ->
-      Router.compute_widest ?workspace ?by_levels ~graph ~mapping ~module_count snapshot
+    | `Widest -> Router.compute_widest ?workspace ~graph ~mapping ~module_count snapshot
     | `Weighted weight ->
       Router.compute ?workspace ~graph ~mapping ~module_count ~weight snapshot
   in
@@ -834,25 +936,22 @@ let reuse_walk ~check (size, seed) =
     | 2 -> `Weighted (Weight.Exponential_squared { q = 2. })
     | _ -> `Widest
   in
-  let agrees ?by_levels ~kind snapshot =
-    let fresh = compute ?by_levels ~kind snapshot in
-    let table = compute ~workspace ?by_levels ~kind snapshot in
+  let agrees ~kind snapshot =
+    let fresh = compute ~kind snapshot in
+    let table = compute ~workspace ~kind snapshot in
     check fresh table ~changed:(Router.changed_entries workspace)
   in
   let ok = ref (agrees ~kind snapshot) in
   for _ = 1 to 16 do
     if Etx_util.Prng.int prng ~bound:5 = 0 then begin
       let other = random_snapshot prng ~graph ~levels in
-      if Etx_util.Prng.bool prng then ok := !ok && agrees ~by_levels:true ~kind:`Widest other
-      else
+      if Etx_util.Prng.bool prng then ok := !ok && agrees ~kind:`Widest other
+      else if Etx_util.Prng.bool prng then
         ok :=
           !ok
-          && agrees
-               ~kind:
-                 (`Weighted
-                   (if Etx_util.Prng.bool prng then Weight.Exponential { q = 1.7 }
-                    else Weight.Inverse_level { floor = 0.3 }))
-               other
+          && refused (fun () ->
+                 compute ~workspace ~kind:(`Weighted (Weight.Exponential { q = 1.7 })) other)
+      else ok := !ok && agrees ~kind:(`Weighted Weight.Inverse_level) other
     end;
     perturb prng ~graph snapshot;
     ok := !ok && agrees ~kind snapshot
@@ -975,12 +1074,10 @@ let prop_widest_tables_match_oracle =
       true)
 
 (* The kernel's work is visible as a counter: one threshold search per
-   living source and level it needed, none for EAR; meshes never leave
-   the exact path. *)
+   living source and level it needed, none for EAR. *)
 let test_widest_counters () =
   let module Obs = Etx_obs.Obs in
   let levels_run = Obs.counter "etx_routing_maximin_levels_total" in
-  let fallbacks = Obs.counter "etx_routing_exact_fallback_total" in
   let was_armed = Obs.enabled () in
   Obs.arm ();
   Fun.protect
@@ -994,7 +1091,6 @@ let test_widest_counters () =
         ignore (Maximin.compute ~graph ~mapping ~module_count:3 snapshot);
         Obs.counter_value levels_run - before
       in
-      let fallen = Obs.counter_value fallbacks in
       Alcotest.(check int) "one level: one search per node" 16 (searches ());
       (* every host of module 2 a level down: the other 12 nodes search
          that level too, the 4 hosts find modules 1 and 3 at the top *)
@@ -1002,67 +1098,29 @@ let test_widest_counters () =
       List.iter (fun j -> snapshot.Router.battery_level.(j) <- 6) hosts;
       Alcotest.(check int) "four hosts" 4 (List.length hosts);
       Alcotest.(check int) "a second level for 12 nodes" 28 (searches ());
-      Alcotest.(check int) "no fallback" fallen (Obs.counter_value fallbacks);
       let before = Obs.counter_value levels_run in
       ignore
         (Router.compute ~graph ~mapping ~module_count:3 ~weight:Weight.Shortest_distance
            snapshot);
       Alcotest.(check int) "EAR/SDR count none" before (Obs.counter_value levels_run))
 
-(* A path whose sum depends on the grouping: 0 -> 2 -> 1 -> 3 costs
-   (0.1 + 0.2) + 0.3 = 0.6000000000000001 summed left to right, as a
-   search would, but 0.1 + (0.2 + 0.3) = 0.6 as Floyd-Warshall forms it
-   (d(2, 3) in pass 1, then d(0, 3) through node 2).  Node 4, the other
-   host of module 2, is 0.6 away on a direct link, so only the
-   Floyd-Warshall sums tie and hand node 0 the first candidate, node 3.
-   The router must agree with Fig 5. *)
-let test_router_last_bit_split_follows_floyd_warshall () =
-  let t =
-    Topology.custom ~name:"split" ~node_count:5
-      ~coords:[| (1, 1); (2, 1); (3, 1); (4, 1); (5, 1) |]
-      ~links:[ (0, 2, 0.1); (2, 1, 0.2); (1, 3, 0.3); (0, 4, 0.6) ]
-  in
-  let graph = t.Topology.graph in
-  let module_count = 3 in
-  let mapping = Mapping.custom ~module_count ~assignment:[| 0; 1; 0; 2; 2 |] in
-  let weight = Weight.Shortest_distance in
-  let snapshot = Router.full_snapshot ~node_count:5 ~levels:8 in
-  let table = Router.compute ~graph ~mapping ~module_count ~weight snapshot in
-  Alcotest.(check bool) "equals the oracle" true
-    (Routing_table.equal (oracle_table ~graph ~mapping ~module_count ~weight snapshot) table);
-  Alcotest.(check (option int)) "destination" (Some 3)
-    (Routing_table.destination table ~node:0 ~module_index:2);
-  Alcotest.(check (option int)) "first hop" (Some 2)
-    (Routing_table.next_hop table ~node:0 ~module_index:2)
-
 (* Zero weights only come from a hand-built [Exponential { q = 0. }]
-   (drained nodes cost nothing to enter); they stay on Floyd-Warshall,
-   and a negative weight still raises through it. *)
+   (drained nodes cost nothing to enter), negative ones from a negative
+   slope: the gate refuses both, whatever the snapshot. *)
 let test_router_zero_and_negative_weights () =
   let t, mapping = mesh4 () in
   let graph = t.Topology.graph in
   let prng = Etx_util.Prng.create ~seed:5 in
-  let weight = Weight.Exponential { q = 0. } in
-  for _ = 1 to 10 do
-    let snapshot = random_snapshot prng ~graph ~levels:8 in
-    Alcotest.(check bool) "zero weights equal the oracle" true
-      (Routing_table.equal
-         (oracle_table ~graph ~mapping ~module_count:3 ~weight snapshot)
-         (Router.compute ~graph ~mapping ~module_count:3 ~weight snapshot))
-  done;
-  let snapshot = Router.full_snapshot ~node_count:16 ~levels:8 in
-  snapshot.Router.battery_level.(5) <- 0;
-  match
-    Router.compute ~graph ~mapping ~module_count:3
-      ~weight:(Weight.Linear_drain { slope = -1. })
-      snapshot
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "a negative weight was accepted"
+  List.iter
+    (fun weight ->
+      let snapshot = random_snapshot prng ~graph ~levels:8 in
+      Alcotest.(check bool) (Weight.name weight ^ " refused") true
+        (refused (fun () -> Router.compute ~graph ~mapping ~module_count:3 ~weight snapshot)))
+    [ Weight.Exponential { q = 0. }; Weight.Linear_drain { slope = -1. } ]
 
 (* After warm-up a recompute on a workspace allocates a few words
-   whatever the mesh size, on both paths: nothing per node, edge or
-   table entry. *)
+   whatever the mesh size and weight: nothing per node, edge or table
+   entry. *)
 let test_router_workspace_recompute_allocation () =
   let t = Topology.square_mesh ~size:12 () in
   let graph = t.Topology.graph and mapping = Mapping.checkerboard t in
@@ -1081,48 +1139,70 @@ let test_router_workspace_recompute_allocation () =
       let words = Gc.minor_words () -. before in
       if words > 64. then
         Alcotest.failf "%s recompute allocated %.0f words" (Weight.name weight) words)
-    [ Weight.Exponential { q = 2. }; Weight.Exponential { q = 1.7 } ]
+    [ Weight.Exponential { q = 2. }; Weight.Inverse_level ]
 
-(* The gate is visible as a counter: calibrated EAR and SDR runs never
-   leave the exact path, the non-dyadic inverse-level policy always
-   does. *)
-let test_router_exact_fallback_counter () =
-  let module Obs = Etx_obs.Obs in
-  let fallbacks = Obs.counter "etx_routing_exact_fallback_total" in
-  let recomputes = Obs.counter "etx_engine_recompute_total" in
-  let was_armed = Obs.enabled () in
-  Obs.arm ();
-  Fun.protect
-    ~finally:(fun () -> if not was_armed then Obs.disarm ())
-    (fun () ->
-      List.iter
-        (fun policy ->
-          let before = Obs.counter_value fallbacks in
-          let recomputed = Obs.counter_value recomputes in
-          ignore
-            (Etx_etsim.Engine.simulate
-               (Etextile.Calibration.config ~policy ~mesh_size:4 ()));
-          Alcotest.(check bool) "recomputed" true
-            (Obs.counter_value recomputes > recomputed);
-          Alcotest.(check int) (policy.Policy.name ^ " fallbacks") before
-            (Obs.counter_value fallbacks))
-        [ Etextile.Calibration.ear (); Etextile.Calibration.sdr () ];
-      let t, mapping = mesh4 () in
-      let weight =
-        match (Policy.inverse_level ()).Policy.algorithm with
-        | Policy.Weighted weight -> weight
-        | Policy.Maximin_residual -> Alcotest.fail "inverse level is weighted"
-      in
-      let workspace = Router.create_workspace () in
-      let before = Obs.counter_value fallbacks in
-      for _ = 1 to 3 do
-        ignore
-          (Router.compute ~workspace ~graph:t.Topology.graph ~mapping ~module_count:3
-             ~weight
-             (Router.full_snapshot ~node_count:16 ~levels:8))
-      done;
-      Alcotest.(check int) "one fallback per inverse-level compute" (before + 3)
-        (Obs.counter_value fallbacks))
+(* A weight whose path sums could round is refused, through the
+   library and through the engine (at its first frame, before any job
+   completes).  Every policy the CLI and the wire name passes the gate
+   on the calibrated meshes. *)
+let test_router_refuses_non_exact_weights () =
+  let t, mapping = mesh4 () in
+  let snapshot = Router.full_snapshot ~node_count:16 ~levels:8 in
+  let weight = Weight.Exponential { q = 1.7 } in
+  Alcotest.(check bool) "Router.compute refuses q = 1.7" true
+    (refused (fun () ->
+         Router.compute ~graph:t.Topology.graph ~mapping ~module_count:3 ~weight snapshot));
+  let config = Etextile.Calibration.config ~policy:(Policy.ear ~q:1.7 ()) ~mesh_size:4 () in
+  Alcotest.(check bool) "Engine.simulate refuses q = 1.7" true
+    (refused (fun () -> Etx_etsim.Engine.simulate config));
+  let engine = Etx_etsim.Engine.create config in
+  Alcotest.(check bool) "refused by the run" true
+    (refused (fun () -> Etx_etsim.Engine.run engine));
+  Alcotest.(check int) "at its first frame" 0 (Etx_etsim.Engine.cycle engine);
+  List.iter
+    (fun name ->
+      let policy = Result.get_ok (Etx_service.Handlers.policy_of_string name) in
+      for mesh_size = 4 to 20 do
+        let config = Etextile.Calibration.config ~policy ~mesh_size () in
+        let graph = config.Etx_etsim.Config.topology.Topology.graph in
+        let mapping = config.Etx_etsim.Config.mapping in
+        let module_count = config.Etx_etsim.Config.module_count in
+        let snapshot =
+          Router.full_snapshot ~node_count:(Digraph.node_count graph)
+            ~levels:policy.Policy.levels
+        in
+        snapshot.Router.battery_level.(0) <- 0;
+        match policy.Policy.algorithm with
+        | Policy.Weighted weight ->
+          ignore (Router.compute ~graph ~mapping ~module_count ~weight snapshot)
+        | Policy.Maximin_residual ->
+          ignore (Maximin.compute ~graph ~mapping ~module_count snapshot)
+      done)
+    [ "ear"; "sdr"; "ear2"; "inverse"; "linear"; "maximin" ]
+
+(* So is a graph whose length sums could round: 0 -> 2 -> 1 -> 3 costs
+   (0.1 + 0.2) + 0.3 = 0.6000000000000001 summed left to right, as a
+   search would, but 0.1 + (0.2 + 0.3) = 0.6 as Fig 5's Floyd-Warshall
+   forms it, which ties node 0's two routes to module 2 and hands it
+   the first candidate, node 3; a search would pick node 4. *)
+let test_router_refuses_last_bit_split () =
+  let split =
+    Topology.custom ~name:"split" ~node_count:5
+      ~coords:[| (1, 1); (2, 1); (3, 1); (4, 1); (5, 1) |]
+      ~links:[ (0, 2, 0.1); (2, 1, 0.2); (1, 3, 0.3); (0, 4, 0.6) ]
+  in
+  let graph = split.Topology.graph and module_count = 3 in
+  let mapping = Mapping.custom ~module_count ~assignment:[| 0; 1; 0; 2; 2 |] in
+  let weight = Weight.Shortest_distance in
+  let snapshot = Router.full_snapshot ~node_count:5 ~levels:8 in
+  Alcotest.(check (option int)) "Fig 5 splits the tie on the last bit" (Some 3)
+    (Routing_table.destination
+       (oracle_table ~graph ~mapping ~module_count ~weight snapshot)
+       ~node:0 ~module_index:2);
+  Alcotest.(check bool) "lengths whose sums round are refused" true
+    (refused (fun () -> Router.compute ~graph ~mapping ~module_count ~weight snapshot));
+  Alcotest.(check bool) "so is the widest kernel on them" true
+    (refused (fun () -> Router.compute_widest ~graph ~mapping ~module_count snapshot))
 
 (* Row reuse is visible as a counter: a recompute on an unchanged
    snapshot copies every living node's row, a fresh workspace copies
@@ -1261,6 +1341,8 @@ let suite =
         Alcotest.test_case "exponential growth" `Quick test_weight_exponential_growth;
         Alcotest.test_case "SDR constant" `Quick test_weight_sdr_constant;
         Alcotest.test_case "edge weight" `Quick test_weight_edge_weight;
+        Alcotest.test_case "inverse level: whole factors" `Quick
+          test_weight_inverse_level_whole;
         Alcotest.test_case "validation" `Quick test_weight_validation;
         Alcotest.test_case "names and awareness" `Quick test_weight_names_and_awareness;
         QCheck_alcotest.to_alcotest prop_weight_monotone_in_drain;
@@ -1293,11 +1375,12 @@ let suite =
         QCheck_alcotest.to_alcotest prop_router_tables_terminate;
         QCheck_alcotest.to_alcotest prop_sdr_ignores_level_moves;
         QCheck_alcotest.to_alcotest prop_router_phase_three_matches_oracle;
-        Alcotest.test_case "last-bit split follows Floyd-Warshall" `Quick
-          test_router_last_bit_split_follows_floyd_warshall;
         Alcotest.test_case "zero and negative weights" `Quick
           test_router_zero_and_negative_weights;
-        Alcotest.test_case "exact-fallback counter" `Quick test_router_exact_fallback_counter;
+        Alcotest.test_case "non-exact weights refused" `Quick
+          test_router_refuses_non_exact_weights;
+        Alcotest.test_case "last-bit split refused" `Quick
+          test_router_refuses_last_bit_split;
         Alcotest.test_case "workspace recompute allocation" `Quick
           test_router_workspace_recompute_allocation;
         QCheck_alcotest.to_alcotest prop_row_reuse_matches_fresh;
@@ -1310,7 +1393,7 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_widest_searches_match_level_recurrence;
         QCheck_alcotest.to_alcotest prop_widest_tables_match_oracle;
-        Alcotest.test_case "level and fallback counters" `Quick test_widest_counters;
+        Alcotest.test_case "level counters" `Quick test_widest_counters;
       ] );
     ( "routing/policy",
       [

@@ -174,21 +174,33 @@ let test_fingerprint_exact_rates () =
     "audit;sizes=4,5,6,7,8;seeds=1,2,3,4,5;every=1"
     (fp {|{"scenario":"audit","params":{"retries":3,"ber":0}}|})
 
-(* only maximin configs carry the routing-kernel tag: its tables moved
-   to the exact shortest-widest kernel, EAR and SDR's did not *)
+(* only the configs whose tables moved to the exact search kernel carry
+   the routing-kernel tag: maximin's (off its lexicographic
+   Floyd-Warshall) and inverse-level's (whole factors, so exact ties no
+   longer split on rounding); every other fingerprint keeps its form *)
 let test_fingerprint_routing_kernel_tag () =
-  Alcotest.(check string) "maximin is tagged"
-    "simulate;etsim-ckpt-v1;n=16;m=3;edges=48;policy=MAXMIN/8;seed=1;frame=800;\
-     max=50000000;jobs=1;batt=thin-film/60000/0.1;wl=aes-128-encrypt;fault=none;retx=3;\
-     ack=25;sched=0;rk=2"
-    (fp {|{"scenario":"simulate","params":{"mesh_size":4,"policy":"maximin"}}|});
+  let simulate policy =
+    fp (Printf.sprintf {|{"scenario":"simulate","params":{"mesh_size":4,"policy":%S}}|} policy)
+  in
+  let expected policy tag =
+    Printf.sprintf
+      "simulate;etsim-ckpt-v1;n=16;m=3;edges=48;policy=%s/8;seed=1;frame=800;\
+       max=50000000;jobs=1;batt=thin-film/60000/0.1;wl=aes-128-encrypt;fault=none;retx=3;\
+       ack=25;sched=0%s"
+      policy tag
+  in
+  Alcotest.(check string) "maximin is tagged" (expected "MAXMIN" ";rk=2") (simulate "maximin");
+  Alcotest.(check string) "inverse is tagged" (expected "INV(floor=0.5)" ";rk=2")
+    (simulate "inverse");
+  Alcotest.(check string) "ear is not" (expected "EAR(q=2)" "") (simulate "ear");
+  Alcotest.(check string) "sdr is not" (expected "SDR" "") (simulate "sdr");
   List.iter
     (fun policy ->
       Alcotest.(check bool) (policy ^ " is not") false
         (Astring_contains.contains
            (fp (Printf.sprintf {|{"scenario":"simulate","params":{"policy":%S}}|} policy))
            "rk="))
-    [ "ear"; "sdr" ]
+    [ "ear"; "sdr"; "ear2"; "linear" ]
 
 (* Every declared param of every scenario, through the wire: spelling
    out the default is omitting it, another in-bounds value is another
