@@ -39,6 +39,14 @@ val create : kind:kind -> capacity_pj:float -> t
 (** Fresh, full battery.  @raise Invalid_argument if the capacity is not
     positive or thin-film parameters are out of range. *)
 
+val fleet : kind:kind -> tick_cache:int -> float array -> t array
+(** [fleet ~kind ~tick_cache capacities]: one fresh battery per capacity,
+    each as {!create} would make it, sharing what they derive from
+    [kind] once.  That includes the decay factors of every {!tick} of at
+    most [tick_cache] cycles, each computed on its first use; a longer
+    tick computes them afresh.  A fleet is not safe to use from two
+    domains at once.  @raise Invalid_argument as {!create}. *)
+
 val kind : t -> kind
 val capacity_pj : t -> float
 

@@ -18,18 +18,30 @@ let piecewise_linear points =
   distinct sorted;
   { points = Array.of_list sorted }
 
-let voltage t ~soc =
-  let points = t.points in
-  let n = Array.length points in
-  if soc <= fst points.(0) then snd points.(0)
-  else if soc >= fst points.(n - 1) then snd points.(n - 1)
+(* The hot form of a profile: the soc and voltage columns as flat float
+   arrays.  It is derived, not stored in [t], so a marshalled profile
+   (the fingerprint of a non-default cell digests one) keeps its bytes. *)
+type curve = { socs : float array; volts : float array }
+
+let curve t = { socs = Array.map fst t.points; volts = Array.map snd t.points }
+
+let[@inline] curve_voltage c ~soc =
+  let socs = c.socs and volts = c.volts in
+  let n = Array.length socs in
+  if soc <= socs.(0) then volts.(0)
+  else if soc >= socs.(n - 1) then volts.(n - 1)
   else begin
     (* find segment [i, i+1] containing soc *)
-    let rec seek i = if fst points.(i + 1) >= soc then i else seek (i + 1) in
-    let i = seek 0 in
-    let s0, v0 = points.(i) and s1, v1 = points.(i + 1) in
+    let i = ref 0 in
+    while not (socs.(!i + 1) >= soc) do
+      incr i
+    done;
+    let s0 = socs.(!i) and v0 = volts.(!i) in
+    let s1 = socs.(!i + 1) and v1 = volts.(!i + 1) in
     v0 +. ((v1 -. v0) *. (soc -. s0) /. (s1 -. s0))
   end
+
+let voltage t ~soc = curve_voltage (curve t) ~soc
 
 let li_free_thin_film =
   piecewise_linear

@@ -19,6 +19,15 @@ val piecewise_linear : (float * float) list -> t
 val voltage : t -> soc:float -> float
 (** Linear interpolation; clamped to the end points outside their range. *)
 
+type curve
+(** A profile's points as flat arrays, for evaluating it per draw. *)
+
+val curve : t -> curve
+
+val curve_voltage : curve -> soc:float -> float
+(** [curve_voltage (curve t) ~soc] is [voltage t ~soc], bit for bit
+    ([voltage] is defined that way). *)
+
 val li_free_thin_film : t
 (** Digitized Fig 2 curve (Li-free thin-film battery, in-situ plated Li
     anode). *)

@@ -74,10 +74,14 @@ module Jobs = struct
 
   let iter t ~f = iter_cells t ~f:(fun cell -> f cell.job)
 
-  let fold t ~init ~f =
-    let acc = ref init in
-    iter t ~f:(fun job -> acc := f !acc job);
-    !acc
+  (* the earliest ready time of any job, [max_int] when there is none:
+     a direct walk of the linked cells (all live), with no closure *)
+  let earliest_ready t =
+    let rec go acc = function
+      | None -> acc
+      | Some cell -> go (Int.min acc (Job.ready_at cell.job)) cell.next
+    in
+    go max_int t.head
 end
 
 type t = {
@@ -118,6 +122,7 @@ type t = {
   mutable links_failed : int;
   prng : Prng.t;
   mutable entry_rotation : int;
+  entry_stride : int;
   (* accumulators *)
   mutable jobs_completed : int;
   mutable jobs_verified : int;
@@ -166,6 +171,15 @@ type t = {
   timeline : Timeline.t option;
 }
 
+(* Round-robin entries stride the rotation so consecutive jobs enter in
+   different regions of the fabric (sensor blocks are scattered, Fig
+   3(a)); the stride is chosen coprime to the node count so every node
+   is visited. *)
+let entry_stride n =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let rec coprime_stride s = if gcd s n = 1 then s else coprime_stride (s + 1) in
+  coprime_stride (Int.max 1 ((n * 5 / 8) lor 1))
+
 let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
   let node_count = Config.node_count config in
   let capacity_prng = Prng.create ~seed:(config.seed lxor 0x5F5F5F) in
@@ -177,11 +191,20 @@ let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
       config.battery_capacity_pj *. (1. +. offset)
     end
   in
+  (* every node syncs its battery at each frame's status upload, so a
+     tick never spans more than a frame period unless the node is
+     offline: the fleet caches the decay factors of every tick up to it
+     (up to 4096 cycles, so a long frame cannot make the table huge) *)
+  let batteries =
+    Battery.fleet ~kind:config.battery_kind
+      ~tick_cache:(Int.min config.frame_period_cycles 4096)
+      (Array.init node_count (fun _ -> node_capacity ()))
+  in
   let nodes =
     Array.init node_count (fun id ->
         Node.create ~id
           ~module_index:(Mapping.module_of_node config.mapping ~node:id)
-          ~kind:config.battery_kind ~capacity_pj:(node_capacity ()))
+          ~battery:batteries.(id))
   in
   let graph = config.topology.Etx_graph.Topology.graph in
   let cells = node_count * node_count in
@@ -240,6 +263,7 @@ let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
     links_failed = 0;
     prng = Prng.create ~seed:config.seed;
     entry_rotation = 0;
+    entry_stride = entry_stride node_count;
     jobs_completed = 0;
     jobs_verified = 0;
     jobs_lost = 0;
@@ -335,13 +359,8 @@ let pick_entry t =
   match t.config.job_source with
   | Config.Fixed_entry entry -> if node_alive t entry then Some entry else None
   | Config.Round_robin_entry ->
-    (* stride the rotation so consecutive jobs enter in different regions
-       of the fabric (sensor blocks are scattered, Fig 3(a)); the stride
-       is chosen coprime to the node count so every node is visited *)
     let n = Array.length t.nodes in
-    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-    let rec coprime_stride s = if gcd s n = 1 then s else coprime_stride (s + 1) in
-    let stride = coprime_stride (max 1 ((n * 5 / 8) lor 1)) in
+    let stride = t.entry_stride in
     let rec seek attempts =
       if attempts >= n then None
       else begin
@@ -541,7 +560,7 @@ let start_transmission t job ~node ~next_hop ~since =
   end
   else if t.nodes.(next_hop).Node.occupancy >= t.config.buffer_capacity then begin
     note_blocked t ~node ~since ~hop:next_hop;
-    let retry_at = min t.next_frame (t.cycle + 25) in
+    let retry_at = Int.min t.next_frame (t.cycle + 25) in
     let retry_at = if retry_at <= t.cycle then t.cycle + 25 else retry_at in
     set_waiting job ~node ~since ~retry_at
   end
@@ -570,22 +589,20 @@ let try_route t job ~node ~since =
     (* the node is rebooting: its buffered jobs wait out the brown-out *)
     set_waiting job ~node ~since ~retry_at:t.nodes.(node).Node.offline_until
   else
-  match Job.needed_module job with
-  | None -> assert false (* finished jobs are retired at act completion *)
-  | Some module_index -> begin
-    match t.table with
-    | None -> set_waiting job ~node ~since ~retry_at:t.next_frame
-    | Some table -> begin
-      match Routing_table.get table ~node ~module_index with
-      | Routing_table.Deliver_here -> start_computation t job ~node ~module_index ~since
-      | Routing_table.Forward { next_hop; destination = _ } ->
-        start_transmission t job ~node ~next_hop ~since
-      | Routing_table.Unreachable ->
-        if duplicate_reachable t ~node ~module_index then
-          (* the table predates recent level changes; wait for a refresh *)
-          set_waiting job ~node ~since ~retry_at:t.next_frame
-        else die t (Metrics.Module_unreachable { module_index; from_node = node })
-    end
+  match t.table with
+  | None -> set_waiting job ~node ~since ~retry_at:t.next_frame
+  | Some table -> begin
+    (* finished jobs are retired at act completion, so an act remains *)
+    let module_index = Job.needed_module job in
+    match Routing_table.get table ~node ~module_index with
+    | Routing_table.Deliver_here -> start_computation t job ~node ~module_index ~since
+    | Routing_table.Forward { next_hop; destination = _ } ->
+      start_transmission t job ~node ~next_hop ~since
+    | Routing_table.Unreachable ->
+      if duplicate_reachable t ~node ~module_index then
+        (* the table predates recent level changes; wait for a refresh *)
+        set_waiting job ~node ~since ~retry_at:t.next_frame
+      else die t (Metrics.Module_unreachable { module_index; from_node = node })
   end
 
 (* The CRC at the receiver failed: the delivered payload is junk, but
@@ -1138,10 +1155,8 @@ let run_until t ~cycle:stop =
       t.finished <- true;
       Finished (finalize t reason)
     | Running ->
-      let job_next =
-        Jobs.fold t.jobs ~init:max_int ~f:(fun acc job -> min acc (Job.ready_at job))
-      in
-      let next = min job_next t.next_frame in
+      let job_next = Jobs.earliest_ready t.jobs in
+      let next = Int.min job_next t.next_frame in
       if next >= t.config.max_cycles then begin
         t.cycle <- t.config.max_cycles;
         die t Metrics.Cycle_limit;
@@ -1154,7 +1169,7 @@ let run_until t ~cycle:stop =
         Paused
       else begin
         assert (next > t.cycle || job_next <= t.cycle);
-        t.cycle <- max t.cycle next;
+        t.cycle <- Int.max t.cycle next;
         if t.cycle >= t.next_frame then begin
           run_frame t;
           t.next_frame <- t.next_frame + t.config.frame_period_cycles

@@ -26,19 +26,18 @@ let launch ~id ~workload ~payload ~expected ~entry ~cycle =
     launched_at = cycle;
   }
 
-let plan_act t = Workload.act_at t.workload ~step:t.step
+let finished t = t.step >= Workload.plan_length t.workload
 
-let needed_module t =
-  Option.map (fun act -> act.Workload.module_index) (plan_act t)
+let next_act t ~caller =
+  if finished t then invalid_arg (caller ^ ": job already finished");
+  Workload.act t.workload ~step:t.step
+
+let needed_module t = (next_act t ~caller:"Job.needed_module").Workload.module_index
 
 let apply_act t =
-  match plan_act t with
-  | None -> invalid_arg "Job.apply_act: job already finished"
-  | Some act ->
-    t.payload <- Workload.apply t.workload act t.payload;
-    t.step <- t.step + 1
-
-let finished t = t.step >= Workload.plan_length t.workload
+  let act = next_act t ~caller:"Job.apply_act" in
+  t.payload <- Workload.apply t.workload act t.payload;
+  t.step <- t.step + 1
 
 let verified t = Bytes.equal t.payload t.expected
 

@@ -32,8 +32,9 @@ val launch :
   cycle:int ->
   t
 
-val needed_module : t -> int option
-(** Module index of the next act; [None] when the plan is finished. *)
+val needed_module : t -> int
+(** Module index of the next act.
+    @raise Invalid_argument when the job is already finished. *)
 
 val apply_act : t -> unit
 (** Perform the next act on the carried payload and advance [step].

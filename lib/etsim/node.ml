@@ -9,11 +9,11 @@ type t = {
   mutable offline_until : int;
 }
 
-let create ~id ~module_index ~kind ~capacity_pj =
+let create ~id ~module_index ~battery =
   {
     id;
     module_index;
-    battery = Etx_battery.Battery.create ~kind ~capacity_pj;
+    battery;
     synced_to = 0;
     busy_until = 0;
     occupancy = 0;

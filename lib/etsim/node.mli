@@ -18,12 +18,7 @@ type t = {
           until this cycle (0 when never browned out) *)
 }
 
-val create :
-  id:int ->
-  module_index:int ->
-  kind:Etx_battery.Battery.kind ->
-  capacity_pj:float ->
-  t
+val create : id:int -> module_index:int -> battery:Etx_battery.Battery.t -> t
 
 val sync : t -> cycle:int -> unit
 (** Advance the battery to [cycle] (recovery, load decay).  Idempotent;

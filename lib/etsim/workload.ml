@@ -16,6 +16,8 @@ let module_count t = t.module_count
 let plan t = Array.copy t.plan
 let plan_length t = Array.length t.plan
 
+let act t ~step = t.plan.(step)
+
 let act_at t ~step =
   if step < 0 then invalid_arg "Workload.act_at: negative step"
   else if step >= Array.length t.plan then None

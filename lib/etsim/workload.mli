@@ -27,9 +27,12 @@ val plan : t -> act array
 
 val plan_length : t -> int
 
+val act : t -> step:int -> act
+(** The act at position [step] (allocation-free accessor for the
+    engine's hot path).  @raise Invalid_argument outside the plan. *)
+
 val act_at : t -> step:int -> act option
-(** The act at position [step], or [None] past the end of the plan
-    (allocation-free accessor for the engine's hot path). *)
+(** The act at position [step], or [None] past the end of the plan. *)
 
 val acts_per_job : t -> int array
 (** The f_i vector, derived from the plan. *)

@@ -269,6 +269,207 @@ let prop_soc_monotone_under_draws =
         draws;
       !ok)
 
+(* - Reference model: the thin-film draw/tick formulas exactly as they
+   stood before the death-test guard, the flat curve and the decay
+   cache, kept as the oracle those three must match bit for bit - *)
+
+module Reference = struct
+  type t = {
+    params : Battery.thin_film_params;
+    points : (float * float) array;
+    capacity : float;
+    mutable available : float;
+    mutable bound : float;
+    mutable load_power : float;
+    mutable dead : bool;
+    mutable delivered : float;
+  }
+
+  let create (params : Battery.thin_film_params) ~capacity =
+    let c = params.available_fraction in
+    {
+      params;
+      points = Array.of_list (Profile.points params.profile);
+      capacity;
+      available = c *. capacity;
+      bound = (1. -. c) *. capacity;
+      load_power = 0.;
+      dead = false;
+      delivered = 0.;
+    }
+
+  let profile_voltage points ~soc =
+    let n = Array.length points in
+    if soc <= fst points.(0) then snd points.(0)
+    else if soc >= fst points.(n - 1) then snd points.(n - 1)
+    else begin
+      let rec seek i = if fst points.(i + 1) >= soc then i else seek (i + 1) in
+      let i = seek 0 in
+      let s0, v0 = points.(i) and s1, v1 = points.(i + 1) in
+      v0 +. ((v1 -. v0) *. (soc -. s0) /. (s1 -. s0))
+    end
+
+  let voltage r =
+    if r.dead then 0.
+    else begin
+      let well_capacity = r.params.available_fraction *. r.capacity in
+      let open_circuit = profile_voltage r.points ~soc:(r.available /. well_capacity) in
+      let sag = r.params.sag_volts_per_power *. r.load_power in
+      Float.max 0. (open_circuit -. sag)
+    end
+
+  let draw r ~energy_pj =
+    if r.dead then false
+    else if r.available >= energy_pj then begin
+      r.available <- r.available -. energy_pj;
+      r.load_power <- r.load_power +. (energy_pj /. r.params.load_window_cycles);
+      r.delivered <- r.delivered +. energy_pj;
+      if voltage r < r.params.cutoff_volts then r.dead <- true;
+      not r.dead
+    end
+    else begin
+      r.dead <- true;
+      false
+    end
+
+  let tick r ~cycles =
+    if (not r.dead) && cycles > 0 then begin
+      let p = r.params in
+      let dt = float_of_int cycles in
+      r.load_power <- r.load_power *. exp (-.dt /. p.load_window_cycles);
+      let c = p.available_fraction in
+      let height_available = r.available /. c in
+      let height_bound = if c >= 1. then height_available else r.bound /. (1. -. c) in
+      let gradient = height_bound -. height_available in
+      if gradient > 0. then begin
+        let transfer_factor = 1. -. exp (-.p.diffusion_per_cycle *. dt) in
+        let flow = gradient *. c *. (1. -. c) *. transfer_factor in
+        let flow = Float.min flow r.bound in
+        r.bound <- r.bound -. flow;
+        r.available <- r.available +. flow
+      end
+    end
+end
+
+type battery_op = Draw of float | Tick of int
+
+type battery_case = {
+  params : Battery.thin_film_params;
+  capacity : float;
+  tick_cache : int;
+  ops : battery_op list;
+}
+
+let gen_battery_case =
+  let open QCheck.Gen in
+  let* shape = int_bound 2 (* 0 monotone, 1 non-monotone, 2 flat *) in
+  let* socs = list_size (1 -- 7) (float_bound_inclusive 1.) in
+  let* ends = pair bool bool in
+  let socs =
+    List.sort_uniq compare
+      ((if fst ends then [ 0. ] else []) @ (if snd ends then [ 1. ] else []) @ socs)
+  in
+  let socs = if List.length socs < 2 then [ 0.; 1. ] else socs in
+  let* volts = list_repeat (List.length socs) (float_range 2. 4.5) in
+  let volts =
+    match shape with
+    | 0 -> List.sort compare volts
+    | 1 -> volts
+    | _ -> List.map (fun _ -> List.hd volts) volts
+  in
+  let points = List.combine socs volts in
+  let vmin = List.fold_left Float.min infinity volts in
+  let vmax = List.fold_left Float.max neg_infinity volts in
+  let* cutoff =
+    oneof
+      [
+        float_range (vmin -. 1.) vmin;
+        float_range vmin vmax;
+        oneofl volts (* exactly at a point *);
+        float_range vmax (vmax +. 1.) (* above the whole curve: the guard is off *);
+      ]
+  in
+  let* available_fraction = oneof [ return 1.; float_range 0.05 1. ] in
+  let* diffusion_per_cycle = oneof [ return 0.; float_range 1e-6 1e-2 ] in
+  let* sag_volts_per_power = oneof [ return 0.; float_range 1e-4 0.1 ] in
+  let* load_window_cycles = float_range 1. 1000. in
+  let* capacity = float_range 100. 1e5 in
+  let* tick_cache = int_bound 100 in
+  let op =
+    frequency
+      [
+        (4, map (fun f -> Draw (f *. capacity /. 200.)) (float_bound_inclusive 1.));
+        (1, map (fun f -> Draw (f *. capacity /. 4.)) (float_bound_inclusive 1.));
+        (1, return (Draw 0.));
+        (1, return (Tick 0));
+        (3, map (fun dt -> Tick dt) (1 -- (tick_cache + 1)));
+        (1, map (fun dt -> Tick dt) ((tick_cache + 1) -- 5000));
+        (1, return (Tick 1_000_000));
+      ]
+  in
+  let* ops = list_size (1 -- 300) op in
+  let params =
+    {
+      Battery.profile = Profile.piecewise_linear points;
+      cutoff_volts = cutoff;
+      available_fraction;
+      diffusion_per_cycle;
+      sag_volts_per_power;
+      load_window_cycles;
+    }
+  in
+  return { params; capacity; tick_cache; ops }
+
+let print_battery_case c =
+  let p = c.params in
+  Printf.sprintf
+    "points=[%s] cutoff=%h c=%h diffusion=%h sag=%h window=%h capacity=%h cache=%d ops=[%s]"
+    (String.concat "; "
+       (List.map (fun (s, v) -> Printf.sprintf "%h,%h" s v) (Profile.points p.profile)))
+    p.cutoff_volts p.available_fraction p.diffusion_per_cycle p.sag_volts_per_power
+    p.load_window_cycles c.capacity c.tick_cache
+    (String.concat "; "
+       (List.map
+          (function Draw e -> Printf.sprintf "draw %h" e | Tick dt -> Printf.sprintf "tick %d" dt)
+          c.ops))
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"battery: draw/tick = reference model, bit for bit" ~count:300
+    (QCheck.make ~print:print_battery_case gen_battery_case)
+    (fun c ->
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let agrees (r : Reference.t) b =
+        let d = Battery.dump b in
+        Battery.is_dead b = r.dead
+        && d.dead = r.dead
+        && same (Battery.voltage b) (Reference.voltage r)
+        && same d.available_pj r.available && same d.bound_pj r.bound
+        && same d.load_power r.load_power && same d.delivered_pj r.delivered
+        && same (Battery.delivered_pj b) r.delivered
+      in
+      let kind = Battery.Thin_film c.params in
+      (* a lone battery computes every tick factor; a fleet member reads
+         the shared cache for ticks it covers *)
+      let single = Battery.create ~kind ~capacity_pj:c.capacity in
+      let member =
+        (Battery.fleet ~kind ~tick_cache:c.tick_cache [| c.capacity; c.capacity |]).(1)
+      in
+      List.for_all
+        (fun b ->
+          let r = Reference.create c.params ~capacity:c.capacity in
+          agrees r b
+          && List.for_all
+               (fun op ->
+                 (match op with
+                 | Draw e -> Battery.draw b ~energy_pj:e = Reference.draw r ~energy_pj:e
+                 | Tick cycles ->
+                   Battery.tick b ~cycles;
+                   Reference.tick r ~cycles;
+                   true)
+                 && agrees r b)
+               c.ops)
+        [ single; member ])
+
 let suite =
   [
     ( "battery/profile",
@@ -312,5 +513,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_conservation;
         QCheck_alcotest.to_alcotest prop_level_in_range;
         QCheck_alcotest.to_alcotest prop_soc_monotone_under_draws;
+        QCheck_alcotest.to_alcotest prop_matches_reference;
       ] );
   ]

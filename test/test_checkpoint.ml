@@ -323,6 +323,24 @@ let test_fingerprint_spells_out_code_only_fields () =
     (fp ~buffer_capacity:2 ~key_hex:Config.default_key_hex ~max_jobs:None
        ~controller_leakage_exponent:0. ())
 
+(* A non-default thin-film cell is fingerprinted by a digest of its
+   marshalled parameters, so any change to how those parameters are
+   represented would silently re-key every stored checkpoint and result.
+   Pin one such fingerprint. *)
+let test_fingerprint_pins_thin_film_params () =
+  let params =
+    { Etx_battery.Battery.default_thin_film with Etx_battery.Battery.sag_volts_per_power = 0.02 }
+  in
+  let config =
+    Calibration.config ~battery_kind:(Etx_battery.Battery.Thin_film params) ~mesh_size:4
+      ~seed:1 ()
+  in
+  Alcotest.(check string) "pinned fingerprint"
+    "etsim-ckpt-v1;n=16;m=3;edges=48;policy=EAR(q=2)/8;seed=1;frame=800;max=50000000;jobs=1;\
+     batt=thin-film#b48d0f28ea3217a1/60000/0.1;wl=aes-128-encrypt;fault=none;retx=3;ack=25;\
+     sched=0"
+    (Engine.config_fingerprint config)
+
 (* - QCheck: restore-then-run is bit-identical across random configs and
    fault plans - *)
 
@@ -414,6 +432,9 @@ let suite =
         ( "fingerprint spells out code-only fields",
           `Quick,
           test_fingerprint_spells_out_code_only_fields );
+        ( "fingerprint pins non-default thin-film params",
+          `Quick,
+          test_fingerprint_pins_thin_film_params );
         ( "fingerprint separates near configs",
           `Quick,
           test_fingerprint_separates_near_configs );

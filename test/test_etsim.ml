@@ -88,20 +88,29 @@ let test_config_mapping_arity_checked () =
 (* - Node - *)
 
 let test_node_lazy_sync () =
-  let node = Node.create ~id:0 ~module_index:1 ~kind:Battery.Ideal ~capacity_pj:100. in
+  let node =
+    Node.create ~id:0 ~module_index:1
+      ~battery:(Battery.create ~kind:Battery.Ideal ~capacity_pj:100.)
+  in
   Node.sync node ~cycle:50;
   Alcotest.(check int) "synced" 50 node.Node.synced_to;
   Node.sync node ~cycle:30;
   Alcotest.(check int) "never backwards" 50 node.Node.synced_to
 
 let test_node_draw_and_death () =
-  let node = Node.create ~id:0 ~module_index:0 ~kind:Battery.Ideal ~capacity_pj:100. in
+  let node =
+    Node.create ~id:0 ~module_index:0
+      ~battery:(Battery.create ~kind:Battery.Ideal ~capacity_pj:100.)
+  in
   Alcotest.(check bool) "draw ok" true (Node.draw node ~cycle:10 ~energy_pj:60.);
   Alcotest.(check bool) "overdraw kills" false (Node.draw node ~cycle:20 ~energy_pj:60.);
   Alcotest.(check bool) "dead" true (Node.is_dead node)
 
 let test_node_level () =
-  let node = Node.create ~id:0 ~module_index:0 ~kind:Battery.Ideal ~capacity_pj:100. in
+  let node =
+    Node.create ~id:0 ~module_index:0
+      ~battery:(Battery.create ~kind:Battery.Ideal ~capacity_pj:100.)
+  in
   Alcotest.(check int) "full" 7 (Node.level node ~cycle:0 ~levels:8);
   ignore (Node.draw node ~cycle:0 ~energy_pj:60.);
   Alcotest.(check int) "drained" 3 (Node.level node ~cycle:0 ~levels:8)
@@ -123,7 +132,7 @@ let test_job_lifecycle () =
   Alcotest.(check int) "ready immediately" 100 (Job.ready_at job);
   Alcotest.(check bool) "not finished" false (Job.finished job);
   (* module 3 (index 2) does the first AddRoundKey *)
-  Alcotest.(check (option int)) "first module" (Some 2) (Job.needed_module job)
+  Alcotest.(check int) "first module" 2 (Job.needed_module job)
 
 let test_job_runs_to_verified_completion () =
   let job = make_job 1 in
@@ -131,7 +140,9 @@ let test_job_runs_to_verified_completion () =
     Job.apply_act job
   done;
   Alcotest.(check bool) "finished" true (Job.finished job);
-  Alcotest.(check (option int)) "no module needed" None (Job.needed_module job);
+  Alcotest.check_raises "no module needed"
+    (Invalid_argument "Job.needed_module: job already finished") (fun () ->
+      ignore (Job.needed_module job));
   Alcotest.(check bool) "ciphertext verified" true (Job.verified job);
   Alcotest.check_raises "no act past the end"
     (Invalid_argument "Job.apply_act: job already finished") (fun () -> Job.apply_act job)
