@@ -153,20 +153,6 @@ let obs_overhead_kernel =
         let engine = Etx_etsim.Engine.create config in
         Etx_etsim.Engine.run_frames engine ~count:64)
 
-(* checkpoint serialization cost: snapshot a mid-life 6x6 engine and
-   validate the frame round-trip (what --checkpoint-every pays per tick,
-   minus the file system) *)
-let checkpoint_kernel =
-  let config = Etextile.Calibration.config ~mesh_size:6 ~seed:1 () in
-  let engine = Etx_etsim.Engine.create config in
-  (match Etx_etsim.Engine.run_until engine ~cycle:10_000 with
-  | Etx_etsim.Engine.Paused -> ()
-  | Etx_etsim.Engine.Finished _ -> failwith "bench engine died before cycle 10000");
-  fun () ->
-    ignore
-      (Etx_etsim.Checkpoint.unframe
-         (Etx_etsim.Checkpoint.frame (Etx_etsim.Engine.checkpoint engine)))
-
 (* server round trip on the cache-hit path: parse the request line,
    canonicalize the scenario into its fingerprint, hit the LRU and
    serialize the response — the per-request overhead a warm service
@@ -251,7 +237,6 @@ let entries =
     ("kernel/fault-frame-64", fault_frame_kernel);
     ("kernel/frame-loop-64", frame_loop_kernel);
     ("kernel/obs-overhead", obs_overhead_kernel);
-    ("kernel/checkpoint-36", checkpoint_kernel);
     ("kernel/service-roundtrip-hit", service_roundtrip_kernel);
     ("kernel/cluster-roundtrip-hit", cluster_roundtrip_kernel);
     ("kernel/store-read", store_read_kernel);

@@ -283,16 +283,6 @@ let dump (t : t) : charge =
     { dead = t.dead; delivered_pj = t.delivered.(0); available_pj = tf.available;
       bound_pj = tf.bound; load_power = tf.load_power }
 
-let restore (t : t) (c : charge) =
-  t.dead <- c.dead;
-  t.delivered.(0) <- c.delivered_pj;
-  (match t.state with
-   | Ideal_state s -> s.charge <- c.available_pj
-   | Thin_film_state { wells = tf; _ } ->
-     tf.available <- c.available_pj;
-     tf.bound <- c.bound_pj;
-     tf.load_power <- c.load_power)
-
 let level (t : t) ~levels =
   if levels <= 0 then invalid_arg "Battery.level: levels must be positive";
   if t.dead then 0

@@ -83,16 +83,10 @@ type charge = {
   bound_pj : float;  (** 0 for the ideal model *)
   load_power : float;  (** EWMA, 0 for the ideal model *)
 }
-(** Full mutable state of a battery, for checkpointing. *)
+(** Full mutable state of a battery: a checkpoint's witness digests it. *)
 
 val dump : t -> charge
-(** Capture the mutable state.  Restoring it into a battery created with
-    the same [kind] and [capacity_pj] reproduces the original exactly. *)
-
-val restore : t -> charge -> unit
-(** Overwrite the mutable state from a captured {!charge}.  The battery
-    must have been created with the same kind and capacity as the dumped
-    one; static parameters are not part of the charge record. *)
+(** Capture the mutable state. *)
 
 val level : t -> levels:int -> int
 (** Quantized state of charge reported to the central controller over the

@@ -4,8 +4,6 @@ let frame_period_cycles = 800
 let reception_energy_fraction = 0.8
 let battery_capacity_variation = 0.1
 
-let control_line_length_cm ~mesh_size = 10. +. (1.25 *. float_of_int (mesh_size - 4))
-
 let ear () = Etx_routing.Policy.ear ()
 let sdr () = Etx_routing.Policy.sdr ()
 
@@ -27,5 +25,5 @@ let config ?policy ?battery_kind ?controllers ?(seed = 1) ?(concurrent_jobs = 1)
     ?workloads ?link_failure_schedule ?fault ?max_retransmissions
     ~battery_capacity_pj:battery_budget_pj
     ~battery_capacity_variation ~frame_period_cycles ~reception_energy_fraction
-    ~control_line_length_cm:(control_line_length_cm ~mesh_size)
+    ~control_line_length_cm:(Etx_etsim.Config.mesh_control_line_cm ~mesh_size)
     ~job_source:Etx_etsim.Config.Round_robin_entry ~concurrent_jobs ~seed ()

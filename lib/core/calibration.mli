@@ -19,9 +19,6 @@ val frame_period_cycles : int
 val reception_energy_fraction : float
 val battery_capacity_variation : float
 
-val control_line_length_cm : mesh_size:int -> float
-(** 10 cm for the 4x4 region, growing 1.25 cm per mesh step. *)
-
 val ear : unit -> Etx_routing.Policy.t
 val sdr : unit -> Etx_routing.Policy.t
 

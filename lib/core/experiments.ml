@@ -486,7 +486,7 @@ let generality ?(module_counts = [ 2; 3; 4; 5; 6 ]) ?(seeds = Calibration.defaul
         ~battery_capacity_variation:Calibration.battery_capacity_variation
         ~frame_period_cycles:Calibration.frame_period_cycles
         ~reception_energy_fraction:Calibration.reception_energy_fraction
-        ~control_line_length_cm:(Calibration.control_line_length_cm ~mesh_size)
+        ~control_line_length_cm:(Etx_etsim.Config.mesh_control_line_cm ~mesh_size)
         ~job_source:Etx_etsim.Config.Round_robin_entry ~seed ()
     in
     let ear_configs = configs_of ~seeds ~make:(make (Calibration.ear ())) in

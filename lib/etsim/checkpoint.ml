@@ -9,6 +9,8 @@ type error =
   | Crc_mismatch
   | Fingerprint_mismatch of { expected : string; found : string }
   | Malformed of string
+  | Witness_mismatch of { cycle : int }
+  | Run_ended of { cycle : int; ended : int }
 
 exception Error of error
 
@@ -22,6 +24,11 @@ let pp_error fmt = function
       "checkpoint was taken under a different configuration@ (expected %s, found %s)"
       expected found
   | Malformed what -> Format.fprintf fmt "malformed checkpoint: %s" what
+  | Witness_mismatch { cycle } ->
+    Format.fprintf fmt "the replayed run does not match the checkpoint at cycle %d" cycle
+  | Run_ended { cycle; ended } ->
+    Format.fprintf fmt "the run ends at cycle %d, before the checkpoint's cycle %d" ended
+      cycle
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
@@ -60,36 +67,20 @@ module Writer = struct
   let create () = Buffer.create 4096
 
   let byte t v = Buffer.add_char t (Char.chr (v land 0xFF))
-  let bool t v = byte t (if v then 1 else 0)
-  let int64 t v = Buffer.add_int64_le t v
-  let int t v = int64 t (Int64.of_int v)
-  let float t v = int64 t (Int64.bits_of_float v)
+  let int t v = Buffer.add_int64_le t (Int64.of_int v)
+  let float t v = Buffer.add_int64_le t (Int64.bits_of_float v)
 
   let string t s =
     int t (String.length s);
     Buffer.add_string t s
 
-  let bytes t b =
-    int t (Bytes.length b);
-    Buffer.add_bytes t b
-
-  let option t f = function
-    | None -> bool t false
-    | Some v ->
-      bool t true;
-      f v
-
   let list t f xs =
     int t (List.length xs);
     List.iter f xs
 
-  let array t f xs =
+  let float_array t xs =
     int t (Array.length xs);
-    Array.iter f xs
-
-  let int_array t xs = array t (int t) xs
-  let float_array t xs = array t (float t) xs
-  let bool_array t xs = array t (bool t) xs
+    Array.iter (float t) xs
 
   let contents t = Buffer.to_bytes t
 end
@@ -113,12 +104,6 @@ module Reader = struct
     t.pos <- t.pos + 1;
     v
 
-  let bool t =
-    match byte t with
-    | 0 -> false
-    | 1 -> true
-    | n -> malformed (Printf.sprintf "invalid bool byte %d" n)
-
   let int64 t =
     need t 8;
     let v = Bytes.get_int64_le t.buf t.pos in
@@ -133,25 +118,13 @@ module Reader = struct
 
   let float t = Int64.float_of_bits (int64 t)
 
-  let length_prefix t what =
-    let n = int t in
-    if n < 0 then malformed (Printf.sprintf "negative %s length" what);
-    need t n;
-    n
-
   let string t =
-    let n = length_prefix t "string" in
+    let n = int t in
+    if n < 0 then malformed "negative string length";
+    need t n;
     let v = Bytes.sub_string t.buf t.pos n in
     t.pos <- t.pos + n;
     v
-
-  let bytes t =
-    let n = length_prefix t "bytes" in
-    let v = Bytes.sub t.buf t.pos n in
-    t.pos <- t.pos + n;
-    v
-
-  let option t f = if bool t then Some (f ()) else None
 
   let count t what =
     let n = int t in
@@ -161,13 +134,10 @@ module Reader = struct
     n
 
   let list t f = List.init (count t "list") (fun _ -> f ())
-  let array t f = Array.init (count t "array") (fun _ -> f ())
-  let int_array t = array t (fun () -> int t)
-  let float_array t = array t (fun () -> float t)
-  let bool_array t = array t (fun () -> bool t)
+  let float_array t = Array.init (count t "array") (fun _ -> float t)
 
-  let at_end t = t.pos = Bytes.length t.buf
-  let expect_end t = if not (at_end t) then malformed "trailing bytes after payload"
+  let expect_end t =
+    if t.pos <> Bytes.length t.buf then malformed "trailing bytes after payload"
 end
 
 (* Frame layout: magic (8) | version u32 | length u64 | payload | crc u32 *)

@@ -1,7 +1,7 @@
 (** Versioned, CRC-protected binary checkpoint encoding.
 
-    The simulator's crash-safety layer serializes engine state (and sweep
-    manifests) through this module.  A checkpoint file is a single frame:
+    Engine checkpoints and sweep manifests are written through this
+    module.  A checkpoint file is a single frame:
 
     {v
       magic   "ETXCKPT1"          8 bytes
@@ -23,8 +23,8 @@
     never leaves a truncated checkpoint behind. *)
 
 val version : int
-(** Current payload format version.  Bumped whenever the engine field
-    sequence changes; older files are rejected with
+(** Current frame format version, shared by engine checkpoints and sweep
+    manifests; files of any other version are rejected with
     [Unsupported_version]. *)
 
 type error =
@@ -35,6 +35,11 @@ type error =
   | Fingerprint_mismatch of { expected : string; found : string }
       (** checkpoint was taken under a different configuration *)
   | Malformed of string  (** field decode ran off the payload or was invalid *)
+  | Witness_mismatch of { cycle : int }
+      (** replaying the run to the checkpoint's [cycle] did not reproduce
+          the counters and charges the checkpoint recorded *)
+  | Run_ended of { cycle : int; ended : int }
+      (** the run dies at cycle [ended], before the checkpoint's [cycle] *)
 
 exception Error of error
 
@@ -52,12 +57,9 @@ module Writer : sig
 
   val create : unit -> t
   val byte : t -> int -> unit
-  val bool : t -> bool -> unit
 
   val int : t -> int -> unit
   (** 8-byte two's-complement LE. *)
-
-  val int64 : t -> int64 -> unit
 
   val float : t -> float -> unit
   (** IEEE-754 bit pattern, exact round-trip. *)
@@ -65,15 +67,8 @@ module Writer : sig
   val string : t -> string -> unit
   (** Length-prefixed. *)
 
-  val bytes : t -> bytes -> unit
-  (** Length-prefixed. *)
-
-  val option : t -> ('a -> unit) -> 'a option -> unit
   val list : t -> ('a -> unit) -> 'a list -> unit
-  val array : t -> ('a -> unit) -> 'a array -> unit
-  val int_array : t -> int array -> unit
   val float_array : t -> float array -> unit
-  val bool_array : t -> bool array -> unit
 
   val contents : t -> bytes
   (** The payload accumulated so far. *)
@@ -86,21 +81,11 @@ module Reader : sig
 
   val create : bytes -> t
   val byte : t -> int
-  val bool : t -> bool
   val int : t -> int
-  val int64 : t -> int64
   val float : t -> float
   val string : t -> string
-  val bytes : t -> bytes
-  val option : t -> (unit -> 'a) -> 'a option
   val list : t -> (unit -> 'a) -> 'a list
-  val array : t -> (unit -> 'a) -> 'a array
-  val int_array : t -> int array
   val float_array : t -> float array
-  val bool_array : t -> bool array
-
-  val at_end : t -> bool
-  (** All payload bytes consumed. *)
 
   val expect_end : t -> unit
   (** @raise Error [(Malformed _)] if payload bytes remain. *)

@@ -199,6 +199,8 @@ let make ?policy ?mapping ?(packet = Etx_energy.Packet.aes_default)
 
 let node_count t = Etx_graph.Topology.node_count t.topology
 
+let mesh_control_line_cm ~mesh_size = 10. +. (1.25 *. float_of_int (mesh_size - 4))
+
 let control_bit_energy_pj t =
   Etx_energy.Transmission_line.energy_per_bit t.line ~length_cm:t.control_line_length_cm
 

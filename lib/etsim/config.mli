@@ -152,6 +152,11 @@ val make :
 
 val node_count : t -> int
 
+val mesh_control_line_cm : mesh_size:int -> float
+(** The control medium's length on a [mesh_size]-square mesh: 10 cm for
+    the 4x4 region, growing 1.25 cm per mesh step (the calibrated value;
+    {!make}'s default is the 4x4 one). *)
+
 val control_bit_energy_pj : t -> float
 (** Energy to move one bit across the shared control medium. *)
 

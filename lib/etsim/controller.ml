@@ -210,63 +210,3 @@ let residual_energy_pj t =
       (fun b -> if not (Battery.is_dead b) then total := !total +. Battery.remaining_pj b)
       f.batteries;
     !total
-
-let current_table t = t.table
-
-type state = {
-  bank_active : int;
-  bank_charges : Battery.charge array;
-  previous_snapshot : Router.snapshot option;
-  table : Routing_table.t option;
-  recomputations : int;
-  download_energy : float;
-  compute_energy : float;
-  deaths : int;
-}
-
-let copy_snapshot (s : Router.snapshot) : Router.snapshot =
-  {
-    Router.alive = Array.copy s.alive;
-    battery_level = Array.copy s.battery_level;
-    levels = s.levels;
-    locked_ports = s.locked_ports;
-    failed_links = s.failed_links;
-  }
-
-let dump t =
-  let bank_active, bank_charges =
-    match t.bank with
-    | Infinite -> (0, [||])
-    | Finite f -> (f.active, Array.map Battery.dump f.batteries)
-  in
-  {
-    bank_active;
-    bank_charges;
-    previous_snapshot = Option.map copy_snapshot t.previous_snapshot;
-    table = Option.map Routing_table.copy t.table;
-    recomputations = t.recomputations;
-    download_energy = t.download_energy;
-    compute_energy = t.compute_energy;
-    deaths = t.deaths;
-  }
-
-let restore t (s : state) =
-  (match t.bank with
-  | Infinite ->
-    if Array.length s.bank_charges <> 0 then
-      invalid_arg "Controller.restore: bank size mismatch"
-  | Finite f ->
-    if Array.length s.bank_charges <> Array.length f.batteries then
-      invalid_arg "Controller.restore: bank size mismatch";
-    if s.bank_active < 0 || s.bank_active > Array.length f.batteries then
-      invalid_arg "Controller.restore: active index out of range";
-    Array.iteri (fun i c -> Battery.restore f.batteries.(i) c) s.bank_charges;
-    f.active <- s.bank_active);
-  t.previous_snapshot <- Option.map copy_snapshot s.previous_snapshot;
-  t.table <- Option.map Routing_table.copy s.table;
-  (* the next download is billed against the restored table *)
-  Router.set_previous_table t.workspace t.table;
-  t.recomputations <- s.recomputations;
-  t.download_energy <- s.download_energy;
-  t.compute_energy <- s.compute_energy;
-  t.deaths <- s.deaths

@@ -44,25 +44,3 @@ val stranded_energy_pj : t -> float
 
 val residual_energy_pj : t -> float
 (** Energy left in live (active + standby) controller batteries. *)
-
-val current_table : t -> Etx_routing.Routing_table.t option
-
-type state = {
-  bank_active : int;  (** index of the active controller (0 for infinite) *)
-  bank_charges : Etx_battery.Battery.charge array;  (** empty for infinite *)
-  previous_snapshot : Etx_routing.Router.snapshot option;
-  table : Etx_routing.Routing_table.t option;
-  recomputations : int;
-  download_energy : float;
-  compute_energy : float;
-  deaths : int;
-}
-(** Full mutable state of the controller bank, for checkpointing. *)
-
-val dump : t -> state
-(** Capture the mutable state (arrays and tables are deep-copied). *)
-
-val restore : t -> state -> unit
-(** Overwrite the mutable state of a controller created from the same
-    config.  @raise Invalid_argument when the bank shape does not
-    match. *)

@@ -1207,12 +1207,30 @@ let corrupt_state_for_test t =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / restore.                                              *)
 (*                                                                    *)
-(* Only the dynamic state is serialized: everything static or derived *)
-(* (graph, per-edge energies, node capacities, the compiled fault     *)
-(* plan's event arrays) is recomputed deterministically by [create]   *)
-(* from the same config, and a fingerprint embedded in the payload    *)
-(* guards against restoring under a different configuration.          *)
+(* The engine is deterministic in its config, and the fingerprint     *)
+(* names everything in the config that shapes a run.  A checkpoint    *)
+(* therefore names a run and a cycle: [restore] creates the engine    *)
+(* afresh and replays it to that cycle.  A witness, a digest of the   *)
+(* counters and every node's charge there, refuses a replay that does *)
+(* not land where the checkpointed run stood.                         *)
 (* ------------------------------------------------------------------ *)
+
+(* [Some size] for the fabric every CLI and wire config runs on, a
+   square mesh of 1 cm links: the edge count matches, and every edge is
+   a distinct 1 cm link between grid neighbours *)
+let square_mesh_side (topology : Etx_graph.Topology.t) =
+  match topology.Etx_graph.Topology.kind with
+  | Etx_graph.Topology.Mesh { rows = side; cols } when cols = side ->
+    let graph = topology.Etx_graph.Topology.graph in
+    if
+      Digraph.node_count graph = side * side
+      && Digraph.edge_count graph = 4 * side * (side - 1)
+      && Digraph.fold_edges graph ~init:true ~f:(fun ok ~src ~dst ~length ->
+             let d = abs (src - dst) in
+             ok && length = 1. && (d = side || (d = 1 && src / side = dst / side)))
+    then Some side
+    else None
+  | _ -> None
 
 let fingerprint (config : Config.t) =
   let digest v = String.sub (Digest.to_hex (Digest.string v)) 0 16 in
@@ -1236,10 +1254,12 @@ let fingerprint (config : Config.t) =
   in
   (* The same for every other field that shapes a run: each is spelled
      out only off the value every CLI and wire config has (Config.make's
-     default, and the calibrated round-robin entry), so every
+     default, the calibrated round-robin entry, and a square mesh of 1 cm
+     links with the calibrated control medium for its size), so every
      fingerprint reachable from those keeps its form. *)
   let c = config in
   let mapping = Mapping.assignment c.Config.mapping in
+  let mesh_side = square_mesh_side c.Config.topology in
   let extras =
     String.concat ""
       [
@@ -1253,6 +1273,47 @@ let fingerprint (config : Config.t) =
          else Printf.sprintf ";buf=%d" c.Config.buffer_capacity);
         (if c.Config.key_hex = Config.default_key_hex then "" else ";key=" ^ c.Config.key_hex);
         (match c.Config.max_jobs with None -> "" | Some n -> Printf.sprintf ";maxjobs=%d" n);
+        (* the topology beyond its edge count: the directed edges and
+           their lengths are all of it the engine reads *)
+        (match mesh_side with
+        | Some _ -> ""
+        | None ->
+          let edges =
+            Digraph.fold_edges c.Config.topology.Etx_graph.Topology.graph ~init:[]
+              ~f:(fun acc ~src ~dst ~length -> (src, dst, length) :: acc)
+          in
+          ";topo=" ^ digest (Marshal.to_string edges [ Marshal.No_sharing ]));
+        (if
+           c.Config.packet = Packet.aes_default
+           && c.Config.line = Etx_energy.Transmission_line.paper_lines
+           && c.Config.computation = Computation.aes
+           && c.Config.computation_cycles = Computation.aes_cycles_per_act
+           && c.Config.link_width_bits = 32
+           && c.Config.reception_energy_fraction = 0.8
+         then ""
+         else
+           ";phys="
+           ^ digest
+               (Marshal.to_string
+                  ( c.Config.packet,
+                    c.Config.line,
+                    c.Config.computation,
+                    c.Config.computation_cycles,
+                    c.Config.link_width_bits,
+                    c.Config.reception_energy_fraction )
+                  [ Marshal.No_sharing ]));
+        (if
+           c.Config.control_medium_width_bits = 2
+           && c.Config.report_bits = 4
+           && c.Config.instruction_bits = 8
+           && Option.map (fun mesh_size -> Config.mesh_control_line_cm ~mesh_size) mesh_side
+              = Some c.Config.control_line_length_cm
+           && c.Config.deadlock_threshold_cycles = 1000
+         then ""
+         else
+           Printf.sprintf ";tdma=%d/%d/%d/%h;deadlock=%d" c.Config.control_medium_width_bits
+             c.Config.report_bits c.Config.instruction_bits c.Config.control_line_length_cm
+             c.Config.deadlock_threshold_cycles);
         (if
            c.Config.controller_power = Etx_energy.Controller_power.paper_anchor
            && c.Config.controller_battery_kind
@@ -1282,16 +1343,18 @@ let fingerprint (config : Config.t) =
   in
   Printf.sprintf
     "etsim-ckpt-v%d;n=%d;m=%d;edges=%d;policy=%s/%d;seed=%d;frame=%d;max=%d;\
-     jobs=%d;batt=%s/%g/%g;wl=%s;fault=%s;retx=%d;ack=%d;sched=%d%s%s"
+     jobs=%d;batt=%s/%s/%s;wl=%s;fault=%s;retx=%d;ack=%d;sched=%d%s%s"
     Checkpoint.version (Config.node_count config) config.Config.module_count
     (Digraph.edge_count config.Config.topology.Etx_graph.Topology.graph)
-    config.Config.policy.Etx_routing.Policy.name
+    (Etx_routing.Policy.fingerprint config.Config.policy)
     config.Config.policy.Etx_routing.Policy.levels config.Config.seed
     config.Config.frame_period_cycles config.Config.max_cycles
     config.Config.concurrent_jobs
     (battery_kind config.Config.battery_kind)
-    config.Config.battery_capacity_pj config.Config.battery_capacity_variation
-    (String.concat "+" (List.map Workload.name config.Config.workloads))
+    (Fault_spec.exact_float config.Config.battery_capacity_pj)
+    (Fault_spec.exact_float config.Config.battery_capacity_variation)
+    (String.concat "+"
+       (List.map (Workload.fingerprint ~key_hex:config.Config.key_hex) config.Config.workloads))
     fault config.Config.max_retransmissions config.Config.ack_timeout_cycles
     (List.length config.Config.link_failure_schedule)
     controllers extras
@@ -1301,131 +1364,35 @@ let config_fingerprint = fingerprint
 module W = Checkpoint.Writer
 module R = Checkpoint.Reader
 
-let malformed what = raise (Checkpoint.Error (Checkpoint.Malformed what))
-
-let write_charge w (c : Etx_battery.Battery.charge) =
-  W.bool w c.Etx_battery.Battery.dead;
-  W.float w c.Etx_battery.Battery.delivered_pj;
-  W.float w c.Etx_battery.Battery.available_pj;
-  W.float w c.Etx_battery.Battery.bound_pj;
-  W.float w c.Etx_battery.Battery.load_power
-
-let read_charge r : Etx_battery.Battery.charge =
-  let dead = R.bool r in
-  let delivered_pj = R.float r in
-  let available_pj = R.float r in
-  let bound_pj = R.float r in
-  let load_power = R.float r in
-  { Etx_battery.Battery.dead; delivered_pj; available_pj; bound_pj; load_power }
-
-let write_table w table =
-  let node_count = Routing_table.node_count table in
-  let module_count = Routing_table.module_count table in
-  W.int w node_count;
-  W.int w module_count;
-  for node = 0 to node_count - 1 do
-    for module_index = 0 to module_count - 1 do
-      match Routing_table.get table ~node ~module_index with
-      | Routing_table.Deliver_here -> W.byte w 0
-      | Routing_table.Forward { next_hop; destination } ->
-        W.byte w 1;
-        W.int w next_hop;
-        W.int w destination
-      | Routing_table.Unreachable -> W.byte w 2
-    done
-  done
-
-let read_table r =
-  let node_count = R.int r in
-  let module_count = R.int r in
-  if node_count <= 0 || module_count <= 0 then malformed "routing table dimensions";
-  let table = Routing_table.create ~node_count ~module_count in
-  for node = 0 to node_count - 1 do
-    for module_index = 0 to module_count - 1 do
-      let entry =
-        match R.byte r with
-        | 0 -> Routing_table.Deliver_here
-        | 1 ->
-          let next_hop = R.int r in
-          let destination = R.int r in
-          Routing_table.Forward { next_hop; destination }
-        | 2 -> Routing_table.Unreachable
-        | tag -> malformed (Printf.sprintf "routing entry tag %d" tag)
-      in
-      Routing_table.set table ~node ~module_index entry
-    done
-  done;
-  table
-
-let write_pair w (a, b) =
-  W.int w a;
-  W.int w b
-
-let read_pair r =
-  let a = R.int r in
-  let b = R.int r in
-  (a, b)
-
-let write_snapshot w (s : Router.snapshot) =
-  W.bool_array w s.Router.alive;
-  W.int_array w s.Router.battery_level;
-  W.int w s.Router.levels;
-  W.list w (write_pair w) s.Router.locked_ports;
-  W.list w (write_pair w) s.Router.failed_links
-
-let read_snapshot r : Router.snapshot =
-  let alive = R.bool_array r in
-  let battery_level = R.int_array r in
-  let levels = R.int r in
-  let locked_ports = R.list r (fun () -> read_pair r) in
-  let failed_links = R.list r (fun () -> read_pair r) in
-  { Router.alive; battery_level; levels; locked_ports; failed_links }
-
-let write_phase w (phase : Job.phase) =
-  match phase with
-  | Job.Waiting { node; since; retry_at } ->
-    W.byte w 0;
-    W.int w node;
-    W.int w since;
-    W.int w retry_at
-  | Job.Computing { node; until } ->
-    W.byte w 1;
-    W.int w node;
-    W.int w until
-  | Job.In_transit { src; dst; until; attempt } ->
-    W.byte w 2;
-    W.int w src;
-    W.int w dst;
-    W.int w until;
-    W.int w attempt
-
-let read_phase r : Job.phase =
-  match R.byte r with
-  | 0 ->
-    let node = R.int r in
-    let since = R.int r in
-    let retry_at = R.int r in
-    Job.Waiting { node; since; retry_at }
-  | 1 ->
-    let node = R.int r in
-    let until = R.int r in
-    Job.Computing { node; until }
-  | 2 ->
-    let src = R.int r in
-    let dst = R.int r in
-    let until = R.int r in
-    let attempt = R.int r in
-    Job.In_transit { src; dst; until; attempt }
-  | tag -> malformed (Printf.sprintf "job phase tag %d" tag)
-
-let workload_index t workload =
-  let rec go i =
-    if i >= Array.length t.workloads then
-      invalid_arg "Engine.checkpoint: job carries an unknown workload"
-    else if t.workloads.(i) == workload then i
-    else go (i + 1)
-  in
-  go 0
+let witness t =
+  let w = W.create () in
+  List.iter (W.int w)
+    [
+      t.cycle; t.next_job_id; t.jobs_completed; t.jobs_verified; t.jobs_lost;
+      t.node_deaths; t.links_failed; t.frames; t.deadlocks_reported;
+      t.deadlocks_recovered; t.hops; t.acts; t.latency_max; t.retransmissions;
+      t.packets_corrupted; t.packets_dropped; t.link_wearouts; t.brownouts;
+      t.uploads_dropped; t.downloads_dropped; t.staleness_total; t.staleness_max;
+      Controller.recomputations t.controller; Controller.deaths t.controller;
+    ];
+  List.iter (W.float w)
+    [
+      t.computation_energy; t.communication_energy; t.upload_energy;
+      Controller.download_energy_pj t.controller;
+      Controller.compute_energy_pj t.controller;
+    ];
+  W.float_array w t.computation_by_module;
+  Array.iter
+    (fun node ->
+      let c = Battery.dump node.Node.battery in
+      W.int w (Bool.to_int c.Battery.dead);
+      List.iter (W.float w)
+        [
+          c.Battery.delivered_pj; c.Battery.available_pj; c.Battery.bound_pj;
+          c.Battery.load_power;
+        ])
+    t.nodes;
+  Digest.to_hex (Digest.bytes (W.contents w))
 
 let checkpoint t =
   if not t.started then invalid_arg "Engine.checkpoint: engine has not started";
@@ -1435,257 +1402,40 @@ let checkpoint t =
   | Running -> ());
   let w = W.create () in
   W.string w (fingerprint t.config);
-  let n = Array.length t.nodes in
-  W.int w n;
-  W.int w t.config.Config.module_count;
-  W.int w t.workload_rotation;
-  W.int w t.next_job_id;
   W.int w t.cycle;
-  W.int w t.next_frame;
-  W.int w t.last_frame;
-  Array.iter
-    (fun node ->
-      write_charge w (Etx_battery.Battery.dump node.Node.battery);
-      W.int w node.Node.synced_to;
-      W.int w node.Node.busy_until;
-      W.int w node.Node.occupancy;
-      W.option w (W.int w) node.Node.locked_hop;
-      W.int w node.Node.offline_until)
-    t.nodes;
-  let controller = Controller.dump t.controller in
-  W.int w controller.Controller.bank_active;
-  W.array w (write_charge w) controller.Controller.bank_charges;
-  W.option w (write_snapshot w) controller.Controller.previous_snapshot;
-  W.option w (write_table w) controller.Controller.table;
-  W.int w controller.Controller.recomputations;
-  W.float w controller.Controller.download_energy;
-  W.float w controller.Controller.compute_energy;
-  W.int w controller.Controller.deaths;
-  W.option w (write_table w) t.table;
-  (* the stale-copy buffer matters only while [table] aliases it; the
-     alias bit lets restore re-create that sharing exactly *)
-  W.bool w
-    (match (t.table, t.stale_table) with
-    | Some current, Some stale -> current == stale
-    | _ -> false);
-  W.int w (Jobs.length t.jobs);
-  Jobs.iter t.jobs ~f:(fun job ->
-      W.int w job.Job.id;
-      W.int w (workload_index t job.Job.workload);
-      W.bytes w job.Job.payload0;
-      W.bytes w job.Job.expected;
-      W.bytes w job.Job.payload;
-      W.int w job.Job.step;
-      write_phase w job.Job.phase;
-      W.int w job.Job.launched_at);
-  W.int_array w t.link_busy;
-  W.bool_array w t.link_dead;
-  W.list w
-    (fun (c, a, b) ->
-      W.int w c;
-      W.int w a;
-      W.int w b)
-    t.pending_failures;
-  W.int w t.links_failed;
-  W.int64 w (Prng.state t.prng);
-  W.int w t.entry_rotation;
-  W.int w t.jobs_completed;
-  W.int w t.jobs_verified;
-  W.int w t.jobs_lost;
-  W.float w t.computation_energy;
-  W.float w t.communication_energy;
-  W.float w t.upload_energy;
-  W.int w t.node_deaths;
-  W.int w t.frames;
-  W.int w t.deadlocks_reported;
-  W.int w t.deadlocks_recovered;
-  W.int w t.hops;
-  W.int w t.acts;
-  W.float_array w t.computation_by_module;
-  let latency = Etx_util.Stats.dump t.latency_stats in
-  W.int w latency.Etx_util.Stats.count;
-  W.float w latency.Etx_util.Stats.mean;
-  W.float w latency.Etx_util.Stats.m2;
-  W.float w latency.Etx_util.Stats.min;
-  W.float w latency.Etx_util.Stats.max;
-  W.float w latency.Etx_util.Stats.total;
-  W.int w t.latency_max;
-  W.option w
-    (fun plan ->
-      let p = Fault_plan.position plan in
-      W.int w p.Fault_plan.cursor;
-      W.int64 w p.Fault_plan.data_state;
-      W.int64 w p.Fault_plan.control_state)
-    t.plan;
-  W.int_array w t.reported_level;
-  W.int_array w t.staleness;
-  W.int w t.staleness_total;
-  W.int w t.staleness_max;
-  W.int w t.retransmissions;
-  W.int w t.packets_corrupted;
-  W.int w t.packets_dropped;
-  W.int w t.link_wearouts;
-  W.int w t.brownouts;
-  W.int w t.uploads_dropped;
-  W.int w t.downloads_dropped;
+  W.string w (witness t);
   W.contents w
 
-let restore ?trace_capacity ?record_timeline config payload =
-  let t = create ?trace_capacity ?record_timeline config in
+let restore ?trace_capacity ?(record_timeline = false) config payload =
   let r = R.create payload in
   let found = R.string r in
   let expected = fingerprint config in
   if found <> expected then
     raise (Checkpoint.Error (Checkpoint.Fingerprint_mismatch { expected; found }));
-  let n = Array.length t.nodes in
-  if R.int r <> n then malformed "node count";
-  if R.int r <> t.config.Config.module_count then malformed "module count";
-  t.workload_rotation <- R.int r;
-  t.next_job_id <- R.int r;
-  t.cycle <- R.int r;
-  t.next_frame <- R.int r;
-  t.last_frame <- R.int r;
-  Array.iter
-    (fun node ->
-      Etx_battery.Battery.restore node.Node.battery (read_charge r);
-      node.Node.synced_to <- R.int r;
-      node.Node.busy_until <- R.int r;
-      node.Node.occupancy <- R.int r;
-      node.Node.locked_hop <- R.option r (fun () -> R.int r);
-      node.Node.offline_until <- R.int r)
-    t.nodes;
-  let bank_active = R.int r in
-  let bank_charges = R.array r (fun () -> read_charge r) in
-  let previous_snapshot = R.option r (fun () -> read_snapshot r) in
-  let controller_table = R.option r (fun () -> read_table r) in
-  let recomputations = R.int r in
-  let download_energy = R.float r in
-  let compute_energy = R.float r in
-  let deaths = R.int r in
-  (try
-     Controller.restore t.controller
-       {
-         Controller.bank_active;
-         bank_charges;
-         previous_snapshot;
-         table = controller_table;
-         recomputations;
-         download_energy;
-         compute_energy;
-         deaths;
-       }
-   with Invalid_argument what -> malformed what);
-  let table = R.option r (fun () -> read_table r) in
-  (match table with
-  | Some table
-    when Routing_table.node_count table <> n
-         || Routing_table.module_count table <> t.config.Config.module_count ->
-    malformed "routing table dimensions"
-  | Some _ | None -> ());
-  let table_aliases_stale = R.bool r in
-  if table_aliases_stale then begin
-    t.table <- table;
-    t.stale_table <- table
-  end
-  else begin
-    t.table <- table;
-    t.stale_table <- None
-  end;
-  let job_count = R.int r in
-  if job_count < 0 then malformed "job count";
-  for _ = 1 to job_count do
-    let id = R.int r in
-    let wl = R.int r in
-    if wl < 0 || wl >= Array.length t.workloads then malformed "workload index";
-    let payload0 = R.bytes r in
-    let expected = R.bytes r in
-    let payload = R.bytes r in
-    let step = R.int r in
-    let phase = read_phase r in
-    let launched_at = R.int r in
-    let job =
-      Job.launch ~id ~workload:t.workloads.(wl) ~payload:payload0 ~expected ~entry:0
-        ~cycle:launched_at
-    in
-    job.Job.payload <- payload;
-    job.Job.step <- step;
-    job.Job.phase <- phase;
-    Jobs.push t.jobs job
-  done;
-  let link_busy = R.int_array r in
-  if Array.length link_busy <> Array.length t.link_busy then malformed "link matrix";
-  Array.blit link_busy 0 t.link_busy 0 (Array.length link_busy);
-  let link_dead = R.bool_array r in
-  if Array.length link_dead <> Array.length t.link_dead then malformed "link matrix";
-  Array.blit link_dead 0 t.link_dead 0 (Array.length link_dead);
-  rebuild_failed_links t;
-  t.pending_failures <-
-    R.list r (fun () ->
-        let c = R.int r in
-        let a = R.int r in
-        let b = R.int r in
-        (c, a, b));
-  t.links_failed <- R.int r;
-  Prng.set_state t.prng (R.int64 r);
-  t.entry_rotation <- R.int r;
-  t.jobs_completed <- R.int r;
-  t.jobs_verified <- R.int r;
-  t.jobs_lost <- R.int r;
-  t.computation_energy <- R.float r;
-  t.communication_energy <- R.float r;
-  t.upload_energy <- R.float r;
-  t.node_deaths <- R.int r;
-  t.frames <- R.int r;
-  t.deadlocks_reported <- R.int r;
-  t.deadlocks_recovered <- R.int r;
-  t.hops <- R.int r;
-  t.acts <- R.int r;
-  let by_module = R.float_array r in
-  if Array.length by_module <> Array.length t.computation_by_module then
-    malformed "per-module energy vector";
-  Array.blit by_module 0 t.computation_by_module 0 (Array.length by_module);
-  let count = R.int r in
-  let mean = R.float r in
-  let m2 = R.float r in
-  let min = R.float r in
-  let max = R.float r in
-  let total = R.float r in
-  Etx_util.Stats.restore_into t.latency_stats
-    { Etx_util.Stats.count; mean; m2; min; max; total };
-  t.latency_max <- R.int r;
-  let plan_position =
-    R.option r (fun () ->
-        let cursor = R.int r in
-        let data_state = R.int64 r in
-        let control_state = R.int64 r in
-        { Fault_plan.cursor; data_state; control_state })
+  let cycle, stored =
+    try
+      let cycle = R.int r in
+      let stored = R.string r in
+      R.expect_end r;
+      (cycle, stored)
+    with Checkpoint.Error (Checkpoint.Malformed _) ->
+      raise
+        (Checkpoint.Error
+           (Checkpoint.Malformed
+              "not a (fingerprint, cycle, witness) payload; files of the engine \
+               state codec are no longer read"))
   in
-  (match (t.plan, plan_position) with
-  | Some plan, Some position -> (
-    try Fault_plan.seek plan position
-    with Invalid_argument what -> malformed what)
-  | None, None -> ()
-  | Some _, None | None, Some _ -> malformed "fault plan presence mismatch");
-  let reported_level = R.int_array r in
-  if Array.length reported_level <> n then malformed "reported levels";
-  Array.blit reported_level 0 t.reported_level 0 n;
-  let staleness = R.int_array r in
-  if Array.length staleness <> n then malformed "staleness vector";
-  Array.blit staleness 0 t.staleness 0 n;
-  t.staleness_total <- R.int r;
-  t.staleness_max <- R.int r;
-  t.retransmissions <- R.int r;
-  t.packets_corrupted <- R.int r;
-  t.packets_dropped <- R.int r;
-  t.link_wearouts <- R.int r;
-  t.brownouts <- R.int r;
-  t.uploads_dropped <- R.int r;
-  t.downloads_dropped <- R.int r;
-  R.expect_end r;
-  t.status <- Running;
-  t.started <- true;
-  t.finished <- false;
-  t
+  (* replay untraced: the recorders of a restored engine start empty *)
+  let t = create config in
+  (match run_until t ~cycle with
+  | Paused -> ()
+  | Finished _ -> raise (Checkpoint.Error (Checkpoint.Run_ended { cycle; ended = t.cycle })));
+  if witness t <> stored then raise (Checkpoint.Error (Checkpoint.Witness_mismatch { cycle }));
+  {
+    t with
+    trace = Option.map (fun capacity -> Trace.create ~capacity) trace_capacity;
+    timeline = (if record_timeline then Some (Timeline.create ()) else None);
+  }
 
 let checkpoint_to_file t path = Checkpoint.write_file path (checkpoint t)
 

@@ -27,8 +27,8 @@ val create : ?trace_capacity:int -> ?record_timeline:bool -> Config.t -> t
 val run : t -> Metrics.t
 (** Simulate until platform death and return the collected metrics.
     [run] may only be called once per engine, and only on a freshly
-    created (not restored) one; use {!run_until} to continue a restored
-    engine. *)
+    created one: a {!restore}d engine has already run to its
+    checkpoint's cycle, so continue it with {!run_until}. *)
 
 type run_outcome =
   | Paused  (** the stop cycle was reached with the platform still alive *)
@@ -73,15 +73,16 @@ val timeline : t -> Timeline.t option
 
 (** {2 Checkpoint / restore}
 
-    The full dynamic simulation state round-trips through the
-    {!Checkpoint} binary format with a bit-identity guarantee: running
-    to cycle N, checkpointing, restoring and running to completion
-    produces metrics identical to the uninterrupted run.  Static and
-    derived state (topology, per-edge energies, node battery capacities,
-    the compiled fault-event stream) is recomputed from the config by
-    [restore]; a fingerprint embedded in the payload rejects restores
-    under a different configuration.  Trace and timeline recorders are
-    not checkpointed: a restored engine starts them empty. *)
+    A run is a function of its config, and {!config_fingerprint} names
+    the config, so a checkpoint names a run and a cycle: its payload is
+    the fingerprint, the cycle the engine stood at, and a witness (a
+    digest of the counters and every node's charge there).  [restore]
+    creates the engine afresh, replays it to that cycle and checks the
+    witness; running to cycle N, checkpointing, restoring and running to
+    completion produces metrics identical to the uninterrupted run.  A
+    restore costs at most one uninterrupted run.  The replayed prefix is
+    not traced: a restored engine starts its trace and timeline
+    recorders empty. *)
 
 val config_fingerprint : Config.t -> string
 (** The canonical configuration fingerprint embedded in checkpoint
@@ -90,26 +91,34 @@ val config_fingerprint : Config.t -> string
     workloads, fault spec, hardening knobs, a battery-powered controller
     bank, and the maximin routing kernel's version).  The module mapping
     (as a digest), a fixed entry node, the buffer capacity, the AES key,
-    a job cap and the controller power and battery knobs are spelled out
-    only off the value every CLI and wire config has, so those
-    fingerprints keep their form.  Fault rates print in
+    a job cap, the controller power and battery knobs, the topology
+    beyond its edge count, the physical and control-medium models, and
+    what a workload's or policy's name leaves open
+    ({!Workload.fingerprint}, {!Etx_routing.Policy.fingerprint}) are
+    spelled out only off the value every CLI and wire config has, so
+    those fingerprints keep their form.  Fault rates print in
     {!Etx_fault.Spec.fingerprint}'s exact form, so configs differing in
     any bit of a rate never share a fingerprint.  Two configs with the same fingerprint produce
     bit-identical simulations, which is what lets the serving layer
     content-address its result cache with it. *)
 
 val checkpoint : t -> bytes
-(** Serialize the engine's dynamic state as a checkpoint payload (frame
-    it with {!Checkpoint.write_file} or {!Checkpoint.frame}).  Only a
-    started, still-running engine can be checkpointed.
+(** The checkpoint payload of the engine's current cycle (frame it with
+    {!Checkpoint.write_file} or {!Checkpoint.frame}): a few hundred bytes
+    at any mesh size.  Only a started, still-running engine can be
+    checkpointed.
     @raise Invalid_argument before {!run_until} first runs, or after the
     platform died. *)
 
 val restore : ?trace_capacity:int -> ?record_timeline:bool -> Config.t -> bytes -> t
 (** Rebuild an engine from a config and a checkpoint payload taken under
-    that same config.  Continue it with {!run_until}.
-    @raise Checkpoint.Error on fingerprint mismatch or a malformed
-    payload. *)
+    that same config, by replaying the run to the checkpoint's cycle.
+    Continue it with {!run_until}.  The fingerprint is checked before
+    anything runs.
+    @raise Checkpoint.Error on a fingerprint mismatch, a malformed
+    payload (the engine state codec's files among them), a run that
+    dies before the checkpoint's cycle ([Run_ended]) or a replay the
+    witness refuses ([Witness_mismatch]). *)
 
 val checkpoint_to_file : t -> string -> unit
 (** {!checkpoint} framed and written atomically to a file. *)

@@ -1,7 +1,7 @@
 type act = { module_index : int; tag : int }
 
 type kind =
-  | Aes of { schedule : Etx_aes.Key_schedule.t; decrypt : bool }
+  | Aes of { key_hex : string; schedule : Etx_aes.Key_schedule.t; decrypt : bool }
   | Synthetic
 
 type t = {
@@ -42,14 +42,14 @@ let aes_op_of_act act =
 let apply t act payload =
   match t.kind with
   | Synthetic -> payload
-  | Aes { schedule; decrypt } ->
+  | Aes { schedule; decrypt; _ } ->
     if decrypt then Etx_aes.Partition.apply_decrypt ~schedule (aes_op_of_act act) payload
     else Etx_aes.Partition.apply ~schedule (aes_op_of_act act) payload
 
 let reference t payload =
   match t.kind with
   | Synthetic -> payload
-  | Aes { schedule; decrypt } ->
+  | Aes { schedule; decrypt; _ } ->
     if decrypt then Etx_aes.Partition.run_decrypt_plan ~schedule payload
     else Etx_aes.Partition.run_plan ~schedule payload
 
@@ -65,7 +65,7 @@ let aes_encrypt ~key_hex =
     name = "aes-128-encrypt";
     module_count = Etx_aes.Partition.module_count;
     plan = Array.map act_of_aes_op Etx_aes.Partition.job_plan;
-    kind = Aes { schedule; decrypt = false };
+    kind = Aes { key_hex; schedule; decrypt = false };
   }
 
 let aes_decrypt ~key_hex =
@@ -74,7 +74,7 @@ let aes_decrypt ~key_hex =
     name = "aes-128-decrypt";
     module_count = Etx_aes.Partition.module_count;
     plan = Array.map act_of_aes_op Etx_aes.Partition.decrypt_plan;
-    kind = Aes { schedule; decrypt = true };
+    kind = Aes { key_hex; schedule; decrypt = true };
   }
 
 (* Largest-remaining-quota interleaving: at each step pick the module
@@ -122,6 +122,20 @@ let synthetic ?name:(label = "synthetic") ~acts_per_job () =
     Array.init total (fun step -> { module_index = pick step; tag = step })
   in
   { name = label; module_count = p; plan; kind = Synthetic }
+
+let cli_synthetic = synthetic ~name:"cli-synthetic" ~acts_per_job:[| 10; 9; 11 |] ()
+
+(* An AES workload's plan is fixed by its name, and a synthetic one's by
+   its f vector, so the name and what sets the workload apart from the
+   one the name stands for are all of it *)
+let fingerprint ~key_hex t =
+  match t.kind with
+  | Aes { key_hex = own; _ } -> if own = key_hex then t.name else t.name ^ "#key=" ^ own
+  | Synthetic ->
+    if t.name = cli_synthetic.name && t.plan = cli_synthetic.plan then t.name
+    else
+      t.name ^ "#f="
+      ^ String.concat "," (Array.to_list (Array.map string_of_int (acts_per_job t)))
 
 let problem t ~computation_energy_pj ~communication_energy_pj ~battery_budget_pj
     ~node_budget =

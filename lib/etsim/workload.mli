@@ -65,6 +65,16 @@ val synthetic :
     untransformed.  @raise Invalid_argument on an empty vector or
     non-positive counts. *)
 
+val cli_synthetic : t
+(** The synthetic workload of the CLI and the wire:
+    [synthetic ~name:"cli-synthetic" ~acts_per_job:[| 10; 9; 11 |] ()]. *)
+
+val fingerprint : key_hex:string -> t -> string
+(** The workload's identity in a run's fingerprint, for a config keyed
+    [key_hex]: its name alone when that determines it (an AES workload
+    under [key_hex], or {!cli_synthetic}), else the name followed by the
+    AES key or the synthetic f vector. *)
+
 val problem :
   t ->
   computation_energy_pj:float array ->

@@ -99,19 +99,3 @@ let bernoulli prng rate = rate > 0. && Prng.float prng ~bound:1. < rate
 
 let drop_upload t = bernoulli t.control_prng t.spec.Spec.upload_loss_rate
 let drop_download t = bernoulli t.control_prng t.spec.Spec.download_loss_rate
-
-type position = { cursor : int; data_state : int64; control_state : int64 }
-
-let position (t : t) : position =
-  {
-    cursor = t.cursor;
-    data_state = Prng.state t.data_prng;
-    control_state = Prng.state t.control_prng;
-  }
-
-let seek (t : t) (p : position) =
-  if p.cursor < 0 || p.cursor > Array.length t.cycles then
-    invalid_arg "Fault.Plan.seek: cursor out of range";
-  t.cursor <- p.cursor;
-  Prng.set_state t.data_prng p.data_state;
-  Prng.set_state t.control_prng p.control_state

@@ -53,17 +53,3 @@ val drop_upload : t -> bool
 
 val drop_download : t -> bool
 (** Bernoulli draw from the control-plane stream; never draws at rate 0. *)
-
-type position = { cursor : int; data_state : int64; control_state : int64 }
-(** Consumption state of a plan, for checkpointing.  The timed event
-    arrays themselves recompile deterministically from (spec, topology,
-    horizon), so only the cursor and the two Bernoulli stream states need
-    to be captured. *)
-
-val position : t -> position
-(** Capture the current consumption state. *)
-
-val seek : t -> position -> unit
-(** Restore a previously captured {!position} into a plan compiled from
-    the same inputs.  @raise Invalid_argument if the cursor is out of
-    range for this plan. *)

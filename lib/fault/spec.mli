@@ -65,6 +65,11 @@ val is_zero : t -> bool
 (** Every rate is exactly zero: the plan will inject nothing and draw
     nothing. *)
 
+val exact_float : float -> string
+(** [%g] when its six significant digits read back as exactly the
+    float, else the exact hexadecimal [%h]: distinct floats never share
+    a form, and a float that [%g] prints exactly keeps that form. *)
+
 val fingerprint : t -> string
 (** Canonical one-line form of every field, injective: a rate prints
     with [%g] when that reads back exactly, else in exact hexadecimal

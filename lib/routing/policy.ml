@@ -39,3 +39,23 @@ let is_battery_aware t =
   match t.algorithm with
   | Weighted weight -> Weight.is_battery_aware weight
   | Maximin_residual -> true
+
+(* the name alone when it is the algorithm's own, with the parameter in
+   it printed exactly by [%g] *)
+let fingerprint t =
+  let exact x = Float.is_integer x || float_of_string (Printf.sprintf "%g" x) = x in
+  let named =
+    match t.algorithm with
+    | Maximin_residual -> t.name = "MAXMIN"
+    | Weighted w -> (
+      t.name = Weight.name w
+      &&
+      match w with
+      | Weight.Exponential { q } | Weight.Exponential_squared { q } -> exact q
+      | Weight.Linear_drain { slope } -> exact slope
+      | Weight.Shortest_distance | Weight.Inverse_level -> true)
+  in
+  if named then t.name
+  else
+    t.name ^ "#"
+    ^ String.sub (Digest.to_hex (Digest.string (Marshal.to_string t.algorithm []))) 0 16

@@ -38,3 +38,9 @@ val maximin : ?levels:int -> unit -> t
 (** Max-min residual-energy (widest-path) routing. *)
 
 val is_battery_aware : t -> bool
+
+val fingerprint : t -> string
+(** The policy's identity in a run's fingerprint (its levels aside): the
+    name when that determines the algorithm (the constructors above
+    name it so whenever [%g] prints their parameter exactly), else the
+    name and a digest of the algorithm. *)

@@ -131,7 +131,7 @@ type workspace = {
      engine) holds the previous result while the next one is written, so
      a single buffer would be overwritten under its feet.  While
      [previous_valid], [tables.(1 - table_flip)] is the last table
-     returned (or set by [set_previous_table]); [changed] counts the
+     returned; [changed] counts the
      entries of the last one returned that differ from it. *)
   mutable tables : Routing_table.t array;
   mutable table_flip : int;
@@ -160,7 +160,9 @@ let create_workspace () =
     changed = 0;
   }
 
-let table_pair ws ~node_count ~module_count =
+(* The next table of the rotating pair, to be overwritten entry by
+   entry; the other one then holds the previous result. *)
+let next_table ws ~node_count ~module_count =
   let tables = ws.tables in
   if
     not
@@ -170,12 +172,7 @@ let table_pair ws ~node_count ~module_count =
   then begin
     ws.tables <- Array.init 2 (fun _ -> Routing_table.create ~node_count ~module_count);
     ws.previous_valid <- false
-  end
-
-(* The next table of the rotating pair, to be overwritten entry by
-   entry; the other one then holds the previous result. *)
-let next_table ws ~node_count ~module_count =
-  table_pair ws ~node_count ~module_count;
+  end;
   let table = ws.tables.(ws.table_flip) in
   ws.table_flip <- 1 - ws.table_flip;
   table
@@ -773,16 +770,6 @@ let route ?workspace ~graph ~mapping ~module_count ~weight ~widest snapshot =
   adj.rows_passes <- passes;
   ws.previous_valid <- true;
   table
-
-let set_previous_table ws table =
-  (match table with
-  | None -> ws.previous_valid <- false
-  | Some table ->
-    table_pair ws ~node_count:(Routing_table.node_count table)
-      ~module_count:(Routing_table.module_count table);
-    Routing_table.blit ~src:table ~dst:ws.tables.(1 - ws.table_flip);
-    ws.previous_valid <- true);
-  match ws.adjacency with Some adj -> adj.rows_valid <- false | None -> ()
 
 let compute ?workspace ~graph ~mapping ~module_count ~weight snapshot =
   route ?workspace ~graph ~mapping ~module_count ~weight ~widest:false snapshot

@@ -152,13 +152,7 @@ val changed_entries : workspace -> int
     table before it ({!Routing_table.diff_count} of the two), counted
     while the table was written: the download volume of a recompute.
     Every entry counts when there was no table before it (the first
-    recompute, or one after {!set_previous_table}[ None]). *)
-
-val set_previous_table : workspace -> Routing_table.t option -> unit
-(** Make the next recompute's {!changed_entries} count against a copy
-    of [table] (or against nothing, counting every entry), as for a
-    controller restored from a checkpoint whose workspace never
-    produced the table it holds.  Row reuse is off for that recompute. *)
+    recompute). *)
 
 val shortest_paths :
   graph:Etx_graph.Digraph.t -> weight:Weight.t -> snapshot -> Etx_graph.Floyd_warshall.result

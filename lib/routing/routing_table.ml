@@ -43,15 +43,6 @@ let equal a b =
   && module_count a = module_count b
   && Array.for_all2 (fun ra rb -> Array.for_all2 entry_equal ra rb) a.entries b.entries
 
-let copy t = { entries = Array.map Array.copy t.entries }
-
-let blit ~src ~dst =
-  if node_count src <> node_count dst || module_count src <> module_count dst then
-    invalid_arg "Routing_table.blit: dimension mismatch";
-  Array.iteri
-    (fun node row -> Array.blit row 0 dst.entries.(node) 0 (Array.length row))
-    src.entries
-
 let blit_row ~src ~dst ~node =
   if node_count src <> node_count dst || module_count src <> module_count dst then
     invalid_arg "Routing_table.blit_row: dimension mismatch";

@@ -35,13 +35,6 @@ val entry_equal : entry -> entry -> bool
 val equal : t -> t -> bool
 (** Same dimensions and equal entries. *)
 
-val copy : t -> t
-(** Deep copy: mutations of either table never show through the other. *)
-
-val blit : src:t -> dst:t -> unit
-(** Overwrite every entry of [dst] with [src]'s.
-    @raise Invalid_argument on dimension mismatch. *)
-
 val blit_row : src:t -> dst:t -> node:int -> unit
 (** Overwrite [node]'s entries in [dst] with [src]'s.
     @raise Invalid_argument on dimension mismatch. *)

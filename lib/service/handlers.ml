@@ -27,7 +27,7 @@ let workloads_of_string s =
   | "decrypt" -> Ok (Some [ aes Workload.aes_decrypt ])
   | "duplex" -> Ok (Some [ aes Workload.aes_encrypt; aes Workload.aes_decrypt ])
   | "synthetic" ->
-    Ok (Some [ Workload.synthetic ~name:"cli-synthetic" ~acts_per_job:[| 10; 9; 11 |] () ])
+    Ok (Some [ Workload.cli_synthetic ])
   | other -> Error (Printf.sprintf "unknown workload %S" other)
 
 (* [None] when every rate is zero, so the default run takes the

@@ -44,9 +44,3 @@ let shuffle t arr =
   done
 
 let split t = { state = bits64 t }
-
-let state t = t.state
-
-let set_state t s = t.state <- s
-
-let of_state s = { state = s }

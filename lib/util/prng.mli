@@ -42,13 +42,3 @@ val split : t -> t
 (** [split t] derives a new generator whose stream is independent of the
     continuation of [t]'s stream (useful to give sub-systems their own
     streams without coupling their consumption). *)
-
-val state : t -> int64
-(** Raw generator state, for checkpointing.  [of_state (state t)]
-    continues [t]'s stream exactly. *)
-
-val set_state : t -> int64 -> unit
-(** Overwrite the generator state in place (checkpoint restore). *)
-
-val of_state : int64 -> t
-(** Build a generator positioned at a previously captured {!state}. *)

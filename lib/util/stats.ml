@@ -49,31 +49,6 @@ let merge a b =
     }
   end
 
-type snapshot = {
-  count : int;
-  mean : float;
-  m2 : float;
-  min : float;
-  max : float;
-  total : float;
-}
-
-let dump (t : t) : snapshot =
-  { count = t.count; mean = t.mean; m2 = t.m2; min = t.min; max = t.max;
-    total = t.total }
-
-let restore (s : snapshot) : t =
-  { count = s.count; mean = s.mean; m2 = s.m2; min = s.min; max = s.max;
-    total = s.total }
-
-let restore_into (t : t) (s : snapshot) =
-  t.count <- s.count;
-  t.mean <- s.mean;
-  t.m2 <- s.m2;
-  t.min <- s.min;
-  t.max <- s.max;
-  t.total <- s.total
-
 let of_list xs =
   let t = create () in
   List.iter (add t) xs;

@@ -29,26 +29,6 @@ val total : t -> float
 val merge : t -> t -> t
 (** [merge a b] is an accumulator equivalent to having seen both streams. *)
 
-type snapshot = {
-  count : int;
-  mean : float;
-  m2 : float;
-  min : float;
-  max : float;
-  total : float;
-}
-(** Raw accumulator contents, for checkpointing. *)
-
-val dump : t -> snapshot
-(** Capture the accumulator state.  [restore (dump t)] behaves exactly
-    like [t] for all future observations. *)
-
-val restore : snapshot -> t
-(** Rebuild an accumulator from a captured {!snapshot}. *)
-
-val restore_into : t -> snapshot -> unit
-(** Overwrite an existing accumulator in place from a snapshot. *)
-
 val of_list : float list -> t
 
 val percentile : float list -> p:float -> float

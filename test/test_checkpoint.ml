@@ -10,6 +10,18 @@ module Spec = Etx_fault.Spec
 module Policy = Etx_routing.Policy
 module Topology = Etx_graph.Topology
 module Calibration = Etextile.Calibration
+module Workload = Etx_etsim.Workload
+
+(* the config a wire request's [params] (a JSON object's members) build,
+   the same the CLI builds from the flags of those names *)
+let wire_config params =
+  let line = Printf.sprintf {|{"scenario":"simulate","params":{%s}}|} params in
+  match Etx_service.Request.of_line line with
+  | Ok { Etx_service.Request.body = Scenario (Simulate p); _ } -> (
+    match Etx_service.Handlers.simulate_config p with
+    | Ok config -> config
+    | Error e -> Alcotest.fail e)
+  | _ -> Alcotest.failf "not a simulate request: %s" line
 
 (* - format primitives - *)
 
@@ -22,39 +34,25 @@ let test_crc32_vector () =
 let test_writer_reader_roundtrip () =
   let w = Checkpoint.Writer.create () in
   Checkpoint.Writer.byte w 200;
-  Checkpoint.Writer.bool w true;
   Checkpoint.Writer.int w (-123456789);
-  Checkpoint.Writer.int64 w 0x0123456789ABCDEFL;
   Checkpoint.Writer.float w 3.141592653589793;
   Checkpoint.Writer.float w nan;
   Checkpoint.Writer.string w "hello";
-  Checkpoint.Writer.option w (Checkpoint.Writer.int w) None;
-  Checkpoint.Writer.option w (Checkpoint.Writer.int w) (Some 7);
   Checkpoint.Writer.list w (Checkpoint.Writer.int w) [ 1; 2; 3 ];
-  Checkpoint.Writer.int_array w [| 4; 5 |];
   Checkpoint.Writer.float_array w [| 1.5; -2.5 |];
-  Checkpoint.Writer.bool_array w [| true; false; true |];
   let r = Checkpoint.Reader.create (Checkpoint.Writer.contents w) in
   Alcotest.(check int) "byte" 200 (Checkpoint.Reader.byte r);
-  Alcotest.(check bool) "bool" true (Checkpoint.Reader.bool r);
   Alcotest.(check int) "int" (-123456789) (Checkpoint.Reader.int r);
-  Alcotest.(check int64) "int64" 0x0123456789ABCDEFL (Checkpoint.Reader.int64 r);
   Alcotest.(check (float 0.)) "float" 3.141592653589793 (Checkpoint.Reader.float r);
   Alcotest.(check bool) "nan round-trips" true
     (Float.is_nan (Checkpoint.Reader.float r));
   Alcotest.(check string) "string" "hello" (Checkpoint.Reader.string r);
-  Alcotest.(check (option int)) "none" None
-    (Checkpoint.Reader.option r (fun () -> Checkpoint.Reader.int r));
-  Alcotest.(check (option int)) "some" (Some 7)
-    (Checkpoint.Reader.option r (fun () -> Checkpoint.Reader.int r));
   Alcotest.(check (list int)) "list" [ 1; 2; 3 ]
     (Checkpoint.Reader.list r (fun () -> Checkpoint.Reader.int r));
-  Alcotest.(check (array int)) "int array" [| 4; 5 |] (Checkpoint.Reader.int_array r);
   Alcotest.(check (array (float 0.))) "float array" [| 1.5; -2.5 |]
     (Checkpoint.Reader.float_array r);
-  Alcotest.(check (array bool)) "bool array" [| true; false; true |]
-    (Checkpoint.Reader.bool_array r);
-  Alcotest.(check bool) "drained" true (Checkpoint.Reader.at_end r)
+  (* drained: nothing is left after the last field *)
+  Checkpoint.Reader.expect_end r
 
 let test_reader_rejects_overrun () =
   let w = Checkpoint.Writer.create () in
@@ -341,6 +339,210 @@ let test_fingerprint_pins_thin_film_params () =
      sched=0"
     (Engine.config_fingerprint config)
 
+(* Under replay the fingerprint is a run's only identity, so every
+   Config.t field must either move it or be listed here with what pins
+   its value on the CLI and the wire.  One mutator per field; a field
+   added to Config.t without one fails the census below. *)
+let test_fingerprint_covers_every_field () =
+  (* the config of [simulate --size 4 --fail-links 2] *)
+  let failures seed =
+    Etextile.Experiments.random_failure_schedule ~topology:(Topology.square_mesh ~size:4 ())
+      ~count:2 ~before_cycle:40_000 ~seed
+  in
+  let base = Calibration.config ~mesh_size:4 ~seed:1 ~link_failure_schedule:(failures 31) () in
+  let fp = Engine.config_fingerprint in
+  let reason_pinned =
+    [
+      ( "link_failure_schedule",
+        "contents drawn from the mesh size, the seed and the fail-links count (n=, \
+         seed=, sched=)" );
+    ]
+  in
+  let mutators : (string * (Config.t -> Config.t)) list =
+    [
+      ( "topology",
+        fun c -> { c with topology = Topology.square_mesh ~link_length_cm:2. ~size:4 () } );
+      ( "mapping",
+        fun c ->
+          {
+            c with
+            mapping =
+              Etx_routing.Mapping.custom
+                ~assignment:(Array.init 16 (fun i -> (i + 1) mod 3))
+                ~module_count:3;
+          } );
+      ("module_count", fun c -> { c with module_count = 4 });
+      ("policy", fun c -> { c with policy = Policy.sdr () });
+      ( "packet",
+        fun c ->
+          let packet = c.packet in
+          { c with packet = { packet with header_bits = packet.header_bits + 8 } } );
+      ( "line",
+        fun c ->
+          { c with line = Etx_energy.Transmission_line.of_measurements [ (1., 0.5); (10., 5.) ] }
+      );
+      ( "computation",
+        fun c ->
+          { c with computation = Etx_energy.Computation.custom ~energies_pj:[| 1.; 2.; 3. |] } );
+      ("computation_cycles", fun c -> { c with computation_cycles = [| 3; 2; 3 |] });
+      ("link_width_bits", fun c -> { c with link_width_bits = 16 });
+      ("reception_energy_fraction", fun c -> { c with reception_energy_fraction = 0.5 });
+      ("battery_kind", fun c -> { c with battery_kind = Etx_battery.Battery.Ideal });
+      (* below %g's six digits: the fingerprint prints such a value exactly *)
+      ("battery_capacity_pj", fun c -> { c with battery_capacity_pj = 60000.25 });
+      ("battery_capacity_variation", fun c -> { c with battery_capacity_variation = 0.1000001 });
+      ("frame_period_cycles", fun c -> { c with frame_period_cycles = 900 });
+      ("control_medium_width_bits", fun c -> { c with control_medium_width_bits = 4 });
+      ("report_bits", fun c -> { c with report_bits = 5 });
+      ("instruction_bits", fun c -> { c with instruction_bits = 9 });
+      ("control_line_length_cm", fun c -> { c with control_line_length_cm = 12. });
+      ("deadlock_threshold_cycles", fun c -> { c with deadlock_threshold_cycles = 2000 });
+      (* same length, other links *)
+      ("link_failure_schedule", fun c -> { c with link_failure_schedule = failures 32 });
+      ("fault", fun c -> { c with fault = Some (Spec.make ~seed:1 ~bit_error_rate:1e-4 ()) });
+      ("max_retransmissions", fun c -> { c with max_retransmissions = 2 });
+      ("ack_timeout_cycles", fun c -> { c with ack_timeout_cycles = 30 });
+      ("controllers", fun c -> { c with controllers = Config.Battery_controllers { count = 2 } });
+      ( "controller_power",
+        fun c ->
+          {
+            c with
+            controller_power =
+              Etx_energy.Controller_power.make ~dynamic_mw:1. ~leakage_mw:1. ~anchor_nodes:16;
+          } );
+      ( "controller_battery_kind",
+        fun c -> { c with controller_battery_kind = Etx_battery.Battery.Ideal } );
+      ( "controller_battery_capacity_pj",
+        fun c -> { c with controller_battery_capacity_pj = 70000. } );
+      ("controller_recompute_cycles", fun c -> { c with controller_recompute_cycles = Some 10 });
+      ("controller_leakage_exponent", fun c -> { c with controller_leakage_exponent = 0.5 });
+      ("controller_dynamic_exponent", fun c -> { c with controller_dynamic_exponent = 0.5 });
+      ( "workloads",
+        fun c -> { c with workloads = [ Etx_etsim.Workload.aes_decrypt ~key_hex:c.key_hex ] } );
+      ("concurrent_jobs", fun c -> { c with concurrent_jobs = 2 });
+      ("job_source", fun c -> { c with job_source = Config.Fixed_entry 0 });
+      ("buffer_capacity", fun c -> { c with buffer_capacity = 3 });
+      ("key_hex", fun c -> { c with key_hex = "0f0e0d0c0b0a09080706050403020100" });
+      ("seed", fun c -> { c with seed = 2 });
+      ("max_cycles", fun c -> { c with max_cycles = 1_000_000 });
+      ("max_jobs", fun c -> { c with max_jobs = Some 5 });
+    ]
+  in
+  (* the census: each mutator moves exactly one field, and every field
+     of the record is moved by one *)
+  let field_count = Obj.size (Obj.repr base) in
+  let moved (name, mutate) =
+    let m = Obj.repr (mutate base) and b = Obj.repr base in
+    let fields = List.init field_count Fun.id in
+    match List.filter (fun i -> Obj.field m i != Obj.field b i) fields with
+    | [ i ] -> i
+    | fields -> Alcotest.failf "mutator %s moves %d fields" name (List.length fields)
+  in
+  Alcotest.(check (list int))
+    "one mutator per Config.t field, in declaration order"
+    (List.init field_count Fun.id) (List.map moved mutators);
+  List.iter
+    (fun (name, mutate) ->
+      let changed = fp (mutate base) <> fp base in
+      match List.assoc_opt name reason_pinned with
+      | None -> if not changed then Alcotest.failf "%s does not move the fingerprint" name
+      | Some why ->
+        if changed then Alcotest.failf "%s moves the fingerprint, yet is listed as %s" name why)
+    mutators;
+  (* two values of one field that print the same name still part *)
+  let workloads list = { base with workloads = list } in
+  let synthetic name f = Workload.synthetic ~name ~acts_per_job:f () in
+  List.iter
+    (fun (name, a, b) -> if fp a = fp b then Alcotest.failf "%s share a fingerprint" name)
+    [
+      ("EAR at q = 2 and q = 2 + 1e-7", { base with policy = Policy.ear ~q:2.0000001 () }, base);
+      ( "a policy named as another",
+        { base with policy = { (Policy.ear ()) with algorithm = (Policy.sdr ()).algorithm } },
+        base );
+      ( "synthetic workloads of one name",
+        workloads [ synthetic "s" [| 10; 9; 11 |] ],
+        workloads [ synthetic "s" [| 11; 9; 10 |] ] );
+      ( "the CLI's synthetic name on another f vector",
+        workloads [ synthetic "cli-synthetic" [| 11; 9; 10 |] ],
+        workloads [ Workload.cli_synthetic ] );
+      ( "a synthetic workload named as AES",
+        workloads [ synthetic "aes-128-encrypt" [| 10; 9; 11 |] ],
+        base );
+      ( "AES under another key",
+        workloads [ Workload.aes_encrypt ~key_hex:"0f0e0d0c0b0a09080706050403020100" ],
+        base );
+    ];
+  (* the CLI's and the wire's own configs spell none of these out *)
+  List.iter
+    (fun mesh_size ->
+      let f = fp (Calibration.config ~mesh_size ~seed:1 ()) in
+      List.iter
+        (fun key ->
+          if Astring_contains.contains f key then
+            Alcotest.failf "%dx%d mesh: %s spelled out in %s" mesh_size mesh_size key f)
+        [ ";topo="; ";phys="; ";tdma=" ])
+    [ 2; 4; 5; 8; 12; 64 ];
+  List.iter
+    (fun params ->
+      let f = fp (wire_config params) in
+      if String.contains f '#' then Alcotest.failf "%s: digest in %s" params f)
+    (List.concat_map
+       (fun policy ->
+         List.map
+           (fun workload -> Printf.sprintf {|"policy":%S,"workload":%S|} policy workload)
+           [ "encrypt"; "decrypt"; "duplex"; "synthetic" ])
+       [ "ear"; "sdr"; "ear2"; "inverse"; "linear"; "maximin" ])
+
+(* - refusals: each is a structured error, never a crash - *)
+
+(* [payload] re-encoded with its fields passed through [f] *)
+let recode payload ~f =
+  let r = Checkpoint.Reader.create payload in
+  let fingerprint = Checkpoint.Reader.string r in
+  let cycle = Checkpoint.Reader.int r in
+  let witness = Checkpoint.Reader.string r in
+  Checkpoint.Reader.expect_end r;
+  let fingerprint, cycle, witness = f (fingerprint, cycle, witness) in
+  let w = Checkpoint.Writer.create () in
+  Checkpoint.Writer.string w fingerprint;
+  Checkpoint.Writer.int w cycle;
+  Checkpoint.Writer.string w witness;
+  Checkpoint.Writer.contents w
+
+let paused_payload config ~stop =
+  let engine = Engine.create config in
+  match Engine.run_until engine ~cycle:stop with
+  | Engine.Finished _ -> Alcotest.fail "died before pause"
+  | Engine.Paused -> (Engine.cycle engine, Engine.checkpoint engine)
+
+let test_refuses_tampered_witness () =
+  let config = Calibration.config ~mesh_size:4 ~seed:1 ~fault:(faulty_spec ~seed:5) () in
+  let cycle, payload = paused_payload config ~stop:10_000 in
+  let flip w = String.mapi (fun i ch -> if i > 0 then ch else if ch = '0' then '1' else '0') w in
+  expect_error "tampered witness" (Checkpoint.Witness_mismatch { cycle }) (fun () ->
+      Engine.restore config (recode payload ~f:(fun (fp, c, w) -> (fp, c, flip w))));
+  (* an honest witness filed under an earlier cycle names another state *)
+  let earlier = cycle - 5_000 in
+  expect_error "moved cycle" (Checkpoint.Witness_mismatch { cycle = earlier }) (fun () ->
+      Engine.restore config (recode payload ~f:(fun (fp, _, w) -> (fp, earlier, w))))
+
+(* a checkpoint the engine state codec wrote, of [simulate --size 4
+   --seed 2 --ber 1e-4 --fault-seed 3]: the frame and the fingerprint
+   still match, the layout after them does not *)
+let test_refuses_state_codec_layout () =
+  let config = wire_config {|"mesh_size":4,"seed":2,"ber":1e-4,"fault_seed":3|} in
+  match Engine.restore_from_file config "state_codec_4x4.etxc" with
+  | _ -> Alcotest.fail "state-codec file accepted"
+  | exception Checkpoint.Error (Checkpoint.Malformed _) -> ()
+
+let test_refuses_cycle_past_death () =
+  let config = Calibration.config ~mesh_size:4 ~seed:1 () in
+  let lifetime = (Engine.simulate config).Metrics.lifetime_cycles in
+  let _, payload = paused_payload config ~stop:10_000 in
+  let cycle = lifetime + 1 in
+  expect_error "cycle past death" (Checkpoint.Run_ended { cycle; ended = lifetime }) (fun () ->
+      Engine.restore config (recode payload ~f:(fun (fp, _, w) -> (fp, cycle, w))))
+
 (* - QCheck: restore-then-run is bit-identical across random configs and
    fault plans - *)
 
@@ -438,6 +640,10 @@ let suite =
         ( "fingerprint separates near configs",
           `Quick,
           test_fingerprint_separates_near_configs );
+        ("fingerprint covers every config field", `Quick, test_fingerprint_covers_every_field);
+        ("refuses a tampered witness", `Quick, test_refuses_tampered_witness);
+        ("refuses the state-codec layout", `Quick, test_refuses_state_codec_layout);
+        ("refuses a cycle past the run's death", `Quick, test_refuses_cycle_past_death);
         QCheck_alcotest.to_alcotest invariant_restore_bit_identical;
       ] );
   ]

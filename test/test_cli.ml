@@ -157,6 +157,102 @@ let test_simulate_checkpoint_resume () =
         (check_fails "resume under wrong seed"
            (Printf.sprintf "simulate --size 4 --seed 9 --resume %s" (Filename.quote file))))
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let replace_all s ~sub ~by = String.concat by (Str.split_delim (Str.regexp_string sub) s)
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "etx_cli_resume" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let resume_flags = "--size 4 --seed 2 --ber 1e-4 --fault-seed 3"
+
+(* A resumed run reports only what follows its checkpoint: the trace,
+   the audit and the timeline of the continued run.  Pinned: a resume,
+   and a resume of a checkpoint written by a resumed run, as the engine
+   state codec printed them.  A replayed prefix emitted again would
+   show in the dropped-event count, the audit passes and the timeline. *)
+let test_simulate_resume_pinned () =
+  with_temp_dir (fun dir ->
+      let path name = Filename.quote (Filename.concat dir name) in
+      let resumed ~from ~timeline =
+        let output =
+          check_ok ("resume from " ^ from)
+            (Printf.sprintf "simulate %s --trace 20 --timeline %s --audit --heatmap --resume %s"
+               resume_flags (path timeline) (path from))
+        in
+        replace_all output ~sub:(Filename.concat dir timeline) ~by:"TIMELINE"
+        ^ "--- timeline\n"
+        ^ read_file (Filename.concat dir timeline)
+      in
+      ignore
+        (check_ok "checkpointed"
+           (Printf.sprintf "simulate %s --checkpoint-every 15000 --checkpoint-file %s"
+              resume_flags (path "first.etxc")));
+      let once = resumed ~from:"first.etxc" ~timeline:"once.csv" in
+      ignore
+        (check_ok "resumed and checkpointed"
+           (Printf.sprintf "simulate %s --resume %s --checkpoint-every 1000 --checkpoint-file %s"
+              resume_flags (path "first.etxc") (path "second.etxc")));
+      let twice = resumed ~from:"second.etxc" ~timeline:"twice.csv" in
+      let actual = once ^ "--- double resume\n" ^ twice in
+      if actual <> read_file "resume_pinned.txt" then begin
+        let oc = open_out_bin "resume_pinned.actual" in
+        output_string oc actual;
+        close_out oc;
+        Alcotest.fail "resumed output differs from resume_pinned.txt (see resume_pinned.actual)"
+      end)
+
+(* Every refused checkpoint exits 124, cmdliner's error code, with the
+   checkpoint error named: a tampered witness, a file of the engine
+   state codec, and a cycle past the run's death. *)
+let test_simulate_resume_refusals () =
+  let module Checkpoint = Etx_etsim.Checkpoint in
+  with_temp_dir (fun dir ->
+      let file = Filename.concat dir "run.etxc" in
+      ignore
+        (check_ok "checkpointed"
+           (Printf.sprintf "simulate %s --checkpoint-every 15000 --checkpoint-file %s"
+              resume_flags (Filename.quote file)));
+      let r = Checkpoint.Reader.create (Checkpoint.read_file file) in
+      let fingerprint = Checkpoint.Reader.string r in
+      let cycle = Checkpoint.Reader.int r in
+      let witness = Checkpoint.Reader.string r in
+      let write name ~cycle ~witness =
+        let w = Checkpoint.Writer.create () in
+        Checkpoint.Writer.string w fingerprint;
+        Checkpoint.Writer.int w cycle;
+        Checkpoint.Writer.string w witness;
+        let path = Filename.concat dir name in
+        Checkpoint.write_file path (Checkpoint.Writer.contents w);
+        path
+      in
+      let refused name path message =
+        let code, output =
+          run_command (Printf.sprintf "simulate %s --resume %s" resume_flags (Filename.quote path))
+        in
+        Alcotest.(check int) (name ^ ": exit code") 124 code;
+        if not (contains output message) then
+          Alcotest.failf "%s: expected %S in\n%s" name message output
+      in
+      refused "tampered witness"
+        (write "tampered.etxc" ~cycle ~witness:(String.map (fun _ -> '0') witness))
+        "does not match the checkpoint";
+      refused "state-codec file" "state_codec_4x4.etxc" "malformed checkpoint";
+      refused "cycle past death"
+        (write "late.etxc" ~cycle:1_000_000_000 ~witness)
+        "before the checkpoint's cycle 1000000000")
+
 let test_simulate_audit_flag () =
   let output = check_ok "audited simulate" "simulate --size 4 --seed 1 --audit" in
   Alcotest.(check bool) "audit summary printed" true (contains output "audit:");
@@ -653,6 +749,8 @@ let suite =
         Alcotest.test_case "simulate fault flags" `Quick test_simulate_fault_flags;
         Alcotest.test_case "simulate invalid values" `Quick test_simulate_invalid_values;
         Alcotest.test_case "checkpoint + resume" `Quick test_simulate_checkpoint_resume;
+        Alcotest.test_case "resume output pinned" `Quick test_simulate_resume_pinned;
+        Alcotest.test_case "resume refusals" `Quick test_simulate_resume_refusals;
         Alcotest.test_case "simulate --audit" `Quick test_simulate_audit_flag;
         Alcotest.test_case "audit subcommand" `Quick test_audit_subcommand;
         Alcotest.test_case "resilience subcommand" `Slow test_resilience_subcommand;

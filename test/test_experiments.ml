@@ -14,8 +14,8 @@ let test_calibration_problem () =
   Alcotest.(check (float 1e-9)) "B" 60000. p.battery_budget_pj
 
 let test_calibration_control_line_grows () =
-  Alcotest.(check (float 1e-9)) "4x4" 10. (Calibration.control_line_length_cm ~mesh_size:4);
-  Alcotest.(check (float 1e-9)) "8x8" 15. (Calibration.control_line_length_cm ~mesh_size:8)
+  Alcotest.(check (float 1e-9)) "4x4" 10. (Etx_etsim.Config.mesh_control_line_cm ~mesh_size:4);
+  Alcotest.(check (float 1e-9)) "8x8" 15. (Etx_etsim.Config.mesh_control_line_cm ~mesh_size:8)
 
 let test_calibration_config_shape () =
   let c = Calibration.config ~mesh_size:5 () in
