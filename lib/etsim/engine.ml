@@ -87,6 +87,7 @@ end
 type t = {
   config : Config.t;
   graph : Digraph.t;
+  edges : Digraph.index; (* the topology's edge index; its ids index the link arrays *)
   workloads : Workload.t array;
   mutable workload_rotation : int;
   nodes : Node.t array;
@@ -97,14 +98,13 @@ type t = {
   mutable cycle : int;
   mutable next_frame : int;
   mutable last_frame : int;
-  (* flat row-major [n * n] link state and per-link energy tables: the
-     hop path runs once per packet, so the busy-until clocks, failure
-     flags and transmission-line energies all live in arrays indexed by
-     [src * n + dst] instead of tuple-keyed hash tables and interpolated
-     on demand *)
-  link_busy : int array; (* directed link -> busy until *)
+  (* per-link state and energies, one slot per edge id: a hop resolves
+     its edge once and carries it in flight, so the busy-until clocks,
+     failure flags and transmission-line energies are array reads, and
+     their size grows with the links, not the square of the nodes *)
+  link_busy : int array; (* per edge: busy until *)
   link_dead : bool array;
-  hop_energy : float array; (* Packet.hop_energy per directed edge *)
+  hop_energy : float array; (* per edge: Packet.hop_energy *)
   reception_energy : float array;
   serialization_cycles : int;
   act_energy : float array; (* Computation.energy_per_act per module *)
@@ -145,7 +145,6 @@ type t = {
      comparison and the engine is bit-identical to the fault-free one *)
   plan : Fault_plan.t option;
   packet_bits : int;
-  link_length_cm : float array; (* physical length per directed edge *)
   max_retransmissions : int;
   retransmit_delay : int; (* serialization + ACK timeout *)
   (* controller-side degraded state: last level heard per node, how
@@ -207,16 +206,8 @@ let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
           ~battery:batteries.(id))
   in
   let graph = config.topology.Etx_graph.Topology.graph in
-  let cells = node_count * node_count in
-  let hop_energy = Array.make cells nan in
-  let reception_energy = Array.make cells nan in
-  let link_length_cm = Array.make cells nan in
-  Digraph.iter_edges graph ~f:(fun ~src ~dst ~length ->
-      let idx = (src * node_count) + dst in
-      hop_energy.(idx) <-
-        Packet.hop_energy config.packet ~line:config.line ~length_cm:length;
-      reception_energy.(idx) <- Config.reception_energy_pj config ~length_cm:length;
-      link_length_cm.(idx) <- length);
+  let edges = Digraph.index graph in
+  let edge_count = Array.length edges.targets in
   let plan =
     Option.map
       (fun spec ->
@@ -235,7 +226,8 @@ let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
   let timeline = if record_timeline then Some (Timeline.create ()) else None in
   {
     config;
-    graph = config.topology.Etx_graph.Topology.graph;
+    graph;
+    edges;
     workloads = Array.of_list config.Config.workloads;
     workload_rotation = 0;
     nodes;
@@ -246,10 +238,14 @@ let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
     cycle = 0;
     next_frame = 0;
     last_frame = 0;
-    link_busy = Array.make cells 0;
-    link_dead = Array.make cells false;
-    hop_energy;
-    reception_energy;
+    link_busy = Array.make edge_count 0;
+    link_dead = Array.make edge_count false;
+    hop_energy =
+      Array.map
+        (fun length_cm -> Packet.hop_energy config.packet ~line:config.line ~length_cm)
+        edges.lengths;
+    reception_energy =
+      Array.map (fun length_cm -> Config.reception_energy_pj config ~length_cm) edges.lengths;
     serialization_cycles;
     act_energy =
       Array.init config.Config.module_count (fun module_index ->
@@ -281,7 +277,6 @@ let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
     latency_max = 0;
     plan;
     packet_bits = Packet.total_bits config.packet;
-    link_length_cm;
     max_retransmissions = config.Config.max_retransmissions;
     retransmit_delay = serialization_cycles + config.Config.ack_timeout_cycles;
     (* until a node speaks, the controller assumes a full battery *)
@@ -410,16 +405,15 @@ let complete_job t cell =
   | Some cap when t.jobs_completed >= cap -> die t Metrics.Job_limit
   | Some _ | None -> launch_job t
 
-let link_alive t ~src ~dst = not t.link_dead.((src * Array.length t.nodes) + dst)
+(* whether edge [e] (-1: no such link) can carry a packet *)
+let link_alive t e = e >= 0 && not t.link_dead.(e)
 
-(* ascending scan of the flag matrix yields the list sorted *)
+(* edge ids ascend in (src, dst) order, so a descending walk conses the
+   list sorted *)
 let rebuild_failed_links t =
-  let n = Array.length t.nodes in
   let acc = ref [] in
-  for src = n - 1 downto 0 do
-    for dst = n - 1 downto 0 do
-      if t.link_dead.((src * n) + dst) then acc := (src, dst) :: !acc
-    done
+  for e = Array.length t.link_dead - 1 downto 0 do
+    if t.link_dead.(e) then acc := (t.edges.tails.(e), t.edges.targets.(e)) :: !acc
   done;
   t.failed_links_sorted <- !acc
 
@@ -427,10 +421,11 @@ let rebuild_failed_links t =
    already broken.  The caller rebuilds [failed_links_sorted] once per
    batch of breaks. *)
 let break_link t a b =
-  if link_alive t ~src:a ~dst:b then begin
-    let n = Array.length t.nodes in
-    t.link_dead.((a * n) + b) <- true;
-    t.link_dead.((b * n) + a) <- true;
+  let ab = Digraph.edge_id t.edges ~src:a ~dst:b in
+  if link_alive t ab then begin
+    let ba = Digraph.edge_id t.edges ~src:b ~dst:a in
+    t.link_dead.(ab) <- true;
+    if ba >= 0 then t.link_dead.(ba) <- true;
     t.links_failed <- t.links_failed + 1;
     true
   end
@@ -447,14 +442,12 @@ let apply_link_failures t =
     List.iter (fun (_, a, b) -> if break_link t a b then landed := true) due;
     if !landed then rebuild_failed_links t
 
-let link_busy_until t ~src ~dst = t.link_busy.((src * Array.length t.nodes) + dst)
-
 (* Does a living duplicate of [module_index] remain reachable from
    [node] through living relays?  The exact oracle behind the
    Unreachable table entry: if it says no, the platform is dead. *)
 let duplicate_reachable t ~node ~module_index =
   let alive id = node_alive t id in
-  let edge_alive ~src ~dst = link_alive t ~src ~dst in
+  let edge_alive e = not t.link_dead.(e) in
   let seen = Connectivity.reachable t.graph ~alive ~edge_alive ~src:node () in
   List.exists
     (fun candidate -> seen.(candidate))
@@ -483,8 +476,9 @@ let stall_jobs_for_brownout t id ~until =
         job.Job.phase <- Job.Computing { node; until = resumed };
         if t.nodes.(id).Node.busy_until < resumed then
           t.nodes.(id).Node.busy_until <- resumed
-      | Job.In_transit { src; dst; until = arrive; attempt } when dst = id ->
-        if arrive < until then job.Job.phase <- Job.In_transit { src; dst; until; attempt }
+      | Job.In_transit { src; dst; edge; until = arrive; attempt } when dst = id ->
+        if arrive < until then
+          job.Job.phase <- Job.In_transit { src; dst; edge; until; attempt }
       | Job.Waiting _ | Job.Computing _ | Job.In_transit _ -> ())
 
 (* Deliver every timed fault event due at this frame boundary, matching
@@ -552,8 +546,8 @@ let start_computation t job ~node ~module_index ~since =
   end
 
 let start_transmission t job ~node ~next_hop ~since =
-  if (not (node_available t next_hop)) || not (link_alive t ~src:node ~dst:next_hop)
-  then begin
+  let edge = Digraph.edge_id t.edges ~src:node ~dst:next_hop in
+  if (not (node_available t next_hop)) || not (link_alive t edge) then begin
     (* stale table: wait for the controller to learn about the death *)
     note_blocked t ~node ~since ~hop:next_hop;
     set_waiting job ~node ~since ~retry_at:t.next_frame
@@ -565,20 +559,21 @@ let start_transmission t job ~node ~next_hop ~since =
     set_waiting job ~node ~since ~retry_at
   end
   else begin
-    let free_at = link_busy_until t ~src:node ~dst:next_hop in
+    let free_at = t.link_busy.(edge) in
     if free_at > t.cycle then set_waiting job ~node ~since ~retry_at:free_at
     else begin
-      let energy = t.hop_energy.((node * Array.length t.nodes) + next_hop) in
+      let energy = t.hop_energy.(edge) in
       if Node.draw t.nodes.(node) ~cycle:t.cycle ~energy_pj:energy then begin
         t.communication_energy <- t.communication_energy +. energy;
         t.hops <- t.hops + 1;
         clear_lock t node;
         let until = t.cycle + t.serialization_cycles in
-        t.link_busy.((node * Array.length t.nodes) + next_hop) <- until;
+        t.link_busy.(edge) <- until;
         t.nodes.(node).Node.occupancy <- t.nodes.(node).Node.occupancy - 1;
         t.nodes.(next_hop).Node.occupancy <- t.nodes.(next_hop).Node.occupancy + 1;
         emit t (Trace.Packet_sent { job = job.Job.id; src = node; dst = next_hop; cycle = t.cycle });
-        job.Job.phase <- Job.In_transit { src = node; dst = next_hop; until; attempt = 1 }
+        job.Job.phase <-
+          Job.In_transit { src = node; dst = next_hop; edge; until; attempt = 1 }
       end
       else kill_node t node
     end
@@ -610,7 +605,7 @@ let try_route t job ~node ~since =
    triggers a bounded retransmission billed to both endpoints like any
    other hop.  Once the budget is exhausted the packet waits at the
    sender for the next control frame and re-routes. *)
-let handle_corruption t cell ~src ~dst ~attempt =
+let handle_corruption t cell ~src ~dst ~edge ~attempt =
   let job = cell.Jobs.job in
   t.packets_corrupted <- t.packets_corrupted + 1;
   emit t
@@ -632,10 +627,10 @@ let handle_corruption t cell ~src ~dst ~attempt =
       emit t (Trace.Packet_dropped { job = job.Job.id; src; dst; cycle = t.cycle });
       set_waiting job ~node:src ~since:t.cycle ~retry_at:t.next_frame
     end
-    else if t.nodes.(src).Node.offline_until > t.cycle || not (link_alive t ~src ~dst)
-    then set_waiting job ~node:src ~since:t.cycle ~retry_at:t.next_frame
+    else if t.nodes.(src).Node.offline_until > t.cycle || not (link_alive t edge) then
+      set_waiting job ~node:src ~since:t.cycle ~retry_at:t.next_frame
     else begin
-      let energy = t.hop_energy.((src * Array.length t.nodes) + dst) in
+      let energy = t.hop_energy.(edge) in
       if Node.draw t.nodes.(src) ~cycle:t.cycle ~energy_pj:energy then begin
         t.communication_energy <- t.communication_energy +. energy;
         t.hops <- t.hops + 1;
@@ -643,10 +638,10 @@ let handle_corruption t cell ~src ~dst ~attempt =
         t.nodes.(src).Node.occupancy <- t.nodes.(src).Node.occupancy - 1;
         t.nodes.(dst).Node.occupancy <- t.nodes.(dst).Node.occupancy + 1;
         let until = t.cycle + t.retransmit_delay in
-        t.link_busy.((src * Array.length t.nodes) + dst) <- until;
+        t.link_busy.(edge) <- until;
         emit t
           (Trace.Retransmission { job = job.Job.id; src; dst; attempt; cycle = t.cycle });
-        job.Job.phase <- Job.In_transit { src; dst; until; attempt = attempt + 1 }
+        job.Job.phase <- Job.In_transit { src; dst; edge; until; attempt = attempt + 1 }
       end
       else kill_node t src
     end
@@ -672,7 +667,7 @@ let process_job t cell =
       set_waiting job ~node ~since:t.cycle ~retry_at:t.cycle;
       try_route t job ~node ~since:t.cycle
     end
-  | Job.In_transit { src; dst; until; attempt } ->
+  | Job.In_transit { src; dst; edge; until; attempt } ->
     assert (until <= t.cycle);
     (* kill_node retires jobs flying to a dying node, so arrival implies
        a living receiver *)
@@ -681,9 +676,9 @@ let process_job t cell =
       (* the receiver is rebooting: the packet sits on the wire until it
          comes back up *)
       job.Job.phase <-
-        Job.In_transit { src; dst; until = t.nodes.(dst).Node.offline_until; attempt }
+        Job.In_transit { src; dst; edge; until = t.nodes.(dst).Node.offline_until; attempt }
     else begin
-      let reception = t.reception_energy.((src * Array.length t.nodes) + dst) in
+      let reception = t.reception_energy.(edge) in
       if
         reception > 0.
         && not (Node.draw t.nodes.(dst) ~cycle:t.cycle ~energy_pj:reception)
@@ -695,9 +690,9 @@ let process_job t cell =
           | None -> false
           | Some plan ->
             Fault_plan.corrupt_packet plan ~bits:t.packet_bits
-              ~length_cm:t.link_length_cm.((src * Array.length t.nodes) + dst)
+              ~length_cm:t.edges.lengths.(edge)
         in
-        if corrupted then handle_corruption t cell ~src ~dst ~attempt
+        if corrupted then handle_corruption t cell ~src ~dst ~edge ~attempt
         else begin
           set_waiting job ~node:dst ~since:t.cycle ~retry_at:t.cycle;
           try_route t job ~node:dst ~since:t.cycle
@@ -905,16 +900,17 @@ let audit_pass t recorder =
           match Routing_table.get table ~node ~module_index with
           | Routing_table.Deliver_here | Routing_table.Unreachable -> ()
           | Routing_table.Forward { next_hop; destination } ->
+            let edge = Digraph.edge_id t.edges ~src:node ~dst:next_hop in
             if next_hop < 0 || next_hop >= n || destination < 0 || destination >= n
             then
               add ~node "routing-table"
                 (Printf.sprintf "module %d: forward out of range (%d via %d)"
                    (module_index + 1) destination next_hop)
-            else if not (Digraph.mem_edge t.graph ~src:node ~dst:next_hop) then
+            else if edge < 0 then
               add ~node "routing-table"
                 (Printf.sprintf "module %d: next hop %d is not adjacent"
                    (module_index + 1) next_hop)
-            else if not (link_alive t ~src:node ~dst:next_hop) then
+            else if not (link_alive t edge) then
               add ~node "routing-table"
                 (Printf.sprintf "module %d: link to %d is dead" (module_index + 1)
                    next_hop)
@@ -955,13 +951,14 @@ let audit_pass t recorder =
         if node < 0 || node >= n then
           add "job-lifecycle"
             (Printf.sprintf "job %d computes at invalid node %d" jid node)
-      | Job.In_transit { src; dst; until = _; attempt } ->
+      | Job.In_transit { src; dst; edge; until = _; attempt } ->
         if src < 0 || src >= n || dst < 0 || dst >= n then
           add "job-lifecycle"
             (Printf.sprintf "job %d in transit on invalid link %d->%d" jid src dst)
-        else if not (Digraph.mem_edge t.graph ~src ~dst) then
+        else if Digraph.edge_id t.edges ~src ~dst <> edge then
           add ~node:src "job-lifecycle"
-            (Printf.sprintf "job %d in transit over non-adjacent %d->%d" jid src dst);
+            (Printf.sprintf "job %d in transit over %d->%d, which is not its edge %d" jid
+               src dst edge);
         if attempt < 1 || attempt > t.max_retransmissions + 1 then
           add "retransmission-budget"
             (Printf.sprintf "job %d on attempt %d with budget %d" jid attempt

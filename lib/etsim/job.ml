@@ -1,7 +1,7 @@
 type phase =
   | Waiting of { node : int; since : int; retry_at : int }
   | Computing of { node : int; until : int }
-  | In_transit of { src : int; dst : int; until : int; attempt : int }
+  | In_transit of { src : int; dst : int; edge : int; until : int; attempt : int }
 
 type t = {
   id : int;

@@ -10,7 +10,9 @@ type phase =
       (** resident at a node, waiting for routing, a free core, a free
           link, or fresh tables *)
   | Computing of { node : int; until : int }
-  | In_transit of { src : int; dst : int; until : int; attempt : int }
+  | In_transit of { src : int; dst : int; edge : int; until : int; attempt : int }
+      (** on the wire [src -> dst], the link with id [edge] in the
+          topology's {!Etx_graph.Digraph.index} *)
 
 type t = {
   id : int;

@@ -31,11 +31,14 @@ let compile ~(spec : Spec.t) ~(topology : Topology.t) ~horizon () =
     incr count
   in
   if spec.Spec.link_wearout_rate > 0. then begin
-    (* one death-time draw per undirected link, in edge-iteration order,
+    (* one death-time draw per undirected link, in edge id order,
        independent of the rate: raising the rate with the same seed only
        scales every death time down, so wear-out is monotone in the rate *)
     let wear_prng = Prng.create ~seed:(spec.Spec.seed lxor 0x57454152) in
-    Digraph.iter_edges topology.Topology.graph ~f:(fun ~src ~dst ~length ->
+    let index = Digraph.index topology.Topology.graph in
+    Array.iteri
+      (fun e dst ->
+        let src = index.tails.(e) and length = index.lengths.(e) in
         if src < dst then begin
           let u = Prng.float wear_prng ~bound:1. in
           let death =
@@ -45,6 +48,7 @@ let compile ~(spec : Spec.t) ~(topology : Topology.t) ~horizon () =
           if death < horizon_f then
             add (int_of_float death) (Link_wearout { a = src; b = dst })
         end)
+      index.targets
   end;
   if spec.Spec.brownout_rate > 0. then begin
     let brown_prng = Prng.create ~seed:(spec.Spec.seed lxor 0x42524F57) in

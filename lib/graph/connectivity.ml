@@ -1,8 +1,8 @@
 let everyone _ = true
-let every_edge ~src:_ ~dst:_ = true
 
-let reachable graph ?(alive = everyone) ?(edge_alive = every_edge) ~src () =
+let reachable graph ?(alive = everyone) ?(edge_alive = everyone) ~src () =
   let n = Digraph.node_count graph in
+  let index = Digraph.index graph in
   let seen = Array.make n false in
   if alive src then begin
     let queue = Queue.create () in
@@ -10,28 +10,22 @@ let reachable graph ?(alive = everyone) ?(edge_alive = every_edge) ~src () =
     Queue.add src queue;
     while not (Queue.is_empty queue) do
       let node = Queue.pop queue in
-      let visit (dst, _) =
-        if (not seen.(dst)) && alive dst && edge_alive ~src:node ~dst then begin
+      for e = index.row_start.(node) to index.row_start.(node + 1) - 1 do
+        let dst = index.targets.(e) in
+        if (not seen.(dst)) && alive dst && edge_alive e then begin
           seen.(dst) <- true;
           Queue.add dst queue
         end
-      in
-      List.iter visit (Digraph.successors graph node)
+      done
     done
   end;
   seen
 
-let is_reachable graph ?alive ?edge_alive ~src ~dst () =
-  (reachable graph ?alive ?edge_alive ~src ()).(dst)
-
 let components graph ?(alive = everyone) () =
   let n = Digraph.node_count graph in
+  let index = Digraph.index graph in
   let labels = Array.make n (-1) in
   let next_label = ref 0 in
-  let neighbours node =
-    List.map fst (Digraph.successors graph node)
-    @ List.map fst (Digraph.predecessors graph node)
-  in
   for start = 0 to n - 1 do
     if labels.(start) = -1 && alive start then begin
       let label = !next_label in
@@ -47,7 +41,12 @@ let components graph ?(alive = everyone) () =
             Queue.add dst queue
           end
         in
-        List.iter visit (neighbours node)
+        for e = index.row_start.(node) to index.row_start.(node + 1) - 1 do
+          visit index.targets.(e)
+        done;
+        for i = index.in_start.(node) to index.in_start.(node + 1) - 1 do
+          visit index.tails.(index.in_edges.(i))
+        done
       done
     end
   done;

@@ -3,29 +3,21 @@
     The simulator's death detection asks "from the job's current node,
     does a living instance of the next module remain reachable through
     living relays?"; these helpers answer that without rebuilding the
-    graph. *)
+    graph: they walk its edge index ({!Digraph.index}). *)
 
 val reachable :
   Digraph.t ->
   ?alive:(int -> bool) ->
-  ?edge_alive:(src:int -> dst:int -> bool) ->
+  ?edge_alive:(int -> bool) ->
   src:int ->
   unit ->
   bool array
 (** BFS over out-edges restricted to nodes satisfying [alive] and edges
-    satisfying [edge_alive] (defaults: everyone/everything).
+    whose {!Digraph.edge_id} satisfies [edge_alive] (defaults:
+    everyone/everything).
     [reachable.(dst)] is true when a path of alive nodes over alive edges
     [src -> ... -> dst] exists.  A dead [src] reaches nothing, not even
     itself. *)
-
-val is_reachable :
-  Digraph.t ->
-  ?alive:(int -> bool) ->
-  ?edge_alive:(src:int -> dst:int -> bool) ->
-  src:int ->
-  dst:int ->
-  unit ->
-  bool
 
 val components : Digraph.t -> ?alive:(int -> bool) -> unit -> int array
 (** Weakly-connected component labels (edges treated as undirected);

@@ -1,10 +1,23 @@
 module Int_map = Map.Make (Int)
 
+type index = {
+  row_start : int array;
+  targets : int array;
+  lengths : float array;
+  tails : int array;
+  in_start : int array;
+  in_edges : int array;
+}
+
+(* [out_edges] is the construction store ([add_edge], [mem_edge],
+   [length]); everything that walks the links reads [index], built from
+   it on first use and dropped by [add_edge].  The index is published
+   with a compare-and-set so that domains sharing a graph agree on one. *)
 type t = {
   node_count : int;
-  mutable out_edges : float Int_map.t array; (* dst -> length *)
-  mutable in_edges : float Int_map.t array; (* src -> length *)
+  out_edges : float Int_map.t array; (* dst -> length *)
   mutable edge_count : int;
+  index : index option Atomic.t;
 }
 
 let create ~node_count =
@@ -12,8 +25,8 @@ let create ~node_count =
   {
     node_count;
     out_edges = Array.make node_count Int_map.empty;
-    in_edges = Array.make node_count Int_map.empty;
     edge_count = 0;
+    index = Atomic.make None;
   }
 
 let node_count t = t.node_count
@@ -30,7 +43,7 @@ let add_edge t ~src ~dst ~length =
   if length <= 0. then invalid_arg "Digraph.add_edge: non-positive length";
   if not (Int_map.mem dst t.out_edges.(src)) then t.edge_count <- t.edge_count + 1;
   t.out_edges.(src) <- Int_map.add dst length t.out_edges.(src);
-  t.in_edges.(dst) <- Int_map.add src length t.in_edges.(dst)
+  if Option.is_some (Atomic.get t.index) then Atomic.set t.index None
 
 let add_bidirectional t ~a ~b ~length =
   add_edge t ~src:a ~dst:b ~length;
@@ -48,14 +61,6 @@ let length t ~src ~dst =
   | Some l -> l
   | None -> raise Not_found
 
-let successors t id =
-  check_node t id "node";
-  Int_map.bindings t.out_edges.(id)
-
-let predecessors t id =
-  check_node t id "node";
-  Int_map.bindings t.in_edges.(id)
-
 let fold_edges t ~init ~f =
   let acc = ref init in
   Array.iteri
@@ -66,6 +71,59 @@ let fold_edges t ~init ~f =
 
 let iter_edges t ~f =
   fold_edges t ~init:() ~f:(fun () ~src ~dst ~length -> f ~src ~dst ~length)
+
+(* [iter_edges] walks sources in ascending order and each source's
+   targets ascending, so one pass fills the rows in place; the in-edges
+   of each node then come out in ascending edge, hence source, order. *)
+let build t =
+  let n = t.node_count and edges = t.edge_count in
+  let row_start = Array.make (n + 1) 0 in
+  let targets = Array.make edges 0 and lengths = Array.make edges 0. in
+  let tails = Array.make edges 0 and in_start = Array.make (n + 1) 0 in
+  let next = ref 0 in
+  iter_edges t ~f:(fun ~src ~dst ~length ->
+      targets.(!next) <- dst;
+      lengths.(!next) <- length;
+      tails.(!next) <- src;
+      incr next;
+      row_start.(src + 1) <- !next;
+      in_start.(dst + 1) <- in_start.(dst + 1) + 1);
+  for i = 1 to n do
+    if row_start.(i) < row_start.(i - 1) then row_start.(i) <- row_start.(i - 1);
+    in_start.(i) <- in_start.(i) + in_start.(i - 1)
+  done;
+  let fill = Array.sub in_start 0 n and in_edges = Array.make edges 0 in
+  Array.iteri
+    (fun e v ->
+      in_edges.(fill.(v)) <- e;
+      fill.(v) <- fill.(v) + 1)
+    targets;
+  { row_start; targets; lengths; tails; in_start; in_edges }
+
+let rec index t =
+  match Atomic.get t.index with
+  | Some index -> index
+  | None ->
+    let built = build t in
+    if Atomic.compare_and_set t.index None (Some built) then built else index t
+
+let rec scan_row targets ~dst e last =
+  if e >= last then -1 else if targets.(e) = dst then e else scan_row targets ~dst (e + 1) last
+
+let edge_id index ~src ~dst =
+  scan_row index.targets ~dst index.row_start.(src) index.row_start.(src + 1)
+
+let successors t id =
+  check_node t id "node";
+  let { row_start = s; targets; lengths; _ } = index t in
+  List.init (s.(id + 1) - s.(id)) (fun i -> (targets.(s.(id) + i), lengths.(s.(id) + i)))
+
+let predecessors t id =
+  check_node t id "node";
+  let { in_start = s; in_edges; tails; lengths; _ } = index t in
+  List.init (s.(id + 1) - s.(id)) (fun i ->
+      let e = in_edges.(s.(id) + i) in
+      (tails.(e), lengths.(e)))
 
 let adjacency_matrix t =
   let m =

@@ -1,34 +1,5 @@
 module Matrix = Etx_util.Matrix
 
-type csr = { row_start : int array; targets : int array; lengths : float array }
-
-let csr_of_graph graph =
-  let n = Digraph.node_count graph in
-  let edges = Digraph.edge_count graph in
-  let row_start = Array.make (n + 1) 0 in
-  let targets = Array.make edges 0 in
-  let lengths = Array.make edges 0. in
-  (* [iter_edges] walks sources in ascending order and each source's
-     targets ascending, so one pass fills the rows in place *)
-  let next = ref 0 in
-  Digraph.iter_edges graph ~f:(fun ~src ~dst ~length ->
-      targets.(!next) <- dst;
-      lengths.(!next) <- length;
-      incr next;
-      row_start.(src + 1) <- !next);
-  for i = 1 to n do
-    if row_start.(i) < row_start.(i - 1) then row_start.(i) <- row_start.(i - 1)
-  done;
-  { row_start; targets; lengths }
-
-let csr_node_count csr = Array.length csr.row_start - 1
-
-let rec scan_row targets ~dst e last =
-  if e >= last then -1 else if targets.(e) = dst then e else scan_row targets ~dst (e + 1) last
-
-let edge_index csr ~src ~dst =
-  scan_row csr.targets ~dst csr.row_start.(src) csr.row_start.(src + 1)
-
 (* One search's state.  [tentative]/[key]/[pred] are the frontier
    labels; [dist]/[hop] are written only when a node settles, so they
    read as a Floyd-Warshall row (infinity / -1 elsewhere).  The heap is
@@ -153,7 +124,7 @@ let pending t = if t.size = 0 then -1 else t.heap.(0)
    which is the path Floyd-Warshall's strict [<] keeps, and the first
    hop is then the first hop towards k* (already settled: with positive
    weights it is strictly nearer). *)
-let settle_next t csr ~weights =
+let settle_next t (index : Digraph.index) ~weights =
   if t.size = 0 then -1
   else begin
     let u = t.heap.(0) in
@@ -173,8 +144,8 @@ let settle_next t csr ~weights =
         if k > u then k else u
       end
     in
-    let tentative = t.tentative and key = t.key and targets = csr.targets in
-    for e = csr.row_start.(u) to csr.row_start.(u + 1) - 1 do
+    let tentative = t.tentative and key = t.key and targets = index.targets in
+    for e = index.row_start.(u) to index.row_start.(u + 1) - 1 do
       let w = Array.unsafe_get weights e in
       if w < infinity then begin
         let v = Array.unsafe_get targets e in
@@ -205,43 +176,34 @@ let settle_next t csr ~weights =
 
 type result = { distances : float array; predecessors : int array }
 
-let run_csr csr ~weights ~src =
+let run_index (index : Digraph.index) ~weights ~src =
   Array.iter (fun w -> if w < 0. then invalid_arg "Dijkstra: negative weight") weights;
-  let t = create ~node_count:(csr_node_count csr) in
+  let t = create ~node_count:(Array.length index.row_start - 1) in
   start t ~src;
-  while settle_next t csr ~weights >= 0 do
+  while settle_next t index ~weights >= 0 do
     ()
   done;
   { distances = Array.copy t.dist; predecessors = Array.copy t.pred }
 
+let run_graph graph ~weight ~src =
+  let index = Digraph.index graph in
+  let weights = Array.mapi (fun e dst -> weight ~src:index.tails.(e) ~dst) index.targets in
+  run_index index ~weights ~src
+
+(* The matrix's finite off-diagonal entries as the edges of a graph.
+   The search reads its weights back from the matrix, not the
+   placeholder lengths, so a zero weight (which no length may be) is
+   allowed. *)
 let run w ~src =
   let dim = Matrix.dim w in
-  let row_start = Array.make (dim + 1) 0 in
-  let targets = ref [] and lengths = ref [] and count = ref 0 in
+  let graph = Digraph.create ~node_count:dim in
   for i = 0 to dim - 1 do
     for j = 0 to dim - 1 do
-      let v = Matrix.get w i j in
-      if i <> j && v < infinity then begin
-        targets := j :: !targets;
-        lengths := v :: !lengths;
-        incr count
-      end
-    done;
-    row_start.(i + 1) <- !count
-  done;
-  let lengths = Array.of_list (List.rev !lengths) in
-  let csr = { row_start; targets = Array.of_list (List.rev !targets); lengths } in
-  run_csr csr ~weights:lengths ~src
-
-let run_graph graph ~weight ~src =
-  let csr = csr_of_graph graph in
-  let weights = Array.make (Array.length csr.targets) infinity in
-  for i = 0 to csr_node_count csr - 1 do
-    for e = csr.row_start.(i) to csr.row_start.(i + 1) - 1 do
-      weights.(e) <- weight ~src:i ~dst:csr.targets.(e)
+      if i <> j && Matrix.get w i j < infinity then
+        Digraph.add_edge graph ~src:i ~dst:j ~length:1.
     done
   done;
-  run_csr csr ~weights ~src
+  run_graph graph ~weight:(fun ~src ~dst -> Matrix.get w src dst) ~src
 
 let path_to result ~src ~dst =
   if result.distances.(dst) = infinity then None

@@ -1,5 +1,5 @@
-(** Single-source shortest paths: binary-heap Dijkstra over a flat
-    compressed-row (CSR) adjacency.
+(** Single-source shortest paths: binary-heap Dijkstra over a graph's
+    edge index ({!Digraph.index}).
 
     This is the kernel behind {!Etx_routing.Router}'s phase three.  A
     search is driven one settled node at a time ({!settle_next}, with
@@ -20,19 +20,6 @@
     when [u] is the source, else [max (key u) u], and the smallest key
     among exactly tight predecessors wins. *)
 
-type csr = private {
-  row_start : int array;
-      (** length [node_count + 1]: the out-edges of [i] are the indices
-          [row_start.(i) .. row_start.(i + 1) - 1] *)
-  targets : int array;  (** per edge: its destination, ascending within a row *)
-  lengths : float array;  (** per edge: the graph's length *)
-}
-
-val csr_of_graph : Digraph.t -> csr
-
-val edge_index : csr -> src:int -> dst:int -> int
-(** The CSR index of edge [src -> dst], or [-1] when there is none. *)
-
 type t
 (** One search's scratch: labels, settled distances and first hops, an
     indexed min-heap with decrease-key.  Not shareable across domains. *)
@@ -43,9 +30,9 @@ val create : node_count:int -> t
 val start : t -> src:int -> unit
 (** Forget the previous search and begin one from [src]. *)
 
-val settle_next : t -> csr -> weights:float array -> int
+val settle_next : t -> Digraph.index -> weights:float array -> int
 (** Settle the nearest pending node, fix its distance and first hop,
-    relax its out-edges with [weights.(e)] for the edge at CSR index [e]
+    relax its out-edges with [weights.(e)] for the edge with id [e]
     ([infinity] masks an edge), and return it; [-1] once nothing is
     pending.  Weights must be non-negative and not NaN; the tie rule
     additionally needs them positive. *)

@@ -1,3 +1,4 @@
+module Digraph = Etx_graph.Digraph
 module Dijkstra = Etx_graph.Dijkstra
 module Obs = Etx_obs.Obs
 
@@ -37,28 +38,22 @@ let candidate_arrays cache ~mapping ~module_count =
     cache.of_module_count <- module_count;
     arrays
 
-(* The graph in compressed rows plus everything sized by it: the search
-   state, each edge's tail and each node's in-edges, the level factors
-   and exactness gate of the weight in use, phase one's per-pass weights
-   with what they were written from, the failed/locked flags per edge,
-   the per-node marks of the node being routed, and what each source's
-   last searches settled (for row reuse, see [route_balls]).  Built
-   once per graph (cached on its identity and edge count: graphs are
-   built once, then only read). *)
+(* Everything sized by the graph's edge index: the search state, the
+   level factors and exactness gate of the weight in use, phase one's
+   per-pass weights with what they were written from, the failed/locked
+   flags per edge, the per-node marks of the node being routed, and
+   what each source's last searches settled (for row reuse, see
+   [route_balls]).  Built once per index (cached on its identity:
+   editing the graph drops its index, so a new one rebuilds this). *)
 type adjacency = {
-  graph : Etx_graph.Digraph.t;
-  edge_count : int;
-  csr : Dijkstra.csr;
+  index : Digraph.index;
   search : Dijkstra.t;
-  tails : int array;  (* per CSR edge: its source *)
-  in_start : int array;  (* the edges into [v]: [in_edges] from [in_start.(v)] to [in_start.(v + 1)] *)
-  in_edges : int array;
   (* the battery factor of every level of [factors_of], and whether
      they pass the exactness gate on this graph (see [gate]) *)
   mutable factors : float array;
   mutable factors_of : (Weight.t * int) option;
   mutable exact : bool;
-  (* phase one: per pass, each CSR edge's weight (infinity = cut) when
+  (* phase one: per pass, each edge's weight (infinity = cut) when
      its target reports at least the pass's level cut.  EAR and SDR have
      one pass with cut 0; the widest kernel one per reported level,
      highest first.  While [written], the first [passes] arrays hold
@@ -189,45 +184,21 @@ let full_snapshot ~node_count ~levels =
   }
 
 let check_snapshot ~graph snapshot =
-  let n = Etx_graph.Digraph.node_count graph in
+  let n = Digraph.node_count graph in
   if Array.length snapshot.alive <> n || Array.length snapshot.battery_level <> n then
     invalid_arg "Router: snapshot arity differs from the graph";
   if snapshot.levels <= 0 then invalid_arg "Router: levels must be positive"
 
 let adjacency ws graph =
+  let index = Digraph.index graph in
   match ws.adjacency with
-  | Some adj when adj.graph == graph && adj.edge_count = Etx_graph.Digraph.edge_count graph
-    ->
-    adj
+  | Some adj when adj.index == index -> adj
   | Some _ | None ->
-    let csr = Dijkstra.csr_of_graph graph in
-    let n = Etx_graph.Digraph.node_count graph in
-    let row_start = csr.Dijkstra.row_start and targets = csr.Dijkstra.targets in
-    let edges = Array.length targets in
-    let tails = Array.make edges 0 in
-    for u = 0 to n - 1 do
-      Array.fill tails row_start.(u) (row_start.(u + 1) - row_start.(u)) u
-    done;
-    let in_start = Array.make (n + 1) 0 in
-    Array.iter (fun v -> in_start.(v + 1) <- in_start.(v + 1) + 1) targets;
-    for v = 1 to n do
-      in_start.(v) <- in_start.(v) + in_start.(v - 1)
-    done;
-    let fill = Array.sub in_start 0 n and in_edges = Array.make edges 0 in
-    Array.iteri
-      (fun e v ->
-        in_edges.(fill.(v)) <- e;
-        fill.(v) <- fill.(v) + 1)
-      targets;
+    let n = Digraph.node_count graph and edges = Array.length index.targets in
     let adj =
       {
-        graph;
-        edge_count = Etx_graph.Digraph.edge_count graph;
-        csr;
+        index;
         search = Dijkstra.create ~node_count:n;
-        tails;
-        in_start;
-        in_edges;
         factors = [||];
         factors_of = None;
         exact = false;
@@ -260,17 +231,17 @@ let adjacency ws graph =
     ws.adjacency <- Some adj;
     adj
 
-(* [f src e] for each pair [(src, dst)] of [pairs] that names the CSR
+(* [f src e] for each pair [(src, dst)] of [pairs] that names the
    edge [e]; pairs that are not edges of the graph name nothing a route
    could use, so they are dropped. *)
-let rec iter_pair_edges csr ~node_count f = function
+let rec iter_pair_edges index ~node_count f = function
   | [] -> ()
   | (src, dst) :: rest ->
     if src >= 0 && src < node_count then begin
-      let e = Dijkstra.edge_index csr ~src ~dst in
+      let e = Digraph.edge_id index ~src ~dst in
       if e >= 0 then f src e
     end;
-    iter_pair_edges csr ~node_count f rest
+    iter_pair_edges index ~node_count f rest
 
 (* The value of [w]'s lowest set bit, from its IEEE fields. *)
 let low_bit w =
@@ -320,7 +291,7 @@ let level_factors adj ~weight ~levels =
     let factors = Array.init levels (fun level -> Weight.battery_factor weight ~level ~levels) in
     adj.factors <- factors;
     adj.factors_of <- Some (weight, levels);
-    adj.exact <- gate ~factors ~lengths:adj.csr.Dijkstra.lengths;
+    adj.exact <- gate ~factors ~lengths:adj.index.lengths;
     adj.written <- false
 
 (* Each pass's level cut into [adj.next_cuts]; returns the pass count.
@@ -361,14 +332,14 @@ let level_cuts ws adj ~widest (snapshot : snapshot) =
    [route_balls]): the target when it rose, the tail when it fell or
    revived. *)
 let write_edge adj ~round ~weight ~(snapshot : snapshot) e =
-  let v = adj.csr.Dijkstra.targets.(e) and u = adj.tails.(e) in
+  let v = adj.index.targets.(e) and u = adj.index.tails.(e) in
   let level = snapshot.battery_level.(v) and levels = snapshot.levels in
   let w =
     if snapshot.alive.(u) && snapshot.alive.(v) && not adj.edge_failed.(e) then begin
       (* out of range: let [Weight] raise its own error *)
       if level < 0 || level >= levels then
         ignore (Weight.battery_factor weight ~level ~levels);
-      adj.factors.(level) *. adj.csr.Dijkstra.lengths.(e)
+      adj.factors.(level) *. adj.index.lengths.(e)
     end
     else infinity
   in
@@ -419,7 +390,7 @@ let fill_pass_weights ws adj ~round ~weight ~widest (snapshot : snapshot) =
   if not same_failed then begin
     let failed = adj.edge_failed in
     Array.fill failed 0 (Array.length failed) false;
-    iter_pair_edges adj.csr
+    iter_pair_edges adj.index
       ~node_count:(Array.length snapshot.alive)
       (fun _ e -> failed.(e) <- true)
       snapshot.failed_links;
@@ -428,7 +399,7 @@ let fill_pass_weights ws adj ~round ~weight ~widest (snapshot : snapshot) =
   (* every edge is the out-edge of one node: a full rewrite skips the in-edges *)
   let alive = snapshot.alive and level = snapshot.battery_level in
   let written_alive = adj.written_alive and written_level = adj.written_level in
-  let row_start = adj.csr.Dijkstra.row_start and in_start = adj.in_start in
+  let { Digraph.row_start; in_start; in_edges; _ } = adj.index in
   for x = 0 to Array.length alive - 1 do
     if full || written_alive.(x) <> alive.(x) || written_level.(x) <> level.(x) then begin
       written_alive.(x) <- alive.(x);
@@ -438,7 +409,7 @@ let fill_pass_weights ws adj ~round ~weight ~widest (snapshot : snapshot) =
       done;
       if not full then
         for i = in_start.(x) to in_start.(x + 1) - 1 do
-          write_edge adj ~round ~weight ~snapshot adj.in_edges.(i)
+          write_edge adj ~round ~weight ~snapshot in_edges.(i)
         done
     end
   done;
@@ -449,16 +420,16 @@ let fill_pass_weights ws adj ~round ~weight ~widest (snapshot : snapshot) =
    [lock_moved] with [round]. *)
 let set_locks adj ~round ~node_count locked_ports =
   if adj.locks_of != locked_ports then begin
-    let locked = adj.edge_locked and csr = adj.csr in
+    let locked = adj.edge_locked and index = adj.index in
     let moved src e =
       locked.(e) <- not locked.(e);
       adj.lock_moved.(src) <- round
     in
-    iter_pair_edges csr ~node_count (fun _ e -> adj.lock_seen.(e) <- round) locked_ports;
-    iter_pair_edges csr ~node_count
+    iter_pair_edges index ~node_count (fun _ e -> adj.lock_seen.(e) <- round) locked_ports;
+    iter_pair_edges index ~node_count
       (fun src e -> if locked.(e) && adj.lock_seen.(e) <> round then moved src e)
       adj.locks_of;
-    iter_pair_edges csr ~node_count
+    iter_pair_edges index ~node_count
       (fun src e -> if not locked.(e) then moved src e)
       locked_ports;
     adj.locks_of <- locked_ports
@@ -468,16 +439,16 @@ let set_locks adj ~round ~node_count locked_ports =
    infinity elsewhere (cut edges included). *)
 let weight_matrix ~graph ~weight snapshot =
   check_snapshot ~graph snapshot;
-  let n = Etx_graph.Digraph.node_count graph in
+  let n = Digraph.node_count graph in
   let ws = create_workspace () in
   let adj = adjacency ws graph in
   level_factors adj ~weight ~levels:snapshot.levels;
   fill_pass_weights ws adj ~round:0 ~weight ~widest:false snapshot;
-  let csr = adj.csr and weights = adj.pass_weights.(0) in
+  let index = adj.index and weights = adj.pass_weights.(0) in
   Etx_util.Matrix.init ~dim:n ~f:(fun src dst ->
       if src = dst then 0.
       else
-        let e = Dijkstra.edge_index csr ~src ~dst in
+        let e = Digraph.edge_id index ~src ~dst in
         if e < 0 then infinity else weights.(e))
 
 let shortest_paths ~graph ~weight snapshot =
@@ -487,9 +458,9 @@ let shortest_paths ~graph ~weight snapshot =
    ports marked. *)
 let mark_locks ws adj ~node =
   ws.epoch <- ws.epoch + 1;
-  let csr = adj.csr in
-  for e = csr.Dijkstra.row_start.(node) to csr.Dijkstra.row_start.(node + 1) - 1 do
-    if adj.edge_locked.(e) then adj.lock_mark.(csr.Dijkstra.targets.(e)) <- ws.epoch
+  let index = adj.index in
+  for e = index.row_start.(node) to index.row_start.(node + 1) - 1 do
+    if adj.edge_locked.(e) then adj.lock_mark.(index.targets.(e)) <- ws.epoch
   done
 
 let forward_entry ws ~slot ~next_hop ~destination =
@@ -590,7 +561,7 @@ let keep_unmarked adj ~src ~round ~pos =
    what it settles.  Dead sources' rows are written [Unreachable]. *)
 let route_balls ws adj table ~previous ~counting ~reuse ~round ~module_of
     ~(snapshot : snapshot) ~module_count =
-  let csr = adj.csr and search = adj.search in
+  let index = adj.index and search = adj.search in
   let weights = adj.pass_weights and passes = adj.passes in
   let alive = snapshot.alive in
   let dist = Dijkstra.distances search and hop = Dijkstra.first_hops search in
@@ -636,7 +607,7 @@ let route_balls ws adj table ~previous ~counting ~reuse ~round ~module_of
           if next < 0 || (!covered = module_count && labels.(next) > !reach) then
             searching := false
           else begin
-            let u = Dijkstra.settle_next search csr ~weights in
+            let u = Dijkstra.settle_next search index ~weights in
             if seen.(u) <> epoch then begin
               seen.(u) <- epoch;
               reserve adj ~pos:!kept 1;
@@ -724,7 +695,7 @@ let obs_levels =
    lengths, EAR and SDR one pass over their weights. *)
 let route ?workspace ~graph ~mapping ~module_count ~weight ~widest snapshot =
   check_snapshot ~graph snapshot;
-  let node_count = Etx_graph.Digraph.node_count graph in
+  let node_count = Digraph.node_count graph in
   if Mapping.node_count mapping <> node_count then
     invalid_arg "Router.compute: mapping arity differs from the graph";
   let ws = match workspace with Some ws -> ws | None -> create_workspace () in

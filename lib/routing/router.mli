@@ -27,9 +27,9 @@ val full_snapshot : node_count:int -> levels:int -> snapshot
 
 type workspace
 (** Scratch state reused across recomputes, so the controller's
-    per-frame hot path stops allocating: the graph's compressed-row
-    (CSR) adjacency and its reverse (each node's in-edges), phase one's
-    per-edge weights for every pass with the node states they were
+    per-frame hot path stops allocating: keyed on the graph's edge
+    index ({!Etx_graph.Digraph.index}, whose rows and reverse rows it
+    reads), phase one's per-edge weights for every pass with the node states they were
     written from, failed/locked flags, the search state (labels, an
     indexed heap, settled distances and first hops), per-node and
     per-module marks, the battery factor of every level and the
@@ -64,9 +64,8 @@ type workspace
 
 val create_workspace : unit -> workspace
 (** An empty workspace; buffers are sized lazily on first use and
-    rebuilt when a different graph is passed (graphs are recognised by
-    identity and edge count, so a graph must not be edited between
-    recomputes on one workspace). *)
+    rebuilt when the graph passed has another edge index (a different
+    graph, or one edited since, which drops its index). *)
 
 val weight_matrix :
   graph:Etx_graph.Digraph.t -> weight:Weight.t -> snapshot -> Etx_util.Matrix.t

@@ -152,7 +152,7 @@ let test_job_phase_accessors () =
   job.Job.phase <- Job.Computing { node = 7; until = 500 };
   Alcotest.(check int) "computing node" 7 (Job.current_node job);
   Alcotest.(check int) "computing ready" 500 (Job.ready_at job);
-  job.Job.phase <- Job.In_transit { src = 7; dst = 9; until = 600; attempt = 1 };
+  job.Job.phase <- Job.In_transit { src = 7; dst = 9; edge = 0; until = 600; attempt = 1 };
   Alcotest.(check int) "transit counts at destination" 9 (Job.current_node job)
 
 (* - Trace - *)
@@ -481,6 +481,20 @@ let test_engine_frame_loop_allocation policy () =
   if per_frame > 64. then
     Alcotest.failf "steady-state frame loop allocates %.1f minor words/frame" per_frame
 
+(* Link state is indexed by edge, so creating an engine costs memory
+   linear in the nodes and links: a 64x64 mesh has 4,096 nodes and
+   16,128 links.  The budget (8 MB) is well above what that takes
+   (about 3.3 MB, the edge index and the per-node cells included) and
+   far below what one [node_count]-squared table of floats costs at
+   this size (134 MB; per-pair link tables cost about 670 MB). *)
+let test_engine_create_memory_is_linear () =
+  let config = Etextile.Calibration.config ~mesh_size:64 () in
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Engine.create config));
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated > 8e6 then
+    Alcotest.failf "creating a 64x64 engine allocated %.1f MB" (allocated /. 1e6)
+
 let test_engine_run_frames_then_run_rejected () =
   let engine = Engine.create (calibrated 4) in
   ignore (Engine.run engine);
@@ -556,6 +570,8 @@ let suite =
           (test_engine_frame_loop_allocation (Policy.ear ()));
         Alcotest.test_case "frame loop allocation (maximin)" `Quick
           (test_engine_frame_loop_allocation (Policy.maximin ()));
+        Alcotest.test_case "create memory is linear" `Quick
+          test_engine_create_memory_is_linear;
         Alcotest.test_case "run_frames after run rejected" `Quick
           test_engine_run_frames_then_run_rejected;
         Alcotest.test_case "seeds inert without variation" `Quick

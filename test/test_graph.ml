@@ -228,11 +228,11 @@ let test_fw_matches_dijkstra () =
       done
     done;
     let fw = Fw.run (Digraph.adjacency_matrix g) in
-    let csr = Dijkstra.csr_of_graph g in
+    let index = Digraph.index g in
     let search = Dijkstra.create ~node_count:nodes in
     for src = 0 to nodes - 1 do
       Dijkstra.start search ~src;
-      while Dijkstra.settle_next search csr ~weights:csr.Dijkstra.lengths >= 0 do
+      while Dijkstra.settle_next search index ~weights:index.Digraph.lengths >= 0 do
         ()
       done;
       for dst = 0 to nodes - 1 do
@@ -245,6 +245,81 @@ let test_fw_matches_dijkstra () =
       done
     done
   done
+
+(* - Edge index - *)
+
+(* The index against the construction store ([fold_edges], [length]):
+   ids round-trip through [edge_id] and every other pair has none, rows
+   ascend by destination, [tails] and the reverse rows are the
+   transpose, and [successors]/[predecessors] are the rows. *)
+let index_consistent g =
+  let n = Digraph.node_count g in
+  let index = Digraph.index g in
+  let edges =
+    Digraph.fold_edges g ~init:[] ~f:(fun acc ~src ~dst ~length -> (src, dst, length) :: acc)
+    |> List.rev |> Array.of_list
+  in
+  let count = Array.length edges in
+  let ok = ref (count = Digraph.edge_count g && Array.length index.Digraph.targets = count) in
+  let fail fmt = Printf.ksprintf (fun m -> ok := false; prerr_endline m) fmt in
+  Array.iteri
+    (fun e (src, dst, length) ->
+      if index.Digraph.tails.(e) <> src || index.targets.(e) <> dst then
+        fail "edge %d is not %d -> %d" e src dst;
+      if index.lengths.(e) <> length then fail "edge %d has the wrong length" e;
+      if Digraph.edge_id index ~src ~dst <> e then fail "edge_id %d -> %d <> %d" src dst e;
+      if e < index.row_start.(src) || e >= index.row_start.(src + 1) then
+        fail "edge %d outside row %d" e src)
+    edges;
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      if (not (Digraph.mem_edge g ~src ~dst)) && Digraph.edge_id index ~src ~dst <> -1 then
+        fail "edge_id names the absent %d -> %d" src dst
+    done;
+    for e = index.row_start.(src) + 1 to index.row_start.(src + 1) - 1 do
+      if index.targets.(e - 1) >= index.targets.(e) then fail "row %d not ascending" src
+    done;
+    let row = List.filter (fun (s, _, _) -> s = src) (Array.to_list edges) in
+    if Digraph.successors g src <> List.map (fun (_, d, l) -> (d, l)) row then
+      fail "successors %d differ from the row" src
+  done;
+  let reverse = Array.make count 0 in
+  for v = 0 to n - 1 do
+    let into = List.filter (fun (_, d, _) -> d = v) (Array.to_list edges) in
+    if Digraph.predecessors g v <> List.map (fun (s, _, l) -> (s, l)) into then
+      fail "predecessors %d differ from the reverse row" v;
+    if index.in_start.(v + 1) - index.in_start.(v) <> List.length into then
+      fail "reverse row %d has the wrong length" v;
+    for i = index.in_start.(v) to index.in_start.(v + 1) - 1 do
+      let e = index.in_edges.(i) in
+      reverse.(e) <- reverse.(e) + 1;
+      if index.targets.(e) <> v then fail "reverse row %d holds edge %d" v e;
+      if i > index.in_start.(v) && index.tails.(index.in_edges.(i - 1)) >= index.tails.(e) then
+        fail "reverse row %d not ascending" v
+    done
+  done;
+  if Array.exists (fun k -> k <> 1) reverse then fail "reverse rows are not a permutation";
+  !ok
+
+let prop_edge_index_consistent =
+  QCheck.Test.make ~name:"digraph: edge index = construction store" ~count:200
+    QCheck.(pair (int_range 1 14) (int_range 0 1_000_000))
+    (fun (nodes, seed) ->
+      let prng = Etx_util.Prng.create ~seed in
+      index_consistent (random_graph prng ~nodes ~edge_probability:0.35))
+
+(* A ring is a line that gains its closing edge after construction;
+   indexing the line first must not leave the ring a stale index. *)
+let test_edge_index_after_add () =
+  let ring = (Topology.ring ~length:7 ()).Topology.graph in
+  Alcotest.(check bool) "ring" true (index_consistent ring);
+  let g = (Topology.line ~length:7 ()).Topology.graph in
+  let line = Digraph.index g in
+  Digraph.add_bidirectional g ~a:0 ~b:6 ~length:1.;
+  Alcotest.(check bool) "index rebuilt" true (Digraph.index g != line);
+  Alcotest.(check int) "closing edge" 1 (Digraph.edge_id (Digraph.index g) ~src:0 ~dst:6);
+  Alcotest.(check bool) "line that became a ring" true (index_consistent g);
+  Alcotest.(check bool) "one index per graph" true (Digraph.index g == Digraph.index g)
 
 let test_fw_successor_paths_are_shortest () =
   let prng = Etx_util.Prng.create ~seed:123 in
@@ -504,6 +579,11 @@ let suite =
           test_fw_successor_paths_are_shortest;
         QCheck_alcotest.to_alcotest prop_mesh_distance_is_manhattan;
         QCheck_alcotest.to_alcotest prop_fw_matches_reference;
+      ] );
+    ( "graph/edge-index",
+      [
+        QCheck_alcotest.to_alcotest prop_edge_index_consistent;
+        Alcotest.test_case "rebuilt after add_edge" `Quick test_edge_index_after_add;
       ] );
     ( "graph/dijkstra",
       [
