@@ -61,47 +61,55 @@ let jobs_arg =
 (* - paper artifacts - *)
 
 (* supervised-sweep flags shared by fig7 and resilience *)
-let manifest_arg =
+let sweep_store_arg =
   let doc =
-    "Checkpoint the sweep to $(docv): completed cells are saved after each one \
-     and an interrupted invocation resumes without recomputing them."
+    "Keep the sweep's runs in the result store $(docv) (serve's --store \
+     layout, and it may be shared with a daemon): each run is looked up by its \
+     configuration fingerprint and written there once computed, so an \
+     interrupted invocation resumes without recomputing finished runs."
   in
-  Arg.(value & opt (some string) None & info [ "manifest" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
 let sweep_retries_arg =
   let doc = "Extra attempts for a crashing simulation before its cell is reported failed." in
   Arg.(value & opt int 0 & info [ "sweep-retries" ] ~docv:"N" ~doc)
 
-(* render the completed rows, print each failed cell to stderr, and fail
-   the invocation if any cell failed *)
-let render_sweep ~report results =
-  let rows = List.filter_map (function Ok row -> Some row | Error _ -> None) results in
-  let failures =
-    List.filter_map (function Ok _ -> None | Error f -> Some f) results
-  in
-  Etextile.Report.print (report rows);
-  List.iter
-    (fun (f : Etextile.Experiments.sweep_failure) ->
-      Printf.eprintf "sweep cell %d failed after %d attempt(s): %s\n%s%!"
-        f.unit_index f.attempts (Printexc.to_string f.exn)
-        (Printexc.raw_backtrace_to_string f.backtrace))
-    failures;
-  if failures = [] then `Ok ()
-  else
-    `Error
-      (false, Printf.sprintf "%d sweep cell(s) failed; see stderr" (List.length failures))
+(* run the units (through the store when one is named), render the
+   completed rows, print each failed cell to stderr, and fail the
+   invocation if any cell failed *)
+let run_sweep ~report ~jobs ~retries ~store units =
+  match Option.map Etx_service.Store.open_dir store with
+  | exception Sys_error message -> `Error (false, message)
+  | store ->
+    let simulate =
+      Option.map (fun s -> Handlers.store_backed s Etx_etsim.Engine.simulate) store
+    in
+    let results = Etextile.Experiments.run_units ~domains:jobs ~retries ?simulate units in
+    let rows = List.filter_map (function Ok row -> Some row | Error _ -> None) results in
+    let failures =
+      List.filter_map (function Ok _ -> None | Error f -> Some f) results
+    in
+    Etextile.Report.print (report rows);
+    List.iter
+      (fun (f : Etextile.Experiments.sweep_failure) ->
+        Printf.eprintf "sweep cell %d failed after %d attempt(s): %s\n%s%!"
+          f.unit_index f.attempts (Printexc.to_string f.exn)
+          (Printexc.raw_backtrace_to_string f.backtrace))
+      failures;
+    if failures = [] then `Ok ()
+    else
+      `Error
+        (false, Printf.sprintf "%d sweep cell(s) failed; see stderr" (List.length failures))
 
 let fig7_cmd =
-  let run ({ sizes; seeds } : Request.fig7_params) jobs manifest retries =
+  let run ({ sizes; seeds } : Request.fig7_params) jobs store retries =
     if retries < 0 then `Error (false, "--sweep-retries must be non-negative")
     else
-      render_sweep ~report:Etextile.Report.fig7
-        (Etextile.Experiments.run_units ~domains:jobs ~retries ?manifest
-           ~fingerprint:(Etextile.Experiments.fig7_fingerprint ~sizes ~seeds)
-           (Etextile.Experiments.fig7_units ~sizes ~seeds))
+      run_sweep ~report:Etextile.Report.fig7 ~jobs ~retries ~store
+        (Etextile.Experiments.fig7_units ~sizes ~seeds)
   in
   let term =
-    Term.(ret (const run $ term Request.fig7 $ jobs_arg $ manifest_arg
+    Term.(ret (const run $ term Request.fig7 $ jobs_arg $ sweep_store_arg
                $ sweep_retries_arg))
   in
   Cmd.v (cmd_info "fig7" ~doc:"Reproduce Fig 7: completed jobs, EAR vs SDR.") term
@@ -121,7 +129,9 @@ let fig8_cmd =
   let controllers_arg =
     let doc = "Controller counts to sweep." in
     Arg.(
-      value & opt (list int) [ 1; 2; 4; 7; 10 ] & info [ "controllers" ] ~docv:"COUNTS" ~doc)
+      value
+      & opt (list int) Etextile.Experiments.default_controller_counts
+      & info [ "controllers" ] ~docv:"COUNTS" ~doc)
   in
   let run sizes controller_counts seeds jobs =
     Etextile.Report.print
@@ -161,7 +171,10 @@ let ablations_cmd =
 let concurrency_cmd =
   let depths_arg =
     let doc = "Numbers of concurrent jobs to sweep." in
-    Arg.(value & opt (list int) [ 1; 2; 4; 8 ] & info [ "depths" ] ~docv:"DEPTHS" ~doc)
+    Arg.(
+      value
+      & opt (list int) Etextile.Experiments.default_depths
+      & info [ "depths" ] ~docv:"DEPTHS" ~doc)
   in
   let run mesh_size depths seeds jobs =
     Etextile.Report.print
@@ -200,7 +213,10 @@ let generality_cmd =
 let failures_cmd =
   let counts_arg =
     let doc = "Numbers of broken interconnects to sweep." in
-    Arg.(value & opt (list int) [ 0; 4; 8; 16; 24 ] & info [ "counts" ] ~docv:"COUNTS" ~doc)
+    Arg.(
+      value
+      & opt (list int) Etextile.Experiments.default_failure_counts
+      & info [ "counts" ] ~docv:"COUNTS" ~doc)
   in
   let run mesh_size failure_counts seeds jobs =
     Etextile.Report.print
@@ -422,26 +438,20 @@ let algorithms_cmd =
 let resilience_cmd =
   let run
       ({ mesh_size; bit_error_rates; wearout_rates; fault_seed; seeds } :
-        Request.resilience_params) jobs manifest retries =
+        Request.resilience_params) jobs store retries =
     if retries < 0 then `Error (false, "--sweep-retries must be non-negative")
     else
       match
         Etextile.Experiments.resilience_units ~mesh_size ~bit_error_rates
           ~wearout_rates ~fault_seed ~seeds
       with
-      | units ->
-        render_sweep ~report:Etextile.Report.resilience
-          (Etextile.Experiments.run_units ~domains:jobs ~retries ?manifest
-             ~fingerprint:
-               (Etextile.Experiments.resilience_fingerprint ~mesh_size
-                  ~bit_error_rates ~wearout_rates ~fault_seed ~seeds)
-             units)
+      | units -> run_sweep ~report:Etextile.Report.resilience ~jobs ~retries ~store units
       | exception Invalid_argument message -> `Error (false, message)
   in
   let term =
     Term.(
       ret
-        (const run $ term Request.resilience $ jobs_arg $ manifest_arg
+        (const run $ term Request.resilience $ jobs_arg $ sweep_store_arg
        $ sweep_retries_arg))
   in
   Cmd.v
@@ -615,9 +625,12 @@ let serve_cmd =
     let doc =
       "Arm deterministic failure-injection sites before serving: \
        comma-separated SITE=KIND[@OCCURRENCE][!] terms, e.g. \
-       'store.fsync=eio,net.read=eintr!'.  KIND is enospc, eio, eintr, \
-       epipe, sys:MSG, short:N, torn:N or crash.  For fault testing only; \
-       without this flag the sites cost a single atomic load."
+       'store.fsync=eio,net.accept=eintr@2'.  serve reaches the store.* \
+       sites (under --store) and net.accept (on a --socket); net.read, \
+       net.write and net.connect are sites of the router and the client, \
+       which serve never reaches.  KIND is enospc, eio, eintr, epipe, \
+       sys:MSG, short:N, torn:N or crash.  For fault testing only; without \
+       this flag the sites cost a single atomic load."
     in
     Arg.(value & opt (some string) None & info [ "failpoints" ] ~docv:"SPEC" ~doc)
   in
@@ -1077,12 +1090,12 @@ let crashtest_cmd =
   in
   let parts_arg =
     let doc =
-      "Artifacts to enumerate kill points over: any of store, checkpoint, \
-       manifest (default: all three)."
+      "Artifacts to enumerate kill points over: store, checkpoint or both \
+       (default: both)."
     in
     Arg.(
       value
-      & opt (list string) [ "store"; "checkpoint"; "manifest" ]
+      & opt (list string) [ "store"; "checkpoint" ]
       & info [ "parts" ] ~docv:"PARTS" ~doc)
   in
   let quiet_arg =
@@ -1101,11 +1114,8 @@ let crashtest_cmd =
     let part_of_string = function
       | "store" -> Ok `Store
       | "checkpoint" -> Ok `Checkpoint
-      | "manifest" -> Ok `Manifest
       | other ->
-        Error
-          (Printf.sprintf
-             "unknown part %S (expected store, checkpoint or manifest)" other)
+        Error (Printf.sprintf "unknown part %S (expected store or checkpoint)" other)
     in
     match
       List.fold_left
@@ -1147,9 +1157,9 @@ let crashtest_cmd =
     (cmd_info "crashtest"
        ~doc:
          "Run the ALICE-style crash-consistency harness: enumerate every kill \
-          point inside the store, checkpoint and sweep-manifest write \
-          sequences, simulate a crash at each (fork + _exit, torn writes \
-          included), and assert recovery loses no committed entry, serves \
+          point inside the store and checkpoint write sequences, simulate a \
+          crash at each (fork + _exit, torn writes included), and assert \
+          recovery loses no committed entry, serves \
           nothing partial, sweeps temp files and stays bit-identical.  Also \
           injects ENOSPC/EIO/EINTR/short/rename failures at every site.  \
           Exits non-zero on any violation.")

@@ -31,128 +31,43 @@ type sweep_failure = {
   attempts : int;
 }
 
-module Checkpoint = Etx_etsim.Checkpoint
-
-(* A manifest is a checkpoint frame whose payload holds the sweep
-   fingerprint and, per completed unit, its index and metrics list.  The
-   fingerprint ties the file to one specific sweep shape; a mismatch (or
-   any corruption) silently starts fresh rather than mixing results. *)
-let load_manifest ~fingerprint path =
-  let completed = Hashtbl.create 16 in
-  (if Sys.file_exists path then
-     try
-       let r =
-         Checkpoint.Reader.create (Checkpoint.read_file ~fp_prefix:"manifest" path)
-       in
-       if Checkpoint.Reader.string r = fingerprint then begin
-         let entries =
-           Checkpoint.Reader.list r (fun () ->
-               let index = Checkpoint.Reader.int r in
-               let metrics =
-                 Checkpoint.Reader.list r (fun () -> Etx_etsim.Metrics.read r)
-               in
-               (index, metrics))
-         in
-         Checkpoint.Reader.expect_end r;
-         List.iter (fun (i, ms) -> Hashtbl.replace completed i ms) entries
-       end
-     with Checkpoint.Error _ | Sys_error _ -> Hashtbl.reset completed);
-  completed
-
-let save_manifest ~fingerprint path completed =
-  let w = Checkpoint.Writer.create () in
-  Checkpoint.Writer.string w fingerprint;
-  let entries = Hashtbl.fold (fun i ms acc -> (i, ms) :: acc) completed [] in
-  let entries = List.sort compare entries in
-  Checkpoint.Writer.list w
-    (fun (i, ms) ->
-      Checkpoint.Writer.int w i;
-      Checkpoint.Writer.list w (Etx_etsim.Metrics.write w) ms)
-    entries;
-  Checkpoint.write_file ~fp_prefix:"manifest" path (Checkpoint.Writer.contents w)
-
-(* Every unfinished unit's configs are flattened into one batch for the
-   pool, so parallelism is never limited by unit boundaries, and the
-   pool preserves order, so results are bit-identical to a sequential
-   run for every [domains].  Each config runs under [Pool.attempt], so a
-   crash only fails its own unit.  The worker that finishes a unit's
-   last config records it in the manifest, under [lock]. *)
-let run_units ?pool ?(domains = 1) ?(retries = 0) ?manifest ?(fingerprint = "")
-    ?(simulate = simulate) units =
-  let units = Array.of_list units in
-  let completed =
-    match manifest with
-    | Some path -> load_manifest ~fingerprint path
-    | None -> Hashtbl.create 16
-  in
-  let resumed =
-    Array.mapi
-      (fun i unit ->
-        match Hashtbl.find_opt completed i with
-        | Some metrics when List.length metrics = List.length unit.configs ->
-          Some metrics
-        | _ -> None)
-      units
-  in
-  let outcomes = Array.map (fun unit -> Array.make (List.length unit.configs) None) units in
-  let left = Array.map Array.length outcomes in
-  let metrics i =
-    Array.to_list
-      (Array.map
-         (function Some (Pool.Completed m) -> m | Some (Pool.Crashed _) | None -> assert false)
-         outcomes.(i))
-  in
-  let crash i =
-    Array.find_map
-      (function Some (Pool.Crashed e) -> Some e | Some (Pool.Completed _) | None -> None)
-      outcomes.(i)
-  in
-  let lock = Mutex.create () in
-  let record i =
-    match manifest with
-    | Some path when Option.is_none (crash i) -> (
-      Hashtbl.replace completed i (metrics i);
-      (* the manifest is resume optimization, not the result: a full
-         disk or failed fsync must not kill a sweep that is computing
-         fine — the next save (or run) retries *)
-      try save_manifest ~fingerprint path completed with Sys_error _ -> ())
-    | _ -> ()
-  in
+(* Every unit's configs are flattened into one batch for the pool, so
+   parallelism is never limited by unit boundaries, and the pool
+   preserves order, so results are bit-identical to a sequential run for
+   every [domains].  Each config runs under [Pool.attempt], so a crash
+   only fails its own unit. *)
+let run_units ?pool ?(domains = 1) ?(retries = 0) ?(simulate = simulate) units =
   let simulate = Pool.attempt ~retries simulate in
-  let task (i, j, config) =
-    let outcome = simulate config in
-    Mutex.protect lock (fun () ->
-        outcomes.(i).(j) <- Some outcome;
-        left.(i) <- left.(i) - 1;
-        if left.(i) = 0 then record i)
+  let batch = List.concat_map (fun unit -> unit.configs) units in
+  let outcomes =
+    match pool with
+    | Some p -> Pool.run p simulate batch
+    | None -> Pool.map ~domains simulate batch
   in
-  let batch =
-    List.concat
-      (List.mapi
-         (fun i unit ->
-           if resumed.(i) <> None then []
-           else List.mapi (fun j config -> (i, j, config)) unit.configs)
-         (Array.to_list units))
-  in
-  ignore
-    (match pool with
-    | Some p -> Pool.run p task batch
-    | None -> Pool.map ~domains task batch);
-  List.mapi
-    (fun i unit ->
-      let finish metrics =
-        match unit.finish metrics with
-        | row -> Ok row
-        | exception exn ->
-          let backtrace = Printexc.get_raw_backtrace () in
-          Error { unit_index = i; exn; backtrace; attempts = 1 }
+  let finish i unit outcomes =
+    match
+      List.find_map (function Pool.Crashed e -> Some e | Pool.Completed _ -> None) outcomes
+    with
+    | Some { Pool.exn; backtrace; attempts } ->
+      Error { unit_index = i; exn; backtrace; attempts }
+    | None -> (
+      let metrics =
+        List.map (function Pool.Completed m -> m | Pool.Crashed _ -> assert false) outcomes
       in
-      match (resumed.(i), crash i) with
-      | Some stored, _ -> finish stored
-      | None, Some { Pool.exn; backtrace; attempts } ->
-        Error { unit_index = i; exn; backtrace; attempts }
-      | None, None -> finish (metrics i))
-    (Array.to_list units)
+      match unit.finish metrics with
+      | row -> Ok row
+      | exception exn ->
+        let backtrace = Printexc.get_raw_backtrace () in
+        Error { unit_index = i; exn; backtrace; attempts = 1 })
+  in
+  let rec group i outcomes = function
+    | [] -> []
+    | unit :: units ->
+      let mine, rest = take (List.length unit.configs) outcomes in
+      let result = finish i unit mine in
+      result :: group (i + 1) rest units
+  in
+  group 0 outcomes units
 
 (* The row-returning sweeps: a failed unit re-raises its original
    exception, the first in unit order. *)
@@ -279,7 +194,9 @@ let table2 ?(sizes = default_sizes) ?(seeds = Calibration.default_seeds) ?(domai
 
 type fig8_row = { mesh_size : int; controllers : int; jobs : float }
 
-let fig8 ?(sizes = default_sizes) ?(controller_counts = [ 1; 2; 4; 7; 10 ])
+let default_controller_counts = [ 1; 2; 4; 7; 10 ]
+
+let fig8 ?(sizes = default_sizes) ?(controller_counts = default_controller_counts)
     ?(seeds = Calibration.default_seeds) ?(domains = 1) () =
   let unit mesh_size controllers =
     let make ~seed =
@@ -407,7 +324,9 @@ type concurrency_row = {
   deadlocks_recovered : float;
 }
 
-let concurrency ?(mesh_size = 6) ?(depths = [ 1; 2; 4; 8 ])
+let default_depths = [ 1; 2; 4; 8 ]
+
+let concurrency ?(mesh_size = 6) ?(depths = default_depths)
     ?(seeds = Calibration.default_seeds) ?(domains = 1) () =
   let unit depth =
     let make ~seed = Calibration.config ~concurrent_jobs:depth ~mesh_size ~seed () in
@@ -526,7 +445,9 @@ let random_failure_schedule ~(topology : Etx_graph.Topology.t) ~count ~before_cy
       let a, b = pool.(i) in
       (Etx_util.Prng.int prng ~bound:before_cycle, a, b))
 
-let link_failures ?(mesh_size = 6) ?(failure_counts = [ 0; 4; 8; 16; 24 ])
+let default_failure_counts = [ 0; 4; 8; 16; 24 ]
+
+let link_failures ?(mesh_size = 6) ?(failure_counts = default_failure_counts)
     ?(seeds = Calibration.default_seeds) ?(domains = 1) () =
   let topology = Etx_graph.Topology.square_mesh ~size:mesh_size () in
   let unit count =

@@ -17,12 +17,12 @@
     A sweep is a list of units; each owns the configs it needs and folds
     their metrics (in config order) into one row.  {!run_units} is the
     one runner behind every sweep: it flattens the configs of every unit
-    not yet finished into one batch for the domain pool, so parallelism
-    is never limited by unit boundaries, and the pool preserves order, so
-    results are bit-identical to a sequential run for every [domains]
-    value.  A crashing simulation only loses its own unit, and an
-    optional manifest file records each completed unit so an interrupted
-    sweep resumes without recomputing it.  The row-returning sweeps below
+    into one batch for the domain pool, so parallelism is never limited
+    by unit boundaries, and the pool preserves order, so results are
+    bit-identical to a sequential run for every [domains] value.  A
+    crashing simulation only loses its own unit.  A resumable sweep is a
+    [?simulate] that looks each run up in a result store by its config
+    fingerprint ([Etx_service.Handlers.store_backed]).  The row-returning sweeps below
     ({!fig7}, {!table2}, ...) re-raise a failed unit's original
     exception. *)
 
@@ -42,8 +42,6 @@ val run_units :
   ?pool:Etx_util.Pool.t ->
   ?domains:int ->
   ?retries:int ->
-  ?manifest:string ->
-  ?fingerprint:string ->
   ?simulate:(Etx_etsim.Config.t -> Etx_etsim.Metrics.t) ->
   'row sweep_unit list ->
   ('row, sweep_failure) result list
@@ -52,14 +50,9 @@ val run_units :
     workers (default [1]: sequential).  Each simulation is attempted up
     to [1 + retries] times ({!Etx_util.Pool.attempt}); a unit with any
     simulation still crashing, or whose [finish] raises, yields [Error]
-    and the others are unaffected.  [?manifest] names a checkpoint file
-    (re)written atomically each time a unit's last simulation completes,
-    and consulted on startup: units already present under the same
-    [fingerprint] are finished from their stored metrics without
-    simulating.  A missing, corrupted or mismatching manifest starts
-    fresh, and a failed save never fails the sweep.  [?simulate]
-    overrides the simulation function (test hook).  Output order matches
-    unit order.
+    and the others are unaffected.  [?simulate] (default
+    {!Etx_etsim.Engine.simulate}) runs one config; it is called from the
+    pool's workers.  Output order matches unit order.
     @raise Invalid_argument on a negative [retries]. *)
 
 type fig7_row = {
@@ -82,8 +75,8 @@ val fig7 :
     controller. *)
 
 val fig7_fingerprint : sizes:int list -> seeds:int list -> string
-(** Canonical identity of one {!fig7} sweep shape.  Shared by the sweep
-    manifest machinery and the server's content-addressed result cache:
+(** Canonical identity of one {!fig7} sweep shape: the server's
+    content-addressed result cache keys a [fig7] request by it, and
     equal fingerprints guarantee bit-identical rows. *)
 
 val fig7_units : sizes:int list -> seeds:int list -> fig7_row sweep_unit list
@@ -102,6 +95,9 @@ type table2_row = {
 val table2 : ?sizes:int list -> ?seeds:int list -> ?domains:int -> unit -> table2_row list
 
 type fig8_row = { mesh_size : int; controllers : int; jobs : float }
+
+val default_controller_counts : int list
+(** [1; 2; 4; 7; 10], {!fig8}'s default controller counts. *)
 
 val fig8 :
   ?sizes:int list -> ?controller_counts:int list -> ?seeds:int list -> ?domains:int -> unit ->
@@ -141,6 +137,9 @@ type concurrency_row = {
   deadlocks_recovered : float;
 }
 
+val default_depths : int list
+(** [1; 2; 4; 8], {!concurrency}'s default numbers of jobs in flight. *)
+
 val concurrency : ?mesh_size:int -> ?depths:int list -> ?seeds:int list -> ?domains:int -> unit ->
   concurrency_row list
 (** Multiple concurrent jobs exercising the deadlock recovery mechanism
@@ -164,6 +163,9 @@ val random_failure_schedule :
   (int * int * int) list
 (** [count] distinct undirected links picked uniformly, each breaking at
     a cycle drawn uniformly from [0, before_cycle). *)
+
+val default_failure_counts : int list
+(** [0; 4; 8; 16; 24], {!link_failures}' default numbers of broken links. *)
 
 val link_failures :
   ?mesh_size:int -> ?failure_counts:int list -> ?seeds:int list -> ?domains:int -> unit ->

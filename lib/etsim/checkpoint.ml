@@ -74,10 +74,6 @@ module Writer = struct
     int t (String.length s);
     Buffer.add_string t s
 
-  let list t f xs =
-    int t (List.length xs);
-    List.iter f xs
-
   let float_array t xs =
     int t (Array.length xs);
     Array.iter (float t) xs
@@ -126,15 +122,12 @@ module Reader = struct
     t.pos <- t.pos + n;
     v
 
-  let count t what =
+  let float_array t =
     let n = int t in
-    if n < 0 then malformed (Printf.sprintf "negative %s length" what);
+    if n < 0 then malformed "negative array length";
     (* cheap sanity bound: each element costs at least one payload byte *)
-    if n > Bytes.length t.buf - t.pos then malformed (Printf.sprintf "%s length exceeds payload" what);
-    n
-
-  let list t f = List.init (count t "list") (fun _ -> f ())
-  let float_array t = Array.init (count t "array") (fun _ -> float t)
+    if n > Bytes.length t.buf - t.pos then malformed "array length exceeds payload";
+    Array.init n (fun _ -> float t)
 
   let expect_end t =
     if t.pos <> Bytes.length t.buf then malformed "trailing bytes after payload"
@@ -176,9 +169,8 @@ let sweep_tmp path =
     (Etx_util.Fdio.sweep_tmps ~prefix:(Filename.basename path)
        (Filename.dirname path))
 
-let write_file ?(fp_prefix = "checkpoint") path payload =
+let write_file path payload =
   sweep_tmp path;
-  Etx_util.Fdio.write_file_atomic ~fp_prefix ~path (frame payload)
+  Etx_util.Fdio.write_file_atomic ~fp_prefix:"checkpoint" ~path (frame payload)
 
-let read_file ?(fp_prefix = "checkpoint") path =
-  unframe (Etx_util.Fdio.read_file ~site:(fp_prefix ^ ".read") path)
+let read_file path = unframe (Etx_util.Fdio.read_file ~site:"checkpoint.read" path)

@@ -1,7 +1,8 @@
 (** Versioned, CRC-protected binary checkpoint encoding.
 
-    Engine checkpoints and sweep manifests are written through this
-    module.  A checkpoint file is a single frame:
+    Engine checkpoints are written through this module, and the
+    {!Writer} / {!Reader} payload idiom also encodes sweep runs' metrics
+    for the result store.  A checkpoint file is a single frame:
 
     {v
       magic   "ETXCKPT1"          8 bytes
@@ -23,9 +24,8 @@
     never leaves a truncated checkpoint behind. *)
 
 val version : int
-(** Current frame format version, shared by engine checkpoints and sweep
-    manifests; files of any other version are rejected with
-    [Unsupported_version]. *)
+(** Current frame format version; files of any other version are
+    rejected with [Unsupported_version]. *)
 
 type error =
   | Truncated  (** file shorter than its frame header promises *)
@@ -67,7 +67,6 @@ module Writer : sig
   val string : t -> string -> unit
   (** Length-prefixed. *)
 
-  val list : t -> ('a -> unit) -> 'a list -> unit
   val float_array : t -> float array -> unit
 
   val contents : t -> bytes
@@ -84,7 +83,6 @@ module Reader : sig
   val int : t -> int
   val float : t -> float
   val string : t -> string
-  val list : t -> (unit -> 'a) -> 'a list
   val float_array : t -> float array
 
   val expect_end : t -> unit
@@ -103,15 +101,15 @@ val sweep_tmp : string -> unit
     temp-file creation and rename.  {!write_file} calls this first; it
     is exposed so recovery code can sweep without writing. *)
 
-val write_file : ?fp_prefix:string -> string -> bytes -> unit
+val write_file : string -> bytes -> unit
 (** [write_file path payload] frames [payload] and writes it atomically:
     temp file in [path]'s directory, fsync, rename (stale tmps swept
     first).  A failed fsync is a failed write — the previous committed
-    bytes stay untouched.  [fp_prefix] names the
-    {!Etx_util.Failpoint} sites of the sequence (default
-    ["checkpoint"]; sweep manifests use ["manifest"]).
+    bytes stay untouched.  Its {!Etx_util.Failpoint} sites are
+    [checkpoint.tmp], [.write], [.fsync], [.rename] and [.commit].
     @raise Sys_error on I/O failure. *)
 
-val read_file : ?fp_prefix:string -> string -> bytes
-(** Read and validate a framed file, returning the payload.
+val read_file : string -> bytes
+(** Read (failpoint site [checkpoint.read]) and validate a framed file,
+    returning the payload.
     @raise Error on integrity failure, [Sys_error] on I/O failure. *)

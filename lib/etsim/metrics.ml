@@ -96,8 +96,8 @@ let pp fmt t =
     t.retransmissions t.packets_dropped t.uploads_dropped t.downloads_dropped
     t.stale_reports_total t.stale_reports_max
 
-(* Binary serialization for sweep manifests (Checkpoint payload idiom:
-   fixed field order, no self-description). *)
+(* Binary serialization for sweep runs' store entries (Checkpoint
+   payload idiom: fixed field order, no self-description). *)
 
 let write_death_reason w = function
   | Job_lost_to_node_death { node; job } ->

@@ -94,7 +94,8 @@ val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable report. *)
 
 val write : Checkpoint.Writer.t -> t -> unit
-(** Serialize into a checkpoint payload (used by sweep manifests). *)
+(** Serialize into a checkpoint payload (a sweep run's result-store
+    entry). *)
 
 val read : Checkpoint.Reader.t -> t
 (** Inverse of {!write}.

@@ -40,9 +40,6 @@ let tmp_files dir =
   | names ->
     Array.to_list names |> List.filter (fun n -> Filename.check_suffix n ".tmp")
 
-let file_bytes path = Etx_util.Fdio.read_file path
-let write_bytes path data = Etx_util.Fdio.write_file_atomic ~path data
-
 (* - the crash replay: fork, arm, run, _exit -
 
    The child replaces the crash hook with [Unix._exit], so firing a kill
@@ -371,118 +368,10 @@ let checkpoint ?(seed = 1) ~dir () =
     violations = List.rev !violations;
   }
 
-(* - part 3: sweep manifests - *)
-
-let manifest ?(seed = 1) ~dir () =
-  let violations = ref [] in
-  let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let rng = Prng.create ~seed in
-  let dir_m = fresh_dir (Filename.concat dir "manifest") in
-  let path = Filename.concat dir_m "sweep.etxm" in
-  (* one real (tiny) simulation in the parent; the [?simulate] hook
-     replays its metrics, so forked children never simulate *)
-  let config = Etextile.Calibration.config ~mesh_size:4 ~seed () in
-  let metrics = Etx_etsim.Engine.run (Etx_etsim.Engine.create config) in
-  let simulate _ = metrics in
-  let fingerprint = "crashtest-manifest" in
-  let units =
-    List.init 3 (fun _ ->
-        {
-          Etextile.Experiments.configs = [ config ];
-          finish = (fun ms -> List.length ms);
-        })
-  in
-  let resume ?(units = units) () =
-    Etextile.Experiments.run_units ~domains:1 ~manifest:path ~fingerprint
-      ~simulate units
-  in
-  let partial = resume ~units:(List.filteri (fun i _ -> i < 2) units) () in
-  if List.exists Result.is_error partial then
-    violation "manifest: baseline partial sweep failed";
-  let bytes_old = file_bytes path in
-  ignore (resume ());
-  let bytes_new = file_bytes path in
-  if Bytes.equal bytes_old bytes_new then
-    violation "manifest: resume did not extend the manifest";
-  let restore () = write_bytes path bytes_old in
-  restore ();
-  let sites = enumerate ~prefix:"manifest." (fun () -> ignore (resume ())) in
-  restore ();
-  if sites = [] then violation "manifest: no write sites enumerated";
-  let kills = ref 0 in
-  List.iter
-    (fun (desc, site, occ, failure) ->
-      restore ();
-      let code =
-        fork_crash
-          ~arm:(fun () -> Failpoint.arm ~after:(occ - 1) site failure)
-          (fun () -> ignore (resume ()))
-      in
-      incr kills;
-      if code <> crash_exit_code then
-        violation "manifest: %s never fired (child exit %d)" desc code;
-      (* the file is bit-identically the old or the new manifest *)
-      (match file_bytes path with
-      | bytes ->
-        if not (Bytes.equal bytes bytes_old || Bytes.equal bytes bytes_new) then
-          violation "manifest: %s: file matches neither committed state" desc
-      | exception Sys_error _ -> violation "manifest: %s: manifest lost" desc);
-      (* a resumed sweep completes from whatever state survived *)
-      (match resume () with
-      | rows ->
-        if
-          not
-            (List.for_all (function Ok 1 -> true | Ok _ | Error _ -> false) rows)
-        then violation "manifest: %s: resumed sweep returned wrong rows" desc
-      | exception e ->
-        violation "manifest: %s: resumed sweep raised %s" desc (Printexc.to_string e));
-      if not (Bytes.equal (file_bytes path) bytes_new) then
-        violation "manifest: %s: resumed sweep did not converge to the clean bytes"
-          desc;
-      match tmp_files dir_m with
-      | [] -> ()
-      | ts -> violation "manifest: %s: %d tmp file(s) survived" desc (List.length ts))
-    (kill_points ~rng ~data_len:(Bytes.length bytes_new) sites);
-  (* - in-process injections: a failing manifest save must not fail the
-     sweep (the manifest is an optimization, not the result) - *)
-  let injections = ref 0 in
-  List.iter
-    (fun (site, failure, desc) ->
-      restore ();
-      Failpoint.reset ();
-      Failpoint.arm site failure;
-      incr injections;
-      (match resume () with
-      | rows ->
-        if
-          not
-            (List.for_all (function Ok 1 -> true | Ok _ | Error _ -> false) rows)
-        then violation "manifest: %s: sweep rows wrong under injection" desc
-      | exception e ->
-        violation "manifest: %s: sweep failed under injection: %s" desc
-          (Printexc.to_string e));
-      Failpoint.reset ())
-    [
-      ("manifest.write", Failpoint.Errno Unix.ENOSPC, "ENOSPC at write");
-      ("manifest.fsync", Failpoint.Errno Unix.EIO, "EIO at fsync");
-      ("manifest.rename", Failpoint.Sys_err "injected", "failed rename");
-      ("manifest.read", Failpoint.Short 10, "short read of the manifest");
-      ("manifest.write", Failpoint.Errno Unix.EINTR, "EINTR at write");
-    ];
-  Failpoint.reset ();
-  {
-    part = "manifest";
-    seed;
-    kill_points = !kills;
-    injections = !injections;
-    violations = List.rev !violations;
-  }
-
-let run ?(seed = 1) ?(parts = [ `Store; `Checkpoint; `Manifest ]) ~dir () =
+let run ?(seed = 1) ?(parts = [ `Store; `Checkpoint ]) ~dir () =
   let dir = ensure_dir dir in
   List.map
     (function
       | `Store -> store ~seed ~dir ()
-      | `Checkpoint -> checkpoint ~seed ~dir ()
-      | `Manifest -> manifest ~seed ~dir ())
+      | `Checkpoint -> checkpoint ~seed ~dir ())
     parts

@@ -1,7 +1,7 @@
 (** ALICE-style crash-consistency harness for the persistence layers.
 
-    For each artifact — durable result store, engine checkpoint, sweep
-    manifest — the harness first runs the write sequence once with
+    For each artifact — durable result store, engine checkpoint — the
+    harness first runs the write sequence once with
     {!Etx_util.Failpoint} hit recording on, which {e enumerates} every
     interruption point (temp-file creation, each write, fsync, rename,
     post-rename).  It then replays the sequence once per kill point in a
@@ -28,7 +28,7 @@
     CLI subcommand. *)
 
 type report = {
-  part : string;  (** ["store"], ["checkpoint"] or ["manifest"]. *)
+  part : string;  (** ["store"] or ["checkpoint"]. *)
   seed : int;
   kill_points : int;  (** Forked crash replays performed. *)
   injections : int;  (** In-process failure injections performed. *)
@@ -43,18 +43,11 @@ val checkpoint : ?seed:int -> dir:string -> unit -> report
 (** Kill-point enumeration over {!Etx_etsim.Checkpoint.write_file}
     replacing an existing frame and creating a fresh one. *)
 
-val manifest : ?seed:int -> dir:string -> unit -> report
-(** Kill-point enumeration over the sweep-manifest save inside
-    {!Etextile.Experiments.run_units} (via its [?simulate]
-    hook, so no real simulation runs in the children); recovery is a
-    resumed sweep that must complete and leave the manifest bytes equal
-    to a clean run's. *)
-
 val run :
   ?seed:int ->
-  ?parts:[ `Store | `Checkpoint | `Manifest ] list ->
+  ?parts:[ `Store | `Checkpoint ] list ->
   dir:string ->
   unit ->
   report list
-(** All requested parts (default: all three) under a scratch [dir],
+(** All requested parts (default: both) under a scratch [dir],
     which is created and left behind for inspection. *)

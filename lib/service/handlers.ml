@@ -72,6 +72,30 @@ let simulate_config (p : Request.simulate_params) =
         ?fault:(fault_spec p.fault) ~max_retransmissions:p.retries ~mesh_size:p.mesh_size
         ())
 
+(* A sweep run lives in the store under its config fingerprint, behind a
+   prefix no request fingerprint has, as [Metrics.write]'s bytes.  The
+   store is not thread-safe and this runs on pool workers, so its calls
+   share one mutex; the simulation runs outside it. *)
+let store_backed store simulate =
+  let lock = Mutex.create () in
+  fun config ->
+    let key = "run;" ^ Etx_etsim.Engine.config_fingerprint config in
+    let decode value =
+      let r = Etx_etsim.Checkpoint.Reader.create (Bytes.unsafe_of_string value) in
+      let metrics = Etx_etsim.Metrics.read r in
+      Etx_etsim.Checkpoint.Reader.expect_end r;
+      metrics
+    in
+    match Option.map decode (Mutex.protect lock (fun () -> Store.find store key)) with
+    | Some metrics -> metrics
+    | None | (exception Etx_etsim.Checkpoint.Error _) ->
+      let metrics = simulate config in
+      let w = Etx_etsim.Checkpoint.Writer.create () in
+      Etx_etsim.Metrics.write w metrics;
+      let value = Bytes.to_string (Etx_etsim.Checkpoint.Writer.contents w) in
+      Mutex.protect lock (fun () -> Store.add store key value);
+      metrics
+
 let audit_runs ?pool ?domains (p : Request.audit_params) =
   Experiments.audit_runs ~sizes:p.sizes ~seeds:p.seeds ~every:p.every
     ?fault:(fault_spec p.fault) ~max_retransmissions:p.retries ?pool ?domains ()

@@ -21,6 +21,19 @@ val simulate_config : Request.simulate_params -> (Etx_etsim.Config.t, string) re
     every rate is 0) on the calibrated platform.  [Error] carries the
     unknown name or the constructor's message. *)
 
+val store_backed :
+  Store.t ->
+  (Etx_etsim.Config.t -> Etx_etsim.Metrics.t) ->
+  Etx_etsim.Config.t ->
+  Etx_etsim.Metrics.t
+(** [store_backed store simulate] is [simulate] with its results kept in
+    [store], keyed by {!Etx_etsim.Engine.config_fingerprint} under a
+    prefix no request fingerprint uses: a run found there is decoded
+    instead of simulated, and a computed one is written back.  An entry
+    that does not decode is recomputed.  Safe to call from several pool
+    workers at once ({!Etextile.Experiments.run_units}' [?simulate]),
+    which is how [fig7 --store] and [resilience --store] resume. *)
+
 val audit_runs :
   ?pool:Etx_util.Pool.t -> ?domains:int -> Request.audit_params ->
   Etextile.Experiments.audit_row list
@@ -32,7 +45,7 @@ val fingerprint : Request.scenario -> (string, string) result
 (** Canonical content address of the scenario's {e result}.  Simulate
     requests reuse the checkpoint layer's configuration fingerprint
     ({!Etx_etsim.Engine.config_fingerprint}, fault rates in their exact
-    form); sweeps reuse their manifest fingerprints from
+    form); sweeps reuse their sweep fingerprints from
     {!Etextile.Experiments}, and an audit's covers its fault spec and
     retry budget whenever they are off their defaults.  Two requests
     with equal fingerprints produce bit-identical results, so the cache

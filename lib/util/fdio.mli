@@ -1,7 +1,7 @@
 (** Durable file I/O on raw file descriptors, threaded with failpoints.
 
-    The simulator's persistence layers (checkpoints, sweep manifests,
-    the cluster's durable result store) all follow the same discipline:
+    The simulator's persistence layers (checkpoints, the cluster's
+    durable result store, metrics snapshots) all follow the same discipline:
     write the framed bytes to a temp file {e in the target directory},
     [fsync], rename over the target, and treat any failure — including
     a failed fsync, after which the kernel may have dropped the dirty

@@ -65,10 +65,6 @@ let suite =
           (make "checkpoint"
              (fun ~seed ~dir () -> Crashtest.checkpoint ~seed ~dir ())
              3);
-        (* the manifest part drives a real (tiny) sweep per kill point;
-           keep the trial count low *)
-        QCheck_alcotest.to_alcotest
-          (make "manifest" (fun ~seed ~dir () -> Crashtest.manifest ~seed ~dir ()) 2);
       ] );
   ]
 

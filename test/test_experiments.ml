@@ -164,9 +164,23 @@ let test_report_concurrency_renders () =
 
 (* - supervised sweeps - *)
 
-let with_temp_manifest f =
-  let path = Filename.temp_file "etx_manifest" ".bin" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+module Handlers = Etx_service.Handlers
+module Store = Etx_service.Store
+module Failpoint = Etx_util.Failpoint
+
+(* a result store in a fresh directory, removed afterwards *)
+let with_temp_store f =
+  let dir = Filename.temp_file "etx_sweep_store" "" in
+  Sys.remove dir;
+  let store = Store.open_dir dir in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f store)
+
+let ok_rows results =
+  List.map (function Ok row -> row | Error _ -> Alcotest.fail "a sweep cell failed") results
 
 (* a tiny sweep of three one-config units whose rows are the completed
    job counts, with a simulate wrapper that counts calls and can be told
@@ -206,60 +220,95 @@ let test_supervised_survives_crash () =
     Alcotest.(check int) "both attempts used" 2 failure.attempts
   | _ -> Alcotest.fail "unexpected supervised sweep shape"
 
-let test_supervised_manifest_resume () =
-  with_temp_manifest (fun manifest ->
-      let fingerprint = "test-sweep-v1" in
-      (* first pass: unit 1 crashes, units 0 and 2 land in the manifest *)
+(* Two fig7 cells of two runs each, all four runs distinct. *)
+let store_units () = Experiments.fig7_units ~sizes:[ 4; 5 ] ~seeds:[ 1 ]
+
+let test_supervised_store_resume () =
+  let clean = ok_rows (Experiments.run_units (store_units ())) in
+  List.iter
+    (fun k ->
+      with_temp_store (fun store ->
+          (* interrupted after [k] runs: every later run crashes *)
+          let calls = ref 0 in
+          let interrupted config =
+            incr calls;
+            if !calls > k then failwith "interrupted";
+            Etx_etsim.Engine.simulate config
+          in
+          ignore
+            (Experiments.run_units
+               ~simulate:(Handlers.store_backed store interrupted)
+               (store_units ()));
+          Alcotest.(check int) (Printf.sprintf "%d runs stored" k) k (Store.length store);
+          let calls = ref 0 in
+          let resumed =
+            Experiments.run_units
+              ~simulate:(Handlers.store_backed store (counting_simulate calls))
+              (store_units ())
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "after %d runs, resume simulates the missing ones" k)
+            (4 - k) !calls;
+          Alcotest.(check bool) "resumed rows are the clean rows" true
+            (ok_rows resumed = clean)))
+    [ 0; 1; 3; 4 ]
+
+(* The store is a cache: a failed write or a torn read costs a
+   recompute, never a row. *)
+let test_supervised_store_faults () =
+  let clean = ok_rows (Experiments.run_units (store_units ())) in
+  List.iter
+    (fun (desc, site, failure, stored_first, fired) ->
+      with_temp_store (fun store ->
+          let sweep () =
+            ok_rows
+              (Experiments.run_units
+                 ~simulate:(Handlers.store_backed store Etx_etsim.Engine.simulate)
+                 (store_units ()))
+          in
+          if stored_first then ignore (sweep ());
+          Fun.protect ~finally:Failpoint.reset (fun () ->
+              Failpoint.arm ~repeat:true site failure;
+              Alcotest.(check bool) (desc ^ ": clean rows") true (sweep () = clean));
+          Alcotest.(check bool) (desc ^ " fired") true (fired store)))
+    [
+      ( "EIO at store.fsync", "store.fsync", Failpoint.Errno Unix.EIO, false,
+        fun store -> Store.write_errors store = 4 && Store.length store = 0 );
+      ( "failed store.rename", "store.rename", Failpoint.Sys_err "injected", false,
+        fun store -> Store.write_errors store = 4 && Store.length store = 0 );
+      ( "short store.read", "store.read", Failpoint.Short 10, true,
+        fun store -> Store.corrupt_dropped store = 4 && Store.length store = 4 );
+    ];
+  (* an entry that is not a metrics encoding is recomputed and replaced *)
+  with_temp_store (fun store ->
+      let configs = List.concat_map (fun u -> u.Experiments.configs) (store_units ()) in
+      let key config = "run;" ^ Etx_etsim.Engine.config_fingerprint config in
+      List.iter (fun config -> Store.add store (key config) "not metrics") configs;
       let calls = ref 0 in
-      let first =
-        Experiments.run_units ~manifest ~fingerprint
-          ~simulate:(counting_simulate ~crash_on_nodes:16 calls)
-          (supervised_units ())
+      let rows =
+        ok_rows
+          (Experiments.run_units
+             ~simulate:(Handlers.store_backed store (counting_simulate calls))
+             (store_units ()))
       in
-      Alcotest.(check int) "first pass simulated all three" 3 !calls;
-      let row = function Ok row -> Some row | Error _ -> None in
-      (* second pass: nothing crashes; only the failed cell is recomputed *)
-      let calls = ref 0 in
-      let second =
-        Experiments.run_units ~manifest ~fingerprint
-          ~simulate:(counting_simulate calls) (supervised_units ())
-      in
-      Alcotest.(check int) "resume recomputed only the failed cell" 1 !calls;
-      Alcotest.(check bool) "all three rows now present" true
-        (List.for_all (fun r -> row r <> None) second);
-      (* completed cells carry the stored metrics, not re-runs *)
-      Alcotest.(check bool) "stored rows identical" true
-        (row (List.nth first 0) = row (List.nth second 0)
-        && row (List.nth first 2) = row (List.nth second 2));
-      (* a different fingerprint ignores the file and recomputes *)
-      let calls = ref 0 in
-      ignore
-        (Experiments.run_units ~manifest ~fingerprint:"other-sweep"
-           ~simulate:(counting_simulate calls) (supervised_units ()));
-      Alcotest.(check int) "fingerprint mismatch starts fresh" 3 !calls;
-      (* a truncated manifest is treated as absent, not fatal *)
-      let oc = open_out_bin manifest in
-      output_string oc "ETXCKPT1";
-      close_out oc;
-      let calls = ref 0 in
-      ignore
-        (Experiments.run_units ~manifest ~fingerprint
-           ~simulate:(counting_simulate calls) (supervised_units ()));
-      Alcotest.(check int) "corrupt manifest starts fresh" 3 !calls)
+      Alcotest.(check bool) "undecodable entries: clean rows" true (rows = clean);
+      Alcotest.(check int) "every run recomputed" 4 !calls;
+      Alcotest.(check bool) "entries replaced" true
+        (List.for_all (fun config -> Store.find store (key config) <> Some "not metrics") configs))
 
 let test_supervised_matches_plain_fig7 () =
-  with_temp_manifest (fun manifest ->
-      let plain = Experiments.fig7 ~sizes:[ 4 ] ~seeds () in
+  let plain = Experiments.fig7 ~sizes:[ 4 ] ~seeds () in
+  with_temp_store (fun store ->
       let supervised () =
-        Experiments.run_units ~manifest
-          ~fingerprint:(Experiments.fig7_fingerprint ~sizes:[ 4 ] ~seeds)
+        Experiments.run_units
+          ~simulate:(Handlers.store_backed store Etx_etsim.Engine.simulate)
           (Experiments.fig7_units ~sizes:[ 4 ] ~seeds)
       in
       (match supervised () with
       | [ Ok row ] ->
         Alcotest.(check bool) "same row" true (row = List.hd plain)
       | _ -> Alcotest.fail "expected one Ok row");
-      (* resuming from the manifest must reproduce the identical row *)
+      (* resuming from the store must reproduce the identical row *)
       match supervised () with
       | [ Ok row ] ->
         Alcotest.(check bool) "resumed row identical" true (row = List.hd plain)
@@ -277,21 +326,21 @@ let test_supervised_resilience_shape () =
 
 (* The one runner against a sequential reference: random unit shapes,
    simulations that always crash or crash only on their first attempt,
-   any retry budget, domain count and pool, with or without a manifest.
-   A config's seed is its flat index; the fake simulation stamps it into
+   any retry budget, domain count and pool, with or without a result
+   store behind [?simulate].  A config's seed is its flat index; the fake simulation stamps it into
    [jobs_completed], so a row shows exactly which runs it was given. *)
 let prop_runner_matches_reference =
   let base_config = lazy (Calibration.config ~mesh_size:3 ~seed:0 ()) in
   let base_metrics = lazy (Etx_etsim.Engine.simulate (Lazy.force base_config)) in
   QCheck.Test.make ~count:60
-    ~name:"run_units = sequential reference (crashes, retries, domains, pool, manifest)"
+    ~name:"run_units = sequential reference (crashes, retries, domains, pool, store)"
     QCheck.(
       quad
         (small_list (int_range 0 3))
         (pair (small_list small_nat) (small_list small_nat))
         (pair bool (int_range 1 3))
         (pair bool bool))
-    (fun (shape, (crash, flaky), (retry, domains), (use_pool, use_manifest)) ->
+    (fun (shape, (crash, flaky), (retry, domains), (use_pool, use_store)) ->
       let base_config = Lazy.force base_config in
       let base_metrics = Lazy.force base_metrics in
       let retries = if retry then 1 else 0 in
@@ -345,36 +394,38 @@ let prop_runner_matches_reference =
               Error (f.unit_index, Printexc.to_string f.exn, f.attempts))
           results
       in
-      let run ?manifest ~crash ~flaky calls =
+      let run ?store ~crash ~flaky calls =
         let simulate = simulate ~crash ~flaky calls in
+        let simulate =
+          match store with
+          | Some store -> Handlers.store_backed store simulate
+          | None -> simulate
+        in
         observe
           (if use_pool then
              Etx_util.Pool.with_pool ~domains (fun pool ->
-                 Experiments.run_units ~pool ~retries ?manifest ~fingerprint:"prop"
-                   ~simulate units)
-           else
-             Experiments.run_units ~domains ~retries ?manifest ~fingerprint:"prop"
-               ~simulate units)
+                 Experiments.run_units ~pool ~retries ~simulate units)
+           else Experiments.run_units ~domains ~retries ~simulate units)
       in
       let crash = List.map (fun k -> k mod max 1 total) crash in
       let flaky = List.map (fun k -> k mod max 1 total) flaky in
       let expected = reference ~crash ~flaky in
-      if not use_manifest then run ~crash ~flaky (Atomic.make 0) = expected
+      if not use_store then run ~crash ~flaky (Atomic.make 0) = expected
       else
-        with_temp_manifest (fun manifest ->
-            let first = run ~manifest ~crash ~flaky (Atomic.make 0) in
-            (* the resumed run simulates exactly the units that failed *)
-            let failed_configs =
-              List.fold_left2
-                (fun acc result ks ->
-                  match result with Error _ -> acc + List.length ks | Ok _ -> acc)
-                0 first keys
+        with_temp_store (fun store ->
+            let first = run ~store ~crash ~flaky (Atomic.make 0) in
+            (* the resumed run simulates exactly the runs that crashed *)
+            let crashed_runs =
+              List.length
+                (List.filter
+                   (crashes ~crash ~flaky ~attempt:(1 + retries))
+                   (List.init total Fun.id))
             in
             let calls = Atomic.make 0 in
-            let second = run ~manifest ~crash:[] ~flaky:[] calls in
+            let second = run ~store ~crash:[] ~flaky:[] calls in
             first = expected
             && second = reference ~crash:[] ~flaky:[]
-            && Atomic.get calls = failed_configs))
+            && Atomic.get calls = crashed_runs))
 
 let test_metrics_serialization_roundtrip () =
   let m = Etx_etsim.Engine.simulate (Calibration.config ~mesh_size:4 ~seed:1 ()) in
@@ -415,7 +466,9 @@ let suite =
       [
         Alcotest.test_case "sweep survives a crashing cell" `Slow
           test_supervised_survives_crash;
-        Alcotest.test_case "manifest resume" `Slow test_supervised_manifest_resume;
+        Alcotest.test_case "store resume" `Slow test_supervised_store_resume;
+        Alcotest.test_case "store faults cost a recompute" `Slow
+          test_supervised_store_faults;
         Alcotest.test_case "fig7 supervised = plain" `Slow
           test_supervised_matches_plain_fig7;
         Alcotest.test_case "resilience supervised shape" `Slow

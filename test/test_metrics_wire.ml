@@ -94,8 +94,6 @@ let test_huge_length_prefixes () =
             (fun () -> reader (Checkpoint.Reader.create payload)))
         [
           ("string", fun r -> ignore (Checkpoint.Reader.string r));
-          ( "list",
-            fun r -> ignore (Checkpoint.Reader.list r (fun () -> Checkpoint.Reader.byte r)) );
           ("float array", fun r -> ignore (Checkpoint.Reader.float_array r));
         ])
     [ max_int; max_int - 1; 1 lsl 60; -1; min_int ]
