@@ -11,15 +11,8 @@ let problem ~mesh_size =
   Etx_routing.Problem.aes ~battery_budget_pj ~node_budget:(mesh_size * mesh_size) ()
 
 let config ?policy ?battery_kind ?controllers ?(seed = 1) ?(concurrent_jobs = 1)
-    ?mapping ?levels_override ?workloads ?link_failure_schedule ?fault
-    ?max_retransmissions ~mesh_size () =
-  let policy =
-    match (policy, levels_override) with
-    | Some p, None -> p
-    | Some p, Some levels -> { p with Etx_routing.Policy.levels }
-    | None, None -> ear ()
-    | None, Some levels -> Etx_routing.Policy.ear ~levels ()
-  in
+    ?mapping ?workloads ?link_failure_schedule ?fault ?max_retransmissions ~mesh_size () =
+  let policy = match policy with Some p -> p | None -> ear () in
   let topology = Etx_graph.Topology.square_mesh ~size:mesh_size () in
   Etx_etsim.Config.make ~topology ~policy ?battery_kind ?controllers ?mapping
     ?workloads ?link_failure_schedule ?fault ?max_retransmissions

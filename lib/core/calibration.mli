@@ -33,7 +33,6 @@ val config :
   ?seed:int ->
   ?concurrent_jobs:int ->
   ?mapping:Etx_routing.Mapping.t ->
-  ?levels_override:int ->
   ?workloads:Etx_etsim.Workload.t list ->
   ?link_failure_schedule:(int * int * int) list ->
   ?fault:Etx_fault.Spec.t ->

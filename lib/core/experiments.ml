@@ -34,16 +34,32 @@ type sweep_failure = {
 (* Every unit's configs are flattened into one batch for the pool, so
    parallelism is never limited by unit boundaries, and the pool
    preserves order, so results are bit-identical to a sequential run for
-   every [domains].  Each config runs under [Pool.attempt], so a crash
-   only fails its own unit. *)
+   every [domains].  Configs of one fingerprint run bit-identical
+   simulations, so the batch holds each distinct run once and its
+   outcome goes to every config naming it.  Each run is made under
+   [Pool.attempt], so a crash only fails the units that need it. *)
 let run_units ?pool ?(domains = 1) ?(retries = 0) ?(simulate = simulate) units =
   let simulate = Pool.attempt ~retries simulate in
-  let batch = List.concat_map (fun unit -> unit.configs) units in
-  let outcomes =
-    match pool with
-    | Some p -> Pool.run p simulate batch
-    | None -> Pool.map ~domains simulate batch
+  let configs = List.concat_map (fun unit -> unit.configs) units in
+  let keys = List.map Etx_etsim.Engine.config_fingerprint configs in
+  let slot = Hashtbl.create 64 in
+  let batch =
+    List.filter_map
+      (fun (key, config) ->
+        if Hashtbl.mem slot key then None
+        else begin
+          Hashtbl.add slot key (Hashtbl.length slot);
+          Some config
+        end)
+      (List.combine keys configs)
   in
+  let distinct =
+    Array.of_list
+      (match pool with
+      | Some p -> Pool.run p simulate batch
+      | None -> Pool.map ~domains simulate batch)
+  in
+  let outcomes = List.map (fun key -> distinct.(Hashtbl.find slot key)) keys in
   let finish i unit outcomes =
     match
       List.find_map (function Pool.Crashed e -> Some e | Pool.Completed _ -> None) outcomes

@@ -19,8 +19,10 @@
     one runner behind every sweep: it flattens the configs of every unit
     into one batch for the domain pool, so parallelism is never limited
     by unit boundaries, and the pool preserves order, so results are
-    bit-identical to a sequential run for every [domains] value.  A
-    crashing simulation only loses its own unit.  A resumable sweep is a
+    bit-identical to a sequential run for every [domains] value.  Configs
+    of one {!Etx_etsim.Engine.config_fingerprint} are simulated once, and
+    every unit naming that run gets its metrics.  A crashing simulation
+    only loses the units that need it.  A resumable sweep is a
     [?simulate] that looks each run up in a result store by its config
     fingerprint ([Etx_service.Handlers.store_backed]).  The row-returning sweeps below
     ({!fig7}, {!table2}, ...) re-raise a failed unit's original
@@ -51,8 +53,9 @@ val run_units :
     to [1 + retries] times ({!Etx_util.Pool.attempt}); a unit with any
     simulation still crashing, or whose [finish] raises, yields [Error]
     and the others are unaffected.  [?simulate] (default
-    {!Etx_etsim.Engine.simulate}) runs one config; it is called from the
-    pool's workers.  Output order matches unit order.
+    {!Etx_etsim.Engine.simulate}) runs one config, once per distinct
+    fingerprint; it is called from the pool's workers.  Output order
+    matches unit order.
     @raise Invalid_argument on a negative [retries]. *)
 
 type fig7_row = {

@@ -7,36 +7,21 @@ type t = {
   mapping : Etx_routing.Mapping.t;
   module_count : int;
   policy : Etx_routing.Policy.t;
-  packet : Etx_energy.Packet.t;
-  line : Etx_energy.Transmission_line.t;
   computation : Etx_energy.Computation.t;
   computation_cycles : int array;
-  link_width_bits : int;
   reception_energy_fraction : float;
   battery_kind : Etx_battery.Battery.kind;
   battery_capacity_pj : float;
   battery_capacity_variation : float;
   frame_period_cycles : int;
-  control_medium_width_bits : int;
-  report_bits : int;
-  instruction_bits : int;
   control_line_length_cm : float;
-  deadlock_threshold_cycles : int;
   link_failure_schedule : (int * int * int) list;
   fault : Etx_fault.Spec.t option;
   max_retransmissions : int;
-  ack_timeout_cycles : int;
   controllers : controllers;
-  controller_power : Etx_energy.Controller_power.t;
-  controller_battery_kind : Etx_battery.Battery.kind;
-  controller_battery_capacity_pj : float;
-  controller_recompute_cycles : int option;
-  controller_leakage_exponent : float;
-  controller_dynamic_exponent : float;
   workloads : Workload.t list;
   concurrent_jobs : int;
   job_source : job_source;
-  buffer_capacity : int;
   key_hex : string;
   seed : int;
   max_cycles : int;
@@ -45,27 +30,28 @@ type t = {
 
 let default_key_hex = "000102030405060708090a0b0c0d0e0f"
 
-let make ?policy ?mapping ?(packet = Etx_energy.Packet.aes_default)
-    ?(line = Etx_energy.Transmission_line.paper_lines)
-    ?(computation = Etx_energy.Computation.aes)
+let packet = Etx_energy.Packet.aes_default
+let line = Etx_energy.Transmission_line.paper_lines
+let link_width_bits = 32
+let control_medium_width_bits = 2
+let report_bits = 4
+let instruction_bits = 8
+let deadlock_threshold_cycles = 1000
+let ack_timeout_cycles = 25
+let buffer_capacity = 2
+let controller_battery_kind = Etx_battery.Battery.Thin_film Etx_battery.Battery.default_thin_film
+let controller_battery_capacity_pj = 60000.
+
+let make ?policy ?mapping ?(computation = Etx_energy.Computation.aes)
     ?(computation_cycles = Etx_energy.Computation.aes_cycles_per_act)
-    ?(link_width_bits = 32) ?(reception_energy_fraction = 0.8) ?(battery_kind = Etx_battery.Battery.Thin_film
-                                               Etx_battery.Battery.default_thin_film)
+    ?(reception_energy_fraction = 0.8)
+    ?(battery_kind = Etx_battery.Battery.Thin_film Etx_battery.Battery.default_thin_film)
     ?(battery_capacity_pj = 60000.) ?(battery_capacity_variation = 0.)
-    ?(frame_period_cycles = 500)
-    ?(control_medium_width_bits = 2) ?(report_bits = 4) ?(instruction_bits = 8)
-    ?(control_line_length_cm = 10.) ?(deadlock_threshold_cycles = 1000)
+    ?(frame_period_cycles = 500) ?(control_line_length_cm = 10.)
     ?(link_failure_schedule = []) ?fault ?(max_retransmissions = 3)
-    ?(ack_timeout_cycles = 25)
-    ?(controllers = Infinite_controller)
-    ?(controller_power = Etx_energy.Controller_power.paper_anchor)
-    ?(controller_battery_kind = Etx_battery.Battery.Thin_film
-                                  Etx_battery.Battery.default_thin_film)
-    ?(controller_battery_capacity_pj = 60000.) ?(controller_recompute_cycles = None)
-    ?(controller_leakage_exponent = 0.) ?(controller_dynamic_exponent = 0.)
-    ?workloads ?(concurrent_jobs = 1)
-    ?(job_source = Fixed_entry 0) ?(buffer_capacity = 2) ?(key_hex = default_key_hex)
-    ?(seed = 42) ?(max_cycles = 50_000_000) ?(max_jobs = None) ~topology () =
+    ?(controllers = Infinite_controller) ?workloads ?(concurrent_jobs = 1)
+    ?(job_source = Fixed_entry 0) ?(key_hex = default_key_hex) ?(seed = 42)
+    ?(max_cycles = 50_000_000) ?(max_jobs = None) ~topology () =
   let policy = match policy with Some p -> p | None -> Etx_routing.Policy.ear () in
   let mapping =
     match mapping with
@@ -99,19 +85,13 @@ let make ?policy ?mapping ?(packet = Etx_energy.Packet.aes_default)
       if n = 0 then
         invalid_arg (Printf.sprintf "Config.make: module %d has no node" (i + 1)))
     counts;
-  if battery_capacity_pj <= 0. || controller_battery_capacity_pj <= 0. then
+  if battery_capacity_pj <= 0. then
     invalid_arg "Config.make: battery capacity must be positive";
   if battery_capacity_variation < 0. || battery_capacity_variation >= 1. then
     invalid_arg "Config.make: capacity variation out of [0, 1)";
   if frame_period_cycles <= 0 then invalid_arg "Config.make: frame period must be positive";
-  if control_medium_width_bits <= 0 then
-    invalid_arg "Config.make: control medium width must be positive";
-  if report_bits <= 0 || instruction_bits <= 0 then
-    invalid_arg "Config.make: control payloads must be positive";
   if control_line_length_cm <= 0. then
     invalid_arg "Config.make: control line length must be positive";
-  if deadlock_threshold_cycles <= 0 then
-    invalid_arg "Config.make: deadlock threshold must be positive";
   let seen_failures = Hashtbl.create 16 in
   List.iter
     (fun (cycle, a, b) ->
@@ -130,8 +110,6 @@ let make ?policy ?mapping ?(packet = Etx_energy.Packet.aes_default)
     link_failure_schedule;
   if max_retransmissions < 0 then
     invalid_arg "Config.make: max_retransmissions must be >= 0";
-  if ack_timeout_cycles < 0 then
-    invalid_arg "Config.make: ack_timeout_cycles must be >= 0";
   begin
     match controllers with
     | Infinite_controller -> ()
@@ -146,8 +124,6 @@ let make ?policy ?mapping ?(packet = Etx_energy.Packet.aes_default)
         invalid_arg "Config.make: entry node out of range"
     | Round_robin_entry -> ()
   end;
-  if buffer_capacity <= 0 then invalid_arg "Config.make: buffer capacity must be positive";
-  if link_width_bits <= 0 then invalid_arg "Config.make: link width must be positive";
   if reception_energy_fraction < 0. then
     invalid_arg "Config.make: negative reception fraction";
   if max_cycles <= 0 then invalid_arg "Config.make: max_cycles must be positive";
@@ -161,36 +137,21 @@ let make ?policy ?mapping ?(packet = Etx_energy.Packet.aes_default)
     mapping;
     module_count;
     policy;
-    packet;
-    line;
     computation;
     computation_cycles = Array.copy computation_cycles;
-    link_width_bits;
     reception_energy_fraction;
     battery_kind;
     battery_capacity_pj;
     battery_capacity_variation;
     frame_period_cycles;
-    control_medium_width_bits;
-    report_bits;
-    instruction_bits;
     control_line_length_cm;
-    deadlock_threshold_cycles;
     link_failure_schedule;
     fault;
     max_retransmissions;
-    ack_timeout_cycles;
     controllers;
-    controller_power;
-    controller_battery_kind;
-    controller_battery_capacity_pj;
-    controller_recompute_cycles;
-    controller_leakage_exponent;
-    controller_dynamic_exponent;
     workloads;
     concurrent_jobs;
     job_source;
-    buffer_capacity;
     key_hex;
     seed;
     max_cycles;
@@ -202,29 +163,14 @@ let node_count t = Etx_graph.Topology.node_count t.topology
 let mesh_control_line_cm ~mesh_size = 10. +. (1.25 *. float_of_int (mesh_size - 4))
 
 let control_bit_energy_pj t =
-  Etx_energy.Transmission_line.energy_per_bit t.line ~length_cm:t.control_line_length_cm
+  Etx_energy.Transmission_line.energy_per_bit line ~length_cm:t.control_line_length_cm
 
-let report_energy_pj t = float_of_int t.report_bits *. control_bit_energy_pj t
+let report_energy_pj t = float_of_int report_bits *. control_bit_energy_pj t
 
-let instruction_energy_pj t = float_of_int t.instruction_bits *. control_bit_energy_pj t
+let instruction_energy_pj t = float_of_int instruction_bits *. control_bit_energy_pj t
 
-let recompute_cycles t =
-  match t.controller_recompute_cycles with
-  | Some cycles -> cycles
-  | None -> node_count t (* a K-wide relaxation engine retires one source per cycle *)
+(* a K-wide relaxation engine retires one source per cycle *)
+let recompute_cycles = node_count
 
 let reception_energy_pj t ~length_cm =
-  t.reception_energy_fraction
-  *. Etx_energy.Packet.hop_energy t.packet ~line:t.line ~length_cm
-
-let leakage_pj_per_cycle t =
-  let anchor16 =
-    Etx_energy.Controller_power.leakage_pj_per_cycle t.controller_power ~node_count:16
-  in
-  anchor16 *. ((float_of_int (node_count t) /. 16.) ** t.controller_leakage_exponent)
-
-let dynamic_pj_per_cycle t =
-  let anchor16 =
-    Etx_energy.Controller_power.dynamic_pj_per_cycle t.controller_power ~node_count:16
-  in
-  anchor16 *. ((float_of_int (node_count t) /. 16.) ** t.controller_dynamic_exponent)
+  t.reception_energy_fraction *. Etx_energy.Packet.hop_energy packet ~line ~length_cm

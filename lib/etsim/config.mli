@@ -1,10 +1,14 @@
 (** Simulation configuration for et_sim.
 
-    Groups every knob of the platform of Sec 5: topology and mapping,
-    routing policy, energy models, battery models, the TDMA control
-    mechanism, the controller bank, and the job workload.  Defaults are
-    the calibrated paper values (see DESIGN.md Sec 5); [make] validates
-    cross-field consistency. *)
+    A config holds what a run varies: topology and mapping, routing
+    policy, the computation energy table, the node batteries, the
+    control frame period and medium length, faults and hardening, the
+    controller bank, and the job workload.  Defaults are the calibrated
+    paper values (see DESIGN.md Sec 5); [make] validates cross-field
+    consistency.  The rest of the platform is fixed by the paper, so it
+    is a constant here, not a field: the textile lines and packet, the
+    TDMA medium's payloads, the node buffers and the controller cells
+    (see {!section-platform}). *)
 
 type job_source =
   | Fixed_entry of int
@@ -26,11 +30,8 @@ type t = {
   module_count : int;
   policy : Etx_routing.Policy.t;
   (* energy models *)
-  packet : Etx_energy.Packet.t;
-  line : Etx_energy.Transmission_line.t;
   computation : Etx_energy.Computation.t;
   computation_cycles : int array;  (** latency of one act, per module *)
-  link_width_bits : int;  (** data-link serialization width *)
   reception_energy_fraction : float;
       (** receiver-side energy per hop, as a fraction of the
           transmitter's packet energy (line termination and input-buffer
@@ -45,11 +46,7 @@ type t = {
           (Sec 5.1.3); experiments use v = 0.1 and average over seeds *)
   (* TDMA control mechanism (Sec 5.3, Fig 4) *)
   frame_period_cycles : int;  (** control frame recurrence *)
-  control_medium_width_bits : int;  (** the narrow shared medium, 2 bits *)
-  report_bits : int;  (** upload payload per node per frame *)
-  instruction_bits : int;  (** download payload per changed table entry *)
   control_line_length_cm : float;  (** electrical length of the medium *)
-  deadlock_threshold_cycles : int;  (** stuck-job report threshold *)
   link_failure_schedule : (int * int * int) list;
       (** wear-and-tear injection: [(cycle, a, b)] breaks the textile
           interconnect between nodes [a] and [b] (both directions) at the
@@ -66,26 +63,8 @@ type t = {
       (** data-plane hardening: retransmission budget per hop after CRC
           failures; once exhausted the packet waits for the next control
           frame before re-routing *)
-  ack_timeout_cycles : int;
-      (** extra cycles a retransmitted hop waits for the missing ACK
-          before the wire is re-driven *)
   (* controllers (Sec 7.3) *)
   controllers : controllers;
-  controller_power : Etx_energy.Controller_power.t;
-  controller_battery_kind : Etx_battery.Battery.kind;
-  controller_battery_capacity_pj : float;
-  controller_recompute_cycles : int option;
-      (** [None]: K cycles (a K-wide hardware relaxation engine retiring
-          one Floyd-Warshall source per cycle); see also
-          {!Etx_energy.Controller_power.recompute_cycles} for the
-          serial-engine figure *)
-  controller_leakage_exponent : float;
-      (** power-law exponent applied to (K / 16) for leakage scaling;
-          0 (default) applies the published 4x4 figure at every size -
-          energy per recomputation still grows with K through its
-          duration.  Calibration knob for Fig 8 *)
-  controller_dynamic_exponent : float;
-      (** same for the dynamic power while computing (default 0) *)
   (* workload *)
   workloads : Workload.t list;
       (** the applications sharing the platform, assigned to jobs in
@@ -93,7 +72,6 @@ type t = {
           the module count *)
   concurrent_jobs : int;  (** jobs kept in flight (Sec 7.1 uses 1) *)
   job_source : job_source;
-  buffer_capacity : int;  (** per-node job buffer, for concurrency *)
   key_hex : string;  (** AES key shared by the platform *)
   seed : int;  (** PRNG seed for plaintexts and entry rotation *)
   (* safety stops *)
@@ -104,39 +82,65 @@ type t = {
 val default_key_hex : string
 (** The AES key {!make} gives the platform by default. *)
 
+(** {1:platform The fixed platform}
+
+    The paper's platform, the same in every run (DESIGN.md Sec 5). *)
+
+val packet : Etx_energy.Packet.t
+(** The 261-bit packet, {!Etx_energy.Packet.aes_default}. *)
+
+val line : Etx_energy.Transmission_line.t
+(** The textile lines of [6] (Sec 5.1.2), {!Etx_energy.Transmission_line.paper_lines}. *)
+
+val link_width_bits : int
+(** 32: the data-link serialization width. *)
+
+val control_medium_width_bits : int
+(** 2: the narrow shared TDMA medium (Sec 5.3, Fig 4). *)
+
+val report_bits : int
+(** 4: upload payload per node per frame (Fig 4). *)
+
+val instruction_bits : int
+(** 8: download payload per changed routing-table entry (Fig 4). *)
+
+val deadlock_threshold_cycles : int
+(** 1000: a job stuck this long is reported as deadlocked (Sec 5.3). *)
+
+val ack_timeout_cycles : int
+(** 25: extra cycles a retransmitted hop waits for the missing ACK
+    before the wire is re-driven. *)
+
+val buffer_capacity : int
+(** 2: the per-node job buffer, for concurrency. *)
+
+val controller_battery_kind : Etx_battery.Battery.kind
+(** The calibrated thin-film cell of every battery-powered controller
+    (Sec 7.3). *)
+
+val controller_battery_capacity_pj : float
+(** 60000 pJ, the node cell's budget (Sec 7.3). *)
+
+(** {1 Configs} *)
+
 val make :
   ?policy:Etx_routing.Policy.t ->
   ?mapping:Etx_routing.Mapping.t ->
-  ?packet:Etx_energy.Packet.t ->
-  ?line:Etx_energy.Transmission_line.t ->
   ?computation:Etx_energy.Computation.t ->
   ?computation_cycles:int array ->
-  ?link_width_bits:int ->
   ?reception_energy_fraction:float ->
   ?battery_kind:Etx_battery.Battery.kind ->
   ?battery_capacity_pj:float ->
   ?battery_capacity_variation:float ->
   ?frame_period_cycles:int ->
-  ?control_medium_width_bits:int ->
-  ?report_bits:int ->
-  ?instruction_bits:int ->
   ?control_line_length_cm:float ->
-  ?deadlock_threshold_cycles:int ->
   ?link_failure_schedule:(int * int * int) list ->
   ?fault:Etx_fault.Spec.t ->
   ?max_retransmissions:int ->
-  ?ack_timeout_cycles:int ->
   ?controllers:controllers ->
-  ?controller_power:Etx_energy.Controller_power.t ->
-  ?controller_battery_kind:Etx_battery.Battery.kind ->
-  ?controller_battery_capacity_pj:float ->
-  ?controller_recompute_cycles:int option ->
-  ?controller_leakage_exponent:float ->
-  ?controller_dynamic_exponent:float ->
   ?workloads:Workload.t list ->
   ?concurrent_jobs:int ->
   ?job_source:job_source ->
-  ?buffer_capacity:int ->
   ?key_hex:string ->
   ?seed:int ->
   ?max_cycles:int ->
@@ -144,11 +148,11 @@ val make :
   topology:Etx_graph.Topology.t ->
   unit ->
   t
-(** Defaults: EAR policy, checkerboard mapping over [topology], paper
-    energy models, thin-film batteries of 60000 pJ, 500-cycle frames on a
-    2-bit 10 cm medium with 4-bit reports, an infinite controller, one
-    job in flight entering at node 0, AES-128 with a fixed published test
-    key.  @raise Invalid_argument on inconsistent settings. *)
+(** Defaults: EAR policy, checkerboard mapping over [topology], the AES
+    computation table, thin-film batteries of 60000 pJ, 500-cycle frames
+    on a 10 cm control medium, an infinite controller, one job in flight
+    entering at node 0, AES-128 with a fixed published test key.
+    @raise Invalid_argument on inconsistent settings. *)
 
 val node_count : t -> int
 
@@ -167,12 +171,10 @@ val instruction_energy_pj : t -> float
 (** Download cost the controller pays per changed routing-table entry. *)
 
 val recompute_cycles : t -> int
+(** Cycles one routing recomputation occupies the controller: K, for a
+    K-wide hardware relaxation engine retiring one Floyd-Warshall source
+    per cycle.  The controller draws
+    {!Etx_energy.Controller_power.dynamic_pj_per_cycle} during each. *)
 
 val reception_energy_pj : t -> length_cm:float -> float
 (** Energy the receiving node pays for one inbound packet hop. *)
-
-val leakage_pj_per_cycle : t -> float
-(** Active-controller leakage per cycle after the power-law size
-    scaling. *)
-
-val dynamic_pj_per_cycle : t -> float

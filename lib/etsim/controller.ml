@@ -22,10 +22,7 @@ type t = {
      engine refills its snapshot buffer in place every frame, so the
      comparison baseline must not alias it *)
   mutable previous_snapshot : Router.snapshot option;
-  (* per-frame energy constants, fixed by the config: cached here so
-     the frame loop does not redo the power-model scaling (a [**] and
-     friends) every frame *)
-  leakage_per_cycle : float;
+  (* per-frame energy figures, fixed by the config *)
   dynamic_per_recompute : float;
   instruction_energy : float;
   mutable table : Routing_table.t option;
@@ -44,8 +41,8 @@ let create (config : Config.t) =
         {
           batteries =
             Array.init count (fun _ ->
-                Battery.create ~kind:config.controller_battery_kind
-                  ~capacity_pj:config.controller_battery_capacity_pj);
+                Battery.create ~kind:Config.controller_battery_kind
+                  ~capacity_pj:Config.controller_battery_capacity_pj);
           active = 0;
         }
     in
@@ -54,9 +51,8 @@ let create (config : Config.t) =
     bank;
     workspace = Router.create_workspace ();
     previous_snapshot = None;
-    leakage_per_cycle = Config.leakage_pj_per_cycle config;
     dynamic_per_recompute =
-      Config.dynamic_pj_per_cycle config
+      Etx_energy.Controller_power.dynamic_pj_per_cycle
       *. float_of_int (Config.recompute_cycles config);
     instruction_energy = Config.instruction_energy_pj config;
     table = None;
@@ -154,7 +150,9 @@ let on_frame t ~elapsed_cycles ~snapshot =
       Battery.tick f.batteries.(f.active) ~cycles:elapsed_cycles
     | Finite _ | Infinite -> ()
   end;
-  let leakage = t.leakage_per_cycle *. float_of_int elapsed_cycles in
+  let leakage =
+    Etx_energy.Controller_power.leakage_pj_per_cycle *. float_of_int elapsed_cycles
+  in
   t.compute_energy <- t.compute_energy +. leakage;
   if not (bank_draw t ~energy:leakage) then Exhausted
   else begin

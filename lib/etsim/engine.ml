@@ -215,7 +215,7 @@ let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
       config.Config.fault
   in
   let serialization_cycles =
-    Packet.serialization_cycles config.packet ~link_width_bits:config.link_width_bits
+    Packet.serialization_cycles Config.packet ~link_width_bits:Config.link_width_bits
   in
   let pending_failures =
     List.sort
@@ -242,7 +242,7 @@ let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
     link_dead = Array.make edge_count false;
     hop_energy =
       Array.map
-        (fun length_cm -> Packet.hop_energy config.packet ~line:config.line ~length_cm)
+        (fun length_cm -> Packet.hop_energy Config.packet ~line:Config.line ~length_cm)
         edges.lengths;
     reception_energy =
       Array.map (fun length_cm -> Config.reception_energy_pj config ~length_cm) edges.lengths;
@@ -276,9 +276,9 @@ let create ?trace_capacity ?(record_timeline = false) (config : Config.t) =
     latency_stats = Etx_util.Stats.create ();
     latency_max = 0;
     plan;
-    packet_bits = Packet.total_bits config.packet;
+    packet_bits = Packet.total_bits Config.packet;
     max_retransmissions = config.Config.max_retransmissions;
-    retransmit_delay = serialization_cycles + config.Config.ack_timeout_cycles;
+    retransmit_delay = serialization_cycles + Config.ack_timeout_cycles;
     (* until a node speaks, the controller assumes a full battery *)
     reported_level = Array.make node_count (config.policy.Etx_routing.Policy.levels - 1);
     staleness = Array.make node_count 0;
@@ -519,7 +519,7 @@ let apply_fault_events t =
    threshold the node flags the port for its next upload slot. *)
 let note_blocked t ~node ~since ~hop =
   if
-    t.cycle - since >= t.config.deadlock_threshold_cycles
+    t.cycle - since >= Config.deadlock_threshold_cycles
     && t.nodes.(node).Node.locked_hop = None
   then begin
     t.nodes.(node).Node.locked_hop <- Some hop;
@@ -552,7 +552,7 @@ let start_transmission t job ~node ~next_hop ~since =
     note_blocked t ~node ~since ~hop:next_hop;
     set_waiting job ~node ~since ~retry_at:t.next_frame
   end
-  else if t.nodes.(next_hop).Node.occupancy >= t.config.buffer_capacity then begin
+  else if t.nodes.(next_hop).Node.occupancy >= Config.buffer_capacity then begin
     note_blocked t ~node ~since ~hop:next_hop;
     let retry_at = Int.min t.next_frame (t.cycle + 25) in
     let retry_at = if retry_at <= t.cycle then t.cycle + 25 else retry_at in
@@ -1229,7 +1229,7 @@ let square_mesh_side (topology : Etx_graph.Topology.t) =
     else None
   | _ -> None
 
-let fingerprint (config : Config.t) =
+let config_fingerprint (config : Config.t) =
   let digest v = String.sub (Digest.to_hex (Digest.string v)) 0 16 in
   let battery_kind = function
     | Etx_battery.Battery.Ideal -> "ideal"
@@ -1266,8 +1266,6 @@ let fingerprint (config : Config.t) =
         (match c.Config.job_source with
         | Config.Round_robin_entry -> ""
         | Config.Fixed_entry node -> Printf.sprintf ";entry=%d" node);
-        (if c.Config.buffer_capacity = 2 then ""
-         else Printf.sprintf ";buf=%d" c.Config.buffer_capacity);
         (if c.Config.key_hex = Config.default_key_hex then "" else ";key=" ^ c.Config.key_hex);
         (match c.Config.max_jobs with None -> "" | Some n -> Printf.sprintf ";maxjobs=%d" n);
         (* the topology beyond its edge count: the directed edges and
@@ -1281,52 +1279,32 @@ let fingerprint (config : Config.t) =
           in
           ";topo=" ^ digest (Marshal.to_string edges [ Marshal.No_sharing ]));
         (if
-           c.Config.packet = Packet.aes_default
-           && c.Config.line = Etx_energy.Transmission_line.paper_lines
-           && c.Config.computation = Computation.aes
+           c.Config.computation = Computation.aes
            && c.Config.computation_cycles = Computation.aes_cycles_per_act
-           && c.Config.link_width_bits = 32
            && c.Config.reception_energy_fraction = 0.8
          then ""
          else
            ";phys="
            ^ digest
                (Marshal.to_string
-                  ( c.Config.packet,
-                    c.Config.line,
+                  ( Config.packet,
+                    Config.line,
                     c.Config.computation,
                     c.Config.computation_cycles,
-                    c.Config.link_width_bits,
+                    Config.link_width_bits,
                     c.Config.reception_energy_fraction )
                   [ Marshal.No_sharing ]));
+        (* the control medium's length; the fixed payloads and deadlock
+           threshold print beside it, so the fingerprints of platforms
+           off the square mesh keep their form *)
         (if
-           c.Config.control_medium_width_bits = 2
-           && c.Config.report_bits = 4
-           && c.Config.instruction_bits = 8
-           && Option.map (fun mesh_size -> Config.mesh_control_line_cm ~mesh_size) mesh_side
-              = Some c.Config.control_line_length_cm
-           && c.Config.deadlock_threshold_cycles = 1000
+           Option.map (fun mesh_size -> Config.mesh_control_line_cm ~mesh_size) mesh_side
+           = Some c.Config.control_line_length_cm
          then ""
          else
-           Printf.sprintf ";tdma=%d/%d/%d/%h;deadlock=%d" c.Config.control_medium_width_bits
-             c.Config.report_bits c.Config.instruction_bits c.Config.control_line_length_cm
-             c.Config.deadlock_threshold_cycles);
-        (if
-           c.Config.controller_power = Etx_energy.Controller_power.paper_anchor
-           && c.Config.controller_battery_kind
-              = Etx_battery.Battery.Thin_film Etx_battery.Battery.default_thin_film
-           && c.Config.controller_battery_capacity_pj = 60000.
-           && c.Config.controller_recompute_cycles = None
-           && c.Config.controller_leakage_exponent = 0.
-           && c.Config.controller_dynamic_exponent = 0.
-         then ""
-         else
-           Printf.sprintf ";cpow=%s;cbatt=%s/%h;crc=%d;cexp=%h/%h"
-             (Etx_energy.Controller_power.fingerprint c.Config.controller_power)
-             (battery_kind c.Config.controller_battery_kind)
-             c.Config.controller_battery_capacity_pj
-             (Option.value c.Config.controller_recompute_cycles ~default:(-1))
-             c.Config.controller_leakage_exponent c.Config.controller_dynamic_exponent);
+           Printf.sprintf ";tdma=%d/%d/%d/%h;deadlock=%d" Config.control_medium_width_bits
+             Config.report_bits Config.instruction_bits c.Config.control_line_length_cm
+             Config.deadlock_threshold_cycles);
         (* the routing kernel: the tables of the policies that left
            Floyd-Warshall for the exact searches changed (maximin's
            lexicographic Floyd-Warshall gave way to shortest-widest
@@ -1352,11 +1330,9 @@ let fingerprint (config : Config.t) =
     (Fault_spec.exact_float config.Config.battery_capacity_variation)
     (String.concat "+"
        (List.map (Workload.fingerprint ~key_hex:config.Config.key_hex) config.Config.workloads))
-    fault config.Config.max_retransmissions config.Config.ack_timeout_cycles
+    fault config.Config.max_retransmissions Config.ack_timeout_cycles
     (List.length config.Config.link_failure_schedule)
     controllers extras
-
-let config_fingerprint = fingerprint
 
 module W = Checkpoint.Writer
 module R = Checkpoint.Reader
@@ -1398,7 +1374,7 @@ let checkpoint t =
   | Dead _ -> invalid_arg "Engine.checkpoint: platform already dead"
   | Running -> ());
   let w = W.create () in
-  W.string w (fingerprint t.config);
+  W.string w (config_fingerprint t.config);
   W.int w t.cycle;
   W.string w (witness t);
   W.contents w
@@ -1406,7 +1382,7 @@ let checkpoint t =
 let restore ?trace_capacity ?(record_timeline = false) config payload =
   let r = R.create payload in
   let found = R.string r in
-  let expected = fingerprint config in
+  let expected = config_fingerprint config in
   if found <> expected then
     raise (Checkpoint.Error (Checkpoint.Fingerprint_mismatch { expected; found }));
   let cycle, stored =

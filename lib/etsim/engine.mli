@@ -90,10 +90,10 @@ val config_fingerprint : Config.t -> string
     (topology census, policy, seed, frame period, battery model,
     workloads, fault spec, hardening knobs, a battery-powered controller
     bank, and the maximin routing kernel's version).  The module mapping
-    (as a digest), a fixed entry node, the buffer capacity, the AES key,
-    a job cap, the controller power and battery knobs, the topology
-    beyond its edge count, the physical and control-medium models, and
-    what a workload's or policy's name leaves open
+    (as a digest), a fixed entry node, the AES key, a job cap, the
+    topology beyond its edge count, the computation and reception
+    models, the control medium's length, and what a workload's or
+    policy's name leaves open
     ({!Workload.fingerprint}, {!Etx_routing.Policy.fingerprint}) are
     spelled out only off the value every CLI and wire config has, so
     those fingerprints keep their form.  Fault rates print in

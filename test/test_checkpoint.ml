@@ -298,10 +298,10 @@ let test_fingerprint_separates_mappings () =
    spelled out only off their defaults *)
 let test_fingerprint_spells_out_code_only_fields () =
   let topology = Topology.square_mesh ~size:4 () in
-  let fp ?job_source ?buffer_capacity ?key_hex ?max_jobs ?controller_leakage_exponent () =
+  let fp ?job_source ?key_hex ?max_jobs () =
     Engine.config_fingerprint
       (Config.make ~topology ~job_source:(Option.value job_source ~default:Config.Round_robin_entry)
-         ?buffer_capacity ?key_hex ?max_jobs ?controller_leakage_exponent ())
+         ?key_hex ?max_jobs ())
   in
   let base = fp () in
   List.iter
@@ -309,14 +309,11 @@ let test_fingerprint_spells_out_code_only_fields () =
       Alcotest.(check bool) name true (other <> base))
     [
       ("fixed entry", fp ~job_source:(Config.Fixed_entry 0) ());
-      ("buffer", fp ~buffer_capacity:3 ());
       ("key", fp ~key_hex:"0f0e0d0c0b0a09080706050403020100" ());
       ("job cap", fp ~max_jobs:(Some 5) ());
-      ("controller leakage exponent", fp ~controller_leakage_exponent:0.5 ());
     ];
   Alcotest.(check string) "defaults spelled out are omitted" base
-    (fp ~buffer_capacity:2 ~key_hex:Config.default_key_hex ~max_jobs:None
-       ~controller_leakage_exponent:0. ())
+    (fp ~key_hex:Config.default_key_hex ~max_jobs:None ())
 
 (* A non-default thin-film cell is fingerprinted by a digest of its
    marshalled parameters, so any change to how those parameters are
@@ -335,6 +332,63 @@ let test_fingerprint_pins_thin_film_params () =
      batt=thin-film#b48d0f28ea3217a1/60000/0.1;wl=aes-128-encrypt;fault=none;retx=3;ack=25;\
      sched=0"
     (Engine.config_fingerprint config)
+
+(* The other off-default branches, pinned the same way: a battery-
+   powered bank (fig8), a computation model and mapping of their own
+   (the generality sweep's 4-module pipeline), a garment off the square
+   mesh (mapping, topology and control medium), and a fault environment
+   with its retry budget as the wire builds it. *)
+let test_fingerprint_pins_off_default_branches () =
+  let generality_config ~p ~seed =
+    let mesh_size = 6 in
+    let energies = Array.sub [| 100.; 140.; 80.; 160.; 120.; 90. |] 0 p in
+    let workload =
+      Workload.synthetic ~name:(Printf.sprintf "pipeline-%d" p) ~acts_per_job:(Array.make p 10) ()
+    in
+    let problem =
+      Workload.problem workload ~computation_energy_pj:energies
+        ~communication_energy_pj:(Array.make p (261. *. 0.4472))
+        ~battery_budget_pj:Calibration.battery_budget_pj ~node_budget:(mesh_size * mesh_size)
+    in
+    Config.make ~topology:(Topology.square_mesh ~size:mesh_size ()) ~policy:(Calibration.ear ())
+      ~mapping:(Etx_routing.Mapping.proportional ~problem ~node_count:(mesh_size * mesh_size))
+      ~workloads:[ workload ]
+      ~computation:(Etx_energy.Computation.custom ~energies_pj:energies)
+      ~computation_cycles:(Array.make p 2) ~battery_capacity_pj:Calibration.battery_budget_pj
+      ~battery_capacity_variation:Calibration.battery_capacity_variation
+      ~frame_period_cycles:Calibration.frame_period_cycles
+      ~reception_energy_fraction:Calibration.reception_energy_fraction
+      ~control_line_length_cm:(Config.mesh_control_line_cm ~mesh_size)
+      ~job_source:Config.Round_robin_entry ~seed ()
+  in
+  List.iter
+    (fun (name, config, expected) ->
+      Alcotest.(check string) name expected (Engine.config_fingerprint config))
+    [
+      ( "fig8 bank",
+        Calibration.config ~policy:(Calibration.ear ())
+          ~controllers:(Config.Battery_controllers { count = 2 }) ~mesh_size:5 ~seed:3 (),
+        "etsim-ckpt-v1;n=25;m=3;edges=80;policy=EAR(q=2)/8;seed=3;frame=800;max=50000000;\
+         jobs=1;batt=thin-film/60000/0.1;wl=aes-128-encrypt;fault=none;retx=3;ack=25;\
+         sched=0;ctl=2" );
+      ( "generality pipeline",
+        generality_config ~p:4 ~seed:2,
+        "etsim-ckpt-v1;n=36;m=4;edges=120;policy=EAR(q=2)/8;seed=2;frame=800;max=50000000;\
+         jobs=1;batt=thin-film/60000/0.1;wl=pipeline-4#f=10,10,10,10;fault=none;retx=3;\
+         ack=25;sched=0;map=0f2b58796809f738;phys=60b4eefd19958c90" );
+      ( "jacket garment",
+        Etextile.Scenario.config ~seed:2 (Etextile.Scenario.jacket ()),
+        "etsim-ckpt-v1;n=32;m=3;edges=100;policy=EAR(q=2)/8;seed=2;frame=800;max=50000000;\
+         jobs=1;batt=thin-film/60000/0.1;wl=aes-128-encrypt;fault=none;retx=3;ack=25;\
+         sched=0;map=5ddf05d09f6ea792;topo=55413d7c3c0d29bd;tdma=2/4/8/0x1.4p+3;\
+         deadlock=1000" );
+      ( "fault and retries",
+        wire_config {|"mesh_size":5,"ber":2e-4,"fault_seed":7,"retries":1|},
+        "etsim-ckpt-v1;n=25;m=3;edges=80;policy=EAR(q=2)/8;seed=1;frame=800;max=50000000;\
+         jobs=1;batt=thin-film/60000/0.1;wl=aes-128-encrypt;\
+         fault=seed=7,wear=0/2,ber=0.0002,brown=0/2000/preserve,up=0,down=0;retx=1;ack=25;\
+         sched=0" );
+    ]
 
 (* Under replay the fingerprint is a run's only identity, so every
    Config.t field must either move it or be listed here with what pins
@@ -370,55 +424,26 @@ let test_fingerprint_covers_every_field () =
           } );
       ("module_count", fun c -> { c with module_count = 4 });
       ("policy", fun c -> { c with policy = Policy.sdr () });
-      ( "packet",
-        fun c ->
-          let packet = c.packet in
-          { c with packet = { packet with header_bits = packet.header_bits + 8 } } );
-      ( "line",
-        fun c ->
-          { c with line = Etx_energy.Transmission_line.of_measurements [ (1., 0.5); (10., 5.) ] }
-      );
       ( "computation",
         fun c ->
           { c with computation = Etx_energy.Computation.custom ~energies_pj:[| 1.; 2.; 3. |] } );
       ("computation_cycles", fun c -> { c with computation_cycles = [| 3; 2; 3 |] });
-      ("link_width_bits", fun c -> { c with link_width_bits = 16 });
       ("reception_energy_fraction", fun c -> { c with reception_energy_fraction = 0.5 });
       ("battery_kind", fun c -> { c with battery_kind = Etx_battery.Battery.Ideal });
       (* below %g's six digits: the fingerprint prints such a value exactly *)
       ("battery_capacity_pj", fun c -> { c with battery_capacity_pj = 60000.25 });
       ("battery_capacity_variation", fun c -> { c with battery_capacity_variation = 0.1000001 });
       ("frame_period_cycles", fun c -> { c with frame_period_cycles = 900 });
-      ("control_medium_width_bits", fun c -> { c with control_medium_width_bits = 4 });
-      ("report_bits", fun c -> { c with report_bits = 5 });
-      ("instruction_bits", fun c -> { c with instruction_bits = 9 });
       ("control_line_length_cm", fun c -> { c with control_line_length_cm = 12. });
-      ("deadlock_threshold_cycles", fun c -> { c with deadlock_threshold_cycles = 2000 });
       (* same length, other links *)
       ("link_failure_schedule", fun c -> { c with link_failure_schedule = failures 32 });
       ("fault", fun c -> { c with fault = Some (Spec.make ~seed:1 ~bit_error_rate:1e-4 ()) });
       ("max_retransmissions", fun c -> { c with max_retransmissions = 2 });
-      ("ack_timeout_cycles", fun c -> { c with ack_timeout_cycles = 30 });
       ("controllers", fun c -> { c with controllers = Config.Battery_controllers { count = 2 } });
-      ( "controller_power",
-        fun c ->
-          {
-            c with
-            controller_power =
-              Etx_energy.Controller_power.make ~dynamic_mw:1. ~leakage_mw:1. ~anchor_nodes:16;
-          } );
-      ( "controller_battery_kind",
-        fun c -> { c with controller_battery_kind = Etx_battery.Battery.Ideal } );
-      ( "controller_battery_capacity_pj",
-        fun c -> { c with controller_battery_capacity_pj = 70000. } );
-      ("controller_recompute_cycles", fun c -> { c with controller_recompute_cycles = Some 10 });
-      ("controller_leakage_exponent", fun c -> { c with controller_leakage_exponent = 0.5 });
-      ("controller_dynamic_exponent", fun c -> { c with controller_dynamic_exponent = 0.5 });
       ( "workloads",
         fun c -> { c with workloads = [ Etx_etsim.Workload.aes_decrypt ~key_hex:c.key_hex ] } );
       ("concurrent_jobs", fun c -> { c with concurrent_jobs = 2 });
       ("job_source", fun c -> { c with job_source = Config.Fixed_entry 0 });
-      ("buffer_capacity", fun c -> { c with buffer_capacity = 3 });
       ("key_hex", fun c -> { c with key_hex = "0f0e0d0c0b0a09080706050403020100" });
       ("seed", fun c -> { c with seed = 2 });
       ("max_cycles", fun c -> { c with max_cycles = 1_000_000 });
@@ -634,6 +659,9 @@ let suite =
         ( "fingerprint pins non-default thin-film params",
           `Quick,
           test_fingerprint_pins_thin_film_params );
+        ( "fingerprint pins off-default branches",
+          `Quick,
+          test_fingerprint_pins_off_default_branches );
         ( "fingerprint separates near configs",
           `Quick,
           test_fingerprint_separates_near_configs );

@@ -155,23 +155,13 @@ let test_workload_plan_copy_isolated () =
 
 (* - engine configuration paths - *)
 
-let calibrated ?policy ?link_width ~seed size =
-  let base = Etextile.Calibration.config ?policy ~mesh_size:size ~seed () in
-  match link_width with
-  | None -> base
-  | Some w -> { base with Config.link_width_bits = w }
+let calibrated ?policy ~seed size = Etextile.Calibration.config ?policy ~mesh_size:size ~seed ()
 
 let test_engine_fixed_entry_runs () =
   let base = Etextile.Calibration.config ~mesh_size:4 ~seed:1 () in
   let config = { base with Config.job_source = Config.Fixed_entry 5 } in
   let m = Engine.simulate config in
   Alcotest.(check bool) "completes jobs" true (m.Metrics.jobs_completed > 10)
-
-let test_engine_narrow_link_raises_latency () =
-  let latency width =
-    (Engine.simulate (calibrated ~link_width:width ~seed:1 4)).Metrics.job_latency_mean_cycles
-  in
-  Alcotest.(check bool) "serialization dominates latency" true (latency 2 > latency 64)
 
 let test_engine_wider_levels_policy () =
   let m =
@@ -279,8 +269,6 @@ let suite =
     ( "coverage/engine-configs",
       [
         Alcotest.test_case "fixed entry" `Quick test_engine_fixed_entry_runs;
-        Alcotest.test_case "narrow link latency" `Quick
-          test_engine_narrow_link_raises_latency;
         Alcotest.test_case "finer battery levels" `Quick test_engine_wider_levels_policy;
         Alcotest.test_case "torus platform" `Quick test_engine_torus_platform;
         Alcotest.test_case "latency metrics consistent" `Quick

@@ -116,21 +116,17 @@ let test_packet_validation () =
 (* - Controller power - *)
 
 let test_controller_anchor () =
-  check_float_eps 1e-9 "dynamic at 4x4" 69.4
-    (Controller_power.dynamic_pj_per_cycle Controller_power.paper_anchor ~node_count:16);
-  check_float_eps 1e-9 "leakage at 4x4" 5.7
-    (Controller_power.leakage_pj_per_cycle Controller_power.paper_anchor ~node_count:16)
+  check_float_eps 1e-9 "dynamic at 4x4" 69.4 Controller_power.dynamic_pj_per_cycle;
+  check_float_eps 1e-9 "leakage at 4x4" 5.7 Controller_power.leakage_pj_per_cycle
 
-let test_controller_scaling () =
-  check_float_eps 1e-9 "linear in K" (69.4 *. 4.)
-    (Controller_power.dynamic_pj_per_cycle Controller_power.paper_anchor ~node_count:64)
-
+(* a K-wide relaxation engine: one recomputation occupies the controller
+   for K cycles *)
 let test_controller_recompute_cycles () =
-  Alcotest.(check int) "K^2" 256 (Controller_power.recompute_cycles ~node_count:16)
-
-let test_controller_validation () =
-  Alcotest.check_raises "power" (Invalid_argument "Controller_power.make: non-positive power")
-    (fun () -> ignore (Controller_power.make ~dynamic_mw:0. ~leakage_mw:1. ~anchor_nodes:16))
+  List.iter
+    (fun size ->
+      let config = Etx_etsim.Config.make ~topology:(Etx_graph.Topology.square_mesh ~size ()) () in
+      Alcotest.(check int) "K" (size * size) (Etx_etsim.Config.recompute_cycles config))
+    [ 4; 8 ]
 
 let prop_line_interpolation_between_anchors =
   QCheck.Test.make ~name:"line: interpolation stays within anchor bracket" ~count:200
@@ -170,8 +166,6 @@ let suite =
     ( "energy/controller-power",
       [
         Alcotest.test_case "paper anchor" `Quick test_controller_anchor;
-        Alcotest.test_case "scaling" `Quick test_controller_scaling;
         Alcotest.test_case "recompute cycles" `Quick test_controller_recompute_cycles;
-        Alcotest.test_case "validation" `Quick test_controller_validation;
       ] );
   ]

@@ -18,13 +18,11 @@ let mesh size = Topology.square_mesh ~size ()
 
 let base_config ?policy ?battery_kind ?controllers ?concurrent_jobs ?seed
     ?job_source ?max_jobs ?max_cycles ?frame_period_cycles ?reception_energy_fraction
-    ?battery_capacity_pj ?deadlock_threshold_cycles ?buffer_capacity
-    ?link_failure_schedule ?fault ?max_retransmissions ?ack_timeout_cycles size =
+    ?battery_capacity_pj ?link_failure_schedule ?fault ?max_retransmissions size =
   Config.make ~topology:(mesh size) ?policy ?battery_kind ?controllers
     ?concurrent_jobs ?seed ?job_source ?max_jobs ?max_cycles ?frame_period_cycles
-    ?reception_energy_fraction ?battery_capacity_pj ?deadlock_threshold_cycles
-    ?buffer_capacity ?link_failure_schedule ?fault ?max_retransmissions
-    ?ack_timeout_cycles ()
+    ?reception_energy_fraction ?battery_capacity_pj ?link_failure_schedule ?fault
+    ?max_retransmissions ()
 
 (* - Config - *)
 
@@ -74,9 +72,7 @@ let test_config_validation () =
   expect "Config.make: duplicate link failure" (fun () ->
       base_config ~link_failure_schedule:[ (0, 0, 1); (100, 1, 0) ] 4);
   expect "Config.make: max_retransmissions must be >= 0" (fun () ->
-      base_config ~max_retransmissions:(-1) 4);
-  expect "Config.make: ack_timeout_cycles must be >= 0" (fun () ->
-      base_config ~ack_timeout_cycles:(-1) 4)
+      base_config ~max_retransmissions:(-1) 4)
 
 let test_config_mapping_arity_checked () =
   let topology = mesh 4 in
@@ -239,18 +235,14 @@ let test_controller_sdr_levels_only_reuses_table () =
     (Controller.download_energy_pj controller);
   Alcotest.(check (float 0.)) "dynamic energy charged"
     (compute_before
-    +. (Config.dynamic_pj_per_cycle c *. float_of_int (Config.recompute_cycles c)))
+    +. (Etx_energy.Controller_power.dynamic_pj_per_cycle
+       *. float_of_int (Config.recompute_cycles c)))
     (Controller.compute_energy_pj controller)
 
 let test_controller_failover_and_exhaustion () =
-  (* tiny controller batteries so leakage kills them frame by frame *)
-  let c =
-    base_config
-      ~controllers:(Config.Battery_controllers { count = 2 })
-      4
-  in
-  let c = { c with Config.controller_battery_capacity_pj = 4000.;
-                   controller_battery_kind = Battery.Ideal } in
+  (* two calibrated controller cells: leakage alone drains one in about
+     twenty 500-cycle frames *)
+  let c = base_config ~controllers:(Config.Battery_controllers { count = 2 }) 4 in
   let controller = Controller.create c in
   let snapshot = full_snapshot 16 in
   let rec drive cycle deaths_seen =

@@ -24,8 +24,9 @@ let test_calibration_config_shape () =
     (c.Etx_etsim.Config.job_source = Etx_etsim.Config.Round_robin_entry);
   Alcotest.(check (float 1e-9)) "variation" 0.1 c.battery_capacity_variation
 
+(* a policy's level count reaches the config unchanged *)
 let test_calibration_levels_override () =
-  let c = Calibration.config ~levels_override:4 ~mesh_size:4 () in
+  let c = Calibration.config ~policy:(Etx_routing.Policy.ear ~levels:4 ()) ~mesh_size:4 () in
   Alcotest.(check int) "levels" 4 c.Etx_etsim.Config.policy.Etx_routing.Policy.levels
 
 let seeds = [ 1 ]
@@ -324,6 +325,25 @@ let test_supervised_resilience_shape () =
   Alcotest.(check bool) "all completed" true
     (List.for_all (function Ok _ -> true | Error _ -> false) results)
 
+(* Resilience's bit-error and wear-out rate-0 cells hold the same runs:
+   each distinct run is simulated once and its metrics reach both. *)
+let test_supervised_dedups_runs () =
+  let units () =
+    Experiments.resilience_units ~mesh_size:4 ~bit_error_rates:[ 0.; 1e-4 ]
+      ~wearout_rates:[ 0. ] ~fault_seed:1009 ~seeds:[ 1 ]
+  in
+  let configs = List.concat_map (fun u -> u.Experiments.configs) (units ()) in
+  Alcotest.(check int) "six configs" 6 (List.length configs);
+  let calls = ref 0 in
+  let rows = ok_rows (Experiments.run_units ~simulate:(counting_simulate calls) (units ())) in
+  Alcotest.(check int) "four distinct runs simulated" 4 !calls;
+  let reference =
+    List.map
+      (fun u -> u.Experiments.finish (List.map Etx_etsim.Engine.simulate u.Experiments.configs))
+      (units ())
+  in
+  Alcotest.(check bool) "rows of every config simulated" true (rows = reference)
+
 (* The one runner against a sequential reference: random unit shapes,
    simulations that always crash or crash only on their first attempt,
    any retry budget, domain count and pool, with or without a result
@@ -473,6 +493,7 @@ let suite =
           test_supervised_matches_plain_fig7;
         Alcotest.test_case "resilience supervised shape" `Slow
           test_supervised_resilience_shape;
+        Alcotest.test_case "distinct runs simulated once" `Slow test_supervised_dedups_runs;
         Alcotest.test_case "metrics serialization round-trip" `Quick
           test_metrics_serialization_roundtrip;
         QCheck_alcotest.to_alcotest prop_runner_matches_reference;
