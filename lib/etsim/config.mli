@@ -96,7 +96,11 @@ val link_width_bits : int
 (** 32: the data-link serialization width. *)
 
 val control_medium_width_bits : int
-(** 2: the narrow shared TDMA medium (Sec 5.3, Fig 4). *)
+(** 2: the narrow shared TDMA medium (Sec 5.3, Fig 4).  Only printed
+    into [Engine.config_fingerprint]'s [;tdma=] part: the engine's TDMA
+    frame takes no cycles, and reports and instructions are billed as
+    line energy per bit, so the medium's width shapes neither timing nor
+    energy. *)
 
 val report_bits : int
 (** 4: upload payload per node per frame (Fig 4). *)

@@ -260,6 +260,10 @@ let cold_restart_durability (cfg : config) sup ~count reference violations =
    over both streams. *)
 
 let run (cfg : config) =
+  (* the router runs in this process and writes to backends the
+     schedule kills: a write to one that died an instant earlier must
+     fail over as EPIPE, not end the harness with SIGPIPE *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let violations = ref [] in
   let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let sup =

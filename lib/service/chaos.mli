@@ -77,7 +77,9 @@ type outcome = {
 val run : config -> outcome
 (** Runs every phase and always drains every spawned process, even on
     exception.  Never raises on a property violation — those are
-    reported in [violations]. *)
+    reported in [violations].  Ignores SIGPIPE for the rest of the
+    process, as {!Daemon} requires of a router's caller: the router
+    runs in this process and writes to backends the schedule kills. *)
 
 type reply =
   | Served of { cache : string; result : string }

@@ -98,6 +98,7 @@ type t = {
   sleep : float -> unit;
   rpc : rpc;
   backoff : Backoff.t;
+  names : Names.t;
   mutable routed_total : int;
   mutable failover_total : int;
   mutable shed_total : int;
@@ -190,6 +191,7 @@ let create ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?rpc cfg =
     backoff =
       Backoff.create ~base_ms:cfg.backoff_base_ms ~cap_ms:cfg.backoff_cap_ms
         ~seed:cfg.seed ();
+    names = Names.create ();
     routed_total = 0;
     failover_total = 0;
     shed_total = 0;
@@ -377,10 +379,6 @@ let inject_trace_id line trace_id =
       (Json.to_string (Json.String trace_id))
       sep rest
 
-(* a response is either JSON we built locally or a backend's line
-   forwarded byte-for-byte (never re-parsed, never re-printed) *)
-type reply = Tree of Json.t | Raw of string
-
 (* per-client round-robin admission: iterate arrival order repeatedly,
    admitting at most one request per client per round, until the depth
    is reached — so one chatty client cannot starve the rest *)
@@ -419,7 +417,10 @@ let handle_batch t lines =
         | Error err -> Malformed err)
       raw_lines
   in
-  let responses = Array.make (Array.length items) (Tree Json.Null) in
+  (* a response is either JSON built here or a backend's line, forwarded
+     byte-for-byte (never re-parsed, never re-printed) *)
+  let responses = Array.make (Array.length items) "" in
+  let reply idx json = responses.(idx) <- Json.to_string json in
   Obs.add obs_requests (Array.length items);
   let runnable = ref [] in
   let scenarios = ref [] in
@@ -428,19 +429,16 @@ let handle_batch t lines =
       match item with
       | Malformed err ->
         count_error t;
-        responses.(idx) <-
-          Tree (Request.error_response err.error_id err.error_code err.reason)
+        reply idx (Request.error_response err.error_id err.error_code err.reason)
       | Parsed (req : Request.t) -> (
         match req.body with
         | Request.Control _ -> runnable := (idx, req, "") :: !runnable
         | Request.Scenario scenario -> (
           (* a request refused at fingerprinting takes no admission slot *)
-          match
-            try Handlers.fingerprint scenario with exn -> Error (Printexc.to_string exn)
-          with
+          match Names.fingerprint t.names scenario with
           | Error message ->
             count_error t;
-            responses.(idx) <- Tree (Request.error_response req.id "invalid_request" message)
+            reply idx (Request.error_response req.id "invalid_request" message)
           | Ok fp ->
             runnable := (idx, req, fp) :: !runnable;
             scenarios := (idx, req) :: !scenarios)))
@@ -452,12 +450,10 @@ let handle_batch t lines =
       if not (Hashtbl.mem admitted idx) then begin
         t.shed_total <- t.shed_total + 1;
         Obs.inc obs_shed;
-        responses.(idx) <-
-          Tree
-            (degraded_response t req.id
-               (Printf.sprintf
-                  "cluster saturated: %d scenario request(s) admitted this batch"
-                  t.cfg.queue_depth))
+        reply idx
+          (degraded_response t req.id
+             (Printf.sprintf "cluster saturated: %d scenario request(s) admitted this batch"
+                t.cfg.queue_depth))
       end)
     (List.rev !scenarios);
   let order =
@@ -484,8 +480,7 @@ let handle_batch t lines =
             Json.String "stopping"
         in
         let elapsed_ms = (t.now () -. t0) *. 1000. in
-        responses.(idx) <-
-          Tree (Request.ok_response ~scenario:name ~elapsed_ms req.id result)
+        reply idx (Request.ok_response ~scenario:name ~elapsed_ms req.id result)
       | Request.Scenario _ ->
         if Hashtbl.mem admitted idx then begin
           let deadline_abs =
@@ -516,22 +511,19 @@ let handle_batch t lines =
           | Response response_line ->
             (* forwarded verbatim: the cluster adds no bytes, so a
                response is bit-identical to the backend's own *)
-            responses.(idx) <- Raw response_line
-          | Unavailable message ->
-            responses.(idx) <- Tree (degraded_response t req.id message)
+            responses.(idx) <- response_line
+          | Unavailable message -> reply idx (degraded_response t req.id message)
           | Expired ->
             t.deadline_exceeded_total <- t.deadline_exceeded_total + 1;
             count_error t;
             Obs.inc obs_deadline;
-            responses.(idx) <-
-              Tree
-                (Request.error_response req.id "deadline_exceeded"
-                   (Printf.sprintf "deadline of %d ms expired while routing"
-                      (Option.value req.deadline_ms ~default:0)))
+            reply idx
+              (Request.error_response req.id "deadline_exceeded"
+                 (Printf.sprintf "deadline of %d ms expired while routing"
+                    (Option.value req.deadline_ms ~default:0)))
         end)
     order;
   Obs.add obs_responses (Array.length responses);
-  Array.to_list
-    (Array.map (function Raw line -> line | Tree j -> Json.to_string j) responses)
+  Array.to_list responses
 
 let stopped t = t.stopping

@@ -2,8 +2,9 @@
 
     The router speaks the same newline-delimited JSON protocol as a
     single {!Server} — clients cannot tell the difference — and shards
-    scenario requests across backend daemons by scenario fingerprint on
-    a consistent-hash {!Ring}, so a given computation always lands on
+    scenario requests across backend daemons by scenario fingerprint
+    (named once per distinct request, {!Names}) on a consistent-hash
+    {!Ring}, so a given computation always lands on
     the same backend (whose LRU stays warm) and membership changes only
     remap the failed backend's arc.
 

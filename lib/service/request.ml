@@ -355,6 +355,12 @@ let ok_response ?cache ~scenario ~elapsed_ms id result =
     @ (match cache with None -> [] | Some how -> [ ("cache", Json.String how) ])
     @ [ ("elapsed_ms", Json.float_lenient elapsed_ms); ("result", result) ])
 
+(* [ok_response] ends with its result, so the envelope printed around a
+   [Null] result ends in [null}]; the result's bytes take that place *)
+let ok_line ?cache ~scenario ~elapsed_ms id result =
+  let envelope = Json.to_string (ok_response ?cache ~scenario ~elapsed_ms id Json.Null) in
+  String.concat "" [ String.sub envelope 0 (String.length envelope - 5); result; "}" ]
+
 let error_response ?(extra = []) id code message =
   Json.Obj
     ([

@@ -188,6 +188,14 @@ val ok_response :
     the one success shape of every daemon ([cache] only where a result
     cache answered). *)
 
+val ok_line :
+  ?cache:string -> scenario:string -> elapsed_ms:float -> Etx_util.Json.t -> string ->
+  string
+(** [ok_line … id bytes] is [Json.to_string (ok_response … id r)] where
+    [bytes] is [Json.to_string r]: the envelope is printed and the
+    result's bytes are spliced in as they are, never parsed or
+    re-printed.  How a daemon replies with a stored result. *)
+
 val error_response :
   ?extra:(string * Etx_util.Json.t) list -> Etx_util.Json.t -> string -> string ->
   Etx_util.Json.t

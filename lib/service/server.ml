@@ -70,7 +70,8 @@ type latency = {
 type t = {
   cfg : config;
   pool : Pool.t;
-  cache : Json.t Cache.t;
+  names : Names.t;
+  cache : string Cache.t;  (* result bytes, as [Json.to_string] printed them *)
   store : Store.t option;
   latencies : (string, latency) Hashtbl.t;
   now : unit -> float;
@@ -93,6 +94,7 @@ let create ?(now = Unix.gettimeofday) cfg =
   {
     cfg;
     pool = Pool.create ~domains:cfg.domains ();
+    names = Names.create ();
     cache = Cache.create ~capacity:cfg.cache_capacity;
     store;
     latencies = Hashtbl.create 8;
@@ -215,7 +217,12 @@ let handle_batch t lines =
            | Error err -> Malformed err)
          lines)
   in
-  let responses = Array.make (Array.length items) Json.Null in
+  let responses = Array.make (Array.length items) "" in
+  let error idx id code message =
+    t.errors_total <- t.errors_total + 1;
+    Obs.inc obs_errors;
+    responses.(idx) <- Json.to_string (Request.error_response id code message)
+  in
   Obs.add obs_requests (Array.length items);
   Obs.observe obs_batch_size (float_of_int (Array.length items));
   (* Admission: parse errors, scenario requests that cannot be
@@ -228,31 +235,19 @@ let handle_batch t lines =
   Array.iteri
     (fun idx item ->
       match item with
-      | Malformed err ->
-        t.errors_total <- t.errors_total + 1;
-        Obs.inc obs_errors;
-        responses.(idx) <- Request.error_response err.error_id err.error_code err.reason
+      | Malformed err -> error idx err.error_id err.error_code err.reason
       | Parsed req -> (
         match req.body with
         | Request.Control _ -> runnable := (idx, req, "") :: !runnable
         | Request.Scenario scenario -> (
-          match
-            try Handlers.fingerprint scenario with exn -> Error (Printexc.to_string exn)
-          with
-          | Error message ->
-            t.errors_total <- t.errors_total + 1;
-            Obs.inc obs_errors;
-            responses.(idx) <- Request.error_response req.id "invalid_request" message
+          match Names.fingerprint t.names scenario with
+          | Error message -> error idx req.id "invalid_request" message
           | Ok _ when !admitted >= t.cfg.queue_depth ->
             t.rejected_total <- t.rejected_total + 1;
-            t.errors_total <- t.errors_total + 1;
             Obs.inc obs_shed;
-            Obs.inc obs_errors;
-            responses.(idx) <-
-              Request.error_response req.id "queue_full"
-                (Printf.sprintf
-                   "queue depth %d exceeded for this batch; resubmit later"
-                   t.cfg.queue_depth)
+            error idx req.id "queue_full"
+              (Printf.sprintf "queue depth %d exceeded for this batch; resubmit later"
+                 t.cfg.queue_depth)
           | Ok fp ->
             incr admitted;
             t.admitted_total <- t.admitted_total + 1;
@@ -265,9 +260,9 @@ let handle_batch t lines =
         compare b.priority a.priority)
       (List.rev !runnable)
   in
-  (* Results computed in this batch, keyed by fingerprint: duplicates are
-     coalesced onto one execution even when the cache is disabled. *)
-  let batch_results : (string, Json.t) Hashtbl.t = Hashtbl.create 8 in
+  (* Result bytes served in this batch, keyed by fingerprint: duplicates
+     are coalesced onto one execution even when the cache is disabled. *)
+  let batch_results : (string, string) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (idx, (req : Request.t), fp) ->
       let name = Request.scenario_name req.body in
@@ -286,7 +281,8 @@ let handle_batch t lines =
             Json.String "stopping"
         in
         let elapsed_ms = (t.now () -. t0) *. 1000. in
-        responses.(idx) <- Request.ok_response ~scenario:name ~elapsed_ms req.id result
+        responses.(idx) <-
+          Json.to_string (Request.ok_response ~scenario:name ~elapsed_ms req.id result)
       | Request.Scenario scenario ->
         Span.with_trace req.trace_id (fun () ->
         Span.span "server.handle" (fun () ->
@@ -298,13 +294,10 @@ let handle_batch t lines =
         in
         if expired then begin
           t.deadline_exceeded_total <- t.deadline_exceeded_total + 1;
-          t.errors_total <- t.errors_total + 1;
           Obs.inc obs_deadline;
-          Obs.inc obs_errors;
-          responses.(idx) <-
-            Request.error_response req.id "deadline_exceeded"
-              (Printf.sprintf "deadline of %d ms expired before compute"
-                 (Option.value req.deadline_ms ~default:0))
+          error idx req.id "deadline_exceeded"
+            (Printf.sprintf "deadline of %d ms expired before compute"
+               (Option.value req.deadline_ms ~default:0))
         end
         else begin
           (* result tiers: this batch, the in-memory LRU, the durable
@@ -316,11 +309,11 @@ let handle_batch t lines =
               match Span.span "server.store" (fun () -> Store.find store fp) with
               | None -> None
               | Some bytes -> (
-                (* a store entry is our own serialized result; if it
-                   does not parse, treat it like any other corruption:
-                   a miss, recompute *)
+                (* a store entry is our own serialized result, served
+                   as it is; if it does not parse, treat it like any
+                   other corruption: a miss, recompute *)
                 match Json.parse_result bytes with
-                | Ok result -> Some result
+                | Ok _ -> Some bytes
                 | Error _ -> None))
           in
           let outcome =
@@ -347,13 +340,13 @@ let handle_batch t lines =
                       Handlers.execute ~pool:t.pool scenario)
                   with
                   | Ok result ->
+                    (* printed once, for the store, the LRU and the reply *)
+                    let bytes = Json.to_string result in
                     Obs.inc obs_result_compute;
-                    Cache.add t.cache fp result;
-                    Option.iter
-                      (fun store -> Store.add store fp (Json.to_string result))
-                      t.store;
-                    Hashtbl.replace batch_results fp result;
-                    Ok ("miss", result)
+                    Cache.add t.cache fp bytes;
+                    Option.iter (fun store -> Store.add store fp bytes) t.store;
+                    Hashtbl.replace batch_results fp bytes;
+                    Ok ("miss", bytes)
                   | Error message -> Error message
                   | exception exn -> Error (Printexc.to_string exn))))
           in
@@ -364,13 +357,10 @@ let handle_batch t lines =
             Obs.observe obs_request_ms elapsed_ms;
             t.served_total <- t.served_total + 1;
             responses.(idx) <-
-              Request.ok_response ~cache:how ~scenario:name ~elapsed_ms req.id result
-          | Error message ->
-            t.errors_total <- t.errors_total + 1;
-            Obs.inc obs_errors;
-            responses.(idx) <- Request.error_response req.id "failed" message
+              Request.ok_line ~cache:how ~scenario:name ~elapsed_ms req.id result
+          | Error message -> error idx req.id "failed" message
         end)))
     order;
   Obs.set obs_queue_depth (float_of_int !admitted);
   Obs.add obs_responses (Array.length responses);
-  Array.to_list (Array.map Json.to_string responses)
+  Array.to_list responses

@@ -18,10 +18,13 @@
     - {b priority ordering}: admitted requests execute by descending
       [priority], ties in arrival order.
     - {b deduplication and caching}: each scenario's canonical
-      fingerprint is looked up in the LRU result cache (a {e hit}
-      replays bit-identical bytes) and, failing that, against results
-      computed earlier in the same batch (a {e coalesced} duplicate is
-      computed once even with caching disabled).
+      fingerprint (named once per distinct request, {!Names}) is looked
+      up against results served earlier in the same batch (a
+      {e coalesced} duplicate is computed once even with caching
+      disabled), then in the LRU result cache (a {e hit}), then in the
+      durable store.  Results are held as the bytes their one print
+      made and spliced into the reply ({!Request.ok_line}), so every
+      tier replays bit-identical bytes.
 
     All simulation work fans out over one shared persistent
     {!Etx_util.Pool} owned by the server for its whole life.  The

@@ -375,26 +375,42 @@ let test_server_store_tier () =
       store_dir;
     }
   in
-  let serve config =
+  (* every reply is served from stored bytes, yet reads exactly as the
+     printed tree of the same response *)
+  let canonical response =
+    Alcotest.(check string) "reply prints as its own tree"
+      (Json.to_string (parse response)) response;
+    parse response
+  in
+  let serve ?(times = 1) config =
     let server = Server.create config in
     Fun.protect
       ~finally:(fun () -> Server.shutdown server)
       (fun () ->
-        match Server.handle_batch server [ line ] with
-        | [ response ] -> parse response
-        | _ -> Alcotest.fail "one response expected")
+        List.init times (fun _ ->
+            match Server.handle_batch server [ line ] with
+            | [ response ] -> canonical response
+            | _ -> Alcotest.fail "one response expected"))
   in
-  let first = serve (cfg (Some dir)) in
+  let first, hit =
+    match serve ~times:2 (cfg (Some dir)) with
+    | [ first; hit ] -> (first, hit)
+    | _ -> assert false
+  in
   Alcotest.(check string) "first sight computes" "miss" (str_member "cache" first);
+  Alcotest.(check string) "then the LRU answers" "hit" (str_member "cache" hit);
   (* a brand-new server process (cold LRU) sharing the directory *)
-  let second = serve (cfg (Some dir)) in
+  let second = List.hd (serve (cfg (Some dir))) in
   Alcotest.(check string) "restart serves from the durable store" "store"
     (str_member "cache" second);
-  Alcotest.(check string) "store replay is bit-identical"
-    (Json.to_string (Option.get (Json.member "result" first)))
-    (Json.to_string (Option.get (Json.member "result" second)));
+  List.iter
+    (fun (what, reply) ->
+      Alcotest.(check string) (what ^ " is bit-identical")
+        (Json.to_string (Option.get (Json.member "result" first)))
+        (Json.to_string (Option.get (Json.member "result" reply))))
+    [ ("LRU replay", hit); ("store replay", second) ];
   (* without the store, a cold server recomputes *)
-  let fresh = serve (cfg None) in
+  let fresh = List.hd (serve (cfg None)) in
   Alcotest.(check string) "no store, cold miss" "miss" (str_member "cache" fresh)
 
 (* - the router, driven through a fake transport - *)

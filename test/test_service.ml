@@ -7,6 +7,8 @@ module Cache = Etx_service.Cache
 module Request = Etx_service.Request
 module Server = Etx_service.Server
 module Handlers = Etx_service.Handlers
+module Names = Etx_service.Names
+module Obs = Etx_obs.Obs
 
 (* - cache - *)
 
@@ -103,6 +105,106 @@ let test_fingerprint_canonicalization () =
   Alcotest.(check string) "field order and unknown keys" a c;
   let d = fp {|{"scenario":"simulate","params":{"seed":2}}|} in
   Alcotest.(check bool) "different seed, different address" true (a <> d)
+
+(* - the name table - *)
+
+let scenario_of line =
+  match Request.of_line line with
+  | Ok { body = Request.Scenario s; _ } -> s
+  | _ -> Alcotest.failf "not a scenario: %s" line
+
+(* the registry is process-wide: arm it from a clean slate and leave it
+   that way *)
+let with_obs f =
+  Obs.disarm ();
+  Obs.reset ();
+  Obs.arm ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disarm ();
+      Obs.reset ())
+    f
+
+let name table line =
+  match Names.fingerprint table (scenario_of line) with
+  | Ok fp -> fp
+  | Error m -> Alcotest.failf "naming %s failed: %s" line m
+
+let test_names_share_entries () =
+  with_obs (fun () ->
+      let table = Names.create () in
+      let reused = Obs.counter "etx_names_reused_total" in
+      let lines =
+        [
+          {|{"scenario":"simulate","params":{"mesh_size":4,"seed":3},"id":1}|};
+          {| { "id" : "x" , "params" : { "seed" : 3 , "mesh_size" : 4 } , "scenario" : "simulate" } |};
+          {|{"params":{"seed":3,"policy":"ear","mesh_size":4},"scenario":"simulate","id":[2]}|};
+        ]
+      in
+      let direct = fp (List.hd lines) in
+      List.iter
+        (fun line -> Alcotest.(check string) line direct (name table line))
+        lines;
+      Alcotest.(check int) "one entry" 1 (Names.length table);
+      Alcotest.(check int) "named once, reused twice" 2 (Obs.counter_value reused))
+
+(* floats are keyed by their bits: -0.0 and 0.0 name two runs *)
+let test_names_signed_zero () =
+  let table = Names.create () in
+  let line ber =
+    Printf.sprintf {|{"scenario":"simulate","params":{"mesh_size":4,"ber":%s,"wearout":1e-4}}|}
+      ber
+  in
+  let neg = name table (line "-0.0") and pos = name table (line "0.0") in
+  Alcotest.(check bool) "two names" true (neg <> pos);
+  Alcotest.(check string) "-0.0 as named directly" (fp (line "-0.0")) neg;
+  Alcotest.(check string) "0.0 as named directly" (fp (line "0.0")) pos;
+  Alcotest.(check int) "two entries" 2 (Names.length table);
+  Alcotest.(check string) "-0.0 again" neg (name table (line "-0.0"))
+
+let test_names_refused_not_stored () =
+  let table = Names.create () in
+  let refused = scenario_of {|{"scenario":"simulate","params":{"policy":"warp"}}|} in
+  for _ = 1 to 2 do
+    match Names.fingerprint table refused with
+    | Error m -> Alcotest.(check bool) "names the policy" true (Astring_contains.contains m "warp")
+    | Ok fp -> Alcotest.failf "refused request named %s" fp
+  done;
+  Alcotest.(check int) "nothing stored" 0 (Names.length table);
+  ignore (name table {|{"scenario":"fig7","params":{"sizes":[4]}}|});
+  Alcotest.(check int) "sweeps are named directly" 0 (Names.length table)
+
+let test_names_bounded () =
+  let table = Names.create () in
+  for seed = 1 to Names.capacity + 16 do
+    let line =
+      Printf.sprintf {|{"scenario":"simulate","params":{"mesh_size":3,"seed":%d}}|} seed
+    in
+    Alcotest.(check string) line (fp line) (name table line);
+    if Names.length table > Names.capacity then
+      Alcotest.failf "%d names held, bound %d" (Names.length table) Names.capacity
+  done;
+  Alcotest.(check int) "full" Names.capacity (Names.length table)
+
+(* - spliced replies - *)
+
+let prop_ok_line_splices =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (triple Test_json.gen_json
+           (opt (oneofl [ "miss"; "hit"; "store"; "coalesced" ]))
+           (string_size ~gen:printable (int_bound 10)))
+        (pair (float_bound_inclusive 1e4) Test_json.gen_json))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"ok_line = to_string (ok_response …) for random results"
+    (QCheck.make gen ~print:(fun ((id, _, scenario), (_, r)) ->
+         Printf.sprintf "id %s, scenario %S, result %s" (Json.to_string id) scenario
+           (Json.to_string r)))
+    (fun ((id, cache, scenario), (elapsed_ms, r)) ->
+      Request.ok_line ?cache ~scenario ~elapsed_ms id (Json.to_string r)
+      = Json.to_string (Request.ok_response ?cache ~scenario ~elapsed_ms id r))
 
 (* - server batches - *)
 
@@ -541,6 +643,15 @@ let suite =
           test_fingerprint_routing_kernel_tag;
         Alcotest.test_case "schema fingerprint property" `Quick
           test_schema_fingerprint_property;
+      ] );
+    ( "service/names",
+      [
+        Alcotest.test_case "one entry per decoded request" `Quick test_names_share_entries;
+        Alcotest.test_case "floats keyed by their bits" `Quick test_names_signed_zero;
+        Alcotest.test_case "refused requests not stored" `Quick
+          test_names_refused_not_stored;
+        Alcotest.test_case "bounded" `Quick test_names_bounded;
+        QCheck_alcotest.to_alcotest prop_ok_line_splices;
       ] );
     ( "service/server",
       [
